@@ -21,7 +21,8 @@ Broker& SharedBroker() {
   static Broker* broker = [] {
     auto* b = new Broker(RealClock::Instance());
     for (int t = 0; t < 8; ++t) {
-      const std::string topic = "t" + std::to_string(t);
+      const std::string index = std::to_string(t);
+      const std::string topic = "t" + index;
       b->CreateTopic(topic);
       for (int i = 0; i < 2048; ++i) {
         b->Publish(topic, kLocalNode, Seconds(i),
@@ -46,7 +47,8 @@ void BM_ExecuteLatestByComplexity(benchmark::State& state) {
   Executor executor(SharedBroker(), nullptr);
   std::vector<std::string> tables;
   for (int i = 0; i < state.range(0); ++i) {
-    tables.push_back("t" + std::to_string(i));
+    const std::string index = std::to_string(i);
+    tables.push_back("t" + index);
   }
   const Query query = LatestValueQuery(tables);
   for (auto _ : state) {

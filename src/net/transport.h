@@ -59,7 +59,7 @@ class FrameHandler {
   virtual void OnFrame(Connection& conn, const Frame& frame) = 0;
   // The connection is closing (any reason); per-connection state such as
   // subscriptions must be dropped. The Connection is destroyed on return.
-  virtual void OnClose(Connection& conn) {}
+  virtual void OnClose(Connection& /*conn*/) {}
 };
 
 // One accepted connection. Loop-thread only.

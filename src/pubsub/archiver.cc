@@ -268,7 +268,7 @@ Status ArchiveLog::SyncLocked() {
 }
 
 void ArchiveLog::RollbackActive(std::uint64_t offset) {
-  // Cut the segment back to its pre-record length so the failed append
+  // Cut the segment back to its pre-chunk length so the failed append
   // leaves no torn frame behind and a retry cannot duplicate bytes.
   std::clearerr(active_);
   std::fflush(active_);
@@ -277,33 +277,66 @@ void ArchiveLog::RollbackActive(std::uint64_t offset) {
   }
 }
 
-Status ArchiveLog::Append(const void* payload) {
+bool ArchiveLog::RotationDue() const {
+  const Segment& seg = segments_.back();
+  return seg.records > 0 && seg.bytes + frame_.size() > config_.segment_bytes;
+}
+
+std::size_t ArchiveLog::ChunkRoom() const {
+  // A chunk never spans a rotation: it starts in the segment a per-record
+  // append would use (a fresh one if the active segment is full) and ends
+  // where the next record would no longer fit. Every segment holds at
+  // least one record (see the constructor). Rotation also fsyncs, which
+  // restarts the kEveryN count; fsync_every_n = 0 syncs every record.
+  const bool rotate = RotationDue();
+  const std::uint64_t bytes =
+      rotate ? wal::kHeaderSize : segments_.back().bytes;
+  std::uint64_t room = (config_.segment_bytes - bytes) / frame_.size();
+  if (config_.fsync_policy == FsyncPolicy::kEveryN) {
+    const std::uint64_t since = rotate ? 0 : appends_since_sync_;
+    const std::uint64_t until_sync =
+        std::max<std::uint64_t>(config_.fsync_every_n - since, 1);
+    room = std::min(room, until_sync);
+  }
+  return static_cast<std::size_t>(room);
+}
+
+Status ArchiveLog::Append(const void* payloads, std::size_t n) {
   if (active_ == nullptr) {
     return IoError("archive not open", base_path_);
   }
-  Segment* seg = &segments_.back();
-  if (seg->records > 0 &&
-      seg->bytes + frame_.size() > config_.segment_bytes) {
+  if (n == 0 || n > ChunkRoom()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "archive chunk outside its room: " + base_path_);
+  }
+  if (RotationDue()) {
     Status status = RotateLocked();
     if (!status.ok()) return status;
-    seg = &segments_.back();
   }
-  const std::uint64_t offset = seg->bytes;
-  wal::EncodeRecord(frame_.data(), payload, payload_size_);
-  if (std::fwrite(frame_.data(), frame_.size(), 1, active_) != 1 ||
-      std::fflush(active_) != 0) {
-    // fflush per record pushes the frame into the OS so only a real
-    // machine failure (not process death) can lose an acknowledged
-    // append; the fsync policy below controls power-loss durability.
+  Segment& seg = segments_.back();
+  const std::uint64_t offset = seg.bytes;
+  // Frames go into the FILE's own buffer; the one fflush per chunk pushes
+  // them into the OS, so only a real machine failure (not process death)
+  // can lose an acknowledged append. The fsync policy below controls
+  // power-loss durability.
+  const auto* payload = static_cast<const std::uint8_t*>(payloads);
+  bool written = true;
+  for (std::size_t i = 0; i < n && written; ++i, payload += payload_size_) {
+    wal::EncodeRecord(frame_.data(), payload, payload_size_);
+    written = std::fwrite(frame_.data(), frame_.size(), 1, active_) == 1;
+  }
+  if (!written || std::fflush(active_) != 0) {
     GlobalTelemetry().archive_write_errors.fetch_add(
         1, std::memory_order_relaxed);
     RollbackActive(offset);
-    return IoError("archive write failed", seg->path);
+    return IoError("archive write failed", seg.path);
   }
-  seg->bytes += frame_.size();
-  ++seg->records;
-  ++record_count_;
-  ++appends_since_sync_;
+  ++flushes_;
+  const std::uint64_t bytes = n * frame_.size();
+  seg.bytes += bytes;
+  seg.records += n;
+  record_count_ += n;
+  appends_since_sync_ += n;
 
   bool sync_due = false;
   switch (config_.fsync_policy) {
@@ -320,13 +353,13 @@ Status ArchiveLog::Append(const void* payload) {
   if (sync_due) {
     Status status = SyncLocked();
     if (!status.ok()) {
-      // The record is not durably acknowledged: roll it back so the
+      // The chunk is not durably acknowledged: roll it back so the
       // caller's retry appends it exactly once.
       RollbackActive(offset);
-      seg->bytes -= frame_.size();
-      --seg->records;
-      --record_count_;
-      --appends_since_sync_;
+      seg.bytes -= bytes;
+      seg.records -= n;
+      record_count_ -= n;
+      appends_since_sync_ -= n;
       return status;
     }
   }

@@ -13,15 +13,18 @@
 // fsync policy. Opening an existing archive is append-safe: segments are
 // scanned, a torn/corrupt tail is truncated to the last valid record, and
 // unreadable segments are quarantined (renamed `.corrupt`) — every
-// recovered and dropped byte is counted. Appends are atomic: a failed
-// write, flush, or fsync rolls the segment back to the pre-record offset,
-// so retries can never duplicate or interleave a record.
+// recovered and dropped byte is counted. Records are written in chunks —
+// the run of records up to the next rotation or kEveryN fsync point — with
+// one fflush per chunk. Chunks are atomic: a failed write, flush, or fsync
+// rolls the segment back to the chunk's start offset, so retries can never
+// duplicate or interleave a record.
 //
-// Failed writes are never silent: Append surfaces a Status, AppendWithRetry
-// adds bounded exponential backoff, and every outcome is counted both here
-// and in the global TelemetryCounters. An attached FaultInjector can force
-// write failures (site kArchiveWrite) and fsync failures (kArchiveFsync)
-// for chaos and kill-and-restart tests.
+// Failed writes are never silent: every append surfaces a Status,
+// AppendBatch and AppendWithRetry add bounded exponential backoff, and
+// every outcome is counted per record both here and in the global
+// TelemetryCounters. An attached FaultInjector can force write failures
+// (site kArchiveWrite, once per record attempt) and fsync failures
+// (kArchiveFsync) for chaos and kill-and-restart tests.
 //
 // Record payload layout (binary, little-endian, fixed size):
 //   u64 id | i64 timestamp | T payload (trivially copyable)
@@ -96,10 +99,19 @@ class ArchiveLog {
   // append. Creates the first segment when none exist.
   Status Open();
 
-  // Appends one payload_size-byte record. Atomic: on any write/flush/fsync
-  // failure the segment is rolled back to its pre-record length and an
-  // error is returned, so a retry cannot duplicate the record.
-  Status Append(const void* payload);
+  // How many records the next Append may take as one chunk: the records a
+  // per-record append would write before it rotated the segment or, under
+  // kEveryN, fsynced. At least 1.
+  std::size_t ChunkRoom() const;
+
+  // Appends `n` payload_size-byte records laid out back to back, as one
+  // chunk: 1 <= n <= ChunkRoom(). Rotates first if the active segment is
+  // full, writes each frame into the stdio buffer, issues one fflush, and
+  // fsyncs after it when the policy is due (kInterval is checked once per
+  // chunk). Atomic: on any write/flush/fsync failure the segment is rolled
+  // back to the chunk's start and an error is returned, so a retry cannot
+  // duplicate a record.
+  Status Append(const void* payloads, std::size_t n);
 
   // Flushes and fsyncs the active segment regardless of policy.
   Status Sync();
@@ -120,6 +132,7 @@ class ArchiveLog {
   std::string ActiveSegmentPath() const;
   std::uint64_t rotations() const { return rotations_; }
   std::uint64_t fsyncs() const { return fsyncs_; }
+  std::uint64_t flushes() const { return flushes_; }  // one per chunk
 
   // Sealed (non-active) segments as (seq, path, records), seq-ascending.
   // Sealed files are immutable: the compactor reads them without any lock.
@@ -159,10 +172,12 @@ class ArchiveLog {
 
   std::string SegmentPathFor(std::uint64_t seq) const;
   Status OpenActive(bool fresh);
+  // True when the next record would overflow the non-empty active segment.
+  bool RotationDue() const;
   Status RotateLocked();
   Status ApplyRetentionLocked();
   Status SyncLocked();
-  // Truncates the active segment back to `offset` after a failed append.
+  // Truncates the active segment back to `offset` after a failed chunk.
   void RollbackActive(std::uint64_t offset);
   Status ScanSegmentFile(const std::string& path,
                          std::vector<std::uint8_t>& buf,
@@ -183,8 +198,9 @@ class ArchiveLog {
   TimeNs last_sync_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t fsyncs_ = 0;
+  std::uint64_t flushes_ = 0;
   ArchiveRecoveryStats recovery_;
-  std::vector<std::uint8_t> frame_;  // scratch encode buffer
+  std::vector<std::uint8_t> frame_;  // scratch encode buffer, one frame
 };
 
 template <typename T>
@@ -234,30 +250,43 @@ class Archiver {
   }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
-  Status Append(std::uint64_t id, TimeNs timestamp, const T& payload) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return AppendLocked(id, timestamp, payload);
+  // The record as persisted. Padding bytes are zeroed so the on-disk CRC
+  // is deterministic (Record is trivially copyable; the cast silences
+  // -Wclass-memaccess).
+  static Record MakeRecord(std::uint64_t id, TimeNs timestamp,
+                           const T& payload) {
+    Record rec;
+    std::memset(static_cast<void*>(&rec), 0, sizeof(rec));
+    rec.id = id;
+    rec.timestamp = timestamp;
+    rec.payload = payload;
+    return rec;
   }
 
-  // Append with the archiver's retry policy: transient failures back off
-  // exponentially (real sleep — archiver flushes run off the stream lock),
-  // and the final outcome is recorded in failures()/last_error(). Safe to
-  // retry: a failed file append leaves no partial record behind.
+  // Appends `n` records in order with the archiver's retry policy, paying
+  // one flush per chunk (see ArchiveLog::Append). Each record gets the
+  // policy's attempts: a failed chunk is rolled back and retried whole
+  // after a backoff (a real sleep — eviction flushes run off the stream
+  // lock); a record whose kArchiveWrite check fires is retried on its own.
+  // Records still failing are dropped and counted in Failures(), and
+  // `failed` (may be null) receives how many. Returns the first error.
+  Status AppendBatch(const Record* records, std::size_t n,
+                     std::size_t* failed = nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return AppendLocked(records, n, retry_.max_attempts, failed);
+  }
+
+  // Single-record forms of AppendBatch: Append makes one attempt,
+  // AppendWithRetry follows the retry policy.
+  Status Append(std::uint64_t id, TimeNs timestamp, const T& payload) {
+    const Record rec = MakeRecord(id, timestamp, payload);
+    std::lock_guard<std::mutex> lock(mu_);
+    return AppendLocked(&rec, 1, /*max_attempts=*/1, nullptr);
+  }
   Status AppendWithRetry(std::uint64_t id, TimeNs timestamp,
                          const T& payload) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Status status = AppendLocked(id, timestamp, payload);
-    int attempt = 0;
-    while (!status.ok() && RetryableError(status.code()) &&
-           ++attempt < retry_.max_attempts) {
-      GlobalTelemetry().archive_retries.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          JitteredBackoffForAttempt(retry_, attempt)));
-      status = AppendLocked(id, timestamp, payload);
-    }
-    if (!status.ok()) RecordFailure(status);
-    return status;
+    const Record rec = MakeRecord(id, timestamp, payload);
+    return AppendBatch(&rec, 1);
   }
 
   // Reads every archived record with timestamp in [from_ts, to_ts].
@@ -323,7 +352,8 @@ class Archiver {
     return log_ != nullptr ? log_->record_count() : count_;
   }
 
-  // Writes that stayed failed after retries, and the most recent error.
+  // Records that stayed failed after their attempts, and the most recent
+  // error.
   std::uint64_t Failures() const {
     return failures_.load(std::memory_order_acquire);
   }
@@ -336,6 +366,12 @@ class Archiver {
   std::uint64_t Fsyncs() const {
     std::lock_guard<std::mutex> lock(mu_);
     return log_ != nullptr ? log_->fsyncs() : 0;
+  }
+
+  // Chunk flushes issued on the active segment: one per chunk appended.
+  std::uint64_t Flushes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return log_ != nullptr ? log_->flushes() : 0;
   }
 
   // What the append-safe open found (file mode; zeroes in memory mode).
@@ -389,43 +425,87 @@ class Archiver {
   }
 
  private:
-  Status AppendLocked(std::uint64_t id, TimeNs timestamp, const T& payload) {
-    if (FaultInjector* injector = fault_.load(std::memory_order_acquire)) {
-      const std::string_view label = label_.empty() ? path_ : label_;
-      if (auto action = injector->Evaluate(FaultSite::kArchiveWrite, label);
-          action.has_value() && action->fails()) {
+  // The one append path; caller holds mu_. Each pass takes the next chunk:
+  // the records from `i` the log can take with one flush, evaluating
+  // kArchiveWrite once per record attempt in record order. A record whose
+  // check fires ends the chunk before it (`fired` remembers it, so that
+  // attempt is not evaluated twice) and then fails on its own.
+  Status AppendLocked(const Record* records, std::size_t n, int max_attempts,
+                      std::size_t* failed) {
+    FaultInjector* injector = fault_.load(std::memory_order_acquire);
+    const std::string_view label = label_.empty() ? path_ : label_;
+    Status first_error;
+    std::size_t dropped = 0;
+    std::size_t fired = n;
+    int attempt = 1;
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t room =
+          log_ != nullptr ? std::min(n - i, log_->ChunkRoom()) : n - i;
+      std::size_t end = i;
+      while (end < i + room && end != fired) {
+        if (injector != nullptr) {
+          auto action = injector->Evaluate(FaultSite::kArchiveWrite, label);
+          if (action.has_value() && action->fails()) {
+            fired = end;
+            break;
+          }
+        }
+        ++end;
+      }
+      Status status;
+      if (end > i) {
+        status = PersistLocked(records + i, end - i);
+        if (status.ok()) {
+          i = end;
+          attempt = 1;
+          continue;
+        }
+      } else {
         GlobalTelemetry().archive_write_errors.fetch_add(
             1, std::memory_order_relaxed);
-        return Status(ErrorCode::kIoError,
-                      "injected archive write failure: " + path_);
+        status = Status(ErrorCode::kIoError,
+                        "injected archive write failure: " + path_);
+        fired = n;
+        end = i + 1;
       }
+      // Records [i, end) failed this attempt: retry them, or give up.
+      if (RetryableError(status.code()) && attempt < max_attempts) {
+        GlobalTelemetry().archive_retries.fetch_add(1,
+                                                    std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::nanoseconds(
+            JitteredBackoffForAttempt(retry_, attempt)));
+        ++attempt;
+        continue;
+      }
+      RecordFailures(status, end - i);
+      if (first_error.ok()) first_error = status;
+      dropped += end - i;
+      i = end;
+      attempt = 1;
     }
+    if (failed != nullptr) *failed = dropped;
+    return first_error;
+  }
+
+  // Writes one chunk to the log (or memory). Caller holds mu_.
+  Status PersistLocked(const Record* records, std::size_t n) {
     if (log_ != nullptr) {
-      Record rec;
-      // Zero padding bytes so the on-disk CRC is deterministic (Record is
-      // trivially copyable; the cast silences -Wclass-memaccess).
-      std::memset(static_cast<void*>(&rec), 0, sizeof(rec));
-      rec.id = id;
-      rec.timestamp = timestamp;
-      rec.payload = payload;
-      Status status = log_->Append(&rec);
+      Status status = log_->Append(records, n);
       if (!status.ok()) return status;
-      GlobalTelemetry().archive_writes.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      return Status::Ok();
+    } else {
+      memory_.insert(memory_.end(), records, records + n);
+      count_ += n;
     }
-    memory_.push_back(Record{id, timestamp, payload});
-    ++count_;
-    GlobalTelemetry().archive_writes.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().archive_writes.fetch_add(n, std::memory_order_relaxed);
     return Status::Ok();
   }
 
   // Caller holds mu_.
-  void RecordFailure(const Status& status) {
-    failures_.fetch_add(1, std::memory_order_acq_rel);
+  void RecordFailures(const Status& status, std::size_t records) {
+    failures_.fetch_add(records, std::memory_order_acq_rel);
     last_error_ = status;
     GlobalTelemetry().archive_write_failures.fetch_add(
-        1, std::memory_order_relaxed);
+        records, std::memory_order_relaxed);
   }
 
   std::string path_;

@@ -18,7 +18,8 @@
 // Appends are mutex-protected: the queue-side throughput in Figure 6 is
 // dominated by fan-in contention which this reproduces faithfully. Archiver
 // evictions are batched and flushed *outside* the stream lock so file I/O
-// never serializes producers.
+// never serializes producers. A flush hands the whole staged batch to
+// Archiver::AppendBatch, which pays one fflush per chunk, not per record.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +70,7 @@ template <typename T>
 class Stream {
  public:
   using Entry = StreamEntry<T>;
+  using Record = typename Archiver<T>::Record;
 
   static constexpr bool kHasAggregateIndex = std::is_same_v<T, Sample>;
 
@@ -97,7 +99,7 @@ class Stream {
       // Entries below restore_limit_ were replayed from the archive at
       // startup — re-archiving them would duplicate history.
       if (archiver_ != nullptr && victim.id >= restore_limit_) {
-        evict_pending_.push_back(victim);
+        evict_pending_.push_back(ToRecord(victim));
       }
       if constexpr (kHasAggregateIndex) IndexEvict(victim);
       ++first_id_;
@@ -131,7 +133,7 @@ class Stream {
       if (id - first_id_ == capacity_) {
         Entry& victim = ring_[first_id_ & mask_];
         if (archiver_ != nullptr && victim.id >= restore_limit_) {
-          evict_pending_.push_back(victim);
+          evict_pending_.push_back(ToRecord(victim));
         }
         if constexpr (kHasAggregateIndex) IndexEvict(victim);
         ++first_id_;
@@ -473,12 +475,17 @@ class Stream {
     (void)FlushLocked();  // failures are counted in ArchiveFailures()
   }
 
+  static Record ToRecord(const Entry& entry) {
+    return Archiver<T>::MakeRecord(entry.id, entry.timestamp, entry.value);
+  }
+
   // Caller holds archive_mu_ (serializes flushers, keeping archive order).
-  // A record that still fails after the archiver's retry policy is counted
-  // and dropped (blocking producers forever on a dead disk would be worse);
-  // the first error of the batch is returned so flush callers can react.
+  // The whole staged batch goes to the archiver in one call. A record that
+  // still fails after the archiver's retry policy is counted and dropped
+  // (blocking producers forever on a dead disk would be worse); the first
+  // error of the batch is returned so flush callers can react.
   Status FlushLocked() {
-    std::vector<Entry> batch;
+    std::vector<Record> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
       batch.swap(evict_pending_);
@@ -487,15 +494,9 @@ class Stream {
     TRACE_SPAN("stream.flush_evictions");
     GlobalTelemetry().stream_evictions.fetch_add(batch.size(),
                                                  std::memory_order_relaxed);
-    Status result = Status::Ok();
-    for (const Entry& entry : batch) {
-      Status status =
-          archiver_->AppendWithRetry(entry.id, entry.timestamp, entry.value);
-      if (!status.ok()) {
-        archive_failures_.fetch_add(1, std::memory_order_acq_rel);
-        if (result.ok()) result = status;
-      }
-    }
+    std::size_t failed = 0;
+    Status result = archiver_->AppendBatch(batch.data(), batch.size(), &failed);
+    archive_failures_.fetch_add(failed, std::memory_order_acq_rel);
     batch.clear();
     std::lock_guard<std::mutex> lock(mu_);
     if (evict_pending_.empty()) evict_pending_.swap(batch);  // keep capacity
@@ -518,7 +519,7 @@ class Stream {
   // Ids below this were restored from the archive (see RestoreWindow) and
   // must not be re-archived on eviction.
   std::uint64_t restore_limit_ = 0;
-  std::vector<Entry> evict_pending_;
+  std::vector<Record> evict_pending_;  // staged for the next flush
 
   // Rolling aggregate index (Sample streams only; guarded by mu_). Wedges
   // hold (id, value) in monotone order so window min/max evict in O(1).

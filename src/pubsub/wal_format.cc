@@ -7,17 +7,27 @@ namespace apollo::wal {
 
 namespace {
 
-// Byte-at-a-time CRC32C table (poly 0x82F63B78, reflected).
-constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 CRC32C tables (poly 0x82F63B78, reflected). kCrcTables[0]
+// is the classic byte-at-a-time table; kCrcTables[k][b] is the CRC of byte
+// b followed by k zero bytes, so eight table lookups fold eight input
+// bytes into the CRC at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+constexpr CrcTables kCrcTables = [] {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }();
 
 void PutU32(std::uint8_t* out, std::uint32_t v) {
@@ -38,9 +48,17 @@ std::uint32_t GetU32(const std::uint8_t* in) {
 
 std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t seed) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
+  const auto& t = kCrcTables;
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kCrcTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; bytes += 8, len -= 8) {
+    const std::uint32_t lo = GetU32(bytes) ^ crc;
+    const std::uint32_t hi = GetU32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++bytes, --len) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -57,8 +57,10 @@ struct CrashPoint {
   Archiver<Sample> archiver(base, config);
   if (archiver.InMemory()) std::_Exit(2);
   FaultInjector injector;
-  injector.Arm(FaultSpec{.site = point.site,
-                         .fire_on_hits = {point.appends}});
+  FaultSpec spec;
+  spec.site = point.site;
+  spec.fire_on_hits = {point.appends};
+  injector.Arm(spec);
   archiver.AttachFaultInjector(&injector);
 
   for (std::uint64_t i = 0;; ++i) {

@@ -145,7 +145,8 @@ TEST(AqeProperty, AggregatesMatchGroundTruthOnRandomTables) {
   Broker broker(RealClock::Instance());
   Rng rng(31);
   for (int trial = 0; trial < 20; ++trial) {
-    const std::string table = "t" + std::to_string(trial);
+    const std::string index = std::to_string(trial);
+    const std::string table = "t" + index;
     broker.CreateTopic(table);
     const int rows = 1 + static_cast<int>(rng.NextBounded(200));
     std::vector<double> values;

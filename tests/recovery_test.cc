@@ -3,7 +3,9 @@
 // write/fsync failures, and full-service restart recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -38,6 +40,17 @@ void AppendGarbage(const std::string& path, std::size_t len) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
   for (std::size_t i = 0; i < len; ++i) std::fputc(0x5A, f);
+  std::fclose(f);
+}
+
+// Reads the whole file at `path` into `out`.
+void ReadAll(const std::string& path, std::vector<std::uint8_t>& out) {
+  out.clear();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr) << path;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    out.push_back(static_cast<std::uint8_t>(c));
+  }
   std::fclose(f);
 }
 
@@ -166,8 +179,10 @@ TEST(ArchiveRecovery, InjectedWriteFailureSurfacesStatusAndCounter) {
   const std::string dir = FreshDir("wal_write_fault");
   Archiver<Sample> archiver(dir + "/metric.log");
   FaultInjector injector;
-  injector.Arm(FaultSpec{.site = FaultSite::kArchiveWrite,
-                         .fire_on_hits = {0}});
+  FaultSpec spec;
+  spec.site = FaultSite::kArchiveWrite;
+  spec.fire_on_hits = {0};
+  injector.Arm(spec);
   archiver.AttachFaultInjector(&injector);
 
   Status status = archiver.Append(0, Seconds(1), S(Seconds(1), 1.0));
@@ -186,8 +201,10 @@ TEST(ArchiveRecovery, RetryAppendsExactlyOnceAfterInjectedFailure) {
   const std::string dir = FreshDir("wal_write_retry");
   Archiver<Sample> archiver(dir + "/metric.log");
   FaultInjector injector;
-  injector.Arm(FaultSpec{.site = FaultSite::kArchiveWrite,
-                         .fire_on_hits = {0}});
+  FaultSpec spec;
+  spec.site = FaultSite::kArchiveWrite;
+  spec.fire_on_hits = {0};
+  injector.Arm(spec);
   archiver.AttachFaultInjector(&injector);
 
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 7.0)).ok());
@@ -207,8 +224,10 @@ TEST(ArchiveRecovery, InjectedFsyncFailureRollsBackRecord) {
   config.fsync_every_n = 1;
   Archiver<Sample> archiver(dir + "/metric.log", config);
   FaultInjector injector;
-  injector.Arm(FaultSpec{.site = FaultSite::kArchiveFsync,
-                         .fire_on_hits = {0}});
+  FaultSpec spec;
+  spec.site = FaultSite::kArchiveFsync;
+  spec.fire_on_hits = {0};
+  injector.Arm(spec);
   archiver.AttachFaultInjector(&injector);
 
   Status status = archiver.Append(0, Seconds(1), S(Seconds(1), 1.0));
@@ -221,6 +240,160 @@ TEST(ArchiveRecovery, InjectedFsyncFailureRollsBackRecord) {
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 1.0)).ok());
   EXPECT_EQ(archiver.Count(), 1u);
   EXPECT_GE(archiver.Fsyncs(), 1u);
+}
+
+// An fsync that fails once in the middle of an eviction batch rolls back
+// its chunk; the default retry policy appends that chunk again exactly
+// once, so every record lands once and in id order.
+TEST(ArchiveRecovery, InjectedFsyncFailureMidBatchRetriesChunkOnce) {
+  GlobalTelemetry().Reset();
+  const std::string dir = FreshDir("wal_fsync_fault_batch");
+  WalConfig config;
+  config.fsync_policy = FsyncPolicy::kEveryN;
+  config.fsync_every_n = 4;
+  Archiver<Sample> archiver(dir + "/metric.log", config);
+  FaultInjector injector;
+  FaultSpec spec;
+  spec.site = FaultSite::kArchiveFsync;
+  spec.fire_on_hits = {1};  // the second chunk's fsync
+  injector.Arm(spec);
+  archiver.AttachFaultInjector(&injector);
+
+  // A 4-row ring fed 20 entries in one batch evicts ids 0..15 at once.
+  TelemetryStream stream(4, &archiver);
+  std::vector<TelemetryStream::Entry> entries(20);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].timestamp = Seconds(static_cast<double>(i + 1));
+    entries[i].value = S(entries[i].timestamp, static_cast<double>(i));
+  }
+  stream.AppendBatch(entries.data(), entries.size());
+  ASSERT_TRUE(stream.FlushEvictions().ok());
+
+  EXPECT_EQ(stream.ArchiveFailures(), 0u);
+  EXPECT_EQ(archiver.Failures(), 0u);
+  EXPECT_EQ(GlobalTelemetry().archive_fsync_failures.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_EQ(archiver.Fsyncs(), 4u);  // one per 4-record chunk
+  auto rows = archiver.ReadRange(0, Seconds(1000));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 16u);
+  for (std::size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i].id, i);
+  }
+}
+
+// One frame on disk: u32 length + u32 crc + sizeof(Record) payload.
+constexpr std::size_t kFrameBytes =
+    wal::kFrameOverhead + sizeof(Archiver<Sample>::Record);
+
+// A sample whose padding bytes are zero, so its record's bytes do not
+// depend on how the padding was copied on the way to the archive.
+Sample ZeroPadded(TimeNs ts, double v) {
+  Sample sample;
+  std::memset(static_cast<void*>(&sample), 0, sizeof(sample));
+  sample.timestamp = ts;
+  sample.value = v;
+  return sample;
+}
+
+// Appends the same records once through single-record Append and once as
+// one eviction flush, with segments that rotate mid-batch. Returns the
+// batched archive's chunk flushes.
+std::uint64_t ExpectBatchedFlushWritesSameBytes(const std::string& name,
+                                                WalConfig config) {
+  constexpr std::uint64_t kRecords = 37;
+  config.segment_bytes = wal::kHeaderSize + 10 * kFrameBytes;  // 10/segment
+  Archiver<Sample> per_record(FreshDir(name + "_per_record") + "/metric.log",
+                              config);
+  Archiver<Sample> batched(FreshDir(name + "_batched") + "/metric.log", config);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const TimeNs ts = Seconds(static_cast<double>(i + 1));
+    const Sample sample = ZeroPadded(ts, static_cast<double>(i));
+    EXPECT_TRUE(per_record.Append(i, ts, sample).ok());
+  }
+  TelemetryStream stream(4, &batched);
+  std::vector<TelemetryStream::Entry> entries(kRecords + 4);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].timestamp = Seconds(static_cast<double>(i + 1));
+    entries[i].value = ZeroPadded(entries[i].timestamp, static_cast<double>(i));
+  }
+  stream.AppendBatch(entries.data(), entries.size());
+  EXPECT_TRUE(stream.FlushEvictions().ok());
+
+  EXPECT_EQ(batched.Count(), kRecords);
+  EXPECT_EQ(per_record.Flushes(), kRecords);
+  EXPECT_EQ(batched.Fsyncs(), per_record.Fsyncs());
+  const std::vector<std::string> want = per_record.SegmentPaths();
+  const std::vector<std::string> got = batched.SegmentPaths();
+  EXPECT_EQ(want.size(), 4u);  // three rotations, at records 10, 20, 30
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    EXPECT_EQ(fs::path(got[i]).filename(), fs::path(want[i]).filename());
+    std::vector<std::uint8_t> want_bytes;
+    std::vector<std::uint8_t> got_bytes;
+    ReadAll(want[i], want_bytes);
+    ReadAll(got[i], got_bytes);
+    EXPECT_EQ(got_bytes, want_bytes) << "segment " << i << " differs";
+  }
+  return batched.Flushes();
+}
+
+TEST(ArchiveChunks, BatchedFlushWritesSameBytesUnderNever) {
+  // One chunk per segment: 10 + 10 + 10 + 7 records.
+  EXPECT_EQ(ExpectBatchedFlushWritesSameBytes("wal_same_bytes_never", {}), 4u);
+}
+
+TEST(ArchiveChunks, BatchedFlushWritesSameBytesUnderEveryN) {
+  WalConfig config;
+  config.fsync_policy = FsyncPolicy::kEveryN;
+  config.fsync_every_n = 5;
+  // Chunks end at every fsync point: two of 5 per full segment, then 5 + 2.
+  const std::uint64_t flushes =
+      ExpectBatchedFlushWritesSameBytes("wal_same_bytes_every_n", config);
+  EXPECT_EQ(flushes, 8u);
+}
+
+// Host-independent cost guard: flushes (write(2) bursts) per archived
+// record. Ingest-shaped runs evict about 512 rows per batch; single-sample
+// publishes evict one row at a time and gain nothing from batching.
+TEST(ArchiveChunks, EvictionFlushPaysOneFlushPerChunk) {
+  constexpr std::size_t kRing = 128;
+  constexpr std::size_t kRun = 512;
+  Archiver<Sample> ingest(FreshDir("wal_chunk_ingest") + "/metric.log");
+  TelemetryStream ingest_stream(kRing, &ingest);
+  std::vector<TelemetryStream::Entry> run(kRing + kRun);
+  TimeNs ts = 0;
+  for (auto& entry : run) {
+    entry.timestamp = ++ts;
+    entry.value = S(ts, 1.0);
+  }
+  // The first batch fills the ring and evicts 512 rows into a fresh
+  // segment: exactly one flush.
+  ingest_stream.AppendBatch(run.data(), run.size());
+  EXPECT_EQ(ingest.Count(), kRun);
+  EXPECT_EQ(ingest.Flushes(), 1u);
+  for (int batch = 0; batch < 15; ++batch) {
+    for (std::size_t i = 0; i < kRun; ++i) {
+      run[i].timestamp = ++ts;
+      run[i].value = S(ts, 1.0);
+    }
+    ingest_stream.AppendBatch(run.data(), kRun);
+  }
+  const double ingest_per_flush = static_cast<double>(ingest.Count()) /
+                                  static_cast<double>(ingest.Flushes());
+  EXPECT_EQ(ingest_per_flush, static_cast<double>(kRun));
+
+  Archiver<Sample> monitor(FreshDir("wal_chunk_monitor") + "/metric.log");
+  TelemetryStream monitor_stream(kRing, &monitor);
+  for (int i = 0; i < 2 * static_cast<int>(kRing); ++i) {
+    monitor_stream.Append(Seconds(i), S(Seconds(i), 1.0));
+  }
+  const double monitor_per_flush = static_cast<double>(monitor.Count()) /
+                                   static_cast<double>(monitor.Flushes());
+  EXPECT_EQ(monitor.Count(), kRing);
+  EXPECT_EQ(monitor_per_flush, 1.0);
+  std::printf("records per flush: ingest-shaped %.1f, monitor-shaped %.1f\n",
+              ingest_per_flush, monitor_per_flush);
 }
 
 TEST(ArchiveRecovery, EveryNPolicySyncsOnSchedule) {

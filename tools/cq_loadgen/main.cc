@@ -16,10 +16,11 @@
 //   ./build/tools/cq_loadgen/cq_loadgen --clients 1000 --procs 4
 //
 // External mode points the same swarm at a running daemon; pass --sql
-// for a query over its topics (and --tenant to exercise a quota):
+// for a query over its topics (and --tenant to exercise a quota). One
+// command line, wrapped here:
 //
-//   ./build/tools/cq_loadgen/cq_loadgen --target 127.0.0.1:7401 \
-//       --clients 5000 --sql "SUBSCRIBE SELECT MEAN(Metric) FROM ..." \
+//   ./build/tools/cq_loadgen/cq_loadgen --target 127.0.0.1:7401
+//       --clients 5000 --sql "SUBSCRIBE SELECT MEAN(Metric) FROM ..."
 //       --tenant dashboards
 //
 // The last stdout line is machine-parseable (bench lane (h) mirrors this
