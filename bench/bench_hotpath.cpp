@@ -17,14 +17,14 @@
 //     to the publish path — the TRACE_SPAN disabled-check and the
 //     registry-backed counters — and must stay under 5%.
 // (e) network fabric: loopback apollod daemon on an ephemeral port —
-//     round-trip-acked publish throughput and query RTT p50/p99 with 1 and
-//     4 concurrent clients. Puts a number on the wire-protocol tax over
+//     round-trip-acked publish throughput (ApolloClient::Publish, a
+//     one-sample kPublishBatch) and query RTT p50/p99 with 1 and 4
+//     concurrent clients. Puts a number on the wire-protocol tax over
 //     lanes (a)/(b)'s in-process cost.
 // (f) batched ingest: round-trip-acked kPublishBatch throughput at batch
 //     sizes 1/16/256/4096 against the same loopback daemon (the per-frame
-//     syscall + ack tax amortized N ways), plus the shared-memory lane
-//     end-to-end (PublishAsync into the SPSC ring, daemon drain into the
-//     stream). batch=256 must beat batch=1 by >= 5x.
+//     syscall + ack tax amortized N ways). batch=256 must beat batch=1 by
+//     >= 5x.
 // (g) cold tier: sealed WAL segments compacted into columnar blocks
 //     (delta-of-delta timestamps, XOR'd values) — compression ratio vs the
 //     raw WAL bytes drained (must clear 3x) plus compaction and zone-map
@@ -529,57 +529,6 @@ BatchPoint MeasureBatchPublish(std::size_t batch) {
   return {batch, events, static_cast<double>(events) / elapsed};
 }
 
-double MeasureShmLane(std::uint64_t total) {
-  RealClock& clock = RealClock::Instance();
-  Broker broker(clock);
-  const std::string topic = "batchbench.shm";
-  broker.CreateTopic(topic, kLocalNode, 8192);
-  TelemetryStream* stream = *broker.GetTopic(topic);
-  aqe::Executor executor(broker, /*pool=*/nullptr);
-  net::DaemonConfig daemon_config;
-  daemon_config.delivery_interval = kNsPerMs;  // drain tick
-  daemon_config.shm_drain_batch = 65536;
-  net::ApolloDaemon daemon(broker, executor, daemon_config);
-  if (!daemon.Start().ok()) {
-    std::fprintf(stderr, "loopback daemon failed to start\n");
-    return -1.0;
-  }
-  net::ClientConfig config;
-  config.port = daemon.port();
-  config.client_name = "bench-shm";
-  net::ApolloClient client(config);
-  Status attached = client.EnableShmLane({topic});
-  if (!attached.ok()) {
-    std::fprintf(stderr, "shm attach failed: %s\n",
-                 attached.message().c_str());
-    daemon.Stop();
-    return -1.0;
-  }
-  // End to end: producer pushes into the ring (full ring falls back to the
-  // TCP batch queue), daemon drains into the stream; the clock stops when
-  // every sample is appended.
-  Stopwatch watch;
-  for (std::uint64_t i = 0; i < total; ++i) {
-    const TimeNs ts = static_cast<TimeNs>(i);
-    (void)client.PublishAsync(topic, ts,
-                              Sample{ts, 1.0, Provenance::kMeasured});
-  }
-  (void)client.Flush();
-  while (stream->NextId() < total && watch.ElapsedSeconds() < 60.0) {
-    std::this_thread::yield();
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  const std::uint64_t arrived = stream->NextId();
-  daemon.Stop();
-  if (arrived < total) {
-    std::fprintf(stderr, "shm lane drain incomplete: %llu/%llu\n",
-                 static_cast<unsigned long long>(arrived),
-                 static_cast<unsigned long long>(total));
-    return -1.0;
-  }
-  return static_cast<double>(total) / elapsed;
-}
-
 // ---- continuous-query fan-out (lane h) -----------------------------------
 
 double g_cq_duration_s = 3.0;  // publish window per subscriber count
@@ -906,8 +855,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("Hot path (f)",
               "batched ingest: round-trip-acked kPublishBatch throughput by "
-              "batch size (one frame, one CRC, one cumulative ack), plus "
-              "the shared-memory SPSC lane end to end");
+              "batch size (one frame, one CRC, one cumulative ack)");
   PrintRow({"batch", "events", "events/s", "vs batch=1"});
   std::vector<BatchPoint> batch_points;
   double batch1_rate = 0.0;
@@ -923,11 +871,6 @@ int main(int argc, char** argv) {
                   ? Fmt("%.2fx", point.events_per_sec / batch1_rate)
                   : "-"});
   }
-  const double shm_total = g_batch_events;
-  const double shm_rate = MeasureShmLane(
-      static_cast<std::uint64_t>(shm_total));
-  PrintRow({"shm", Fmt("%.0f", shm_total), Fmt("%.0f", shm_rate),
-            batch1_rate > 0.0 ? Fmt("%.2fx", shm_rate / batch1_rate) : "-"});
   double batch256_speedup = 0.0;
   for (const auto& b : batch_points) {
     if (b.batch == 256 && batch1_rate > 0.0) {
@@ -1063,10 +1006,7 @@ int main(int argc, char** argv) {
                    batch1_rate > 0.0 ? b.events_per_sec / batch1_rate : -1.0,
                    i + 1 < batch_points.size() ? "," : "");
     }
-    std::fprintf(json,
-                 "  ],\n  \"shm_lane\": {\"events\": %.0f, "
-                 "\"events_per_sec\": %.0f},\n",
-                 shm_total, shm_rate);
+    std::fprintf(json, "  ],\n");
     std::fprintf(json,
                  "  \"cold_tier\": {\"records\": %llu, "
                  "\"compression_ratio\": %.3f, "

@@ -23,9 +23,8 @@
 // Remote mode: `apollo_shell --connect host:port` attaches to a running
 // apollod over the wire protocol instead of simulating locally; query,
 // explain, topics, publish, \metrics, and ping work against the daemon.
-// Adding `--shm` offers the daemon a shared-memory lane for its topic
-// set (colocated producers only): accepted publishes bypass TCP via the
-// SPSC ring, a refusal falls back to ordinary wire publishes.
+// `publish` is one synchronous round trip (a kPublishBatch of one sample)
+// and prints the entry id the daemon assigned.
 //
 // Cluster mode: `apollo_shell --cluster host:port,host:port,...` drives a
 // replicated apollod cluster. Publishes go through ClusterClient (primary
@@ -77,7 +76,7 @@ void PrintHelp() {
       "help | quit\n");
 }
 
-int RunRemoteShell(const std::string& target, bool use_shm) {
+int RunRemoteShell(const std::string& target) {
   const std::size_t colon = target.rfind(':');
   if (colon == std::string::npos) {
     std::fprintf(stderr, "--connect expects host:port, got '%s'\n",
@@ -99,33 +98,6 @@ int RunRemoteShell(const std::string& target, bool use_shm) {
               "| topics | publish <topic> <value> | \\watch <sql> | "
               "\\poll [sec] | \\unwatch <id> | \\metrics | ping | quit\n",
               target.c_str(), client.server_name().c_str());
-
-  if (use_shm) {
-    // A shm lane needs its topic set fixed up front; offer the daemon's
-    // whole topic list. Refusal (or a non-colocated daemon failing to map
-    // the segment) just leaves us on the TCP path.
-    client.SetPublishErrorCallback(
-        [](const std::string& topic, TimeNs, const Sample&,
-           const Error& error) {
-          std::printf("publish error: %s: %s\n", topic.c_str(),
-                      error.ToString().c_str());
-        });
-    auto topics = client.ListTopics();
-    if (!topics.ok()) {
-      std::printf("--shm: topic listing failed (%s), staying on TCP\n",
-                  topics.error().ToString().c_str());
-    } else {
-      std::vector<std::string> names;
-      names.reserve(topics->size());
-      for (const TopicInfo& info : *topics) names.push_back(info.name);
-      if (Status status = client.EnableShmLane(names); status.ok()) {
-        std::printf("shm lane active (%zu topics)\n", names.size());
-      } else {
-        std::printf("--shm refused (%s), staying on TCP\n",
-                    status.ToString().c_str());
-      }
-    }
-  }
 
   std::string line;
   int watch_counter = 0;
@@ -160,25 +132,12 @@ int RunRemoteShell(const std::string& target, bool use_shm) {
       Sample sample;
       sample.timestamp = RealClock::Instance().Now();
       sample.value = value;
-      if (client.shm_active()) {
-        // Fire-and-forget through the ring (full ring falls back to the
-        // TCP batch queue); Flush pushes any fallback samples now.
-        Status status = client.PublishAsync(topic, sample.timestamp, sample);
-        if (status.ok()) status = client.Flush();
-        if (status.ok()) {
-          std::printf("published %s = %.6g (shm lane)\n", topic.c_str(),
-                      value);
-        } else {
-          std::printf("error: %s\n", status.ToString().c_str());
-        }
+      auto id = client.Publish(topic, sample.timestamp, sample);
+      if (id.ok()) {
+        std::printf("published %s = %.6g (entry %llu)\n", topic.c_str(),
+                    value, static_cast<unsigned long long>(*id));
       } else {
-        auto id = client.Publish(topic, sample.timestamp, sample);
-        if (id.ok()) {
-          std::printf("published %s = %.6g (entry %llu)\n", topic.c_str(),
-                      value, static_cast<unsigned long long>(*id));
-        } else {
-          std::printf("error: %s\n", id.error().ToString().c_str());
-        }
+        std::printf("error: %s\n", id.error().ToString().c_str());
       }
     } else if (command == "\\watch" || command == "watch") {
       // Register a continuous query; the daemon pushes incremental result
@@ -341,7 +300,6 @@ int RunClusterShell(const std::string& list) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool use_shm = false;
   const char* connect_target = nullptr;
   const char* cluster_list = nullptr;
   const char* archive_dir = nullptr;
@@ -356,19 +314,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--wal-segment-bytes") == 0 &&
                i + 1 < argc) {
       wal_segment_bytes = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shm") == 0) {
-      use_shm = true;
     }
   }
   if (cluster_list != nullptr) {
     return RunClusterShell(cluster_list);
   }
   if (connect_target != nullptr) {
-    return RunRemoteShell(connect_target, use_shm);
-  }
-  if (use_shm) {
-    std::fprintf(stderr, "--shm requires --connect host:port\n");
-    return 2;
+    return RunRemoteShell(connect_target);
   }
 
   ClusterConfig cluster_config;

@@ -29,8 +29,6 @@ const char* FaultSiteName(FaultSite site) {
       return "conn_drop";
     case FaultSite::kBatchDecode:
       return "batch_decode";
-    case FaultSite::kShmAttach:
-      return "shm_attach";
     case FaultSite::kHeartbeatLoss:
       return "heartbeat_loss";
     case FaultSite::kReplicaLag:

@@ -39,8 +39,6 @@ enum class FaultSite : std::uint8_t {
   kNetRecv,        // wire frame receive/dispatch: drop, or added latency
   kConnDrop,       // connection: abrupt close before dispatching a frame
   kBatchDecode,    // daemon batch-publish decode: whole batch rejected
-  kShmAttach,      // shm-lane handshake: attach refused (client falls
-                   // back to TCP batching)
   kHeartbeatLoss,  // cluster probe round-trip: heartbeat dropped (the
                    // peer looks silent; drives suspect/dead transitions)
   kReplicaLag,     // daemon-to-daemon replicate: failure, or added
@@ -50,7 +48,7 @@ enum class FaultSite : std::uint8_t {
   kBlockRead,      // cold-tier block read: block skipped, scan degrades
                    // to whatever the healthy blocks hold
 };
-inline constexpr std::size_t kNumFaultSites = 15;
+inline constexpr std::size_t kNumFaultSites = 14;
 
 const char* FaultSiteName(FaultSite site);
 

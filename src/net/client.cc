@@ -28,6 +28,13 @@ int PollTimeoutMs(Clock& clock, TimeNs deadline) {
   return static_cast<int>(std::max<TimeNs>(remaining / kNsPerMs, 1));
 }
 
+// The error a batch ack reports for each sample its bitmap marks failed.
+Error RejectionError(const PublishBatchAckMsg& ack) {
+  return Error(ack.first_error_code, ack.first_error.empty()
+                                         ? "sample rejected by daemon"
+                                         : ack.first_error);
+}
+
 }  // namespace
 
 ApolloClient::ApolloClient(ClientConfig config)
@@ -159,10 +166,6 @@ void ApolloClient::Close() {
   ::close(fd_);
   fd_ = -1;
   GlobalTelemetry().net_connections_closed.Inc();
-  // The shm lane dies with the connection (the daemon drains what made it
-  // into the ring before unmapping, so ring contents are not lost).
-  shm_producer_.reset();
-  shm_topic_ids_.clear();
   // The reconnect fix: samples still queued are definitively unacked on
   // this connection — surface every one instead of dropping silently.
   if (!queue_.empty()) {
@@ -385,19 +388,16 @@ Status ApolloClient::Ping() {
 Expected<std::uint64_t> ApolloClient::Publish(const std::string& topic,
                                               TimeNs timestamp,
                                               const Sample& sample) {
-  PublishMsg msg;
-  msg.topic = topic;
-  msg.timestamp = timestamp;
-  msg.sample = sample;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kPublish, payload, MsgType::kPublishAck);
-  if (!reply.ok()) return reply.error();
-  PublishAckMsg ack;
-  if (!PublishAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad publish ack");
-  }
-  return ack.entry_id;
+  PublishBatchMsg msg;
+  PublishBatchMsg::Run& run = msg.runs.emplace_back();
+  run.topic = topic;
+  TelemetryStream::Entry& entry = run.entries.emplace_back();
+  entry.timestamp = timestamp;
+  entry.value = sample;
+  auto ack = PublishBatch(msg);
+  if (!ack.ok()) return ack.error();
+  if (ack->error_count > 0) return RejectionError(*ack);
+  return ack->last_entry_id;
 }
 
 void ApolloClient::SurfaceErrors(const std::vector<QueuedSample>& samples,
@@ -410,20 +410,6 @@ void ApolloClient::SurfaceErrors(const std::vector<QueuedSample>& samples,
 
 Status ApolloClient::PublishAsync(const std::string& topic, TimeNs timestamp,
                                   const Sample& sample) {
-  if (shm_producer_ != nullptr) {
-    auto it = shm_topic_ids_.find(topic);
-    if (it != shm_topic_ids_.end()) {
-      ShmSlot slot;
-      slot.entry_ts = timestamp;
-      slot.sample_ts = sample.timestamp;
-      slot.value = sample.value;
-      slot.topic_id = it->second;
-      slot.provenance = static_cast<std::uint8_t>(sample.provenance);
-      if (shm_producer_->TryPush(slot)) return Status::Ok();
-      // Ring full (consumer behind): this sample rides the TCP queue.
-      GlobalTelemetry().net_shm_fallbacks.Inc();
-    }
-  }
   if (queue_.empty()) oldest_queued_ = clock_.Now();
   QueuedSample q;
   q.topic = topic;
@@ -465,28 +451,16 @@ Status ApolloClient::FlushChunk() {
   }
   batch_size_.Record(static_cast<std::int64_t>(n));
   const TimeNs start = clock_.Now();
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kPublishBatch, payload, MsgType::kPublishBatchAck);
-  if (!reply.ok()) {
-    SurfaceErrors(inflight, reply.error());
-    return reply.status();
-  }
-  PublishBatchAckMsg ack;
-  if (!PublishBatchAckMsg::Decode(reply->payload, ack)) {
-    const Error err(ErrorCode::kParseError, "bad batch ack");
-    SurfaceErrors(inflight, err);
-    return Status(err.code(), err.message());
+  auto ack = PublishBatch(msg);
+  if (!ack.ok()) {
+    SurfaceErrors(inflight, ack.error());
+    return ack.status();
   }
   flush_latency_.Record(clock_.Now() - start);
-  if (ack.error_count > 0 && publish_error_) {
-    const Error err(ack.first_error_code, ack.first_error.empty()
-                                              ? "sample rejected by daemon"
-                                              : ack.first_error);
-    const std::size_t covered = std::min<std::size_t>(ack.count, n);
-    for (std::size_t i = 0; i < covered; ++i) {
-      if (ack.Failed(static_cast<std::uint32_t>(i))) {
+  if (ack->error_count > 0 && publish_error_) {
+    const Error err = RejectionError(*ack);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ack->Failed(static_cast<std::uint32_t>(i))) {
         publish_error_(inflight[i].topic, inflight[i].entry.timestamp,
                        inflight[i].entry.value, err);
       }
@@ -506,56 +480,15 @@ Expected<PublishBatchAckMsg> ApolloClient::PublishBatch(
   if (!PublishBatchAckMsg::Decode(reply->payload, ack)) {
     return Error(ErrorCode::kParseError, "bad batch ack");
   }
+  // An ack must cover exactly the samples sent: the ones past a short
+  // ack's count would be neither acked nor reported failed.
+  const std::size_t sent = msg.SampleCount();
+  if (ack.count != sent) {
+    return Error(ErrorCode::kParseError,
+                 "batch ack covers " + std::to_string(ack.count) + " of " +
+                     std::to_string(sent) + " samples");
+  }
   return ack;
-}
-
-Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
-  auto& telemetry = GlobalTelemetry();
-  if (topics.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "no topics for shm lane");
-  }
-  if (shm_producer_ != nullptr) {
-    return Status(ErrorCode::kFailedPrecondition, "shm lane already active");
-  }
-  Status status = Connect();
-  if (!status.ok()) return status;
-  static std::atomic<std::uint64_t> lane_seq{0};
-  const std::string name =
-      "/apollo-lane-" + std::to_string(::getpid()) + "-" +
-      std::to_string(lane_seq.fetch_add(1, std::memory_order_relaxed));
-  auto producer = ShmLaneProducer::Create(name, config_.shm_slots);
-  if (!producer.ok()) {
-    telemetry.net_shm_fallbacks.Inc();
-    return producer.status();
-  }
-  ShmAttachMsg offer;
-  offer.segment_name = name;
-  offer.slot_count = config_.shm_slots;
-  offer.topics = topics;
-  Payload payload;
-  offer.Encode(payload);
-  auto reply = Roundtrip(MsgType::kShmAttach, payload, MsgType::kShmAttachAck);
-  if (!reply.ok()) {
-    telemetry.net_shm_fallbacks.Inc();
-    return reply.status();
-  }
-  ShmAttachAckMsg ack;
-  if (!ShmAttachAckMsg::Decode(reply->payload, ack)) {
-    telemetry.net_shm_fallbacks.Inc();
-    return Status(ErrorCode::kParseError, "bad shm attach ack");
-  }
-  if (!ack.accepted) {
-    // The fallback handshake: the producer (and its segment) go away and
-    // every PublishAsync rides the TCP batch path.
-    telemetry.net_shm_fallbacks.Inc();
-    return Status(ErrorCode::kUnavailable,
-                  ack.message.empty() ? "shm offer refused" : ack.message);
-  }
-  shm_producer_ = std::move(*producer);
-  for (std::size_t i = 0; i < topics.size(); ++i) {
-    shm_topic_ids_[topics[i]] = static_cast<std::uint32_t>(i);
-  }
-  return Status::Ok();
 }
 
 Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,

@@ -17,10 +17,9 @@
 // oldest queued sample has waited batch_max_delay — one round trip and one
 // ack for the whole batch instead of one per sample. Samples that were
 // queued or in flight when the connection dies are never dropped silently:
-// each one is surfaced through the publish-error callback. EnableShmLane
-// offers the daemon a shared-memory SPSC ring (net/shm_lane.h) for a fixed
-// topic set; accepted lanes bypass TCP entirely and a refused offer (or a
-// full ring) falls back to the TCP batch path.
+// each one is surfaced through the publish-error callback. Publish is the
+// same path with a batch of one: every sample reaches the daemon in a
+// kPublishBatch frame.
 //
 // Thread contract: one thread per client (no internal locking) — the
 // scatter-gather engine gives each node its own client.
@@ -30,17 +29,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/expected.h"
 #include "common/fault.h"
 #include "net/messages.h"
-#include "net/shm_lane.h"
 #include "obs/metrics.h"
 
 namespace apollo::net {
@@ -63,8 +59,6 @@ struct ClientConfig {
   // ...or when the oldest queued sample has waited this long (checked on
   // each PublishAsync; sparse producers should call Flush explicitly).
   TimeNs batch_max_delay = 2 * kNsPerMs;
-  // Ring capacity offered by EnableShmLane (power of two).
-  std::uint32_t shm_slots = 4096;
 };
 
 class ApolloClient {
@@ -84,14 +78,18 @@ class ApolloClient {
   // carried Error) ---
 
   Status Ping();
+  // One synchronous publish: a kPublishBatch round trip carrying one
+  // sample. Returns the assigned entry id, or the daemon's per-sample
+  // error (unknown topic, injected drop, cluster quorum NACK).
   Expected<std::uint64_t> Publish(const std::string& topic, TimeNs timestamp,
                                   const Sample& sample);
 
   // --- batched ingest ---
 
-  // Invoked once per sample that was accepted into the queue (or shm ring)
-  // but definitively not acked: per-sample batch rejections, flush
-  // failures, and samples still queued when the connection closes.
+  // Invoked once per sample that was accepted into the queue but
+  // definitively not acked: per-sample batch rejections, flush failures
+  // (including an ack that does not cover the whole batch), and samples
+  // still queued when the connection closes.
   using PublishErrorCallback = std::function<void(
       const std::string& topic, TimeNs timestamp, const Sample& sample,
       const Error& error)>;
@@ -100,10 +98,8 @@ class ApolloClient {
   }
 
   // Queues one sample for the next batch flush (see ClientConfig flush
-  // policy). When a shm lane is active and covers `topic`, the sample goes
-  // straight into the ring instead (fire-and-forget; a full ring falls back
-  // to the TCP queue). Errors from a triggered flush are returned here but
-  // the per-sample accounting always goes through the error callback.
+  // policy). Errors from a triggered flush are returned here but the
+  // per-sample accounting always goes through the error callback.
   Status PublishAsync(const std::string& topic, TimeNs timestamp,
                       const Sample& sample);
 
@@ -113,14 +109,10 @@ class ApolloClient {
 
   // One explicit batch round trip (callers that pre-build runs; the bench
   // uses this to pin the batch size exactly). `flags` lets cluster nodes
-  // mark forwarded runs (kFlagForwarded).
+  // mark forwarded runs (kFlagForwarded). An ack whose count differs from
+  // the number of samples sent fails with kParseError.
   Expected<PublishBatchAckMsg> PublishBatch(const PublishBatchMsg& msg,
                                             std::uint16_t flags = 0);
-
-  // Offers the daemon a shared-memory lane for this fixed topic set.
-  // On refusal the client counts a fallback and stays on TCP batching.
-  Status EnableShmLane(const std::vector<std::string>& topics);
-  bool shm_active() const { return shm_producer_ != nullptr; }
 
   Expected<SubscribeAckMsg> Subscribe(const std::string& topic,
                                       std::uint64_t cursor = kCursorTail);
@@ -260,10 +252,6 @@ class ApolloClient {
   PublishErrorCallback publish_error_;
   obs::Histogram batch_size_;
   obs::Histogram flush_latency_;
-
-  // Shm lane state (set by a successful EnableShmLane; torn down on Close).
-  std::unique_ptr<ShmLaneProducer> shm_producer_;
-  std::unordered_map<std::string, std::uint32_t> shm_topic_ids_;
 };
 
 }  // namespace apollo::net

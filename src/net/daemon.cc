@@ -23,13 +23,10 @@ ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
       cq_engine_(broker, config_.cq),
       admission_(config_.admission) {
   if (config_.cluster.enabled) {
-    // Shm-lane samples skip the frame path, so they would land on this
-    // replica only — refuse offers and keep every publish on RouteBatch.
-    config_.accept_shm = false;
     controller_ =
         std::make_unique<ClusterController>(broker_, config_.cluster);
   }
-  // Publish-path hook: every append (wire, shm lane, in-process vertex)
+  // Publish-path hook: every append (wire batch, in-process vertex)
   // flips the CQ engine's per-topic dirty bit.
   broker_.AttachPublishObserver(&cq_engine_);
 }
@@ -43,9 +40,6 @@ Status ApolloDaemon::Start() {
   if (running_) {
     return Status(ErrorCode::kFailedPrecondition, "daemon already running");
   }
-  // A SIGKILLed producer leaks its shm lane until someone unlinks it;
-  // daemon startup is the natural sweep point.
-  ReapOrphanShmLanes();
   loop_.ClearStop();
   Status status = server_.Start();
   if (!status.ok()) return status;
@@ -119,7 +113,6 @@ void ApolloDaemon::Stop() {
   pump_timer_ = 0;
   server_.Stop();  // loop no longer running: safe off-thread
   subs_.clear();
-  shm_lanes_.clear();
   conns_.clear();
   conn_tenants_.clear();
   last_good_.clear();
@@ -134,14 +127,8 @@ void ApolloDaemon::OnFrame(Connection& conn, const Frame& frame) {
     case MsgType::kPing:
       conn.SendFrame(MsgType::kPong, frame.request_id, {});
       return;
-    case MsgType::kPublish:
-      HandlePublish(conn, frame);
-      return;
     case MsgType::kPublishBatch:
       HandlePublishBatch(conn, frame);
-      return;
-    case MsgType::kShmAttach:
-      HandleShmAttach(conn, frame);
       return;
     case MsgType::kSubscribe:
       HandleSubscribe(conn, frame);
@@ -190,17 +177,6 @@ void ApolloDaemon::OnClose(Connection& conn) {
   // CQ registrations survive the connection (detached) so the client can
   // reconnect and resume at its last (epoch, seq).
   cq_engine_.DetachConn(conn.id());
-  // A closing connection is when a same-host producer most plausibly
-  // just died — sweep for lanes whose owning pid is gone.
-  ReapOrphanShmLanes();
-  // Drain whatever the producer managed to push before unmapping — samples
-  // already in the ring are acked by the shm contract (push succeeded), so
-  // they must reach the broker even when the TCP side dies first.
-  auto lane = shm_lanes_.find(conn.id());
-  if (lane != shm_lanes_.end()) {
-    DrainShmLanes();
-    shm_lanes_.erase(lane);
-  }
 }
 
 void ApolloDaemon::HandleHello(Connection& conn, const Frame& frame) {
@@ -237,59 +213,6 @@ void ApolloDaemon::RefreshIdleExempt(Connection& conn) {
   conn.set_idle_exempt(has_subs || cq_engine_.OwnedCount(conn.id()) > 0);
 }
 
-void ApolloDaemon::HandlePublish(Connection& conn, const Frame& frame) {
-  PublishMsg msg;
-  if (!PublishMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad publish");
-    return;
-  }
-  if (controller_ != nullptr) {
-    // Cluster mode: one-sample batch through the replication router (on
-    // the route worker — see PostRoute), so single publishes get the same
-    // quorum/forwarding semantics.
-    PublishBatchMsg batch;
-    PublishBatchMsg::Run run;
-    run.topic = msg.topic;
-    TelemetryStream::Entry entry;
-    entry.timestamp = msg.timestamp;
-    entry.value = msg.sample;
-    run.entries.push_back(entry);
-    batch.runs.push_back(std::move(run));
-    const std::uint64_t conn_id = conn.id();
-    const std::uint32_t request_id = frame.request_id;
-    const bool forwarded = (frame.flags & kFlagForwarded) != 0;
-    PostRoute([this, conn_id, request_id, forwarded,
-               batch = std::move(batch)] {
-      PublishBatchAckMsg batch_ack;
-      batch_ack.Resize(1);
-      controller_->RouteBatch(batch, forwarded, batch_ack);
-      loop_.Post([this, conn_id, request_id, batch_ack] {
-        Connection* reply_conn = server_.FindConnection(conn_id);
-        if (reply_conn == nullptr) return;
-        if (batch_ack.error_count > 0) {
-          SendError(*reply_conn, request_id, batch_ack.first_error_code,
-                    batch_ack.first_error);
-          return;
-        }
-        PublishAckMsg ack;
-        ack.entry_id = batch_ack.last_entry_id;
-        SendMsg(*reply_conn, MsgType::kPublishAck, request_id, ack);
-      });
-    });
-    return;
-  }
-  auto id = broker_.Publish(msg.topic, config_.node, msg.timestamp,
-                            msg.sample);
-  if (!id.ok()) {
-    SendError(conn, frame.request_id, id.error().code(),
-              id.error().message());
-    return;
-  }
-  PublishAckMsg ack;
-  ack.entry_id = *id;
-  SendMsg(conn, MsgType::kPublishAck, frame.request_id, ack);
-}
-
 void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
   TRACE_SPAN("net.publish_batch");
   auto& telemetry = GlobalTelemetry();
@@ -318,6 +241,8 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
   PublishBatchAckMsg ack;
   ack.Resize(static_cast<std::uint32_t>(total));
   if (controller_ != nullptr) {
+    // Cluster mode: the replication router decides quorum and forwarding,
+    // on the route worker (see PostRoute).
     const std::uint64_t conn_id = conn.id();
     const std::uint32_t request_id = frame.request_id;
     const bool forwarded = (frame.flags & kFlagForwarded) != 0;
@@ -386,53 +311,6 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
     telemetry.net_batch_sample_errors.Inc(ack.error_count);
   }
   SendMsg(conn, MsgType::kPublishBatchAck, frame.request_id, ack);
-}
-
-void ApolloDaemon::HandleShmAttach(Connection& conn, const Frame& frame) {
-  auto& telemetry = GlobalTelemetry();
-  ShmAttachMsg msg;
-  ShmAttachAckMsg ack;
-  auto refuse = [&](const std::string& why) {
-    telemetry.net_shm_attach_failures.Inc();
-    ack.accepted = false;
-    ack.message = why;
-    SendMsg(conn, MsgType::kShmAttachAck, frame.request_id, ack);
-  };
-  if (!ShmAttachMsg::Decode(frame.payload, msg)) {
-    refuse("bad shm attach message");
-    return;
-  }
-  if (!config_.accept_shm) {
-    refuse("shm ingest disabled on this daemon");
-    return;
-  }
-  if (msg.topics.empty()) {
-    refuse("shm offer carries no topics");
-    return;
-  }
-  if (FaultInjector* injector = broker_.fault_injector()) {
-    if (auto action =
-            injector->Evaluate(FaultSite::kShmAttach, msg.segment_name)) {
-      if (action->fails()) {
-        refuse("shm attach fault injected");
-        return;
-      }
-      broker_.clock().Charge(action->delay_ns);
-    }
-  }
-  auto consumer = ShmLaneConsumer::Attach(msg.segment_name, msg.slot_count);
-  if (!consumer.ok()) {
-    refuse(consumer.error().message());
-    return;
-  }
-  ShmLane lane;
-  lane.consumer = std::move(*consumer);
-  lane.topics = std::move(msg.topics);
-  lane.handles.resize(lane.topics.size());
-  shm_lanes_[conn.id()] = std::move(lane);
-  telemetry.net_shm_attaches.Inc();
-  ack.accepted = true;
-  SendMsg(conn, MsgType::kShmAttachAck, frame.request_id, ack);
 }
 
 void ApolloDaemon::HandleSubscribe(Connection& conn, const Frame& frame) {
@@ -706,7 +584,6 @@ void ApolloDaemon::BroadcastMap(const cluster::ClusterMap& map) {
 }
 
 void ApolloDaemon::PumpSubscriptions() {
-  DrainShmLanes();
   for (auto& [conn_id, subs] : subs_) {
     Connection* conn = server_.FindConnection(conn_id);
     if (conn == nullptr) continue;
@@ -751,45 +628,6 @@ void ApolloDaemon::PumpCQ() {
         return SendMsg(*conn, MsgType::kCQUpdate, /*request_id=*/0, msg,
                        /*droppable=*/true);
       });
-}
-
-void ApolloDaemon::DrainShmLanes() {
-  auto& telemetry = GlobalTelemetry();
-  for (auto& [conn_id, lane] : shm_lanes_) {
-    lane.scratch.clear();
-    if (lane.consumer->Drain(lane.scratch, config_.shm_drain_batch) == 0) {
-      continue;
-    }
-    telemetry.net_shm_samples.Inc(lane.scratch.size());
-    // Group consecutive same-topic slots into one PublishBatch run each —
-    // the same lock-once-per-run handoff the TCP batch path takes.
-    std::vector<TelemetryStream::Entry> run;
-    std::size_t i = 0;
-    while (i < lane.scratch.size()) {
-      const std::uint32_t topic_id = lane.scratch[i].topic_id;
-      run.clear();
-      while (i < lane.scratch.size() &&
-             lane.scratch[i].topic_id == topic_id) {
-        const ShmSlot& slot = lane.scratch[i];
-        TelemetryStream::Entry entry;
-        entry.timestamp = slot.entry_ts;
-        entry.value.timestamp = slot.sample_ts;
-        entry.value.value = slot.value;
-        entry.value.provenance = static_cast<Provenance>(slot.provenance);
-        run.push_back(entry);
-        ++i;
-      }
-      if (topic_id >= lane.topics.size()) continue;  // malformed producer
-      TopicHandle& handle = lane.handles[topic_id];
-      if (!handle.valid()) {
-        auto resolved = broker_.Resolve(lane.topics[topic_id]);
-        if (!resolved.ok()) continue;  // topic gone: drop the run
-        handle = *resolved;
-      }
-      (void)broker_.PublishBatch(handle, config_.node, run.data(),
-                                 run.size());
-    }
-  }
 }
 
 void ApolloDaemon::SendError(Connection& conn, std::uint32_t request_id,

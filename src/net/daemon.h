@@ -3,14 +3,11 @@
 //
 // The daemon owns a real-clock EventLoop on a dedicated thread; the Server
 // and every request handler run there. Requests map onto the local fabric:
-//   kPublish      -> Broker::Publish (the daemon's node perspective)
 //   kPublishBatch -> Broker::PublishBatch per topic run (stream lock taken
 //                    once per run); the cumulative ack carries a per-sample
-//                    error bitmap so partial injected loss is observable
-//   kShmAttach    -> maps a client-created shared-memory SPSC ring; the
-//                    subscription pump drains it into PublishBatch runs.
-//                    A refused attach (kShmAttach fault, bad geometry)
-//                    acks accepted=false and the client stays on TCP
+//                    error bitmap so partial injected loss is observable.
+//                    The only ingest message: a single publish arrives as
+//                    a batch of one
 //   kFetchWindow  -> Broker::Fetch (cursor window reads)
 //   kSubscribe    -> pushed kDeliver frames from a periodic pump timer;
 //                    backpressured deliveries do not advance the cursor,
@@ -44,7 +41,6 @@
 #include "eventloop/event_loop.h"
 #include "net/cluster_controller.h"
 #include "net/messages.h"
-#include "net/shm_lane.h"
 #include "net/transport.h"
 #include "pubsub/broker.h"
 
@@ -58,13 +54,6 @@ struct DaemonConfig {
   std::size_t delivery_batch = 512;
   // Node identity used for broker latency charging.
   NodeId node = kLocalNode;
-  // Max shm-lane slots drained per pump tick per lane (bounds the time one
-  // lane can hold the loop thread).
-  std::size_t shm_drain_batch = 4096;
-  // Refuse shm offers entirely (forces TCP fallback) when false. Forced
-  // false in cluster mode: shm-lane samples would bypass RouteBatch and
-  // land on one replica only.
-  bool accept_shm = true;
   // Cluster membership/replication; disabled (standalone daemon) by
   // default. When enabled, publishes are routed through the
   // ClusterController (replicated to write_quorum nodes before acking)
@@ -110,22 +99,11 @@ class ApolloDaemon final : public FrameHandler {
     std::uint64_t cursor = 0;
   };
 
-  // One attached shared-memory ingest lane (per connection). Topic handles
-  // are resolved lazily and cached parallel to the offered topic table.
-  struct ShmLane {
-    std::unique_ptr<ShmLaneConsumer> consumer;
-    std::vector<std::string> topics;
-    std::vector<TopicHandle> handles;
-    std::vector<ShmSlot> scratch;
-  };
-
   void OnFrame(Connection& conn, const Frame& frame) override;
   void OnClose(Connection& conn) override;
 
   void HandleHello(Connection& conn, const Frame& frame);
-  void HandlePublish(Connection& conn, const Frame& frame);
   void HandlePublishBatch(Connection& conn, const Frame& frame);
-  void HandleShmAttach(Connection& conn, const Frame& frame);
   void HandleSubscribe(Connection& conn, const Frame& frame);
   void HandleFetchWindow(Connection& conn, const Frame& frame);
   void HandleQuery(Connection& conn, const Frame& frame);
@@ -156,7 +134,6 @@ class ApolloDaemon final : public FrameHandler {
 
   void PumpSubscriptions();
   void PumpCQ();
-  void DrainShmLanes();
   // Tenant bound to a connection at hello time ("default" before/without
   // one).
   const std::string& TenantOf(const Connection& conn) const;
@@ -196,7 +173,6 @@ class ApolloDaemon final : public FrameHandler {
   // Loop-thread state.
   std::uint64_t next_sub_id_ = 1;
   std::map<std::uint64_t, std::vector<Subscription>> subs_;  // by conn id
-  std::map<std::uint64_t, ShmLane> shm_lanes_;               // by conn id
   std::map<std::uint64_t, std::string> conn_tenants_;        // by conn id
   // Last-known-good answers for shed one-shot queries, keyed by query
   // text. Bounded: cleared when full, like the executor's plan cache.

@@ -16,10 +16,6 @@ const char* MsgTypeName(MsgType type) {
       return "ping";
     case MsgType::kPong:
       return "pong";
-    case MsgType::kPublish:
-      return "publish";
-    case MsgType::kPublishAck:
-      return "publish_ack";
     case MsgType::kSubscribe:
       return "subscribe";
     case MsgType::kSubscribeAck:
@@ -48,10 +44,6 @@ const char* MsgTypeName(MsgType type) {
       return "publish_batch";
     case MsgType::kPublishBatchAck:
       return "publish_batch_ack";
-    case MsgType::kShmAttach:
-      return "shm_attach";
-    case MsgType::kShmAttachAck:
-      return "shm_attach_ack";
     case MsgType::kHeartbeat:
       return "heartbeat";
     case MsgType::kHeartbeatAck:

@@ -41,9 +41,10 @@ enum class MsgType : std::uint8_t {
   kHelloAck,     // server -> client
   kPing,         // either direction; resets the idle timer
   kPong,
-  kPublish,      // client -> server: append one sample to a topic
-  kPublishAck,
-  kSubscribe,    // client -> server: start pushed deliveries for a topic
+  // 5, 6, 21 and 22 belong to removed message types and must never be
+  // reused: every remaining type keeps its wire byte, so a peer built
+  // before the removal still dispatches each frame to the right handler.
+  kSubscribe = 7,  // client -> server: start pushed deliveries for a topic
   kSubscribeAck,
   kDeliver,      // server -> client: unsolicited entries (request_id 0)
   kFetchWindow,  // client -> server: cursor read of a topic's window
@@ -55,11 +56,11 @@ enum class MsgType : std::uint8_t {
   kMetrics,      // client -> server: Prometheus text exposition scrape
   kMetricsText,
   kError,        // server -> client: request failed
-  kPublishBatch,     // client -> server: N samples, one frame CRC32C
+  kPublishBatch,     // client -> server: N samples, one frame CRC32C (the
+                     // only ingest message; a single publish is a batch
+                     // of one)
   kPublishBatchAck,  // server -> client: cumulative ack + error bitmap
-  kShmAttach,        // client -> server: shared-memory ingest lane offer
-  kShmAttachAck,     // server -> client: accepted or fall back to TCP
-  kHeartbeat,        // daemon -> daemon: membership probe (name, gen, state)
+  kHeartbeat = 23,   // daemon -> daemon: membership probe (name, gen, state)
   kHeartbeatAck,     // daemon -> daemon: prober learns the peer's state
   kGetClusterMap,    // client -> server: request the current cluster map
   kClusterMap,       // server -> client: map reply, or push on change
@@ -82,10 +83,10 @@ const char* MsgTypeName(MsgType type);
 // serves instead of failing on the first unknown topic (scatter-gather).
 inline constexpr std::uint16_t kFlagPartial = 1u << 0;
 
-// kPublish/kPublishBatch flag: this publish was forwarded by another
-// cluster node. The receiver must serve it as the topic's primary or
-// reject it — never forward again (caps any routing disagreement between
-// two nodes' maps at one hop instead of a forwarding loop).
+// kPublishBatch flag: this batch was forwarded by another cluster node.
+// The receiver must serve it as the topic's primary or reject it — never
+// forward again (caps any routing disagreement between two nodes' maps at
+// one hop instead of a forwarding loop).
 inline constexpr std::uint16_t kFlagForwarded = 1u << 1;
 
 struct Frame {

@@ -116,36 +116,6 @@ bool HelloAckMsg::Decode(const Payload& in, HelloAckMsg& msg) {
   return Finish(r);
 }
 
-void PublishMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.Str(topic);
-  w.I64(timestamp);
-  w.I64(sample.timestamp);
-  w.F64(sample.value);
-  w.U8(static_cast<std::uint8_t>(sample.provenance));
-}
-
-bool PublishMsg::Decode(const Payload& in, PublishMsg& msg) {
-  WireReader r(in);
-  msg.topic = r.Str();
-  msg.timestamp = r.I64();
-  msg.sample.timestamp = r.I64();
-  msg.sample.value = r.F64();
-  msg.sample.provenance = static_cast<Provenance>(r.U8());
-  return Finish(r);
-}
-
-void PublishAckMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.U64(entry_id);
-}
-
-bool PublishAckMsg::Decode(const Payload& in, PublishAckMsg& msg) {
-  WireReader r(in);
-  msg.entry_id = r.U64();
-  return Finish(r);
-}
-
 std::size_t PublishBatchMsg::SampleCount() const {
   std::size_t n = 0;
   for (const Run& run : runs) n += run.entries.size();
@@ -226,40 +196,6 @@ bool PublishBatchAckMsg::Decode(const Payload& in, PublishBatchAckMsg& msg) {
   }
   msg.first_error_code = static_cast<ErrorCode>(r.U16());
   msg.first_error = r.Str();
-  return Finish(r);
-}
-
-void ShmAttachMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.Str(segment_name);
-  w.U32(slot_count);
-  w.U32(static_cast<std::uint32_t>(topics.size()));
-  for (const std::string& topic : topics) w.Str(topic);
-}
-
-bool ShmAttachMsg::Decode(const Payload& in, ShmAttachMsg& msg) {
-  WireReader r(in);
-  msg.segment_name = r.Str();
-  msg.slot_count = r.U32();
-  const std::uint32_t count = r.U32();
-  if (count > kMaxWireEntries) return false;
-  msg.topics.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    msg.topics.push_back(r.Str());
-  }
-  return Finish(r);
-}
-
-void ShmAttachAckMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.U8(accepted ? 1 : 0);
-  w.Str(message);
-}
-
-bool ShmAttachAckMsg::Decode(const Payload& in, ShmAttachAckMsg& msg) {
-  WireReader r(in);
-  msg.accepted = r.U8() != 0;
-  msg.message = r.Str();
   return Finish(r);
 }
 

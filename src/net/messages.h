@@ -41,32 +41,18 @@ struct HelloAckMsg {
   static bool Decode(const Payload& in, HelloAckMsg& msg);
 };
 
-struct PublishMsg {
-  std::string topic;
-  TimeNs timestamp = 0;
-  Sample sample;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishMsg& msg);
-};
-
-struct PublishAckMsg {
-  std::uint64_t entry_id = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishAckMsg& msg);
-};
-
 // Upper bound on samples in one kPublishBatch frame. 25 wire bytes per
 // sample keeps a full batch far below kMaxFrameLen while still amortizing
 // the per-frame syscall + ack round trip ~10^4 times.
 inline constexpr std::uint32_t kMaxBatchSamples = 64 * 1024;
 
-// Batched publish: samples grouped into runs of consecutive same-topic
-// samples (order-preserving), so the daemon resolves each topic — and takes
-// its stream lock — once per run instead of once per sample. The frame
-// header's CRC32C covers the whole batch; there is no per-sample checksum.
-// Entry ids are not carried (the broker assigns them on append).
+// Batched publish, the only way a sample reaches a daemon over the wire (a
+// single publish is a batch of one). Samples are grouped into runs of
+// consecutive same-topic samples (order-preserving), so the daemon
+// resolves each topic — and takes its stream lock — once per run instead
+// of once per sample. The frame header's CRC32C covers the whole batch;
+// there is no per-sample checksum. Entry ids are not carried (the broker
+// assigns them on append).
 struct PublishBatchMsg {
   struct Run {
     std::string topic;
@@ -105,28 +91,6 @@ struct PublishBatchAckMsg {
 
   void Encode(Payload& out) const;
   static bool Decode(const Payload& in, PublishBatchAckMsg& msg);
-};
-
-// Shared-memory ingest lane offer: the client has created and initialized a
-// POSIX shm segment holding one SPSC ring (see net/shm_lane.h) and asks the
-// daemon to attach as its consumer. Slot topic ids are indices into
-// `topics`. A refusal (or any decode/attach failure) is the fallback
-// handshake: the client keeps publishing over TCP batches.
-struct ShmAttachMsg {
-  std::string segment_name;      // POSIX shm name ("/apollo-shm-…")
-  std::uint32_t slot_count = 0;  // ring capacity; must be a power of two
-  std::vector<std::string> topics;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ShmAttachMsg& msg);
-};
-
-struct ShmAttachAckMsg {
-  bool accepted = false;
-  std::string message;  // refusal reason
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ShmAttachAckMsg& msg);
 };
 
 // cursor == kCursorTail starts the subscription at the stream's next id

@@ -191,7 +191,7 @@ class Broker {
   };
 
   // Batched publish of `n` entries (id fields ignored) to one topic — the
-  // wire/shm ingest handoff. One handle refresh, one network-latency charge
+  // wire ingest handoff. One handle refresh, one network-latency charge
   // (the run arrived as one wire message), and one stream-lock acquisition
   // via Stream::AppendBatch instead of n. With a fault injector attached,
   // FaultSite::kPublish is still evaluated per entry so chaos accounting

@@ -122,19 +122,6 @@ TelemetryCounters::TelemetryCounters() {
   net_batch_sample_errors =
       Reg("net_batch_sample_errors", "apollo_net_batch_sample_errors_total",
           "Per-sample batch failures reported in ack bitmaps");
-  net_shm_attaches = Reg("net_shm_attaches", "apollo_net_shm_attaches_total",
-                         "Shared-memory ingest lanes accepted by daemons");
-  net_shm_attach_failures =
-      Reg("net_shm_attach_failures", "apollo_net_shm_attach_failures_total",
-          "Shared-memory lane handshakes refused or failed");
-  net_shm_samples = Reg("net_shm_samples", "apollo_net_shm_samples_total",
-                        "Samples drained from shared-memory ingest rings");
-  net_shm_fallbacks =
-      Reg("net_shm_fallbacks", "apollo_net_shm_fallbacks_total",
-          "Samples rerouted to TCP because the shm lane was full or down");
-  net_shm_orphans_reaped =
-      Reg("net_shm_orphans_reaped", "apollo_net_shm_orphans_reaped_total",
-          "Orphaned shm lane segments unlinked after their producer died");
   cluster_heartbeats_sent =
       Reg("cluster_heartbeats_sent", "apollo_cluster_heartbeats_sent_total",
           "Membership probes sent to peers");

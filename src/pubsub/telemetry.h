@@ -109,18 +109,11 @@ struct TelemetryCounters {
   obs::Counter net_node_timeouts;     // scatter-gather nodes past deadline
   obs::Counter net_degraded_fallbacks;  // node answers served from cache
 
-  // Batched ingest fast path (wire batch publishes + shm lane).
+  // Wire ingest: every publish, single ones included, is a kPublishBatch.
   obs::Counter net_batch_publishes;   // kPublishBatch frames handled
   obs::Counter net_batch_samples;     // samples carried in those frames
   obs::Counter net_batch_decode_errors;  // malformed/injected batch rejects
   obs::Counter net_batch_sample_errors;  // per-sample failures (ack bitmap)
-  obs::Counter net_shm_attaches;      // shm lanes accepted by a daemon
-  obs::Counter net_shm_attach_failures;  // refused/failed handshakes
-  obs::Counter net_shm_samples;       // samples drained from shm rings
-  obs::Counter net_shm_fallbacks;     // samples rerouted to TCP (ring full
-                                      // or lane unavailable)
-  obs::Counter net_shm_orphans_reaped;  // orphaned lane segments unlinked
-                                        // after their producer died
 
   // Cluster layer (placement, membership, replication, resync).
   obs::Counter cluster_heartbeats_sent;

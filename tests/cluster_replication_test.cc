@@ -1,16 +1,13 @@
 // Replicated-cluster suite: placement ring properties, membership state
 // machine, and in-process 3-node daemon integration — replication quorum,
 // forward-to-primary, publish failover, WAL-tail resync, replica-routed
-// queries, the all-nodes-unreachable degraded path, and shm orphan
-// reaping. Every daemon binds an ephemeral port picked up front (cluster
-// configs need the full member list before any daemon starts).
+// queries, and the all-nodes-unreachable degraded path. Every daemon binds
+// an ephemeral port picked up front (cluster configs need the full member
+// list before any daemon starts).
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -30,7 +27,6 @@
 #include "net/cluster_client.h"
 #include "net/daemon.h"
 #include "net/remote_query.h"
-#include "net/shm_lane.h"
 #include "pubsub/broker.h"
 
 namespace apollo::net {
@@ -614,42 +610,6 @@ TEST_F(ClusterNetTest, AllNodesUnreachableServesDegradedCache) {
       }
     }
   }
-}
-
-// Satellite: a lane segment whose producer died without Disable() must be
-// unlinked by the reaper (daemons run it at start and on disconnect).
-TEST(ClusterShmReap, OrphanedLaneIsUnlinked) {
-  // A forked-and-reaped child pid is guaranteed dead.
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) ::_exit(0);
-  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
-
-  const std::string name =
-      "/apollo-lane-" + std::to_string(child) + "-7";
-  const int fd = ::shm_open(name.c_str(), O_CREAT | O_RDWR | O_EXCL, 0600);
-  ASSERT_GE(fd, 0) << "shm_open failed";
-  ASSERT_EQ(::ftruncate(fd, 4096), 0);
-  ::close(fd);
-
-  EXPECT_EQ(ShmLaneOwnerPid(name), child);
-  const std::size_t reaped = ReapOrphanShmLanes();
-  EXPECT_GE(reaped, 1u);
-  EXPECT_LT(::shm_open(name.c_str(), O_RDONLY, 0600), 0)
-      << "orphan lane still present";
-
-  // A lane owned by a LIVE process must survive the reaper.
-  const std::string live =
-      "/apollo-lane-" + std::to_string(::getpid()) + "-7";
-  const int live_fd =
-      ::shm_open(live.c_str(), O_CREAT | O_RDWR | O_EXCL, 0600);
-  ASSERT_GE(live_fd, 0);
-  ::close(live_fd);
-  (void)ReapOrphanShmLanes();
-  const int still = ::shm_open(live.c_str(), O_RDONLY, 0600);
-  EXPECT_GE(still, 0) << "reaper unlinked a live client's lane";
-  if (still >= 0) ::close(still);
-  ::shm_unlink(live.c_str());
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Batched-ingest tests: PublishBatch/ack codec damage sweep (mirrors
 // net_frame_test.cc — every mutation of a valid payload must be rejected),
-// loopback batch publish with per-sample error-bitmap accounting, the
-// shared-memory lane handshake (accept, fault-refusal fallback, ring
-// drain), client-side PublishAsync flush policy with the queued-sample
-// error callback, and a 4-client batching stress leg for the tsan matrix.
+// loopback batch publish with per-sample error-bitmap accounting,
+// client-side PublishAsync flush policy with the queued-sample error
+// callback, a stub daemon whose short acks must fail every uncovered
+// sample, and a 4-client batching stress leg for the tsan matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/messages.h"
-#include "net/shm_lane.h"
+#include "net/transport.h"
 #include "pubsub/broker.h"
 #include "pubsub/telemetry.h"
 
@@ -58,6 +59,11 @@ PublishBatchMsg MakeBatch(std::initializer_list<std::pair<const char*, int>>
 
 TEST(NetBatch, BatchRoundtripPreservesRunsAndOrder) {
   PublishBatchMsg msg = MakeBatch({{"a.cpu", 3}, {"a.mem", 2}, {"a.cpu", 1}});
+  // A predicted sample whose own timestamp differs from its entry's: both
+  // timestamps and the provenance cross the wire unchanged.
+  TelemetryStream::Entry& predicted = msg.runs[2].entries[0];
+  predicted.value.timestamp = 123456789;
+  predicted.value.provenance = Provenance::kPredicted;
   Payload payload;
   msg.Encode(payload);
   PublishBatchMsg decoded;
@@ -70,6 +76,13 @@ TEST(NetBatch, BatchRoundtripPreservesRunsAndOrder) {
   EXPECT_EQ(decoded.SampleCount(), 6u);
   EXPECT_EQ(decoded.runs[1].entries[1].timestamp, 4);
   EXPECT_EQ(decoded.runs[1].entries[1].value.value, 4.0);
+  EXPECT_EQ(decoded.runs[1].entries[1].value.provenance,
+            Provenance::kMeasured);
+  const TelemetryStream::Entry& round = decoded.runs[2].entries[0];
+  EXPECT_EQ(round.timestamp, 5);
+  EXPECT_EQ(round.value.timestamp, 123456789);
+  EXPECT_EQ(round.value.value, 5.0);
+  EXPECT_EQ(round.value.provenance, Provenance::kPredicted);
 }
 
 // Every mutation of a valid batch payload must be rejected outright — a
@@ -165,71 +178,6 @@ TEST(NetBatch, AckRejectsErrorCountAboveCount) {
   payload[12] = 5;  // error_count > count
   PublishBatchAckMsg out;
   EXPECT_FALSE(PublishBatchAckMsg::Decode(payload, out));
-}
-
-TEST(NetBatch, ShmAttachRoundtrip) {
-  ShmAttachMsg msg;
-  msg.segment_name = "/apollo-lane-1";
-  msg.slot_count = 4096;
-  msg.topics = {"a.cpu", "a.mem"};
-  Payload payload;
-  msg.Encode(payload);
-  ShmAttachMsg decoded;
-  ASSERT_TRUE(ShmAttachMsg::Decode(payload, decoded));
-  EXPECT_EQ(decoded.segment_name, msg.segment_name);
-  EXPECT_EQ(decoded.slot_count, 4096u);
-  EXPECT_EQ(decoded.topics, msg.topics);
-
-  ShmAttachAckMsg ack;
-  ack.accepted = false;
-  ack.message = "refused";
-  Payload ack_payload;
-  ack.Encode(ack_payload);
-  ShmAttachAckMsg ack_decoded;
-  ASSERT_TRUE(ShmAttachAckMsg::Decode(ack_payload, ack_decoded));
-  EXPECT_FALSE(ack_decoded.accepted);
-  EXPECT_EQ(ack_decoded.message, "refused");
-}
-
-// ---- shm ring unit ---------------------------------------------------------
-
-TEST(NetBatch, ShmRingSpscRoundtrip) {
-  auto producer = ShmLaneProducer::Create("/apollo-test-ring-a", 8);
-  ASSERT_TRUE(producer.ok()) << producer.status().message();
-  auto consumer = ShmLaneConsumer::Attach("/apollo-test-ring-a", 8);
-  ASSERT_TRUE(consumer.ok()) << consumer.status().message();
-
-  ShmSlot slot;
-  for (int i = 0; i < 8; ++i) {
-    slot.entry_ts = i;
-    slot.value = i * 2.0;
-    slot.topic_id = static_cast<std::uint32_t>(i % 2);
-    ASSERT_TRUE((*producer)->TryPush(slot));
-  }
-  slot.entry_ts = 99;
-  EXPECT_FALSE((*producer)->TryPush(slot));  // full
-
-  std::vector<ShmSlot> drained;
-  EXPECT_EQ((*consumer)->Drain(drained, 5), 5u);
-  EXPECT_EQ((*consumer)->Drain(drained, 100), 3u);
-  ASSERT_EQ(drained.size(), 8u);
-  EXPECT_EQ(drained[0].entry_ts, 0);
-  EXPECT_EQ(drained[7].entry_ts, 7);
-  EXPECT_EQ(drained[7].value, 14.0);
-  // Space reclaimed: pushes succeed again.
-  EXPECT_TRUE((*producer)->TryPush(slot));
-}
-
-TEST(NetBatch, ShmAttachValidatesGeometryAndMagic) {
-  auto producer = ShmLaneProducer::Create("/apollo-test-ring-b", 16);
-  ASSERT_TRUE(producer.ok());
-  // Wrong slot count refused (header mismatch).
-  EXPECT_FALSE(ShmLaneConsumer::Attach("/apollo-test-ring-b", 32).ok());
-  // Missing segment refused.
-  EXPECT_FALSE(ShmLaneConsumer::Attach("/apollo-test-ring-nope", 16).ok());
-  // Bad slot counts refused before touching the fs.
-  EXPECT_FALSE(ShmLaneProducer::Create("/apollo-test-ring-c", 3).ok());
-  EXPECT_FALSE(ShmLaneProducer::Create("no-leading-slash", 8).ok());
 }
 
 // ---- loopback daemon -------------------------------------------------------
@@ -444,71 +392,96 @@ TEST_F(NetBatchLoopbackTest, QueuedSamplesSurfaceOnConnectionLoss) {
   EXPECT_EQ(client.PendingSamples(), 0u);
 }
 
-TEST_F(NetBatchLoopbackTest, ShmLaneDrainsIntoStream) {
-  const std::uint64_t attaches_before =
-      GlobalTelemetry().net_shm_attaches.Value();
-  ClientConfig config = ClientFor("shm");
-  config.shm_slots = 64;
-  ApolloClient client(config);
-  ASSERT_TRUE(client.EnableShmLane({"b.cpu", "b.mem"}).ok());
-  EXPECT_TRUE(client.shm_active());
-  EXPECT_EQ(GlobalTelemetry().net_shm_attaches.Value(), attaches_before + 1);
+// ---- short ack (stub daemon) ----------------------------------------------
 
-  TelemetryStream* cpu = *broker_.GetTopic("b.cpu");
-  const std::uint64_t total = 500;
-  for (std::uint64_t i = 0; i < total; ++i) {
+// Stands in for a daemon: answers the hello, then acks every
+// kPublishBatch with count = 0, an ack that covers none of the samples
+// sent.
+class ShortAckServer final : public FrameHandler {
+ public:
+  ShortAckServer()
+      : loop_(RealClock::Instance()), server_(loop_, ServerConfig{}, *this) {}
+  ~ShortAckServer() override { Stop(); }
+  ShortAckServer(const ShortAckServer&) = delete;
+  ShortAckServer& operator=(const ShortAckServer&) = delete;
+
+  Status Start() {
+    Status status = server_.Start();
+    if (!status.ok()) return status;
+    thread_ = std::thread([this] {
+      loop_.Run(std::numeric_limits<TimeNs>::max(), /*stop_when_idle=*/false);
+    });
+    return status;
+  }
+  void Stop() {
+    if (!thread_.joinable()) return;
+    loop_.Stop();
+    thread_.join();
+    server_.Stop();
+  }
+  std::uint16_t port() const { return server_.port(); }
+  int batches() const { return batches_.load(); }
+
+  void OnFrame(Connection& conn, const Frame& frame) override {
+    Payload payload;
+    if (frame.type == MsgType::kHello) {
+      HelloAckMsg ack;
+      ack.server_name = "short-ack";
+      ack.Encode(payload);
+      conn.SendFrame(MsgType::kHelloAck, frame.request_id, payload);
+    } else if (frame.type == MsgType::kPublishBatch) {
+      ++batches_;
+      PublishBatchAckMsg ack;  // count = 0
+      ack.Encode(payload);
+      conn.SendFrame(MsgType::kPublishBatchAck, frame.request_id, payload);
+    }
+  }
+
+ private:
+  EventLoop loop_;
+  Server server_;
+  std::atomic<int> batches_{0};
+  std::thread thread_;
+};
+
+// An ack whose count is below the samples sent must not ack the rest:
+// every sample it does not cover fails, each exactly once.
+TEST(NetBatchShortAck, ShortAckFailsEverySample) {
+  ShortAckServer stub;
+  ASSERT_TRUE(stub.Start().ok());
+  ClientConfig config;
+  config.port = stub.port();
+  config.client_name = "short-ack";
+  config.request_timeout = 2 * kNsPerSec;
+  config.batch_max_samples = 1000;  // flush only when asked
+  config.batch_max_delay = kNsPerSec;
+  ApolloClient client(config);
+
+  auto id = client.Publish("b.cpu", 1, MakeSample(1, 1.0));
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code(), ErrorCode::kParseError);
+
+  std::vector<TimeNs> failed;
+  client.SetPublishErrorCallback(
+      [&](const std::string& topic, TimeNs ts, const Sample&,
+          const Error& error) {
+        EXPECT_EQ(topic, "b.cpu");
+        EXPECT_EQ(error.code(), ErrorCode::kParseError);
+        failed.push_back(ts);
+      });
+  for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(client
-                    .PublishAsync("b.cpu", static_cast<TimeNs>(i),
-                                  MakeSample(static_cast<TimeNs>(i), 1.0))
+                    .PublishAsync("b.cpu", 10 + i, MakeSample(10 + i, 1.0))
                     .ok());
   }
-  ASSERT_TRUE(client.Flush().ok());  // anything that fell back to TCP
-  const TimeNs deadline = clock_.Now() + 10 * kNsPerSec;
-  while (cpu->NextId() < total && clock_.Now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(cpu->NextId(), total);
-}
-
-TEST_F(NetBatchLoopbackTest, ShmAttachFaultFallsBackToTcp) {
-  FaultInjector injector;
-  injector.Arm(
-      {.site = FaultSite::kShmAttach, .topic = "", .fire_on_hits = {0}});
-  broker_.AttachFaultInjector(&injector);
-  const std::uint64_t failures_before =
-      GlobalTelemetry().net_shm_attach_failures.Value();
-  const std::uint64_t fallbacks_before =
-      GlobalTelemetry().net_shm_fallbacks.Value();
-
-  ClientConfig config = ClientFor("shm");
-  config.batch_max_samples = 4;
-  ApolloClient client(config);
-  Status attached = client.EnableShmLane({"b.cpu"});
-  EXPECT_FALSE(attached.ok());
-  EXPECT_FALSE(client.shm_active());
-  EXPECT_EQ(GlobalTelemetry().net_shm_attach_failures.Value(),
-            failures_before + 1);
-  EXPECT_EQ(GlobalTelemetry().net_shm_fallbacks.Value(),
-            fallbacks_before + 1);
-
-  // TCP batching still works after the refusal.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client
-                    .PublishAsync("b.cpu", i, MakeSample(i, 1.0))
-                    .ok());
-  }
-  EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 4u);
-}
-
-TEST_F(NetBatchLoopbackTest, DaemonRefusesShmWhenDisabled) {
-  daemon_->Stop();
-  DaemonConfig config;
-  config.accept_shm = false;
-  StartDaemon(config);
-  ApolloClient client(ClientFor("shm"));
-  Status attached = client.EnableShmLane({"b.cpu"});
-  EXPECT_FALSE(attached.ok());
-  EXPECT_FALSE(client.shm_active());
+  EXPECT_EQ(client.Flush().code(), ErrorCode::kParseError);
+  EXPECT_EQ(failed, (std::vector<TimeNs>{10, 11, 12}));
+  EXPECT_EQ(client.PendingSamples(), 0u);
+  EXPECT_EQ(stub.batches(), 2);
+  // Nothing is left to surface a second time when the connection closes.
+  client.Close();
+  EXPECT_EQ(failed.size(), 3u);
+  stub.Stop();
 }
 
 // ---- tsan stress leg -------------------------------------------------------

@@ -120,7 +120,7 @@ TEST(NetChaos, RecvDropsAccountedExactly) {
   FaultInjector fault(0xFEED);
   FaultSpec drop;
   drop.site = FaultSite::kNetRecv;
-  drop.topic = "publish";
+  drop.topic = "publish_batch";
   drop.probability = 1.0;
   drop.max_fires = 3;
   fault.Arm(drop);

@@ -112,7 +112,7 @@ TEST(NetFrame, DamageSweepRejectsAndLatches) {
   for (const DamageCase& damage : kCases) {
     SCOPED_TRACE(damage.name);
     std::vector<std::uint8_t> wire;
-    EncodeFrame(wire, MsgType::kPublish, 5, Bytes({10, 20, 30}));
+    EncodeFrame(wire, MsgType::kPublishBatch, 5, Bytes({10, 20, 30}));
     ASSERT_LT(damage.offset, wire.size());
     wire[damage.offset] ^= damage.xor_mask;
 
@@ -147,7 +147,7 @@ TEST(NetFrame, GarbageAfterValidFramePoisonsStream) {
 
 TEST(NetFrame, OversizedDeclaredLengthRejectedBeforeBuffering) {
   std::vector<std::uint8_t> wire;
-  EncodeFrame(wire, MsgType::kPublish, 1, Bytes({1}));
+  EncodeFrame(wire, MsgType::kPublishBatch, 1, Bytes({1}));
   // Declare a payload just past the cap; the parser must refuse without
   // waiting for (kMaxFrameLen + 1) bytes to arrive.
   const std::uint32_t huge = kMaxFrameLen + 1;
@@ -191,23 +191,6 @@ TEST(NetFrame, WireWriterReaderRoundtrip) {
   EXPECT_EQ(reader.Str(), "apollo");
   EXPECT_TRUE(reader.ok());
   EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(NetMessages, PublishRoundtrip) {
-  PublishMsg msg;
-  msg.topic = "compute0.cpu_load";
-  msg.timestamp = 123456789;
-  msg.sample.timestamp = 123456789;
-  msg.sample.value = 0.75;
-  msg.sample.provenance = Provenance::kPredicted;
-  Payload payload;
-  msg.Encode(payload);
-  PublishMsg decoded;
-  ASSERT_TRUE(PublishMsg::Decode(payload, decoded));
-  EXPECT_EQ(decoded.topic, msg.topic);
-  EXPECT_EQ(decoded.timestamp, msg.timestamp);
-  EXPECT_EQ(decoded.sample.value, msg.sample.value);
-  EXPECT_EQ(decoded.sample.provenance, Provenance::kPredicted);
 }
 
 TEST(NetMessages, DeliverRoundtripCarriesEntries) {
@@ -259,13 +242,14 @@ TEST(NetMessages, ResultRoundtripCarriesDegradedRollups) {
 }
 
 TEST(NetMessages, DecodeRejectsTrailingGarbage) {
-  PublishAckMsg msg;
-  msg.entry_id = 5;
+  SubscribeAckMsg msg;
+  msg.subscription_id = 5;
+  msg.start_cursor = 9;
   Payload payload;
   msg.Encode(payload);
   payload.push_back(0xFF);
-  PublishAckMsg decoded;
-  EXPECT_FALSE(PublishAckMsg::Decode(payload, decoded));
+  SubscribeAckMsg decoded;
+  EXPECT_FALSE(SubscribeAckMsg::Decode(payload, decoded));
 }
 
 TEST(NetMessages, DecodeRejectsTruncation) {

@@ -84,6 +84,26 @@ class NetLoopbackTest : public ::testing::Test {
   std::unique_ptr<ApolloDaemon> daemon_;
 };
 
+// Plain TCP connection to 127.0.0.1:port with no handshake, for tests
+// that speak raw bytes. A 5 s read timeout turns a missing reply into a
+// failed read instead of a hang. Returns -1 on failure.
+int ConnectRaw(std::uint16_t port) {
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1) return -1;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  struct timeval read_timeout = {5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+               sizeof(read_timeout));
+  return fd;
+}
+
 void ExpectSameRows(const aqe::ResultSet& remote, const aqe::ResultSet& local) {
   EXPECT_EQ(remote.columns, local.columns);
   ASSERT_EQ(remote.rows.size(), local.rows.size());
@@ -185,6 +205,15 @@ TEST_F(NetLoopbackTest, ExplainAnalyzeMatchesRowCounts) {
 TEST_F(NetLoopbackTest, PublishThenFetchWindowRoundtrip) {
   ASSERT_TRUE(broker_.CreateTopic("net.ingest").ok());
   ApolloClient client(ClientFor("publish-test"));
+  // An unknown topic fails that publish with the broker's own error and
+  // leaves the connection up for the publishes that follow.
+  auto missing = client.Publish("net.missing", clock_.Now(),
+                                MakeSample(clock_.Now(), 1.0));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(missing.error().message(),
+            broker_.Resolve("net.missing").error().message());
+  EXPECT_TRUE(client.connected());
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 5; ++i) {
     auto id = client.Publish("net.ingest", clock_.Now(),
@@ -314,17 +343,8 @@ TEST_F(NetLoopbackTest, MalformedFrameCountsProtocolError) {
   const std::uint64_t before = GlobalTelemetry().net_protocol_errors.Value();
   // A raw socket spews garbage: the daemon must count a protocol error and
   // close that connection without disturbing the healthy client.
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(daemon_->port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(daemon_->port());
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  struct timeval read_timeout = {5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
-               sizeof(read_timeout));
   const char garbage_bytes[32] = {'n', 'o', 't', ' ', 'a', ' ', 'f', 'r',
                                   'a', 'm', 'e'};
   ASSERT_EQ(::write(fd, garbage_bytes, sizeof(garbage_bytes)),
@@ -337,6 +357,73 @@ TEST_F(NetLoopbackTest, MalformedFrameCountsProtocolError) {
   EXPECT_GE(GlobalTelemetry().net_protocol_errors.Value(), before + 1);
   // The well-behaved client is unaffected.
   EXPECT_TRUE(client.Ping().ok());
+}
+
+// Retired message types stay retired: the single-sample publish (type
+// byte 5) an older client may still send gets the daemon's "unexpected
+// message type" error, and the same connection keeps working.
+TEST_F(NetLoopbackTest, RetiredPublishTypeIsRejectedAndConnectionSurvives) {
+  // Removing message types renumbered nothing that survives.
+  EXPECT_EQ(static_cast<int>(MsgType::kPublishBatch), 19);
+  EXPECT_EQ(static_cast<int>(MsgType::kHeartbeat), 23);
+  EXPECT_EQ(static_cast<int>(MsgType::kCQUpdate), 35);
+
+  const int fd = ConnectRaw(daemon_->port());
+  ASSERT_GE(fd, 0);
+  auto send_frame = [fd](MsgType type, std::uint32_t request_id,
+                         const Payload& payload) {
+    std::vector<std::uint8_t> wire;
+    EncodeFrame(wire, type, request_id, payload);
+    return ::write(fd, wire.data(), wire.size()) ==
+           static_cast<ssize_t>(wire.size());
+  };
+  FrameParser parser;
+  auto next_frame = [fd, &parser](Frame& frame) {
+    while (!parser.Next(frame)) {
+      std::uint8_t buf[4096];
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0 || !parser.Feed(buf, static_cast<std::size_t>(n))) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  HelloMsg hello;
+  hello.client_name = "old-client";
+  Payload payload;
+  hello.Encode(payload);
+  ASSERT_TRUE(send_frame(MsgType::kHello, 1, payload));
+  Frame frame;
+  ASSERT_TRUE(next_frame(frame));
+  EXPECT_EQ(frame.type, MsgType::kHelloAck);
+
+  // The retired layout: topic, entry timestamp, sample timestamp, value,
+  // provenance.
+  payload.clear();
+  WireWriter old_publish(payload);
+  old_publish.Str("alpha.cpu");
+  old_publish.I64(clock_.Now());
+  old_publish.I64(clock_.Now());
+  old_publish.F64(42.0);
+  old_publish.U8(0);
+  ASSERT_TRUE(send_frame(static_cast<MsgType>(5), 2, payload));
+  ASSERT_TRUE(next_frame(frame));
+  EXPECT_EQ(frame.type, MsgType::kError);
+  EXPECT_EQ(frame.request_id, 2u);
+  ErrorMsg error;
+  ASSERT_TRUE(ErrorMsg::Decode(frame.payload, error));
+  EXPECT_EQ(error.code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(error.message.find("unexpected message type"), std::string::npos)
+      << error.message;
+
+  ASSERT_TRUE(send_frame(MsgType::kPing, 3, {}));
+  ASSERT_TRUE(next_frame(frame));
+  EXPECT_EQ(frame.type, MsgType::kPong);
+  EXPECT_EQ(frame.request_id, 3u);
+  ::close(fd);
+  // Nothing was appended by the rejected frame.
+  EXPECT_EQ((*broker_.GetTopic("alpha.cpu"))->NextId(), 8u);
 }
 
 TEST_F(NetLoopbackTest, IdleConnectionsAreReaped) {
