@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <limits>
 #include <numeric>
@@ -401,11 +402,11 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     (void)broker_.ChargeHop(handle, options_.client_node);
   }
 
-  // Degradation surface, computed once per table access and stamped on
-  // every row this branch returns: a degraded stream keeps answering from
-  // last-known-good / predicted values, and staleness lets clients judge
-  // how old those values are.
-  const bool is_degraded = stream->degraded();
+  // Degradation surface, stamped on every row this branch returns: a
+  // degraded stream keeps answering from last-known-good / predicted
+  // values, a history scan that skipped an unreadable tier raises it too,
+  // and staleness lets clients judge how old the values are.
+  bool is_degraded = stream->degraded();
   TimeNs staleness_ns = 0;
   if (auto newest = stream->Latest(); newest.has_value()) {
     staleness_ns =
@@ -527,10 +528,12 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     }
   }
 
-  // Archive fallback: if rows have been evicted and the query's range can
-  // reach below the in-memory window, snapshot the window and merge the
-  // older archived rows in front of it. Otherwise iterate the window in
-  // place — no snapshot, no allocation.
+  // History: once rows have left the ring for the WAL (and from there for
+  // cold blocks), read the tiers warm to cold — ring snapshot, WAL, cold
+  // scan — each capped below the warmer tier's oldest row, then feed the
+  // rows oldest first: cold rows straight from the scan's visitor, the WAL
+  // records, the ring snapshot. Without history the ring is iterated in
+  // place. Either way no row is copied into a merged vector.
   Archiver<Sample>* archiver = stream->archiver();
   ColdReaderBase* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
@@ -540,83 +543,106 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     archive_has_rows = archiver->Count() > 0;
   }
   const bool cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
+  const bool history = archive_has_rows || cold_has_rows;
 
-  // Reused across calls on this thread: query execution allocates nothing
-  // on the steady-state (no-archive) path.
+  // The oldest row a warmer tier returned. A colder tier keeps a row only
+  // if it is older: an earlier timestamp, or the same timestamp and a
+  // lower id, since a run of equal timestamps can straddle a tier boundary.
+  struct Cap {
+    TimeNs ts;
+    std::uint64_t id;
+    bool Keeps(TimeNs row_ts, std::uint64_t row_id) const {
+      return row_ts < ts || (row_ts == ts && row_id < id);
+    }
+  };
+
+  // Reused across calls on this thread: once grown to the largest ring
+  // snapshot and WAL read, a history query allocates no row buffer.
   thread_local std::vector<StreamEntry<Sample>> scratch;
-  std::vector<StreamEntry<Sample>> merged;
-  bool use_merged = false;
-  std::size_t archived_count = 0;
-  std::size_t cold_count = 0;
-  ColdScanStats cold_stats;
-  if (archive_has_rows || cold_has_rows) {
+  thread_local std::vector<Archiver<Sample>::Record> wal;
+  bool wal_failed = false;
+  Cap cold_cap{to_ts, UINT64_MAX};
+  if (history) {
     stream->RangeByTime(from_ts, to_ts, scratch);
-    // Archive rows strictly older than the in-memory ones; when the window
-    // had no match at all, the whole range comes from the archive.
-    const TimeNs archive_to =
-        scratch.empty() ? to_ts : scratch.front().timestamp - 1;
-    std::vector<StreamEntry<Sample>> wal_rows;
-    if (archive_has_rows && from_ts <= archive_to) {
-      auto archived = archiver->ReadRange(from_ts, archive_to);
-      if (archived.ok()) {
-        wal_rows.reserve(archived->size());
-        for (const auto& rec : *archived) {
-          wal_rows.push_back(
-              StreamEntry<Sample>{rec.id, rec.timestamp, rec.payload});
-        }
-        archived_count = wal_rows.size();
-      } else {
-        // Unreadable archive: answer from the in-memory window alone, but
-        // never silently — the counter makes the degraded read visible.
+    // WAL rows older than the in-memory ones; when the window had no
+    // match at all, the whole range comes from the archive.
+    Cap wal_cap{to_ts, UINT64_MAX};
+    if (!scratch.empty()) {
+      wal_cap = Cap{scratch.front().timestamp, scratch.front().id};
+    }
+    wal.clear();
+    if (archive_has_rows && from_ts <= wal_cap.ts) {
+      // An unreadable WAL leaves `wal` empty: the answer comes from the
+      // other tiers and is marked degraded below.
+      wal_failed = !archiver->ReadRange(from_ts, wal_cap.ts, wal).ok();
+      if (wal_failed) {
         GlobalTelemetry().archive_read_errors.fetch_add(
             1, std::memory_order_relaxed);
       }
+      // Rows evicted from the ring after the snapshot are in the snapshot.
+      std::erase_if(wal, [&wal_cap](const auto& rec) {
+        return !wal_cap.Keeps(rec.timestamp, rec.id);
+      });
     }
-    // Cold rows are strictly older than everything still in the WAL
-    // (compaction drains oldest segments first), so capping the cold
-    // range below the first WAL row keeps COUNT exact even when a
-    // concurrent compaction moves rows between the two reads: any row
-    // both reads saw is >= the first WAL row and gets excluded here.
-    const TimeNs cold_to =
-        wal_rows.empty() ? archive_to : wal_rows.front().timestamp - 1;
-    if (cold_has_rows && from_ts <= cold_to) {
-      // ScanRange degrades internally (quarantine/skip + stats), so the
-      // status is always Ok; merged collects the cold prefix in place.
-      (void)cold->ScanRange(
-          from_ts, cold_to,
-          [&merged](std::uint64_t id, TimeNs timestamp,
-                    const Sample& sample) {
-            merged.push_back(StreamEntry<Sample>{id, timestamp, sample});
-          },
-          &cold_stats);
-      cold_count = merged.size();
-    }
-    merged.reserve(merged.size() + wal_rows.size() + scratch.size());
-    merged.insert(merged.end(), wal_rows.begin(), wal_rows.end());
-    merged.insert(merged.end(), scratch.begin(), scratch.end());
-    use_merged = true;
+    // Cold rows are older than everything still in the WAL (compaction
+    // drains oldest segments first), so capping the cold range below the
+    // first WAL row keeps COUNT exact even when a concurrent compaction
+    // moves rows between the two reads: any row both reads saw is not
+    // older than the first WAL row and gets excluded here.
+    cold_cap = wal.empty() ? wal_cap
+                           : Cap{wal.front().timestamp, wal.front().id};
   }
 
-  // Single-pass scan: predicates filter inline (no intermediate pointer
-  // vector); the no-archive path iterates the ring in place.
+  // Single pass: predicates filter inline; `visit` returns false to stop
+  // (LIMIT without ORDER BY). The cold scan runs here, after the WAL read.
+  ColdScanStats cold_stats;
+  std::uint64_t cold_rows = 0;
   auto scan = [&](auto&& visit) {
-    if (use_merged) {
-      for (const auto& entry : merged) {
-        if (!visit(entry)) break;
-      }
-    } else {
+    if (vp != nullptr) vp->strategy = "scan";
+    if (!history) {
       stream->ForEachInRange(from_ts, to_ts, visit);
+      return;
+    }
+    bool open = true;
+    auto feed = [&](const StreamEntry<Sample>& entry) {
+      if (open) open = visit(entry);
+    };
+    if (cold_has_rows && from_ts <= cold_cap.ts) {
+      const auto cold_row = [&](std::uint64_t id, TimeNs timestamp,
+                                const Sample& sample) {
+        if (!cold_cap.Keeps(timestamp, id)) return;
+        ++cold_rows;
+        feed(StreamEntry<Sample>{id, timestamp, sample});
+      };
+      // ScanRange degrades internally (quarantine/skip + stats) and visits
+      // its whole range; rows after a stop are skipped, so the counts below
+      // do not depend on LIMIT. std::cref keeps the visitor inside
+      // std::function's small buffer.
+      (void)cold->ScanRange(from_ts, cold_cap.ts, std::cref(cold_row),
+                            &cold_stats);
+    }
+    for (const auto& rec : wal) {
+      if (!open) break;
+      feed(StreamEntry<Sample>{rec.id, rec.timestamp, rec.payload});
+    }
+    for (const auto& entry : scratch) {
+      if (!open) break;
+      feed(entry);
+    }
+    // An answer that skipped an unreadable tier must say so.
+    if (wal_failed ||
+        cold_stats.read_errors + cold_stats.blocks_quarantined > 0) {
+      is_degraded = true;
+    }
+    if (vp != nullptr) {
+      if (!wal.empty()) vp->strategy += "+archive";
+      if (cold_rows > 0) vp->strategy += "+cold";
+      vp->archive_rows = wal.size();
+      vp->cold_rows = cold_rows;
+      vp->cold_blocks_scanned = cold_stats.blocks_scanned;
+      vp->cold_blocks_pruned = cold_stats.blocks_pruned;
     }
   };
-  if (vp != nullptr) {
-    vp->strategy = "scan";
-    if (archived_count > 0) vp->strategy += "+archive";
-    if (cold_count > 0) vp->strategy += "+cold";
-    vp->archive_rows = archived_count;
-    vp->cold_rows = cold_count;
-    vp->cold_blocks_scanned = cold_stats.blocks_scanned;
-    vp->cold_blocks_pruned = cold_stats.blocks_pruned;
-  }
 
   if (has_aggregate) {
     // One row; bare columns in an aggregate select resolve against the

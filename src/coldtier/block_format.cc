@@ -1,5 +1,6 @@
 #include "coldtier/block_format.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -33,15 +34,19 @@ void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-bool GetVarint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
-               std::uint64_t* v) {
+// `inline` keeps this on every column decoder's hot loop: without it the
+// canonical checks push it past GCC's automatic inlining limit.
+inline bool GetVarint(const std::uint8_t* data, std::size_t size,
+                      std::size_t* pos, std::uint64_t* v) {
   std::uint64_t result = 0;
   int shift = 0;
   while (*pos < size && shift < 64) {
     const std::uint8_t byte = data[(*pos)++];
     result |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
-      // Reject non-canonical tails that overflow 64 bits.
+      // Only the minimal encoding is canonical: a zero final byte after a
+      // continuation (0x80 0x00) and tails that overflow 64 bits are not.
+      if (shift > 0 && byte == 0) return false;
       if (shift == 63 && byte > 1) return false;
       *v = result;
       return true;
@@ -81,37 +86,67 @@ class BitWriter {
   int filled_ = 0;
 };
 
+// Reads MSB-first bit fields through a 64-bit buffer: `acc_` holds the
+// next `avail_` unread bits left-aligned (the bits below them are zero),
+// and a refill tops it up a byte at a time until it holds more than
+// kMaxTake bits or the stream ends. No shift count ever reaches 64.
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), bits_(size * 8) {}
+      : data_(data), size_(size) {}
 
+  // Reads `n` bits, 1 <= n <= 64. Fails when fewer than `n` bits remain.
   bool Read(int n, std::uint64_t* v) {
-    if (bits_ - pos_ < static_cast<std::size_t>(n)) return false;
-    std::uint64_t result = 0;
-    for (int i = 0; i < n; ++i) {
-      result = (result << 1) |
-               ((data_[pos_ >> 3] >> (7 - (pos_ & 7))) & 1);
-      ++pos_;
+    if (n > kMaxTake) {
+      std::uint64_t hi = 0, lo = 0;
+      if (BitsLeft() < static_cast<std::size_t>(n) || !Read(n - 32, &hi) ||
+          !Read(32, &lo)) {
+        return false;
+      }
+      *v = (hi << 32) | lo;
+      return true;
     }
-    *v = result;
+    if (n > avail_) {
+      Refill();
+      if (n > avail_) return false;
+    }
+    *v = acc_ >> (64 - n);
+    acc_ <<= n;
+    avail_ -= n;
     return true;
   }
 
   // Trailing padding must be under one byte and all zero: anything else
   // means the stream and the row count disagree.
   bool AtCleanEnd() {
-    if (bits_ - pos_ >= 8) return false;
+    const std::size_t left = BitsLeft();
+    if (left >= 8) return false;
     std::uint64_t pad = 0;
-    const int left = static_cast<int>(bits_ - pos_);
-    if (left > 0 && !Read(left, &pad)) return false;
+    if (left > 0 && !Read(static_cast<int>(left), &pad)) return false;
     return pad == 0;
   }
 
  private:
+  // A refill leaves more than this many bits buffered when the stream has
+  // them, so a read of up to kMaxTake bits needs at most one refill.
+  static constexpr int kMaxTake = 56;
+
+  std::size_t BitsLeft() const {
+    return static_cast<std::size_t>(avail_) + (size_ - next_) * 8;
+  }
+
+  void Refill() {
+    while (avail_ <= kMaxTake && next_ < size_) {
+      acc_ |= static_cast<std::uint64_t>(data_[next_++]) << (kMaxTake - avail_);
+      avail_ += 8;
+    }
+  }
+
   const std::uint8_t* data_;
-  std::size_t bits_;
-  std::size_t pos_ = 0;
+  std::size_t size_;
+  std::size_t next_ = 0;  // first byte not yet in acc_
+  std::uint64_t acc_ = 0;
+  int avail_ = 0;
 };
 
 std::uint64_t DoubleBits(double v) {
@@ -262,20 +297,40 @@ bool DecodeValues(const std::uint8_t* data, std::size_t size,
       continue;
     }
     if (!reader.Read(1, &bit)) return false;
-    if (bit != 0) {
-      std::uint64_t lead = 0, sig_minus_1 = 0;
-      if (!reader.Read(5, &lead)) return false;
+    const bool new_window = bit != 0;
+    int lead = prev_lead;
+    int sig = prev_sig;
+    if (new_window) {
+      std::uint64_t lead_bits = 0, sig_minus_1 = 0;
+      if (!reader.Read(5, &lead_bits)) return false;
       if (!reader.Read(6, &sig_minus_1)) return false;
-      prev_lead = static_cast<int>(lead);
-      prev_sig = static_cast<int>(sig_minus_1) + 1;
-      if (prev_lead + prev_sig > 64) return false;
+      lead = static_cast<int>(lead_bits);
+      sig = static_cast<int>(sig_minus_1) + 1;
+      if (lead + sig > 64) return false;
     } else if (prev_lead < 0) {
       return false;  // window reuse before any window was defined
     }
     std::uint64_t sigbits = 0;
-    if (!reader.Read(prev_sig, &sigbits)) return false;
+    if (!reader.Read(sig, &sigbits)) return false;
     if (sigbits == 0) return false;  // '1' control bit promised a change
-    prev ^= sigbits << (64 - prev_lead - prev_sig);
+    const std::uint64_t x = sigbits << (64 - lead - sig);
+    if (new_window) {
+      // Canonical only as EncodeValues writes it: the window is exactly
+      // x's (leading zeros capped at 31, no zero bit at either end), and
+      // the previous window could not have held x. Any x a reused window
+      // holds is canonical.
+      const int x_lead = std::min(__builtin_clzll(x), 31);
+      if (lead != x_lead || 64 - lead - sig != __builtin_ctzll(x)) {
+        return false;
+      }
+      if (prev_lead >= 0 && x_lead >= prev_lead &&
+          lead + sig <= prev_lead + prev_sig) {
+        return false;
+      }
+      prev_lead = lead;
+      prev_sig = sig;
+    }
+    prev ^= x;
     rows[i].value = BitsToDouble(prev);
   }
   return reader.AtCleanEnd();
@@ -478,7 +533,9 @@ bool DecodeBlock(const std::uint8_t* data, std::size_t size,
   std::uint32_t row_count = 0;
   if (!DecodeZoneMap(data, size, &row_count, &out->zone)) return false;
 
-  out->rows.assign(row_count, BlockRow{});
+  // Every column decoder writes its field of every row, so a reused
+  // buffer needs no clearing.
+  out->rows.resize(row_count);
   std::size_t pos = kBlockHeaderSize + kZoneMapSize;
   const std::uint8_t* payload = nullptr;
   std::size_t payload_size = 0;

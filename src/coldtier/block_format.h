@@ -41,7 +41,9 @@
 // every section CRC is checked before parsing, every varint/bit read is
 // bounds-checked, the whole buffer must be consumed exactly, and the
 // stored zone map must match one recomputed from the decoded rows bit for
-// bit. Anything else is reported as corrupt, never as data.
+// bit. It accepts only the canonical image of its rows: minimal varints,
+// and explicit Gorilla windows exactly as the encoder writes them (see
+// DecodeValues). Anything else is reported as corrupt, never as data.
 #pragma once
 
 #include <cstddef>
@@ -108,8 +110,11 @@ struct DecodedBlock {
 
 // Decodes a whole block image. Returns false on any malformation: bad
 // header/CRC, section overrun, trailing bytes, varint/bitstream overrun,
-// non-monotonic ids, RLE mismatch, or a zone map that does not match the
-// decoded rows. On false, `out` contents are unspecified.
+// a non-canonical varint or Gorilla window, non-monotonic ids, RLE
+// mismatch, or a zone map that does not match the decoded rows. On false,
+// `out` contents are unspecified. `out->rows` keeps its capacity, so a
+// caller decoding many blocks into one DecodedBlock allocates only when a
+// block is larger than any before it.
 bool DecodeBlock(const std::uint8_t* data, std::size_t size,
                  DecodedBlock* out);
 

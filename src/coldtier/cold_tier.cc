@@ -138,7 +138,12 @@ class MappedFile {
 }  // namespace
 
 ColdTier::ColdTier(std::string base_path, ColdTierConfig config)
-    : base_path_(std::move(base_path)), config_(std::move(config)) {}
+    : base_path_(std::move(base_path)),
+      config_(std::move(config)),
+      entries_(std::make_shared<const Entries>()) {
+  const fs::path dir = fs::path(base_path_).parent_path();
+  if (!dir.empty()) block_dir_ = dir.string() + "/";
+}
 
 std::string ColdTier::ManifestPath() const {
   return base_path_ + kManifestSuffix;
@@ -170,7 +175,7 @@ Status ColdTier::Open() {
     return Status(manifest.error().code(), manifest.error().message());
   }
   std::lock_guard<std::mutex> lock(mu_);
-  entries_ = std::move(manifest->entries);
+  entries_ = std::make_shared<const Entries>(std::move(manifest->entries));
   RefreshTotalsLocked();
   opened_ = true;
   return Status::Ok();
@@ -179,7 +184,7 @@ Status ColdTier::Open() {
 void ColdTier::RefreshTotalsLocked() {
   std::uint64_t rows = 0;
   std::uint64_t last_seq = last_compacted_seq_.load(std::memory_order_acquire);
-  for (const ManifestEntry& entry : entries_) {
+  for (const ManifestEntry& entry : *entries_) {
     rows += entry.row_count;
     last_seq = std::max(last_seq, entry.last_wal_seq);
   }
@@ -205,7 +210,7 @@ Status ColdTier::Reconcile(Archiver<Sample>& archiver) {
   std::vector<std::string> referenced;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const ManifestEntry& entry : entries_) {
+    for (const ManifestEntry& entry : *entries_) {
       referenced.push_back(entry.block_file);
     }
   }
@@ -359,7 +364,7 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
     Manifest next;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      next.entries = entries_;
+      next.entries = *entries_;
     }
     next.entries.push_back(entry);
     hook(kCrashPreManifest, seg.seq);
@@ -372,7 +377,7 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
     hook(kCrashPostManifest, seg.seq);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      entries_ = std::move(next.entries);
+      entries_ = std::make_shared<const Entries>(std::move(next.entries));
       RefreshTotalsLocked();
     }
 
@@ -403,21 +408,18 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
 void ColdTier::QuarantineBlock(const ManifestEntry& entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(
-        std::remove_if(entries_.begin(), entries_.end(),
-                       [&entry](const ManifestEntry& e) {
-                         return e.block_file == entry.block_file;
-                       }),
-        entries_.end());
+    auto next = std::make_shared<Entries>();
+    for (const ManifestEntry& e : *entries_) {
+      if (e.block_file != entry.block_file) next->push_back(e);
+    }
+    entries_ = std::move(next);
     RefreshTotalsLocked();
   }
   quarantined_blocks_.fetch_add(1, std::memory_order_acq_rel);
   Counters().blocks_quarantined.Inc();
-  const fs::path dir = fs::path(base_path_).parent_path();
-  const fs::path path =
-      dir.empty() ? fs::path(entry.block_file) : dir / entry.block_file;
+  const std::string path = block_dir_ + entry.block_file;
   std::error_code ec;
-  fs::rename(path, fs::path(path.string() + ".corrupt"), ec);
+  fs::rename(path, path + ".corrupt", ec);
 }
 
 Status ColdTier::ScanRange(
@@ -429,15 +431,19 @@ Status ColdTier::ScanRange(
   ColdScanStats local;
   if (stats == nullptr) stats = &local;
   const TimeNs start = RealClock::Instance().Now();
-  std::vector<ManifestEntry> snapshot;
+  std::shared_ptr<const Entries> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = entries_;
   }
-  const fs::path dir = fs::path(base_path_).parent_path();
+  // Every block of every scan on this thread decodes into the same row
+  // buffer, and its path into the same string: once they have grown to the
+  // largest block, a scan allocates nothing.
+  thread_local DecodedBlock block;
+  thread_local std::string path;
   ColdCounters& counters = Counters();
   counters.scans.Inc();
-  for (const ManifestEntry& entry : snapshot) {
+  for (const ManifestEntry& entry : *snapshot) {
     ++stats->blocks_total;
     if (entry.zone.max_ts < from_ts || entry.zone.min_ts > to_ts) {
       ++stats->blocks_pruned;
@@ -448,15 +454,13 @@ Status ColdTier::ScanRange(
       counters.read_errors.Inc();
       continue;
     }
-    const fs::path path =
-        dir.empty() ? fs::path(entry.block_file) : dir / entry.block_file;
+    path.assign(block_dir_).append(entry.block_file);
     MappedFile file;
-    if (!file.Open(path.string())) {
+    if (!file.Open(path)) {
       ++stats->read_errors;
       counters.read_errors.Inc();
       continue;
     }
-    DecodedBlock block;
     if (!DecodeBlock(file.data(), file.size(), &block) ||
         block.rows.size() != entry.row_count ||
         !(block.zone == entry.zone)) {
@@ -486,18 +490,15 @@ Status ColdTier::ScanRange(
 
 std::uint64_t ColdTier::BlockCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return entries_->size();
 }
 
 std::vector<std::string> ColdTier::BlockPaths() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const fs::path dir = fs::path(base_path_).parent_path();
   std::vector<std::string> paths;
-  paths.reserve(entries_.size());
-  for (const ManifestEntry& entry : entries_) {
-    paths.push_back(
-        (dir.empty() ? fs::path(entry.block_file) : dir / entry.block_file)
-            .string());
+  paths.reserve(entries_->size());
+  for (const ManifestEntry& entry : *entries_) {
+    paths.push_back(block_dir_ + entry.block_file);
   }
   return paths;
 }
@@ -507,7 +508,7 @@ void ColdTier::TsBounds(TimeNs* min_ts, TimeNs* max_ts) const {
   *min_ts = 0;
   *max_ts = 0;
   bool first = true;
-  for (const ManifestEntry& entry : entries_) {
+  for (const ManifestEntry& entry : *entries_) {
     if (first) {
       *min_ts = entry.zone.min_ts;
       *max_ts = entry.zone.max_ts;

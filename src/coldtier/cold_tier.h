@@ -16,9 +16,11 @@
 //
 // Reads are mmap'd: ScanRange prunes blocks on the manifest's zone maps
 // (no file IO for a pruned block), decodes survivors, and emits rows in
-// [from_ts, to_ts]. A block that fails its CRC/consistency checks is
-// quarantined (renamed `.corrupt`, dropped from the live set, counted) —
-// a corrupt block can cost rows, never invent them.
+// [from_ts, to_ts]. Each scan re-reads and re-verifies every block it does
+// not prune; only the row buffer it decodes into is reused (one per
+// thread), never decoded rows. A block that fails its CRC/consistency
+// checks is quarantined (renamed `.corrupt`, dropped from the live set,
+// counted) — a corrupt block can cost rows, never invent them.
 //
 // Thread safety: ScanRange, IsCompacted, and the metadata accessors are
 // safe against a concurrent CompactOnce/Reconcile. Compaction itself is
@@ -29,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -131,14 +134,19 @@ class ColdTier : public ColdReaderBase {
   // Refreshes total_rows_/last_compacted_seq_ from entries_ (mu_ held).
   void RefreshTotalsLocked();
 
+  using Entries = std::vector<ManifestEntry>;
+
   std::string base_path_;
+  std::string block_dir_;  // base path's directory plus '/', or empty
   ColdTierConfig config_;
   std::string label_;
   std::atomic<FaultInjector*> fault_{nullptr};
 
   mutable std::mutex mu_;        // guards entries_ + label_
   std::mutex compact_mu_;        // serializes CompactOnce/Reconcile
-  std::vector<ManifestEntry> entries_;
+  // The live manifest entries. Compaction and quarantine publish a new
+  // vector; a scan's snapshot copies the pointer, not the entries.
+  std::shared_ptr<const Entries> entries_;
   std::atomic<std::uint64_t> total_rows_{0};
   std::atomic<std::uint64_t> last_compacted_seq_{0};
   std::atomic<std::uint64_t> quarantined_blocks_{0};

@@ -1,5 +1,7 @@
 #include "pubsub/archiver.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,23 +29,26 @@ Status IoError(const std::string& what, const std::string& path) {
 
 // Reads a whole segment file into `buf`. Segments are bounded by
 // WalConfig::segment_bytes, so a full read is cheap and gives the scanner
-// one contiguous image to validate.
+// one contiguous image to validate. Plain read(2) into the caller's
+// buffer: nothing is allocated once `buf` has grown to a segment.
 Status ReadFile(const std::string& path, std::vector<std::uint8_t>& buf) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoError("archive segment open failed", path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return IoError("archive segment open failed", path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    ::close(fd);
     return IoError("archive segment size failed", path);
   }
-  std::fseek(f, 0, SEEK_SET);
-  buf.resize(static_cast<std::size_t>(size));
-  const std::size_t read = size == 0
-                               ? 0
-                               : std::fread(buf.data(), 1, buf.size(), f);
-  std::fclose(f);
-  if (read != buf.size()) {
+  buf.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < buf.size()) {
+    const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (got != buf.size()) {
     return IoError("archive segment read failed", path);
   }
   return Status::Ok();
@@ -393,7 +398,10 @@ Status ArchiveLog::ForEachTail(
       kept += segments_[first].records;
     }
   }
-  std::vector<std::uint8_t> buf;
+  // Every read on this thread reuses one segment buffer. It is per thread
+  // rather than per log, so its memory is bounded by the reading threads,
+  // not by the number of topics; `fn` must not start another archive read.
+  thread_local std::vector<std::uint8_t> buf;
   for (std::size_t i = first; i < segments_.size(); ++i) {
     wal::ScanResult scan;
     Status status = ScanSegmentFile(segments_[i].path, buf, scan, fn);

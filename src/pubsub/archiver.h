@@ -118,6 +118,8 @@ class ArchiveLog {
 
   // Visits every record payload across live segments in append order.
   // Stops early (and reports kIoError) if a segment cannot be read back.
+  // Segments are read into one reused per-thread buffer, so `fn` must not
+  // start another archive read.
   Status ForEach(const std::function<void(const void* payload)>& fn);
 
   // Like ForEach but only the last `n` records, skipping whole segments
@@ -289,29 +291,45 @@ class Archiver {
     return AppendBatch(&rec, 1);
   }
 
-  // Reads every archived record with timestamp in [from_ts, to_ts].
+  // Reads every archived record with timestamp in [from_ts, to_ts], in
+  // append order, into `out` (cleared first, and left empty on error).
   // Sequential scan over all live segments — archives are cold storage,
   // latency is acceptable. Every record re-validates its checksum on the
-  // way back in.
-  Expected<std::vector<Record>> ReadRange(TimeNs from_ts, TimeNs to_ts) {
+  // way back in. A caller that keeps `out` across reads allocates nothing
+  // once it has grown.
+  Status ReadRange(TimeNs from_ts, TimeNs to_ts, std::vector<Record>& out) {
+    out.clear();
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Record> out;
-    if (log_ != nullptr) {
-      Status status = log_->ForEach([&](const void* payload) {
-        Record rec;
-        std::memcpy(&rec, payload, sizeof(rec));
+    if (log_ == nullptr) {
+      for (const Record& rec : memory_) {
         if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
           out.push_back(rec);
         }
-      });
-      if (!status.ok()) return Error(status.code(), status.message());
-      return out;
-    }
-    for (const Record& rec : memory_) {
-      if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
-        out.push_back(rec);
       }
+      return Status::Ok();
     }
+    // One captured pointer keeps the callback inside std::function's
+    // small buffer, so the read does not allocate for it.
+    struct Want {
+      std::vector<Record>* out;
+      TimeNs from_ts, to_ts;
+    } want{&out, from_ts, to_ts};
+    Status status = log_->ForEach([&want](const void* payload) {
+      Record rec;
+      std::memcpy(&rec, payload, sizeof(rec));
+      if (rec.timestamp >= want.from_ts && rec.timestamp <= want.to_ts) {
+        want.out->push_back(rec);
+      }
+    });
+    if (!status.ok()) out.clear();
+    return status;
+  }
+
+  // Allocating convenience wrapper.
+  Expected<std::vector<Record>> ReadRange(TimeNs from_ts, TimeNs to_ts) {
+    std::vector<Record> out;
+    Status status = ReadRange(from_ts, to_ts, out);
+    if (!status.ok()) return Error(status.code(), status.message());
     return out;
   }
 

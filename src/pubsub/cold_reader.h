@@ -35,7 +35,9 @@ class ColdReaderBase {
   // Visits every cold row with timestamp in [from_ts, to_ts] in block
   // order (oldest block first, rows in stored order). Unreadable or
   // corrupt blocks are skipped and counted in `stats`, never fatal: the
-  // scan still returns every row the healthy blocks hold.
+  // scan still returns every row the healthy blocks hold. `visit` must not
+  // start another scan on the same thread (blocks decode into a reused
+  // per-thread buffer).
   virtual Status ScanRange(
       TimeNs from_ts, TimeNs to_ts,
       const std::function<void(std::uint64_t id, TimeNs timestamp,

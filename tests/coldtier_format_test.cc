@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -20,6 +22,7 @@
 #include "coldtier/manifest.h"
 #include "common/rng.h"
 #include "pubsub/archiver.h"
+#include "pubsub/wal_format.h"
 
 namespace apollo::coldtier {
 namespace {
@@ -64,15 +67,239 @@ bool SameRows(const std::vector<BlockRow>& a, const std::vector<BlockRow>& b) {
   return true;
 }
 
+double FromBits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Consecutive ids and timestamps carrying `values` in order.
+std::vector<BlockRow> RowsWithValues(const std::vector<double>& values) {
+  std::vector<BlockRow> rows;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    BlockRow row;
+    row.id = 10 + i;
+    row.timestamp = 5000 + static_cast<TimeNs>(i) * 1000;
+    row.sample_timestamp = row.timestamp;
+    row.value = values[i];
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+// What a perfbench `monitor` block holds: one WAL segment's 1365 rows of
+// one topic, ids and timestamps at a fixed cadence, values counting up.
+std::vector<BlockRow> MonitorShapedRows() {
+  std::vector<BlockRow> rows;
+  for (std::uint64_t seq = 1365; seq < 2 * 1365; ++seq) {
+    BlockRow row;
+    row.id = seq;
+    row.timestamp = 3'000'000'000'000 + static_cast<TimeNs>(seq) * 1000 + 7;
+    row.sample_timestamp = row.timestamp;
+    row.value = static_cast<double>(seq);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+// Value patterns that stress the buffered bit reader: full 64-bit XOR
+// windows, leading-zero counts above the 5-bit field's 31, runs of equal
+// values, NaN payloads, infinities, signed zero and denormals.
+std::vector<std::vector<BlockRow>> ValuePatternBlocks() {
+  const double denorm_min = FromBits(1);
+  const double denorm_max = FromBits(0x000FFFFFFFFFFFFFull);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> patterns;
+  // XOR 0x8000000000000001 and all-ones: 64 significant bits.
+  patterns.push_back({denorm_min, -0.0, denorm_min, -0.0,
+                      FromBits(~0ull), 0.0, FromBits(~0ull)});
+  // XORs in the low mantissa bits only: clz(x) up to 63.
+  std::vector<double> low_bits;
+  for (std::uint64_t i = 0; i < 70; ++i) {
+    low_bits.push_back(FromBits(0x3FF0000000000000ull ^ (i * i * 0x9Bull)));
+  }
+  patterns.push_back(low_bits);
+  // Runs of equal values between changes.
+  std::vector<double> runs;
+  for (int r = 0; r < 12; ++r) {
+    for (int k = 0; k < r + 1; ++k) runs.push_back(r * 1.5);
+  }
+  patterns.push_back(runs);
+  // NaN payloads (quiet, signalling, negative), infinities, signed zero,
+  // denormals, mixed with ordinary values.
+  patterns.push_back({FromBits(0x7FF8000000000001ull), 1.0,
+                      FromBits(0x7FF0000000000001ull),
+                      FromBits(0xFFF8000000000000ull), inf, -inf, -0.0, 0.0,
+                      denorm_min, denorm_max, -denorm_min, 3.0, inf, inf,
+                      FromBits(0x7FF8DEADBEEF0001ull)});
+  std::vector<std::vector<BlockRow>> blocks;
+  for (const auto& values : patterns) blocks.push_back(RowsWithValues(values));
+  blocks.push_back(MonitorShapedRows());
+  return blocks;
+}
+
 TEST(ColdTierFormat, BlockRoundTrip) {
+  std::vector<std::vector<BlockRow>> blocks = ValuePatternBlocks();
   for (std::size_t n : {1u, 2u, 7u, 100u, 1000u}) {
-    const std::vector<BlockRow> rows = MakeRows(n, 0xB10C0000u + n);
+    blocks.push_back(MakeRows(n, 0xB10C0000u + n));
+  }
+  // One buffer for every block, as a scan reuses it: a block decoded
+  // after a larger one must come back without any of its rows.
+  DecodedBlock decoded;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::vector<BlockRow>& rows = blocks[b];
     std::vector<std::uint8_t> image;
     ASSERT_TRUE(EncodeBlock(rows, image));
-    DecodedBlock decoded;
-    ASSERT_TRUE(DecodeBlock(image.data(), image.size(), &decoded));
-    EXPECT_TRUE(SameRows(rows, decoded.rows)) << "n=" << n;
+    ASSERT_TRUE(DecodeBlock(image.data(), image.size(), &decoded))
+        << "block " << b;
+    EXPECT_TRUE(SameRows(rows, decoded.rows)) << "block " << b;
     EXPECT_EQ(decoded.zone, ComputeZoneMap(rows));
+  }
+}
+
+// ---- canonical images ----------------------------------------------------
+// An accepted image must be the one EncodeBlock writes for its rows. These
+// helpers rebuild one column section of a valid image, so a test can swap
+// in an encoding that decodes to the same rows but is not canonical.
+
+constexpr std::size_t kIdsSection = 0;
+constexpr std::size_t kValuesSection = 3;
+
+std::vector<std::vector<std::uint8_t>> Sections(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<std::vector<std::uint8_t>> sections;
+  std::size_t pos = kBlockHeaderSize + kZoneMapSize;
+  while (pos + 8 <= image.size()) {
+    const std::uint32_t len = GetU32(image.data() + pos);
+    sections.emplace_back(image.begin() + pos + 8,
+                          image.begin() + pos + 8 + len);
+    pos += 8 + len;
+  }
+  return sections;
+}
+
+std::vector<std::uint8_t> WithSection(
+    const std::vector<std::uint8_t>& image, std::size_t index,
+    const std::vector<std::uint8_t>& payload) {
+  std::vector<std::vector<std::uint8_t>> sections = Sections(image);
+  sections.at(index) = payload;
+  const std::size_t prefix = kBlockHeaderSize + kZoneMapSize;
+  std::vector<std::uint8_t> out(image.begin(), image.begin() + prefix);
+  for (const auto& section : sections) {
+    PutU32(out, static_cast<std::uint32_t>(section.size()));
+    PutU32(out, wal::Crc32c(section.data(), section.size()));
+    out.insert(out.end(), section.begin(), section.end());
+  }
+  return out;
+}
+
+// MSB-first bit packer for hand-built value sections.
+class Bits {
+ public:
+  void Put(std::uint64_t v, int n) {
+    for (int i = n - 1; i >= 0; --i) bits_.push_back((v >> i) & 1);
+  }
+  std::vector<std::uint8_t> Bytes() const {
+    std::vector<std::uint8_t> out((bits_.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      if (bits_[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<bool> bits_;
+};
+
+std::uint64_t BitsOf(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Writes one value as a new explicit window: control bits '11', `lead`,
+// `sig - 1`, then the `sig` bits of XOR `x` below its `lead` leading bits.
+void PutWindow(Bits& bits, std::uint64_t x, int lead, int sig) {
+  bits.Put(0b11, 2);
+  bits.Put(static_cast<std::uint64_t>(lead), 5);
+  bits.Put(static_cast<std::uint64_t>(sig - 1), 6);
+  bits.Put(x >> (64 - lead - sig), sig);
+}
+
+// Images that decode to the right rows but are not canonical:
+//  - the ids section's first varint padded with a 0x80 0x00 tail;
+//  - a Gorilla window with a trailing zero bit;
+//  - a new Gorilla window where the previous one fits.
+// Each is returned with its rows' canonical image.
+struct NonCanonical {
+  std::vector<std::uint8_t> canonical;
+  std::vector<std::uint8_t> image;
+};
+
+NonCanonical NonMinimalVarintImage() {
+  const std::vector<BlockRow> rows = RowsWithValues({1.0, 2.0, 3.0});
+  NonCanonical out;
+  EXPECT_TRUE(EncodeBlock(rows, out.canonical));
+  std::vector<std::uint8_t> ids = Sections(out.canonical).at(kIdsSection);
+  EXPECT_EQ(ids.at(0), rows[0].id);  // first id fits one byte
+  ids[0] |= 0x80;
+  ids.insert(ids.begin() + 1, 0x00);
+  out.image = WithSection(out.canonical, kIdsSection, ids);
+  return out;
+}
+
+NonCanonical TrailingZeroWindowImage() {
+  // 1.0 ^ 1.5 = 0x0008000000000000: lead 12, one significant bit, so a
+  // two-bit window would end in a zero.
+  const std::vector<BlockRow> rows = RowsWithValues({1.0, 1.5});
+  NonCanonical out;
+  EXPECT_TRUE(EncodeBlock(rows, out.canonical));
+  const std::uint64_t x = BitsOf(1.0) ^ BitsOf(1.5);
+  Bits canonical_bits, bits;
+  canonical_bits.Put(BitsOf(1.0), 64);
+  PutWindow(canonical_bits, x, 12, 1);
+  EXPECT_EQ(canonical_bits.Bytes(), Sections(out.canonical).at(kValuesSection));
+  bits.Put(BitsOf(1.0), 64);
+  PutWindow(bits, x, 12, 2);
+  out.image = WithSection(out.canonical, kValuesSection, bits.Bytes());
+  return out;
+}
+
+NonCanonical NeedlessWindowImage() {
+  // 1.0 -> 1.75 opens window (lead 12, sig 2); 1.75 -> 1.5 flips one bit
+  // inside it, so the encoder reuses that window.
+  const std::vector<BlockRow> rows = RowsWithValues({1.0, 1.75, 1.5});
+  NonCanonical out;
+  EXPECT_TRUE(EncodeBlock(rows, out.canonical));
+  const std::uint64_t x1 = BitsOf(1.0) ^ BitsOf(1.75);
+  const std::uint64_t x2 = BitsOf(1.75) ^ BitsOf(1.5);
+  Bits canonical_bits, bits;
+  canonical_bits.Put(BitsOf(1.0), 64);
+  PutWindow(canonical_bits, x1, 12, 2);
+  canonical_bits.Put(0b10, 2);
+  canonical_bits.Put(x2 >> (64 - 12 - 2), 2);
+  EXPECT_EQ(canonical_bits.Bytes(), Sections(out.canonical).at(kValuesSection));
+  bits.Put(BitsOf(1.0), 64);
+  PutWindow(bits, x1, 12, 2);
+  PutWindow(bits, x2, 13, 1);  // x2's own exact window, but x1's fits
+  out.image = WithSection(out.canonical, kValuesSection, bits.Bytes());
+  return out;
+}
+
+TEST(ColdTierFormat, NonCanonicalImagesRejected) {
+  const std::pair<const char*, NonCanonical> cases[] = {
+      {"non-minimal varint", NonMinimalVarintImage()},
+      {"window with a trailing zero bit", TrailingZeroWindowImage()},
+      {"new window where the previous fits", NeedlessWindowImage()},
+  };
+  for (const auto& [name, images] : cases) {
+    SCOPED_TRACE(name);
+    DecodedBlock decoded;
+    ASSERT_TRUE(DecodeBlock(images.canonical.data(), images.canonical.size(),
+                            &decoded));
+    EXPECT_NE(images.image, images.canonical);
+    EXPECT_FALSE(DecodeBlock(images.image.data(), images.image.size(),
+                             &decoded));
   }
 }
 
