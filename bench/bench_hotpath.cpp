@@ -2,20 +2,18 @@
 // and O(1) rolling-aggregate query path.
 //
 // (a) publish: N producer threads, each publishing to its own topic through
-//     the striped registry via a resolved TopicHandle, against an in-bench
-//     replica of the seed layout (one global registry mutex + name lookup
-//     consulted on every publish, identical streams underneath).
+//     the striped registry via a resolved TopicHandle.
 // (b) query: latest-value and predicate-free aggregate latency through the
 //     AQE executor at window sizes 4096 and 65536 — both paths answer from
 //     O(1) state, so latency should be flat in the window size.
 // (c) archive: WAL append throughput under fsync=never vs fsync=every-64
 //     (the durability knob's cost), and cold-recovery replay rate (segment
 //     scan + CRC re-validation on open).
-// (d) observability overhead: the full instrumented Broker::Publish vs the
-//     pre-observability broker compiled as-is into the bench (see
-//     bench/preobs/). The delta isolates exactly what the obs layer added
-//     to the publish path — the TRACE_SPAN disabled-check and the
-//     registry-backed counters — and must stay under 5%.
+// (d) tracing overhead: lane (a)'s publish loop on the live Broker with the
+//     TraceRecorder disabled and enabled, in alternating reps. Cost is
+//     producer thread-CPU ns per event (CLOCK_THREAD_CPUTIME_ID, so time
+//     spent descheduled does not count), median over reps per side; the
+//     ratio is the price of leaving span recording on.
 // (e) network fabric: loopback apollod daemon on an ephemeral port —
 //     round-trip-acked publish throughput (ApolloClient::Publish, a
 //     one-sample kPublishBatch) and query RTT p50/p99 with 1 and 4
@@ -38,15 +36,14 @@
 //
 // Results are printed as tables and written to BENCH_hotpath.json.
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "aqe/executor.h"
@@ -54,8 +51,8 @@
 #include "coldtier/cold_tier.h"
 #include "net/client.h"
 #include "net/daemon.h"
+#include "obs/trace.h"
 #include "pubsub/archiver.h"
-#include "bench/preobs/broker.h"
 #include "pubsub/broker.h"
 
 using namespace apollo;
@@ -63,61 +60,26 @@ using namespace apollo::bench;
 
 namespace {
 
-// ---- seed-layout replica -------------------------------------------------
-// The pre-overhaul broker kept one mutex-guarded topic map and looked the
-// stream up by name (string hash + global lock) on every publish.
-// Reproduced here over the same TelemetryStream so the bench isolates the
-// registry layer — the thing the striping/handle overhaul replaced.
-
-class SeedBroker {
- public:
-  void CreateTopic(const std::string& name, std::size_t capacity) {
-    std::lock_guard<std::mutex> lock(mu_);
-    topics_.try_emplace(name, std::make_unique<TelemetryStream>(capacity));
-  }
-
-  std::uint64_t Publish(const std::string& topic, TimeNs ts,
-                        const Sample& sample) {
-    TelemetryStream* stream;
-    {
-      std::lock_guard<std::mutex> lock(mu_);  // registry hit per publish
-      stream = topics_.at(topic).get();
-    }
-    return stream->Append(ts, sample);
-  }
-
- private:
-  std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<TelemetryStream>> topics_;
-};
-
 // ---- publish throughput --------------------------------------------------
 
 // Defaults; --quick divides the workload ~10x for CI smoke runs where the
 // point is "still runs, numbers in sane ranges", not stable measurements.
 std::uint64_t g_total_events = 4'000'000;  // split across producers
 int g_publish_reps = 3;                    // best-of to damp noise
+int g_overhead_reps = 9;                   // off/on pairs; median per side
 
-template <typename PublishFn>
-double RunProducersOnce(int producers, PublishFn&& publish) {
-  const std::uint64_t per_thread =
-      g_total_events / static_cast<std::uint64_t>(producers);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(producers));
-  for (int p = 0; p < producers; ++p) {
-    workers.emplace_back([&, p] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::uint64_t i = 0; i < per_thread; ++i) {
-        publish(p, static_cast<TimeNs>(i));
-      }
-    });
-  }
-  Stopwatch watch;
-  go.store(true, std::memory_order_release);
-  for (auto& worker : workers) worker.join();
-  return static_cast<double>(producers) * static_cast<double>(per_thread) /
-         watch.ElapsedSeconds();
+std::int64_t ThreadCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+double PercentileNs(std::vector<double>& samples, double pct) {
+  if (samples.empty()) return -1.0;
+  std::sort(samples.begin(), samples.end());
+  const auto index = static_cast<std::size_t>(
+      pct / 100.0 * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[std::min(index, samples.size() - 1)];
 }
 
 // Realistic SCoRe topic names (node-qualified metric paths).
@@ -125,64 +87,97 @@ std::string TopicName(int p) {
   return "node" + std::to_string(p) + ".lustre.ost0.read_bytes";
 }
 
+struct PublishRun {
+  double events_per_sec;
+  double cpu_ns_per_event;  // producer thread CPU, summed over producers
+};
+
+// One run of the publish loop: `producers` threads, each publishing to its
+// own topic of a fresh Broker through a resolved TopicHandle.
+PublishRun PublishOnce(int producers) {
+  Broker broker(RealClock::Instance());
+  std::vector<TopicHandle> handles;
+  for (int p = 0; p < producers; ++p) {
+    broker.CreateTopic(TopicName(p), kLocalNode, 4096);
+    handles.push_back(*broker.Resolve(TopicName(p)));
+  }
+  const std::uint64_t per_thread =
+      g_total_events / static_cast<std::uint64_t>(producers);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<std::int64_t> cpu_ns{0};
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(producers));
+  for (int p = 0; p < producers; ++p) {
+    workers.emplace_back([&, p] {
+      TopicHandle& handle = handles[static_cast<std::size_t>(p)];
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const std::int64_t cpu_start = ThreadCpuNs();
+      for (std::uint64_t i = 0; i < per_thread; ++i) {
+        const TimeNs ts = static_cast<TimeNs>(i);
+        (void)broker.Publish(handle, kLocalNode, ts,
+                             Sample{ts, 1.0, Provenance::kMeasured});
+      }
+      cpu_ns.fetch_add(ThreadCpuNs() - cpu_start, std::memory_order_relaxed);
+    });
+  }
+  // Start together: a producer still being scheduled when `go` flips would
+  // run alone for a while, and shared-cell contention would vary by run.
+  while (ready.load(std::memory_order_acquire) < producers) {
+    std::this_thread::yield();
+  }
+  Stopwatch watch;
+  go.store(true, std::memory_order_release);
+  for (auto& worker : workers) worker.join();
+  const double events =
+      static_cast<double>(producers) * static_cast<double>(per_thread);
+  return {events / watch.ElapsedSeconds(),
+          static_cast<double>(cpu_ns.load()) / events};
+}
+
 double StripedPublishThroughput(int producers) {
   double best = 0.0;
   for (int rep = 0; rep < g_publish_reps; ++rep) {
-    Broker broker(RealClock::Instance());
-    std::vector<TopicHandle> handles;
-    for (int p = 0; p < producers; ++p) {
-      broker.CreateTopic(TopicName(p), kLocalNode, 4096);
-      handles.push_back(*broker.Resolve(TopicName(p)));
-    }
-    best = std::max(best, RunProducersOnce(producers, [&](int p, TimeNs ts) {
-      (void)broker.Publish(handles[static_cast<std::size_t>(p)], kLocalNode,
-                           ts, Sample{ts, 1.0, Provenance::kMeasured});
-    }));
+    best = std::max(best, PublishOnce(producers).events_per_sec);
   }
   return best;
 }
 
-double SeedPublishThroughput(int producers) {
-  double best = 0.0;
-  for (int rep = 0; rep < g_publish_reps; ++rep) {
-    SeedBroker broker;
-    std::vector<std::string> topics;
-    for (int p = 0; p < producers; ++p) {
-      topics.push_back(TopicName(p));
-      broker.CreateTopic(topics.back(), 4096);
-    }
-    best = std::max(best, RunProducersOnce(producers, [&](int p, TimeNs ts) {
-      (void)broker.Publish(topics[static_cast<std::size_t>(p)], ts,
-                           Sample{ts, 1.0, Provenance::kMeasured});
-    }));
-  }
-  return best;
-}
+// ---- tracing overhead ------------------------------------------------------
 
-// ---- observability overhead ---------------------------------------------
-// Uninstrumented baseline: the pre-observability Broker/TelemetryStream,
-// compiled as-is from the tree state before the obs layer landed (see
-// bench/preobs/ — namespace-renamed copies, same compiler flags, same
-// out-of-line call structure). The only delta versus the live broker is
-// what this layer added to the publish path: the TRACE_SPAN disabled-check
-// and the obs::Counter cell indirection behind GlobalTelemetry().
+struct OverheadPoint {
+  int producers;
+  double off_cpu_ns;
+  double on_cpu_ns;
+  double overhead_pct;
+};
 
-double RawPublishThroughput(int producers) {
-  double best = 0.0;
-  for (int rep = 0; rep < g_publish_reps; ++rep) {
-    benchpre::Broker broker(RealClock::Instance());
-    std::vector<benchpre::TopicHandle> handles;
-    for (int p = 0; p < producers; ++p) {
-      broker.CreateTopic(TopicName(p), benchpre::kLocalNode, 4096);
-      handles.push_back(*broker.Resolve(TopicName(p)));
+// Alternates tracing-off and tracing-on runs (flipping which side goes
+// first each rep, so drift lands on both sides) and compares the medians.
+OverheadPoint MeasureTracingOverhead(int producers) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  std::vector<double> off;
+  std::vector<double> on;
+  for (int rep = 0; rep < g_overhead_reps; ++rep) {
+    for (int side = 0; side < 2; ++side) {
+      const bool traced = (side == 0) == (rep % 2 == 1);
+      if (traced) {
+        recorder.Enable();
+      } else {
+        recorder.Disable();
+      }
+      (traced ? on : off).push_back(PublishOnce(producers).cpu_ns_per_event);
     }
-    best = std::max(best, RunProducersOnce(producers, [&](int p, TimeNs ts) {
-      (void)broker.Publish(handles[static_cast<std::size_t>(p)],
-                           benchpre::kLocalNode, ts,
-                           Sample{ts, 1.0, Provenance::kMeasured});
-    }));
   }
-  return best;
+  recorder.Disable();
+  recorder.Clear();
+  OverheadPoint point;
+  point.producers = producers;
+  point.off_cpu_ns = PercentileNs(off, 50.0);
+  point.on_cpu_ns = PercentileNs(on, 50.0);
+  point.overhead_pct = (point.on_cpu_ns / point.off_cpu_ns - 1.0) * 100.0;
+  return point;
 }
 
 // ---- query latency -------------------------------------------------------
@@ -387,14 +382,6 @@ struct NetPoint {
   double rtt_p50_ns;
   double rtt_p99_ns;
 };
-
-double PercentileNs(std::vector<double>& samples, double pct) {
-  if (samples.empty()) return -1.0;
-  std::sort(samples.begin(), samples.end());
-  const auto index = static_cast<std::size_t>(
-      pct / 100.0 * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(index, samples.size() - 1)];
-}
 
 NetPoint MeasureLoopback(int clients) {
   RealClock& clock = RealClock::Instance();
@@ -730,6 +717,7 @@ int main(int argc, char** argv) {
   if (quick) {
     g_total_events = 400'000;
     g_publish_reps = 1;
+    g_overhead_reps = 5;
     g_query_iters = 2'000;
     g_archive_records_nosync = 20'000;
     g_archive_records_sync = 5'000;
@@ -745,29 +733,23 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Hot path (a)",
-              "publish throughput: striped broker + topic handles vs "
-              "seed-layout replica (global registry mutex, name lookup per "
-              "publish, same streams); one topic per producer, best of 3");
-  PrintRow({"producers", "striped ev/s", "seed ev/s", "speedup"});
+              "publish throughput: striped broker + topic handles; one "
+              "topic per producer, best of 3");
+  PrintRow({"producers", "striped ev/s"});
   struct PublishPoint {
     int producers;
     double striped;
-    double seed;
   };
   std::vector<PublishPoint> publish_points;
   for (int producers : {1, 4, 16}) {
     const double striped = StripedPublishThroughput(producers);
-    const double seed = SeedPublishThroughput(producers);
-    publish_points.push_back({producers, striped, seed});
-    PrintRow({std::to_string(producers), Fmt("%.0f", striped),
-              Fmt("%.0f", seed), Fmt("%.2fx", striped / seed)});
+    publish_points.push_back({producers, striped});
+    PrintRow({std::to_string(producers), Fmt("%.0f", striped)});
   }
   std::printf(
-      "expected shape: speedup grows with producer count as the seed "
-      "replica serializes on its registry mutex. On a single-core host "
-      "(this one has %u hardware threads) stripes cannot run in parallel, "
-      "so only the per-publish savings — no registry lock, no string "
-      "hash/lookup — remain visible.\n",
+      "expected shape: producers publish to distinct topics, so throughput "
+      "scales with cores until the registry stripes or memory bandwidth "
+      "saturate (this host has %u hardware threads)\n",
       std::thread::hardware_concurrency());
 
   PrintHeader("Hot path (b)",
@@ -809,29 +791,22 @@ int main(int argc, char** argv) {
       "recovery replay is sequential-read bound\n");
 
   PrintHeader("Hot path (d)",
-              "observability overhead: instrumented Broker::Publish vs the "
-              "pre-observability broker compiled as-is (bench/preobs/); the "
-              "delta is the obs layer's publish tax and must stay under 5%");
-  PrintRow({"producers", "instrumented ev/s", "raw ev/s", "overhead"});
-  struct OverheadPoint {
-    int producers;
-    double instrumented;
-    double raw;
-    double overhead_pct;
-  };
+              "tracing overhead: lane (a)'s loop on the live broker with the "
+              "TraceRecorder off and on, alternating reps; producer "
+              "thread-CPU ns per event, median per side");
+  PrintRow({"producers", "off cpu ns/ev", "on cpu ns/ev", "overhead"});
   std::vector<OverheadPoint> overhead_points;
   for (int producers : {1, 4}) {
-    const double instrumented = StripedPublishThroughput(producers);
-    const double raw = RawPublishThroughput(producers);
-    const double overhead_pct = (raw / instrumented - 1.0) * 100.0;
-    overhead_points.push_back({producers, instrumented, raw, overhead_pct});
-    PrintRow({std::to_string(producers), Fmt("%.0f", instrumented),
-              Fmt("%.0f", raw), Fmt("%.2f%%", overhead_pct)});
+    const OverheadPoint point = MeasureTracingOverhead(producers);
+    overhead_points.push_back(point);
+    PrintRow({std::to_string(producers), Fmt("%.1f", point.off_cpu_ns),
+              Fmt("%.1f", point.on_cpu_ns),
+              Fmt("%+.1f%%", point.overhead_pct)});
   }
   std::printf(
-      "expected shape: counters are per-publish relaxed atomics and the "
-      "trace check is one relaxed load, so the instrumented path tracks "
-      "the raw replica within noise\n");
+      "expected shape: off pays one relaxed load per span; on pays two "
+      "clock reads and a per-thread ring append per span, the cost that "
+      "sampled always-on tracing has to bring down\n");
 
   PrintHeader("Hot path (e)",
               "network fabric: loopback apollod on an ephemeral port; "
@@ -944,9 +919,8 @@ int main(int argc, char** argv) {
       const auto& p = publish_points[i];
       std::fprintf(json,
                    "    {\"producers\": %d, \"striped_events_per_sec\": "
-                   "%.0f, \"seed_events_per_sec\": %.0f, \"speedup\": "
-                   "%.3f}%s\n",
-                   p.producers, p.striped, p.seed, p.striped / p.seed,
+                   "%.0f}%s\n",
+                   p.producers, p.striped,
                    i + 1 < publish_points.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"query_latency_ns\": [\n");
@@ -977,11 +951,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < overhead_points.size(); ++i) {
       const auto& o = overhead_points[i];
       std::fprintf(json,
-                   "    {\"producers\": %d, "
-                   "\"instrumented_events_per_sec\": %.0f, "
-                   "\"raw_events_per_sec\": %.0f, \"overhead_pct\": "
-                   "%.2f}%s\n",
-                   o.producers, o.instrumented, o.raw, o.overhead_pct,
+                   "    {\"producers\": %d, \"trace_off_cpu_ns\": %.1f, "
+                   "\"trace_on_cpu_ns\": %.1f, \"overhead_pct\": %.2f}%s\n",
+                   o.producers, o.off_cpu_ns, o.on_cpu_ns, o.overhead_pct,
                    i + 1 < overhead_points.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"net_loopback\": [\n");

@@ -270,13 +270,20 @@ Expected<ApolloService::RecoveryReport> ApolloService::Recover(
     if (!tail.ok()) return tail.error();
     if (tail->empty()) continue;
 
+    // The longest id-contiguous suffix of the tail, under the ids it was
+    // archived with, so the next append continues the archived sequence.
+    std::size_t first = tail->size() - 1;
+    while (first > 0 && (*tail)[first - 1].id + 1 == (*tail)[first].id) {
+      --first;
+    }
     std::vector<TelemetryStream::Entry> entries;
-    entries.reserve(tail->size());
-    for (const auto& rec : *tail) {
+    entries.reserve(tail->size() - first);
+    for (std::size_t i = first; i < tail->size(); ++i) {
+      const auto& rec = (*tail)[i];
       entries.push_back(
           TelemetryStream::Entry{rec.id, rec.timestamp, rec.payload});
     }
-    Status restored = broker_->RestoreTopic(topic, entries);
+    Status restored = stream.value()->RestoreWindowAt(entries);
     if (restored.code() == ErrorCode::kFailedPrecondition) {
       ++report.topics_skipped;  // stream already live: never clobber it
       continue;

@@ -149,7 +149,9 @@ class ApolloService {
   // empty) stream so queries answer immediately after a restart: the ring
   // window, the rolling-aggregate index, and the last-known-good value are
   // rebuilt from the newest `queue_capacity` archived records, with
-  // original timestamps (so staleness_ns is honest about data age).
+  // original timestamps (so staleness_ns is honest about data age) and
+  // original ids: the restored window is the longest id-contiguous run at
+  // the end of the archive, and the next publish takes the id after it.
   //
   // Call after deploying vertices and before Start()/first publish; topics
   // whose stream already has entries are skipped, not clobbered. `dir`

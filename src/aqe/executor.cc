@@ -131,6 +131,49 @@ double IndexAggregateCell(const SelectItem& item,
   return kNan;
 }
 
+IndexShape ShapeOf(const Select& select) {
+  if (!select.where.empty()) return IndexShape::kNone;
+  bool has_aggregate = false;
+  bool latest_only = true;
+  for (const SelectItem& item : select.items) {
+    has_aggregate |= item.aggregate != Aggregate::kNone;
+    latest_only &= item.aggregate == Aggregate::kLast ||
+                   item.aggregate == Aggregate::kNone ||
+                   (item.aggregate == Aggregate::kMax &&
+                    item.column == Column::kTimestamp);
+  }
+  if (!has_aggregate) return IndexShape::kNone;
+  return latest_only ? IndexShape::kLatest : IndexShape::kIndex;
+}
+
+bool IndexAnswersExactly(const Select& select, TelemetryStream& stream,
+                         const std::optional<StreamAggregates>& agg) {
+  switch (ShapeOf(select)) {
+    case IndexShape::kNone:
+      return false;
+    case IndexShape::kLatest:
+      return true;
+    case IndexShape::kIndex:
+      break;
+  }
+  if (Archiver<Sample>* archiver = stream.archiver()) {
+    // Staged evictions count as WAL rows once flushed.
+    stream.FlushEvictions();
+    if (archiver->Count() > 0) return false;
+    ColdReaderBase* cold = archiver->cold_reader();
+    if (cold != nullptr && cold->ColdRowCount() > 0) return false;
+  }
+  if (!agg.has_value() || agg->timestamps_trusted) return true;
+  return std::none_of(select.items.begin(), select.items.end(),
+                      [](const SelectItem& item) {
+                        return item.column == Column::kTimestamp &&
+                               (item.aggregate == Aggregate::kSum ||
+                                item.aggregate == Aggregate::kAvg ||
+                                item.aggregate == Aggregate::kMin ||
+                                item.aggregate == Aggregate::kMax);
+                      });
+}
+
 Executor::Executor(Broker& broker, ThreadPool* pool, ExecutorOptions options)
     : broker_(broker),
       pool_(pool),
@@ -282,23 +325,16 @@ Expected<QueryProfile> Executor::Explain(const std::string& query_text,
     VertexProfile vp;
     vp.topic = select.table;
     vp.resolved = resolved.handles[i].valid();
-    const bool has_aggregate =
-        std::any_of(select.items.begin(), select.items.end(),
-                    [](const SelectItem& item) {
-                      return item.aggregate != Aggregate::kNone;
-                    });
-    if (select.where.empty() && !select.items.empty() && has_aggregate) {
-      const bool latest_only = std::all_of(
-          select.items.begin(), select.items.end(),
-          [](const SelectItem& item) {
-            return item.aggregate == Aggregate::kLast ||
-                   item.aggregate == Aggregate::kNone ||
-                   (item.aggregate == Aggregate::kMax &&
-                    item.column == Column::kTimestamp);
-          });
-      vp.strategy = latest_only ? "latest" : "index";
-    } else {
-      vp.strategy = "scan";
+    switch (ShapeOf(select)) {
+      case IndexShape::kLatest:
+        vp.strategy = "latest";
+        break;
+      case IndexShape::kIndex:
+        vp.strategy = "index";
+        break;
+      case IndexShape::kNone:
+        vp.strategy = "scan";
+        break;
     }
     profile.vertices.push_back(std::move(vp));
   }
@@ -436,70 +472,39 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   // FROM t with no predicates): the answer is the stream's newest entry —
   // no window scan, no archive. This is the query middleware issues per
   // placement decision, so it gets O(1) treatment.
-  if (select.where.empty() && !select.items.empty() && has_aggregate) {
-    const bool latest_only = std::all_of(
-        select.items.begin(), select.items.end(),
-        [](const SelectItem& item) {
-          return item.aggregate == Aggregate::kLast ||
-                 item.aggregate == Aggregate::kNone ||
-                 (item.aggregate == Aggregate::kMax &&
-                  item.column == Column::kTimestamp);
-        });
-    if (latest_only) {
-      auto latest = stream->Latest();
+  const IndexShape shape = ShapeOf(select);
+  if (shape == IndexShape::kLatest) {
+    auto latest = stream->Latest();
+    ResultRow row;
+    row.source = select.table;
+    for (const SelectItem& item : select.items) {
+      row.values.push_back(latest.has_value() ? CellOf(item.column, *latest)
+                                              : kNan);
+    }
+    if (vp != nullptr) {
+      vp->strategy = "latest";
+      vp->rows_scanned = latest.has_value() ? 1 : 0;
+      vp->rows_matched = vp->rows_scanned;
+    }
+    return stamped(std::vector<ResultRow>{std::move(row)});
+  }
+
+  // O(1) rolling-aggregate path: COUNT/SUM/AVG/MIN/MAX with no WHERE answer
+  // from the stream's aggregate index when it is exact; otherwise the scan
+  // below merges the history the index does not cover.
+  if (shape == IndexShape::kIndex) {
+    auto agg = stream->Aggregates();
+    if (IndexAnswersExactly(select, *stream, agg)) {
       ResultRow row;
       row.source = select.table;
       for (const SelectItem& item : select.items) {
-        row.values.push_back(latest.has_value() ? CellOf(item.column, *latest)
-                                                : kNan);
+        row.values.push_back(IndexAggregateCell(item, agg));
       }
       if (vp != nullptr) {
-        vp->strategy = "latest";
-        vp->rows_scanned = latest.has_value() ? 1 : 0;
-        vp->rows_matched = vp->rows_scanned;
+        vp->strategy = "index";
+        vp->rows_matched = agg.has_value() ? agg->count : 0;
       }
       return stamped(std::vector<ResultRow>{std::move(row)});
-    }
-
-    // O(1) rolling-aggregate path: COUNT/SUM/AVG/MIN/MAX with no WHERE
-    // answer from the stream's aggregate index instead of a window scan —
-    // unless an archive holds evicted rows, which the index does not cover
-    // (the full-window scan below merges them, as before).
-    Archiver<Sample>* archiver = stream->archiver();
-    bool archive_has_rows = archiver != nullptr;
-    if (archive_has_rows) {
-      stream->FlushEvictions();
-      archive_has_rows = archiver->Count() > 0;
-      // Rows compacted into the cold tier left the WAL; the index does
-      // not cover them either, so they force the merging scan too.
-      if (!archive_has_rows) {
-        ColdReaderBase* cold = archiver->cold_reader();
-        archive_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
-      }
-    }
-    if (!archive_has_rows) {
-      auto agg = stream->Aggregates();
-      const bool needs_ts_stats = std::any_of(
-          select.items.begin(), select.items.end(),
-          [](const SelectItem& item) {
-            return item.column == Column::kTimestamp &&
-                   (item.aggregate == Aggregate::kSum ||
-                    item.aggregate == Aggregate::kAvg ||
-                    item.aggregate == Aggregate::kMin ||
-                    item.aggregate == Aggregate::kMax);
-          });
-      if (!agg.has_value() || agg->timestamps_trusted || !needs_ts_stats) {
-        ResultRow row;
-        row.source = select.table;
-        for (const SelectItem& item : select.items) {
-          row.values.push_back(IndexAggregateCell(item, agg));
-        }
-        if (vp != nullptr) {
-          vp->strategy = "index";
-          vp->rows_matched = agg.has_value() ? agg->count : 0;
-        }
-        return stamped(std::vector<ResultRow>{std::move(row)});
-      }
     }
   }
 
@@ -576,8 +581,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
       // other tiers and is marked degraded below.
       wal_failed = !archiver->ReadRange(from_ts, wal_cap.ts, wal).ok();
       if (wal_failed) {
-        GlobalTelemetry().archive_read_errors.fetch_add(
-            1, std::memory_order_relaxed);
+        GlobalTelemetry().archive_read_errors.Inc();
       }
       // Rows evicted from the ring after the snapshot are in the snapshot.
       std::erase_if(wal, [&wal_cap](const auto& rec) {

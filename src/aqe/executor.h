@@ -42,6 +42,26 @@ std::string SelectItemLabel(const SelectItem& item);
 double IndexAggregateCell(const SelectItem& item,
                           const std::optional<StreamAggregates>& agg);
 
+// What the O(1) paths can serve of one UNION branch, judged from the query
+// alone.
+enum class IndexShape {
+  kNone,    // a WHERE clause, or no aggregate: only a scan answers it
+  kLatest,  // every item reads the newest entry: LAST, a bare column, or
+            // MAX(Timestamp)
+  kIndex,   // any other predicate-free aggregate: the rolling index
+};
+IndexShape ShapeOf(const Select& select);
+
+// The one rule for answering a branch from the stream's O(1) state instead
+// of a scan, shared by the executor, EXPLAIN and the continuous-query
+// engine. kLatest branches always qualify and never look at history. A
+// kIndex branch qualifies only while no row of the topic has left the ring
+// for the WAL or the cold tier (the index covers the ring alone) and, when
+// it asks for timestamp stats, while the index's timestamps are trusted.
+// `agg` is the stream's Aggregates() snapshot.
+bool IndexAnswersExactly(const Select& select, TelemetryStream& stream,
+                         const std::optional<StreamAggregates>& agg);
+
 struct ResultRow {
   std::string source;  // topic the row came from
   std::vector<double> values;

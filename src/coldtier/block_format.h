@@ -12,8 +12,9 @@
 //     u32 header_crc   CRC32C over the first 12 bytes
 //   ZoneMap (64 bytes):
 //     i64 min_ts, max_ts          timestamp bounds over every row
-//     u64 min_value_bits          bit pattern of min value (NaNs ignored)
-//     u64 max_value_bits          bit pattern of max value (NaNs ignored)
+//     u64 min_value_bits          bit pattern of min value (NaNs ignored,
+//                                 -0.0 below +0.0)
+//     u64 max_value_bits          bit pattern of max value (same order)
 //     u64 sum_value_bits          bit pattern of the row-order value sum
 //     u64 first_id, last_id       entry-id bounds (ids strictly increase)
 //     u32 zone_crc                CRC32C over the 56 bytes above

@@ -273,8 +273,12 @@ aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
       for (const aqe::SelectItem& item : branch.select->items) {
         row.values.push_back(aqe::IndexAggregateCell(item, agg));
       }
-      // Same degradation surface the executor stamps per branch.
-      row.degraded = stream->degraded();
+      // Same degradation surface the executor stamps per branch, plus the
+      // index's own limit: where a one-shot query would scan instead
+      // (history beyond the ring, untrusted timestamps), the index's
+      // answer is partial and says so.
+      row.degraded = stream->degraded() ||
+                     !aqe::IndexAnswersExactly(*branch.select, *stream, agg);
       if (auto newest = stream->Latest(); newest.has_value()) {
         row.staleness_ns = std::max<TimeNs>(
             0, broker_.clock().Now() - newest->value.timestamp);

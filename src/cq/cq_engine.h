@@ -11,8 +11,11 @@
 // flips a per-topic dirty bit (publisher thread, two atomics), and the
 // daemon's pump timer evaluates dirty queries on the loop thread by
 // reading Stream::Aggregates() through aqe::IndexAggregateCell — the
-// exact cells a one-shot query would compute, without parsing, planning,
-// or scanning anything.
+// cells a one-shot query computes from the same index, without parsing,
+// planning, or scanning anything. Where the one-shot query would not trust
+// the index (aqe::IndexAnswersExactly: rows beyond the ring in the WAL or
+// cold tier, or untrusted timestamps behind timestamp stats) the push
+// carries the index's partial answer with degraded=true.
 //
 // Delivery protocol (epoch, seq):
 //   - registration starts epoch 1; the initial snapshot is seq 1 and

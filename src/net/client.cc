@@ -520,6 +520,15 @@ Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,
   }
   session->sub_id = ack.subscription_id;
   session->cursor = ack.start_cursor;
+  // Deliveries read together with the ack were buffered before the session
+  // knew its id; without this a reconnect would replay them.
+  for (const DeliverMsg& deliver : deliveries_) {
+    if (deliver.subscription_id == ack.subscription_id &&
+        !deliver.entries.empty()) {
+      session->cursor =
+          std::max(session->cursor, deliver.entries.back().id + 1);
+    }
+  }
   return ack;
 }
 
@@ -556,6 +565,12 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
   session->cq_id = ack.cq_id;
   session->epoch = ack.epoch;
   session->seq = ack.seq;
+  // Same for updates of this epoch read together with the ack.
+  for (const CQUpdateMsg& update : cq_updates_) {
+    if (update.cq_id == ack.cq_id && update.epoch == ack.epoch) {
+      session->seq = std::max(session->seq, update.seq);
+    }
+  }
   return ack;
 }
 

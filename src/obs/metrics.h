@@ -77,25 +77,6 @@ class Counter {
     return cell_ == nullptr ? 0 : cell_->value.load(std::memory_order_relaxed);
   }
 
-  // std::atomic-compatible surface so call sites written against the old
-  // TelemetryCounters atomics keep compiling unchanged.
-  std::uint64_t fetch_add(std::uint64_t n,
-                          std::memory_order = std::memory_order_relaxed) {
-    if (cell_ == nullptr) return 0;
-    return cell_->value.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t load(std::memory_order = std::memory_order_relaxed) const {
-    return Value();
-  }
-  void store(std::uint64_t v,
-             std::memory_order = std::memory_order_relaxed) {
-    if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
-  }
-  Counter& operator=(std::uint64_t v) {
-    store(v);
-    return *this;
-  }
-
   bool bound() const { return cell_ != nullptr; }
 
  private:

@@ -145,12 +145,9 @@ Status ArchiveLog::Open() {
       ++recovery_.corrupt_segments;
       ++recovery_.quarantined_segments;
       recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_quarantined_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_truncated_bytes.fetch_add(
-          scan.dropped_bytes, std::memory_order_relaxed);
+      telemetry.archive_corrupt_segments.Inc();
+      telemetry.archive_quarantined_segments.Inc();
+      telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
       continue;
     }
     if (scan.dropped_bytes > 0) {
@@ -159,14 +156,11 @@ Status ArchiveLog::Open() {
       if (resize_ec) return IoError("archive truncate failed", path);
       ++recovery_.corrupt_segments;
       recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_truncated_bytes.fetch_add(
-          scan.dropped_bytes, std::memory_order_relaxed);
+      telemetry.archive_corrupt_segments.Inc();
+      telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
     }
     recovery_.records_recovered += scan.records;
-    telemetry.archive_recovered_records.fetch_add(
-        scan.records, std::memory_order_relaxed);
+    telemetry.archive_recovered_records.Inc(scan.records);
     segments_.push_back(
         Segment{seq, path, scan.records, scan.valid_bytes});
     record_count_ += scan.records;
@@ -192,8 +186,7 @@ Status ArchiveLog::OpenActive(bool fresh) {
     wal::EncodeHeader(header, payload_size_);
     if (std::fwrite(header, sizeof(header), 1, active_) != 1 ||
         std::fflush(active_) != 0) {
-      GlobalTelemetry().archive_write_errors.fetch_add(
-          1, std::memory_order_relaxed);
+      GlobalTelemetry().archive_write_errors.Inc();
       std::fclose(active_);
       active_ = nullptr;
       return IoError("archive header write failed", seg.path);
@@ -219,8 +212,7 @@ Status ArchiveLog::RotateLocked() {
     return reopen.ok() ? status : reopen;
   }
   ++rotations_;
-  GlobalTelemetry().archive_rotations.fetch_add(1,
-                                                std::memory_order_relaxed);
+  GlobalTelemetry().archive_rotations.Inc();
   return ApplyRetentionLocked();
 }
 
@@ -248,8 +240,7 @@ Status ArchiveLog::SyncLocked() {
     const std::string_view label = label_.empty() ? base_path_ : label_;
     if (auto action = fault_->Evaluate(FaultSite::kArchiveFsync, label);
         action.has_value() && action->fails()) {
-      GlobalTelemetry().archive_fsync_failures.fetch_add(
-          1, std::memory_order_relaxed);
+      GlobalTelemetry().archive_fsync_failures.Inc();
       return Status(ErrorCode::kIoError,
                     "injected archive fsync failure: " + base_path_);
     }
@@ -258,15 +249,13 @@ Status ArchiveLog::SyncLocked() {
       "apollo_archive_fsync_duration_ns", "Archive segment fsync latency");
   const TimeNs fsync_start = RealClock::Instance().Now();
   if (std::fflush(active_) != 0 || ::fsync(::fileno(active_)) != 0) {
-    GlobalTelemetry().archive_fsync_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    GlobalTelemetry().archive_fsync_failures.Inc();
+    GlobalTelemetry().archive_write_errors.Inc();
     return IoError("archive fsync failed", segments_.back().path);
   }
   fsync_hist.Record(RealClock::Instance().Now() - fsync_start);
   ++fsyncs_;
-  GlobalTelemetry().archive_fsyncs.fetch_add(1, std::memory_order_relaxed);
+  GlobalTelemetry().archive_fsyncs.Inc();
   appends_since_sync_ = 0;
   last_sync_ = RealClock::Instance().Now();
   return Status::Ok();
@@ -331,8 +320,7 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
     written = std::fwrite(frame_.data(), frame_.size(), 1, active_) == 1;
   }
   if (!written || std::fflush(active_) != 0) {
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    GlobalTelemetry().archive_write_errors.Inc();
     RollbackActive(offset);
     return IoError("archive write failed", seg.path);
   }
@@ -384,8 +372,7 @@ Status ArchiveLog::ForEach(
 Status ArchiveLog::ForEachTail(
     std::uint64_t n, const std::function<void(const void* payload)>& fn) {
   if (active_ != nullptr && std::fflush(active_) != 0) {
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    GlobalTelemetry().archive_write_errors.Inc();
     return IoError("archive flush failed", segments_.back().path);
   }
   // Skip whole segments that lie entirely before the requested tail.

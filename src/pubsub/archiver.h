@@ -479,8 +479,7 @@ class Archiver {
           continue;
         }
       } else {
-        GlobalTelemetry().archive_write_errors.fetch_add(
-            1, std::memory_order_relaxed);
+        GlobalTelemetry().archive_write_errors.Inc();
         status = Status(ErrorCode::kIoError,
                         "injected archive write failure: " + path_);
         fired = n;
@@ -488,8 +487,7 @@ class Archiver {
       }
       // Records [i, end) failed this attempt: retry them, or give up.
       if (RetryableError(status.code()) && attempt < max_attempts) {
-        GlobalTelemetry().archive_retries.fetch_add(1,
-                                                    std::memory_order_relaxed);
+        GlobalTelemetry().archive_retries.Inc();
         std::this_thread::sleep_for(std::chrono::nanoseconds(
             JitteredBackoffForAttempt(retry_, attempt)));
         ++attempt;
@@ -514,7 +512,7 @@ class Archiver {
       memory_.insert(memory_.end(), records, records + n);
       count_ += n;
     }
-    GlobalTelemetry().archive_writes.fetch_add(n, std::memory_order_relaxed);
+    GlobalTelemetry().archive_writes.Inc(n);
     return Status::Ok();
   }
 
@@ -522,8 +520,7 @@ class Archiver {
   void RecordFailures(const Status& status, std::size_t records) {
     failures_.fetch_add(records, std::memory_order_acq_rel);
     last_error_ = status;
-    GlobalTelemetry().archive_write_failures.fetch_add(
-        records, std::memory_order_relaxed);
+    GlobalTelemetry().archive_write_failures.Inc(records);
   }
 
   std::string path_;

@@ -32,14 +32,6 @@ Expected<TelemetryStream*> Broker::GetTopic(const std::string& name) const {
   return it->second.stream.get();
 }
 
-Status Broker::RestoreTopic(
-    const std::string& name,
-    const std::vector<TelemetryStream::Entry>& entries) {
-  auto stream = GetTopic(name);
-  if (!stream.ok()) return stream.status();
-  return stream.value()->RestoreWindow(entries);
-}
-
 Status Broker::RestoreTopicFromPeer(
     const std::string& name,
     const std::vector<TelemetryStream::Entry>& entries) {
@@ -137,10 +129,10 @@ Expected<std::uint64_t> Broker::Publish(TopicHandle& handle, NodeId from_node,
   TRACE_SPAN("broker.publish", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  publishes_.Inc();
   status = EvaluateFault(FaultSite::kPublish, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().publish_drops.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().publish_drops.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(from_node, handle.home_);
@@ -156,7 +148,7 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
   TRACE_SPAN("broker.publish_batch", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(n, std::memory_order_relaxed);
+  publishes_.Inc(n);
   ChargeLatency(from_node, handle.home_);
   BatchPublishResult result;
   if (n == 0) return result;
@@ -177,7 +169,7 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
       accepted.push_back(entries[i]);
       continue;
     }
-    GlobalTelemetry().publish_drops.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().publish_drops.Inc();
     if (result.first_error.empty()) {
       result.first_error_code = verdict.code();
       result.first_error = verdict.message();
@@ -202,7 +194,7 @@ Expected<std::uint64_t> Broker::AppendReplicated(
   TRACE_SPAN("broker.append_replicated", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(n, std::memory_order_relaxed);
+  publishes_.Inc(n);
   if (n == 0) return handle.stream_->NextId();
   auto last = handle.stream_->AppendBatch(entries, n);
   NotifyPublish(handle.name_, n);
@@ -212,16 +204,10 @@ Expected<std::uint64_t> Broker::AppendReplicated(
 Expected<std::vector<TelemetryStream::Entry>> Broker::Fetch(
     TopicHandle& handle, NodeId to_node, std::uint64_t& cursor,
     std::size_t max_entries) {
-  TRACE_SPAN("broker.fetch", handle.name_);
-  Status status = Refresh(handle);
-  if (!status.ok()) return Error(status.code(), status.message());
-  status = EvaluateFault(FaultSite::kFetch, handle.name_);
-  if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
-    return Error(status.code(), status.message());
-  }
-  ChargeLatency(handle.home_, to_node);
-  return handle.stream_->Read(cursor, max_entries);
+  std::vector<TelemetryStream::Entry> out;
+  auto read = FetchInto(handle, to_node, cursor, out, max_entries);
+  if (!read.ok()) return read.error();
+  return out;
 }
 
 Expected<std::size_t> Broker::FetchInto(
@@ -232,7 +218,7 @@ Expected<std::size_t> Broker::FetchInto(
   if (!status.ok()) return Error(status.code(), status.message());
   status = EvaluateFault(FaultSite::kFetch, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().fetch_timeouts.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(handle.home_, to_node);
@@ -245,7 +231,7 @@ Expected<Sample> Broker::LatestValue(TopicHandle& handle, NodeId to_node) {
   if (!status.ok()) return Error(status.code(), status.message());
   status = EvaluateFault(FaultSite::kFetch, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().fetch_timeouts.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(handle.home_, to_node);
@@ -267,13 +253,12 @@ Expected<std::uint64_t> Broker::PublishWithRetry(TopicHandle& handle,
   while (!result.ok() && RetryableError(result.error().code()) &&
          ++attempt < policy.max_attempts) {
     if (policy.deadline > 0 && clock_.Now() - start >= policy.deadline) break;
-    GlobalTelemetry().publish_retries.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().publish_retries.Inc();
     clock_.Charge(JitteredBackoffForAttempt(policy, attempt));
     result = Publish(handle, from_node, timestamp, sample);
   }
   if (!result.ok()) {
-    GlobalTelemetry().publish_failures.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    GlobalTelemetry().publish_failures.Inc();
   }
   return result;
 }
@@ -288,12 +273,12 @@ Expected<std::size_t> Broker::FetchIntoWithRetry(
   while (!result.ok() && RetryableError(result.error().code()) &&
          ++attempt < policy.max_attempts) {
     if (policy.deadline > 0 && clock_.Now() - start >= policy.deadline) break;
-    GlobalTelemetry().fetch_retries.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().fetch_retries.Inc();
     clock_.Charge(JitteredBackoffForAttempt(policy, attempt));
     result = FetchInto(handle, to_node, cursor, out, max_entries);
   }
   if (!result.ok()) {
-    GlobalTelemetry().fetch_failures.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().fetch_failures.Inc();
   }
   return result;
 }

@@ -128,13 +128,6 @@ class Broker {
   // Looks up an existing topic's stream.
   Expected<TelemetryStream*> GetTopic(const std::string& name) const;
 
-  // Recovery path: seeds an existing topic's (still-empty) stream with
-  // entries replayed from its archive, oldest first. Delegates to
-  // Stream::RestoreWindow — fails if the stream has already been appended
-  // to or the batch exceeds its capacity.
-  Status RestoreTopic(const std::string& name,
-                      const std::vector<TelemetryStream::Entry>& entries);
-
   // Cluster resync path: seeds an existing topic's (still-empty) stream
   // with a window copied from a peer replica, preserving the peer's entry
   // ids (Stream::RestoreWindowAt). Ids must be contiguous.

@@ -88,42 +88,18 @@ class Stream {
 
   ~Stream() { FlushEvictions(); }
 
-  // Appends an entry; returns its id. Thread-safe (multi-producer). Evicted
-  // entries are staged under the lock and written to the archiver outside
-  // it (batched when producers outpace the archive).
+  // Appends one entry; returns its id. Thread-safe (multi-producer). A batch
+  // of one: see AppendBatch.
   std::uint64_t Append(TimeNs timestamp, T value) {
-    std::unique_lock<std::mutex> lock(mu_);
-    const std::uint64_t id = next_id_++;
-    if (id - first_id_ == capacity_) {
-      Entry& victim = ring_[first_id_ & mask_];
-      // Entries below restore_limit_ were replayed from the archive at
-      // startup — re-archiving them would duplicate history.
-      if (archiver_ != nullptr && victim.id >= restore_limit_) {
-        evict_pending_.push_back(ToRecord(victim));
-      }
-      if constexpr (kHasAggregateIndex) IndexEvict(victim);
-      ++first_id_;
-    } else if (id - first_id_ == ring_.size()) {
-      Grow();
-    }
-    Entry& slot = ring_[id & mask_];
-    slot.id = id;
-    slot.timestamp = timestamp;
-    slot.value = std::move(value);
-    if constexpr (kHasAggregateIndex) IndexAppend(slot);
-    const bool flush = archiver_ != nullptr && !evict_pending_.empty();
-    lock.unlock();
-    cv_.notify_all();
-    if (flush) TryFlushEvictions();
-    return id;
+    const Entry entry{0, timestamp, std::move(value)};
+    return AppendBatch(&entry, 1);
   }
 
-  // Appends `n` entries under one lock acquisition — the batched-ingest
-  // fast path. Entry `id` fields in `entries` are ignored; ids are assigned
-  // contiguously and the id of the last appended entry is returned (first
-  // is `returned - n + 1`). Eviction, aggregate-index, and archiver
-  // bookkeeping match n repeated Append() calls, but waiters are notified
-  // once and the eviction flush is attempted once at the end.
+  // Appends `n` entries under one lock acquisition. Entry `id` fields in
+  // `entries` are ignored; ids are assigned contiguously and the id of the
+  // last appended entry is returned (first is `returned - n + 1`). Evicted
+  // entries are staged under the lock and written to the archiver outside
+  // it, in one flush attempted once at the end; waiters are notified once.
   // Precondition: n > 0.
   std::uint64_t AppendBatch(const Entry* entries, std::size_t n) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -132,6 +108,8 @@ class Stream {
       id = next_id_++;
       if (id - first_id_ == capacity_) {
         Entry& victim = ring_[first_id_ & mask_];
+        // Entries below restore_limit_ were restored from a durable copy
+        // (see RestoreWindowAt) — re-archiving them would duplicate it.
         if (archiver_ != nullptr && victim.id >= restore_limit_) {
           evict_pending_.push_back(ToRecord(victim));
         }
@@ -318,45 +296,17 @@ class Stream {
     return FlushLocked();
   }
 
-  // Recovery path: seeds an empty stream with entries replayed from the
-  // archive tail, oldest first. Ids are reassigned contiguously from 0
-  // (archived ids can have gaps where appends were dropped) and the
-  // restored prefix is excluded from future archiver evictions — those
-  // records are already on disk. Fails with kFailedPrecondition on a
-  // stream that has ever been appended to, and kInvalidArgument when
-  // `entries` exceeds the capacity.
-  Status RestoreWindow(const std::vector<Entry>& entries) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (next_id_ != 0) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "RestoreWindow requires an empty stream");
-    }
-    if (entries.size() > capacity_) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore batch exceeds stream capacity");
-    }
-    while (ring_.size() < entries.size()) Grow();
-    for (const Entry& entry : entries) {
-      const std::uint64_t id = next_id_++;
-      Entry& slot = ring_[id & mask_];
-      slot = entry;
-      slot.id = id;
-      if constexpr (kHasAggregateIndex) IndexAppend(slot);
-    }
-    restore_limit_ = next_id_;
-    lock.unlock();
-    cv_.notify_all();
-    return Status::Ok();
-  }
-
-  // Restore-from-peer (cluster resync): seeds an empty stream with a
-  // window copied from a replica, PRESERVING the source entry ids — a
-  // resynced node must assign the same ids as its peers or replication's
-  // expected-base check would flag it divergent forever. `entries` must
-  // be id-contiguous; the stream's window starts at entries.front().id.
-  // Unlike RestoreWindow, nothing here is re-archived on eviction either
-  // (the peer already holds the durable copy; local archiving resumes
-  // with post-resync appends).
+  // Seeds an empty stream with a window from a durable copy, oldest first,
+  // KEEPING the entries' ids: the archive tail on restart
+  // (ApolloService::Recover) or a peer replica's window on cluster resync.
+  // Ids that survive mean cursors, CQ resume points and the tier merge's
+  // id tiebreak refer to the same rows across a restart, and a resynced
+  // node assigns the same ids as its peers. `entries` must be
+  // id-contiguous; the window starts at entries.front().id and the next
+  // append takes the id after the last one. Restored entries are never
+  // re-archived on eviction (the copy they came from holds them). Fails
+  // with kFailedPrecondition on a stream that has ever been appended to,
+  // and kInvalidArgument when `entries` exceeds the capacity or has gaps.
   Status RestoreWindowAt(const std::vector<Entry>& entries) {
     std::unique_lock<std::mutex> lock(mu_);
     if (next_id_ != 0) {
@@ -492,8 +442,7 @@ class Stream {
     }
     if (batch.empty()) return Status::Ok();
     TRACE_SPAN("stream.flush_evictions");
-    GlobalTelemetry().stream_evictions.fetch_add(batch.size(),
-                                                 std::memory_order_relaxed);
+    GlobalTelemetry().stream_evictions.Inc(batch.size());
     std::size_t failed = 0;
     Status result = archiver_->AppendBatch(batch.data(), batch.size(), &failed);
     archive_failures_.fetch_add(failed, std::memory_order_acq_rel);
@@ -516,8 +465,8 @@ class Stream {
   std::size_t mask_ = 0;
   std::uint64_t first_id_ = 0;
   std::uint64_t next_id_ = 0;
-  // Ids below this were restored from the archive (see RestoreWindow) and
-  // must not be re-archived on eviction.
+  // Ids below this were restored from a durable copy (see RestoreWindowAt)
+  // and must not be re-archived on eviction.
   std::uint64_t restore_limit_ = 0;
   std::vector<Record> evict_pending_;  // staged for the next flush
 

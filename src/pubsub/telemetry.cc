@@ -165,7 +165,7 @@ TelemetryCounters::TelemetryCounters() {
 }
 
 void TelemetryCounters::Reset() {
-  for (auto& [name, counter] : fields_) counter.store(0);
+  obs::MetricsRegistry::Global().ResetAllForTest();
 }
 
 TelemetryCounters& GlobalTelemetry() {

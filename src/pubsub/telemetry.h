@@ -44,11 +44,11 @@ static_assert(std::is_trivially_copyable_v<Sample>);
 // A failed persist or a dropped publish used to vanish silently; these
 // counters make every loss surface observable (and testable under chaos).
 //
-// Each field registers itself through Reg() in the constructor, which also
-// records it in fields_ — Reset() and the snapshot-completeness test walk
-// that list, so a new counter cannot be added without being reset (and a
-// handle member cannot exist without being registered: it has no default
-// constructor path here).
+// This struct is the one place the fabric's counter names and help texts
+// are declared. Each field registers itself through Reg() in the
+// constructor, which also records it in fields_; the snapshot-completeness
+// test walks that list to prove every field is its own bound registry cell
+// and that Reset() zeroes it.
 struct TelemetryCounters {
   TelemetryCounters();
 
@@ -129,8 +129,8 @@ struct TelemetryCounters {
   obs::Counter cluster_resync_topics;       // topics caught up from a peer
   obs::Counter cluster_resync_entries;      // entries copied during resync
 
-  // Zeroes every registered counter (walks fields_, so it cannot go stale
-  // when a counter is added).
+  // Tests only: zeroes every cell of the process-wide registry, these
+  // counters included (MetricsRegistry::ResetAllForTest).
   void Reset();
 
   // (field name, handle) for every counter this façade registered, in

@@ -66,9 +66,9 @@ TimeNs FactVertex::ExpectedFireInterval() const {
 void FactVertex::MarkCrashed() {
   crashed_.store(true, std::memory_order_release);
   ++stats_.crashes;
-  GlobalTelemetry().vertex_crashes.fetch_add(1, std::memory_order_relaxed);
+  GlobalTelemetry().vertex_crashes.Inc();
   if (handle_.valid() && !handle_.stream()->SetDegraded(true)) {
-    GlobalTelemetry().degraded_marked.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().degraded_marked.Inc();
   }
 }
 
@@ -203,8 +203,7 @@ void FactVertex::PublishSample(TimeNs now, double value,
   if (provenance == Provenance::kMeasured && handle_.valid() &&
       handle_.stream()->degraded() && !crashed()) {
     if (handle_.stream()->SetDegraded(false)) {
-      GlobalTelemetry().degraded_cleared.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      GlobalTelemetry().degraded_cleared.Inc();
     }
   }
 }

@@ -52,7 +52,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
                      vertex.ExpectedFireInterval());
     if (now - vertex.last_fire() > threshold) {
       stalls_detected_.fetch_add(1, std::memory_order_relaxed);
-      GlobalTelemetry().vertex_stalls.fetch_add(1, std::memory_order_relaxed);
+      GlobalTelemetry().vertex_stalls.Inc();
       APOLLO_LOG(WARN) << "supervisor: vertex " << vertex.topic()
                        << " stalled (no firing for " << (now - vertex.last_fire())
                        << " ns), forcing crash";
@@ -78,7 +78,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
   if (entry.restarts >= options_.max_restarts) {
     entry.gave_up = true;
     give_ups_.fetch_add(1, std::memory_order_relaxed);
-    GlobalTelemetry().vertex_give_ups.fetch_add(1, std::memory_order_relaxed);
+    GlobalTelemetry().vertex_give_ups.Inc();
     APOLLO_LOG(ERROR) << "supervisor: giving up on vertex " << vertex.topic()
                       << " after " << entry.restarts << " restarts";
     return;
@@ -112,7 +112,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
       options_.max_restart_backoff);
   entry.was_crashed = false;
   restarts_issued_.fetch_add(1, std::memory_order_relaxed);
-  GlobalTelemetry().vertex_restarts.fetch_add(1, std::memory_order_relaxed);
+  GlobalTelemetry().vertex_restarts.Inc();
   APOLLO_LOG(WARN) << "supervisor: restarted vertex " << vertex.topic()
                    << " (restart #" << entry.restarts << ")";
 }

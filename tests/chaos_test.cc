@@ -115,10 +115,10 @@ TEST(ChaosTest, CrashedVertexDegradesAndSupervisorRecovers) {
   ASSERT_NE(service.supervisor(), nullptr);
   EXPECT_GE(service.supervisor()->crashes_seen(), 1u);
   EXPECT_GE(service.supervisor()->restarts_issued(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_crashes.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_restarts.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_marked.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_cleared.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().vertex_crashes.Value(), 1u);
+  EXPECT_GE(GlobalTelemetry().vertex_restarts.Value(), 1u);
+  EXPECT_GE(GlobalTelemetry().degraded_marked.Value(), 1u);
+  EXPECT_GE(GlobalTelemetry().degraded_cleared.Value(), 1u);
   ExpectNoDoubleCounting(service, "m");
 }
 
@@ -178,7 +178,7 @@ TEST(ChaosTest, SupervisorGivesUpAndNodeTurnsUnavailable) {
 
   EXPECT_GE(service.supervisor()->give_ups(), 1u);
   EXPECT_EQ(service.supervisor()->AvailableNodes(), 0u);
-  EXPECT_GE(GlobalTelemetry().vertex_give_ups.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().vertex_give_ups.Value(), 1u);
 
   // The stream still answers from last-known-good data, marked degraded.
   auto result = service.Query("SELECT LAST(metric) FROM m");
@@ -206,9 +206,9 @@ TEST(ChaosTest, PublishDropsUnderTenPercentLoseNothingWithRetry) {
 
   const VertexStats& stats = (*fact)->stats();
   EXPECT_GT(stats.hook_calls.load(), 100u);
-  EXPECT_GT(GlobalTelemetry().publish_drops.load(), 0u)
+  EXPECT_GT(GlobalTelemetry().publish_drops.Value(), 0u)
       << "the fault actually fired";
-  EXPECT_GT(GlobalTelemetry().publish_retries.load(), 0u);
+  EXPECT_GT(GlobalTelemetry().publish_retries.Value(), 0u);
   // Loss accounting closes exactly: every poll either published once or
   // surfaced a failure — nothing silently lost, nothing double-applied.
   EXPECT_EQ(stats.published.load() + stats.publish_failures.load(),

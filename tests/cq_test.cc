@@ -22,8 +22,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,7 @@
 #include "net/daemon.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
+#include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 
 namespace apollo::net {
@@ -144,6 +148,7 @@ class CQEngineTest : public ::testing::Test {
   }
 
   RealClock& clock_;
+  Archiver<Sample> archiver_;  // in-memory; outlives broker_'s streams
   Broker broker_;
   cq::AdmissionController admission_;
   cq::CQEngine engine_;
@@ -324,6 +329,95 @@ TEST_F(CQEngineTest, ThrottledEvaluationStaysDirtyAndRetries) {
                });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_DOUBLE_EQ(got[0].second.result.rows[0].values[0], 2.0);
+}
+
+// A CQ answers from the rolling index over the ring. Where a one-shot query
+// would not trust that index, the push must say its answer is partial.
+TEST_F(CQEngineTest, HistoryBeyondTheRingPushesDegraded) {
+  ASSERT_TRUE(broker_.CreateTopic("cq.hist", kLocalNode, 4, &archiver_).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(broker_
+                    .Publish("cq.hist", kLocalNode, i,
+                             MakeSample(i, static_cast<double>(i)))
+                    .ok());
+  }
+  aqe::Executor executor(broker_, nullptr);
+  auto one_shot = executor.Execute(
+      "SELECT COUNT(Metric), SUM(Metric), MIN(Metric) FROM cq.hist");
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(one_shot->rows[0].values, (std::vector<double>{10, 45, 0}));
+  EXPECT_FALSE(one_shot->degraded);
+
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "agg",
+                            "SUBSCRIBE SELECT COUNT(Metric), SUM(Metric), "
+                            "MIN(Metric) FROM cq.hist",
+                            0, 0, clock_.Now())
+                  .ok());
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "last",
+                            "SUBSCRIBE SELECT LAST(Metric) FROM cq.hist", 0,
+                            0, clock_.Now())
+                  .ok());
+  std::vector<std::pair<cq::CQInfo, cq::CQUpdate>> got;
+  PumpInto(&got);
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& [info, update] : got) {
+    const aqe::ResultSet& result = update.result;
+    if (info.name == "agg") {
+      // The ring's four rows only, flagged as such.
+      EXPECT_EQ(result.rows[0].values, (std::vector<double>{4, 30, 6}));
+      EXPECT_TRUE(result.rows[0].degraded);
+      EXPECT_TRUE(result.degraded);
+    } else {
+      // The newest row is always in the ring: exact.
+      EXPECT_EQ(result.rows[0].values, (std::vector<double>{9}));
+      EXPECT_FALSE(result.degraded);
+    }
+  }
+}
+
+TEST_F(CQEngineTest, UntrustedTimestampStatsPushDegraded) {
+  ASSERT_TRUE(broker_.CreateTopic("cq.ts", kLocalNode, 16).ok());
+  // Payload timestamps disagree with the entry timestamps 1, 2, 3, so the
+  // index's window-end timestamp stats are not the true MIN/MAX.
+  const TimeNs payload_ts[] = {50, 10, 30};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(broker_
+                    .Publish("cq.ts", kLocalNode, i + 1,
+                             MakeSample(payload_ts[i], 1.0))
+                    .ok());
+  }
+  aqe::Executor executor(broker_, nullptr);
+  auto one_shot =
+      executor.Execute("SELECT MIN(Timestamp), MAX(Timestamp) FROM cq.ts");
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(one_shot->rows[0].values, (std::vector<double>{10, 50}));
+
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "ts",
+                            "SUBSCRIBE SELECT MIN(Timestamp), "
+                            "MAX(Timestamp) FROM cq.ts",
+                            0, 0, clock_.Now())
+                  .ok());
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "count",
+                            "SUBSCRIBE SELECT COUNT(Metric) FROM cq.ts", 0,
+                            0, clock_.Now())
+                  .ok());
+  std::vector<std::pair<cq::CQInfo, cq::CQUpdate>> got;
+  PumpInto(&got);
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& [info, update] : got) {
+    if (info.name == "ts") {
+      EXPECT_EQ(update.result.rows[0].values, (std::vector<double>{50, 30}));
+      EXPECT_TRUE(update.result.degraded);
+    } else {
+      // No timestamp stats asked for: the index is exact.
+      EXPECT_EQ(update.result.rows[0].values, (std::vector<double>{3}));
+      EXPECT_FALSE(update.result.degraded);
+    }
+  }
 }
 
 // ---- loopback integration -------------------------------------------------
@@ -651,6 +745,148 @@ TEST_F(CQLoopbackTest, CQChaosTenantOverloadShedsDegradedOthersKeepFlowing) {
   }
   EXPECT_TRUE(found_admission_row);
   daemon_->server().AttachFaultInjector(nullptr);
+}
+
+// ---- push coalesced with its ack (stub daemon) -----------------------------
+
+// Stands in for a daemon: answers the hello and pings, and answers every
+// kSubscribe / kCQRegister with its ack and a first push in one write, so
+// the client reads both in one read. Records the cursor and resume point
+// each request carried.
+class AckWithPushServer final : public FrameHandler {
+ public:
+  static constexpr std::uint64_t kSubId = 7;
+  static constexpr std::uint64_t kCQId = 3;
+
+  AckWithPushServer()
+      : loop_(RealClock::Instance()), server_(loop_, ServerConfig{}, *this) {}
+  ~AckWithPushServer() override { Stop(); }
+  AckWithPushServer(const AckWithPushServer&) = delete;
+  AckWithPushServer& operator=(const AckWithPushServer&) = delete;
+
+  Status Start() {
+    Status status = server_.Start();
+    if (!status.ok()) return status;
+    thread_ = std::thread([this] {
+      loop_.Run(std::numeric_limits<TimeNs>::max(), /*stop_when_idle=*/false);
+    });
+    return status;
+  }
+  void Stop() {
+    if (!thread_.joinable()) return;
+    loop_.Stop();
+    thread_.join();
+    server_.Stop();
+  }
+  std::uint16_t port() const { return server_.port(); }
+  std::vector<std::uint64_t> sub_cursors() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sub_cursors_;
+  }
+  std::vector<std::uint64_t> cq_resume_seqs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cq_resume_seqs_;
+  }
+
+  void OnFrame(Connection& conn, const Frame& frame) override {
+    Payload payload;
+    if (frame.type == MsgType::kHello) {
+      HelloAckMsg ack;
+      ack.server_name = "ack-with-push";
+      ack.Encode(payload);
+      conn.SendFrame(MsgType::kHelloAck, frame.request_id, payload);
+    } else if (frame.type == MsgType::kPing) {
+      conn.SendFrame(MsgType::kPong, frame.request_id, payload);
+    } else if (frame.type == MsgType::kSubscribe) {
+      SubscribeMsg msg;
+      ASSERT_TRUE(SubscribeMsg::Decode(frame.payload, msg));
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        sub_cursors_.push_back(msg.cursor);
+      }
+      SubscribeAckMsg ack;
+      ack.subscription_id = kSubId;
+      ack.start_cursor = msg.cursor == kCursorTail ? 100 : msg.cursor;
+      DeliverMsg deliver;
+      deliver.subscription_id = kSubId;
+      deliver.topic = msg.topic;
+      for (std::uint64_t id = ack.start_cursor; id < ack.start_cursor + 3;
+           ++id) {
+        deliver.entries.push_back({id, static_cast<TimeNs>(id),
+                                   MakeSample(static_cast<TimeNs>(id), 1.0)});
+      }
+      SendBoth(conn, frame.request_id, MsgType::kSubscribeAck, ack,
+               MsgType::kDeliver, deliver);
+    } else if (frame.type == MsgType::kCQRegister) {
+      CQRegisterMsg msg;
+      ASSERT_TRUE(CQRegisterMsg::Decode(frame.payload, msg));
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        cq_resume_seqs_.push_back(msg.resume_seq);
+      }
+      CQRegisterAckMsg ack;
+      ack.cq_id = kCQId;
+      ack.epoch = 1;
+      ack.seq = msg.resume_seq;
+      CQUpdateMsg update;
+      update.cq_id = kCQId;
+      update.epoch = 1;
+      update.seq = msg.resume_seq + 1;
+      SendBoth(conn, frame.request_id, MsgType::kCQRegisterAck, ack,
+               MsgType::kCQUpdate, update);
+    }
+  }
+
+ private:
+  // Corked, the ack and the push leave in one writev.
+  template <typename Ack, typename Push>
+  static void SendBoth(Connection& conn, std::uint32_t request_id,
+                       MsgType ack_type, const Ack& ack, MsgType push_type,
+                       const Push& push) {
+    Payload ack_payload;
+    ack.Encode(ack_payload);
+    Payload push_payload;
+    push.Encode(push_payload);
+    conn.Cork();
+    conn.SendFrame(ack_type, request_id, ack_payload);
+    conn.SendFrame(push_type, /*request_id=*/0, push_payload);
+    conn.Uncork();
+  }
+
+  EventLoop loop_;
+  Server server_;
+  mutable std::mutex mu_;
+  std::vector<std::uint64_t> sub_cursors_;
+  std::vector<std::uint64_t> cq_resume_seqs_;
+  std::thread thread_;
+};
+
+// A push read together with its own ack is part of the session: the
+// reconnect replay must resume past it, not replay it.
+TEST(CQClientSession, PushReadWithItsAckIsNotReplayed) {
+  AckWithPushServer stub;
+  ASSERT_TRUE(stub.Start().ok());
+  ClientConfig config;
+  config.port = stub.port();
+  config.client_name = "ack-with-push";
+  config.request_timeout = 2 * kNsPerSec;
+  ApolloClient client(config);
+
+  ASSERT_TRUE(client.Subscribe("cq.alpha").ok());
+  ASSERT_TRUE(
+      client.CQRegister("watch", "SUBSCRIBE SELECT LAST(Metric) FROM cq.alpha")
+          .ok());
+  // Both pushes arrived with their acks, before either call returned.
+  ASSERT_EQ(client.TakeDeliveries().size(), 1u);
+  ASSERT_EQ(client.TakeCQUpdates().size(), 1u);
+
+  // Reconnect: the replayed subscribe starts past delivered ids 100-102,
+  // and the replayed registration resumes after seq 1.
+  client.Close();
+  ASSERT_TRUE(client.Ping().ok());
+  EXPECT_EQ(stub.sub_cursors(), (std::vector<std::uint64_t>{kCursorTail, 103}));
+  EXPECT_EQ(stub.cq_resume_seqs(), (std::vector<std::uint64_t>{0, 1}));
+  stub.Stop();
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(BrokerFaultTest, InjectedDropSurfacesAsUnavailable) {
                                 Sample{1, 1.0, Provenance::kMeasured});
   ASSERT_FALSE(dropped.ok());
   EXPECT_EQ(dropped.error().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(GlobalTelemetry().publish_drops.load(), 1u);
+  EXPECT_EQ(GlobalTelemetry().publish_drops.Value(), 1u);
   EXPECT_EQ(handle.stream()->Size(), 0u);
 
   // Budget exhausted: the next publish goes through.
@@ -222,8 +222,8 @@ TEST(BrokerFaultTest, PublishWithRetryRecoversFromTransientDrop) {
   auto published = broker.PublishWithRetry(
       handle, kLocalNode, 1, Sample{1, 1.0, Provenance::kMeasured});
   ASSERT_TRUE(published.ok());
-  EXPECT_GE(GlobalTelemetry().publish_retries.load(), 1u);
-  EXPECT_EQ(GlobalTelemetry().publish_failures.load(), 0u);
+  EXPECT_GE(GlobalTelemetry().publish_retries.Value(), 1u);
+  EXPECT_EQ(GlobalTelemetry().publish_failures.Value(), 0u);
   // Exactly one entry: the dropped attempt was not double-applied.
   EXPECT_EQ(handle.stream()->Size(), 1u);
 }
@@ -249,7 +249,7 @@ TEST(BrokerFaultTest, PublishWithRetryExhaustsAndSurfacesFailure) {
   ASSERT_FALSE(published.ok());
   EXPECT_EQ(published.error().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(injector.Hits(FaultSite::kPublish), 4u);  // every attempt tried
-  EXPECT_EQ(GlobalTelemetry().publish_failures.load(), 1u);
+  EXPECT_EQ(GlobalTelemetry().publish_failures.Value(), 1u);
   EXPECT_EQ(handle.stream()->Size(), 0u);
 }
 
@@ -312,8 +312,8 @@ TEST(BrokerFaultTest, FetchTimeoutLeavesCursorIntactForRetry) {
                                 policy);
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(cursor, 0u) << "failed fetch must not advance the cursor";
-  EXPECT_GE(GlobalTelemetry().fetch_timeouts.load(), 1u);
-  EXPECT_EQ(GlobalTelemetry().fetch_failures.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().fetch_timeouts.Value(), 1u);
+  EXPECT_EQ(GlobalTelemetry().fetch_failures.Value(), 1u);
 
   injector.Disarm(FaultSite::kFetch);
   fetched = broker.FetchIntoWithRetry(handle, kLocalNode, cursor, out);
@@ -343,8 +343,8 @@ TEST(ArchiverFaultTest, WriteFailuresAreObservable) {
   EXPECT_EQ(archiver.Failures(), 1u);
   EXPECT_EQ(archiver.LastError().code(), ErrorCode::kIoError);
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_EQ(GlobalTelemetry().archive_write_failures.Value(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
 }
 
 TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
@@ -365,7 +365,7 @@ TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(archiver.Failures(), 0u);
   EXPECT_EQ(archiver.Count(), 1u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
 }
 
 TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
@@ -397,7 +397,7 @@ TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
   EXPECT_EQ(archiver.Count(), 0u);
   EXPECT_EQ(handle.stream()->ArchiveFailures(), 6u)
       << "all six evicted records failed to persist and were counted";
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.load(), 6u);
+  EXPECT_EQ(GlobalTelemetry().archive_write_failures.Value(), 6u);
 }
 
 // One 16-record eviction batch whose kArchiveWrite check fires on hits 3
@@ -436,7 +436,7 @@ TEST(StreamFaultTest, WriteFaultsInOneEvictionBatchDropOnlyTheirRecords) {
   EXPECT_EQ(injector.Hits(FaultSite::kArchiveWrite), 16u);  // one per record
   EXPECT_EQ(stream.ArchiveFailures(), 2u);
   EXPECT_EQ(archiver.Failures(), 2u);
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.load(), 2u);
+  EXPECT_EQ(GlobalTelemetry().archive_write_failures.Value(), 2u);
   EXPECT_EQ(archiver.Flushes(), 3u);  // ids 0-2, 4-6, 8-15
   auto rows = archiver.ReadRange(0, 1000);
   ASSERT_TRUE(rows.ok());

@@ -311,28 +311,29 @@ TEST(TelemetryCounters, SnapshotCompleteness) {
     EXPECT_TRUE(counter.bound()) << name;
   }
 
-  // Give every field a distinct value, then check a few struct members see
-  // exactly their own field's value (facade handles alias registry cells).
+  // Bump every field by a distinct amount from zero, then check each one
+  // reads back exactly its own amount: two fields sharing a cell would
+  // read the sum (facade handles alias registry cells).
   std::uint64_t next = 1;
-  for (auto [name, counter] : fields) counter.store(next++);
-  EXPECT_EQ(telemetry.publishes.load(), 1u);  // first declared field
+  for (auto [name, counter] : fields) counter.Inc(next++);
+  EXPECT_EQ(telemetry.publishes.Value(), 1u);  // first declared field
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    EXPECT_EQ(fields[i].second.load(), i + 1) << fields[i].first;
+    EXPECT_EQ(fields[i].second.Value(), i + 1) << fields[i].first;
   }
 
   // Reset() must cover every field.
   telemetry.Reset();
   for (const auto& [name, counter] : fields) {
-    EXPECT_EQ(counter.load(), 0u) << "Reset() missed " << name;
+    EXPECT_EQ(counter.Value(), 0u) << "Reset() missed " << name;
   }
-  EXPECT_EQ(telemetry.publishes.load(), 0u);
-  EXPECT_EQ(telemetry.stream_evictions.load(), 0u);
+  EXPECT_EQ(telemetry.publishes.Value(), 0u);
+  EXPECT_EQ(telemetry.stream_evictions.Value(), 0u);
 }
 
 TEST(TelemetryCounters, FacadeAliasesPrometheusExposition) {
   TelemetryCounters& telemetry = GlobalTelemetry();
   telemetry.Reset();
-  telemetry.publishes.fetch_add(42, std::memory_order_relaxed);
+  telemetry.publishes.Inc(42);
   const std::string text =
       obs::MetricsRegistry::Global().RenderPrometheus();
   EXPECT_NE(text.find("apollo_publishes_total 42"), std::string::npos);

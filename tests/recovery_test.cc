@@ -189,7 +189,7 @@ TEST(ArchiveRecovery, InjectedWriteFailureSurfacesStatusAndCounter) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kIoError);
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_write_errors.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_write_errors.Value(), 1u);
 
   // The failure left no partial frame: the next append lands cleanly.
   ASSERT_TRUE(archiver.Append(0, Seconds(1), S(Seconds(1), 1.0)).ok());
@@ -210,7 +210,7 @@ TEST(ArchiveRecovery, RetryAppendsExactlyOnceAfterInjectedFailure) {
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 7.0)).ok());
   EXPECT_EQ(archiver.Count(), 1u);
   EXPECT_EQ(archiver.Failures(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
   auto all = archiver.ReadRange(0, Seconds(1000));
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 1u);  // exactly once, no duplicate from the retry
@@ -235,7 +235,7 @@ TEST(ArchiveRecovery, InjectedFsyncFailureRollsBackRecord) {
   // The record was written but could not be made durable: it must be
   // rolled back so a retry cannot double-append it.
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_fsync_failures.load(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_fsync_failures.Value(), 1u);
 
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 1.0)).ok());
   EXPECT_EQ(archiver.Count(), 1u);
@@ -271,8 +271,8 @@ TEST(ArchiveRecovery, InjectedFsyncFailureMidBatchRetriesChunkOnce) {
 
   EXPECT_EQ(stream.ArchiveFailures(), 0u);
   EXPECT_EQ(archiver.Failures(), 0u);
-  EXPECT_EQ(GlobalTelemetry().archive_fsync_failures.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_EQ(GlobalTelemetry().archive_fsync_failures.Value(), 1u);
+  EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
   EXPECT_EQ(archiver.Fsyncs(), 4u);  // one per 4-record chunk
   auto rows = archiver.ReadRange(0, Seconds(1000));
   ASSERT_TRUE(rows.ok());
@@ -416,7 +416,7 @@ TEST(StreamRestore, RestoredEntriesAreNotReArchived) {
     entries.push_back({static_cast<std::uint64_t>(i), Seconds(i),
                        S(Seconds(i), i)});
   }
-  ASSERT_TRUE(stream.RestoreWindow(entries).ok());
+  ASSERT_TRUE(stream.RestoreWindowAt(entries).ok());
   EXPECT_EQ(stream.Size(), 4u);
   EXPECT_EQ(archiver.Count(), 0u);  // restore is not an append
 
@@ -441,7 +441,7 @@ TEST(StreamRestore, RebuildsAggregateIndex) {
     entries.push_back({static_cast<std::uint64_t>(i), Seconds(i),
                        S(Seconds(i), 10.0 + i)});
   }
-  ASSERT_TRUE(stream.RestoreWindow(entries).ok());
+  ASSERT_TRUE(stream.RestoreWindowAt(entries).ok());
   auto agg = stream.Aggregates();
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, 5u);
@@ -456,7 +456,7 @@ TEST(StreamRestore, RefusesNonEmptyStream) {
   stream.Append(Seconds(1), S(Seconds(1), 1.0));
   std::vector<TelemetryStream::Entry> entries{
       {0, Seconds(0), S(Seconds(0), 0.0)}};
-  Status status = stream.RestoreWindow(entries);
+  Status status = stream.RestoreWindowAt(entries);
   EXPECT_EQ(status.code(), ErrorCode::kFailedPrecondition);
   EXPECT_EQ(stream.Size(), 1u);  // untouched
 }
@@ -464,7 +464,7 @@ TEST(StreamRestore, RefusesNonEmptyStream) {
 TEST(StreamRestore, RefusesOversizeBatch) {
   TelemetryStream stream(2);
   std::vector<TelemetryStream::Entry> entries(3);
-  EXPECT_EQ(stream.RestoreWindow(entries).code(),
+  EXPECT_EQ(stream.RestoreWindowAt(entries).code(),
             ErrorCode::kInvalidArgument);
 }
 
@@ -547,6 +547,64 @@ TEST(ServiceRecovery, RebuildsWindowsAndAnswersQueries) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->topics_recovered, 0u);
   EXPECT_EQ(again->topics_skipped, 1u);
+}
+
+// Restored rows keep the ids they were archived under. Twelve rows at one
+// timestamp through a ring of 4 leave ids 0-7 in the WAL; Recover puts ids
+// 4-7 back in the ring, so the tier merge's id tiebreak still reaches WAL
+// ids 0-3, the next publish takes id 8, and the WAL never sees an id twice.
+TEST(ServiceRecovery, RestoredWindowKeepsArchivedIds) {
+  const std::string dir = FreshDir("service_recovery_ids");
+  ApolloOptions options;
+  options.mode = ApolloOptions::Mode::kSimulated;
+  options.query_threads = 0;
+  options.archive_dir = dir;
+  const TimeNs ts = Seconds(5);
+
+  {
+    ApolloService apollo(options);
+    TimeNs tick = 0;
+    ASSERT_TRUE(apollo
+                    .DeployFact(CountingHook("metric", &tick),
+                                CountingDeployment("metric"))
+                    .ok());
+    auto stream = apollo.broker().GetTopic("metric");
+    ASSERT_TRUE(stream.ok());
+    for (int i = 0; i < 12; ++i) (*stream)->Append(ts, S(ts, i));
+    ASSERT_TRUE((*stream)->FlushEvictions().ok());
+  }
+
+  ApolloService apollo(options);
+  TimeNs tick = 0;
+  ASSERT_TRUE(apollo
+                  .DeployFact(CountingHook("metric", &tick),
+                              CountingDeployment("metric"))
+                  .ok());
+  auto report = apollo.Recover();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->records_recovered, 8u);
+  EXPECT_EQ(report->records_replayed, 4u);
+
+  auto stream = apollo.broker().GetTopic("metric");
+  ASSERT_TRUE(stream.ok());
+  EXPECT_EQ((*stream)->FirstId(), 4u);
+  EXPECT_EQ((*stream)->NextId(), 8u);
+  auto count = apollo.Query("SELECT COUNT(*), SUM(metric) FROM metric");
+  ASSERT_TRUE(count.ok());
+  EXPECT_DOUBLE_EQ(count->rows[0].values[0], 8.0);
+  EXPECT_DOUBLE_EQ(count->rows[0].values[1], 28.0);  // 0 + 1 + ... + 7
+  EXPECT_FALSE(count->degraded);
+
+  // Eight more rows evict the restored ids 4-7 (already on disk) and then
+  // ids 8-11, which the WAL takes after the previous run's 0-7.
+  for (int i = 12; i < 20; ++i) (*stream)->Append(ts, S(ts, i));
+  ASSERT_TRUE((*stream)->FlushEvictions().ok());
+  auto wal = (*stream)->archiver()->ReadRange(0, Seconds(1000));
+  ASSERT_TRUE(wal.ok());
+  ASSERT_EQ(wal->size(), 12u);
+  for (std::size_t i = 0; i < wal->size(); ++i) {
+    EXPECT_EQ((*wal)[i].id, i) << "WAL row " << i;
+  }
 }
 
 TEST(ServiceRecovery, TornArchiveTailCountedInReport) {
