@@ -146,7 +146,7 @@ IndexShape ShapeOf(const Select& select) {
   return latest_only ? IndexShape::kLatest : IndexShape::kIndex;
 }
 
-bool IndexAnswersExactly(const Select& select, TelemetryStream& stream,
+bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
                          const std::optional<StreamAggregates>& agg) {
   switch (ShapeOf(select)) {
     case IndexShape::kNone:
@@ -157,8 +157,6 @@ bool IndexAnswersExactly(const Select& select, TelemetryStream& stream,
       break;
   }
   if (Archiver<Sample>* archiver = stream.archiver()) {
-    // Staged evictions count as WAL rows once flushed.
-    stream.FlushEvictions();
     if (archiver->Count() > 0) return false;
     ColdReaderBase* cold = archiver->cold_reader();
     if (cold != nullptr && cold->ColdRowCount() > 0) return false;
@@ -542,11 +540,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   Archiver<Sample>* archiver = stream->archiver();
   ColdReaderBase* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
-  bool archive_has_rows = archiver != nullptr;
-  if (archive_has_rows) {
-    stream->FlushEvictions();
-    archive_has_rows = archiver->Count() > 0;
-  }
+  const bool archive_has_rows = archiver != nullptr && archiver->Count() > 0;
   const bool cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
   const bool history = archive_has_rows || cold_has_rows;
 
@@ -651,10 +645,13 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   if (has_aggregate) {
     // One row; bare columns in an aggregate select resolve against the
     // latest matching entry (the paper's MAX(Timestamp), metric idiom).
+    // MIN/MAX skip NaN, as the rolling index does; with no other value
+    // they answer NaN.
     struct ItemAcc {
       double sum = 0.0;
       double min = std::numeric_limits<double>::infinity();
       double max = -std::numeric_limits<double>::infinity();
+      bool ordered = false;  // a non-NaN value reached min/max
     };
     std::vector<ItemAcc> accs(select.items.size());
     std::size_t matched = 0;
@@ -679,8 +676,10 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
         const double v = CellOf(item.column, entry);
         ItemAcc& acc = accs[i];
         acc.sum += v;
+        if (std::isnan(v)) continue;
         acc.min = std::min(acc.min, v);
         acc.max = std::max(acc.max, v);
+        acc.ordered = true;
       }
       return true;
     });
@@ -700,10 +699,10 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
           cell = static_cast<double>(matched);
           break;
         case Aggregate::kMax:
-          if (matched > 0) cell = accs[i].max;
+          if (accs[i].ordered) cell = accs[i].max;
           break;
         case Aggregate::kMin:
-          if (matched > 0) cell = accs[i].min;
+          if (accs[i].ordered) cell = accs[i].min;
           break;
         case Aggregate::kSum:
           if (matched > 0) cell = accs[i].sum;
@@ -748,10 +747,15 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     const bool descending = select.order_by->descending;
     std::vector<std::size_t> idx(rows.size());
     std::iota(idx.begin(), idx.end(), std::size_t{0});
+    // NaN keys sort last in both directions (a comparison with NaN is
+    // false, so the first term never orders one); stable_sort keeps ties
+    // in scan (id) order.
     std::stable_sort(idx.begin(), idx.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return descending ? keys[a] > keys[b]
-                                         : keys[a] < keys[b];
+                       const double x = keys[a];
+                       const double y = keys[b];
+                       return (descending ? x > y : x < y) ||
+                              (std::isnan(y) && !std::isnan(x));
                      });
     if (idx.size() > limit) idx.resize(limit);
     std::vector<ResultRow> out;

@@ -59,7 +59,7 @@ IndexShape ShapeOf(const Select& select);
 // for the WAL or the cold tier (the index covers the ring alone) and, when
 // it asks for timestamp stats, while the index's timestamps are trusted.
 // `agg` is the stream's Aggregates() snapshot.
-bool IndexAnswersExactly(const Select& select, TelemetryStream& stream,
+bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
                          const std::optional<StreamAggregates>& agg);
 
 struct ResultRow {

@@ -268,14 +268,13 @@ class Archiver {
   // Appends `n` records in order with the archiver's retry policy, paying
   // one flush per chunk (see ArchiveLog::Append). Each record gets the
   // policy's attempts: a failed chunk is rolled back and retried whole
-  // after a backoff (a real sleep — eviction flushes run off the stream
+  // after a backoff (a real sleep, taken under the evicting stream's
   // lock); a record whose kArchiveWrite check fires is retried on its own.
-  // Records still failing are dropped and counted in Failures(), and
-  // `failed` (may be null) receives how many. Returns the first error.
-  Status AppendBatch(const Record* records, std::size_t n,
-                     std::size_t* failed = nullptr) {
+  // Records still failing are dropped and counted in Failures(). Returns
+  // the first error.
+  Status AppendBatch(const Record* records, std::size_t n) {
     std::lock_guard<std::mutex> lock(mu_);
-    return AppendLocked(records, n, retry_.max_attempts, failed);
+    return AppendLocked(records, n, retry_.max_attempts);
   }
 
   // Single-record forms of AppendBatch: Append makes one attempt,
@@ -283,7 +282,7 @@ class Archiver {
   Status Append(std::uint64_t id, TimeNs timestamp, const T& payload) {
     const Record rec = MakeRecord(id, timestamp, payload);
     std::lock_guard<std::mutex> lock(mu_);
-    return AppendLocked(&rec, 1, /*max_attempts=*/1, nullptr);
+    return AppendLocked(&rec, 1, /*max_attempts=*/1);
   }
   Status AppendWithRetry(std::uint64_t id, TimeNs timestamp,
                          const T& payload) {
@@ -448,12 +447,10 @@ class Archiver {
   // kArchiveWrite once per record attempt in record order. A record whose
   // check fires ends the chunk before it (`fired` remembers it, so that
   // attempt is not evaluated twice) and then fails on its own.
-  Status AppendLocked(const Record* records, std::size_t n, int max_attempts,
-                      std::size_t* failed) {
+  Status AppendLocked(const Record* records, std::size_t n, int max_attempts) {
     FaultInjector* injector = fault_.load(std::memory_order_acquire);
     const std::string_view label = label_.empty() ? path_ : label_;
     Status first_error;
-    std::size_t dropped = 0;
     std::size_t fired = n;
     int attempt = 1;
     for (std::size_t i = 0; i < n;) {
@@ -495,11 +492,9 @@ class Archiver {
       }
       RecordFailures(status, end - i);
       if (first_error.ok()) first_error = status;
-      dropped += end - i;
       i = end;
       attempt = 1;
     }
-    if (failed != nullptr) *failed = dropped;
     return first_error;
   }
 

@@ -10,9 +10,8 @@ Expected<TelemetryStream*> Broker::CreateTopic(const std::string& name,
                                                NodeId home_node,
                                                std::size_t capacity,
                                                Archiver<Sample>* archiver) {
-  Stripe& stripe = StripeFor(name);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto [it, inserted] = stripe.topics.try_emplace(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = topics_.try_emplace(name);
   if (!inserted) {
     return Error(ErrorCode::kAlreadyExists, "topic exists: " + name);
   }
@@ -23,10 +22,9 @@ Expected<TelemetryStream*> Broker::CreateTopic(const std::string& name,
 }
 
 Expected<TelemetryStream*> Broker::GetTopic(const std::string& name) const {
-  Stripe& stripe = StripeFor(name);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.topics.find(name);
-  if (it == stripe.topics.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = topics_.find(name);
+  if (it == topics_.end()) {
     return Error(ErrorCode::kNotFound, "no such topic: " + name);
   }
   return it->second.stream.get();
@@ -45,10 +43,9 @@ Expected<TelemetryStream*> Broker::EnsureTopic(const std::string& name,
                                                std::size_t capacity,
                                                Archiver<Sample>* archiver) {
   {
-    Stripe& stripe = StripeFor(name);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    auto it = stripe.topics.find(name);
-    if (it != stripe.topics.end()) return it->second.stream.get();
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = topics_.find(name);
+    if (it != topics_.end()) return it->second.stream.get();
   }
   auto created = CreateTopic(name, home_node, capacity, archiver);
   if (created.ok()) return created;
@@ -63,10 +60,9 @@ Expected<TopicHandle> Broker::Resolve(const std::string& name) const {
   // load at worst leaves the handle conservatively stale (it re-resolves on
   // first use), never wrongly fresh.
   const std::uint64_t version = version_.load(std::memory_order_acquire);
-  Stripe& stripe = StripeFor(name);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.topics.find(name);
-  if (it == stripe.topics.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = topics_.find(name);
+  if (it == topics_.end()) {
     return Error(ErrorCode::kNotFound, "no such topic: " + name);
   }
   return TopicHandle(name, it->second.stream.get(),
@@ -74,9 +70,8 @@ Expected<TopicHandle> Broker::Resolve(const std::string& name) const {
 }
 
 Status Broker::RemoveTopic(const std::string& name) {
-  Stripe& stripe = StripeFor(name);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.topics.erase(name) == 0) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (topics_.erase(name) == 0) {
     return Status(ErrorCode::kNotFound, "no such topic: " + name);
   }
   version_.fetch_add(1, std::memory_order_acq_rel);
@@ -84,19 +79,15 @@ Status Broker::RemoveTopic(const std::string& name) {
 }
 
 bool Broker::HasTopic(const std::string& name) const {
-  Stripe& stripe = StripeFor(name);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.topics.count(name) > 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return topics_.count(name) > 0;
 }
 
 std::vector<TopicInfo> Broker::ListTopics() const {
   std::vector<TopicInfo> out;
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const auto& [name, topic] : stripe.topics) {
-      out.push_back(topic.info);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  out.reserve(topics_.size());
+  for (const auto& [name, topic] : topics_) out.push_back(topic.info);
   return out;
 }
 
@@ -290,19 +281,10 @@ Status Broker::ChargeHop(TopicHandle& handle, NodeId node) {
   return Status::Ok();
 }
 
-Status Broker::ChargeHop(const std::string& topic, NodeId node) {
-  auto handle = Resolve(topic);
-  if (!handle.ok()) return handle.status();
-  ChargeLatency(handle->home_node(), node);
-  return Status::Ok();
-}
-
 NodeId Broker::HomeNode(const std::string& topic) const {
-  Stripe& stripe = StripeFor(topic);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.topics.find(topic);
-  return it == stripe.topics.end() ? kLocalNode
-                                   : it->second.info.home_node;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = topics_.find(topic);
+  return it == topics_.end() ? kLocalNode : it->second.info.home_node;
 }
 
 Status Broker::Refresh(TopicHandle& handle) {

@@ -5,18 +5,15 @@
 // latency, which is what makes the degree/Hamming-distance effects of
 // Figure 7 observable in a single process.
 //
-// Hot-path layout: the topic registry is sharded across kStripes
-// independently locked maps (hash of topic name -> stripe), so concurrent
-// publishers to different topics never contend on a registry lock. Steady-
-// state callers skip the registry entirely by resolving a TopicHandle once
-// (at deploy/plan time) and publishing/fetching through it; a registry
-// version counter lets handles self-heal after topic churn.
+// Hot-path layout: the topic registry is one map behind one mutex, taken
+// at deploy/plan time and when a handle re-resolves after topic churn, not
+// per publish. Steady-state callers resolve a TopicHandle once and
+// publish/fetch through it; a registry version counter lets handles
+// self-heal after churn.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,11 +99,6 @@ class TopicHandle {
 
 class Broker {
  public:
-  // Registry stripe count. Power of two; 16 keeps the per-stripe footprint
-  // one cache line while exceeding the core counts the Figure 6 fan-in
-  // sweep exercises.
-  static constexpr std::size_t kStripes = 16;
-
   // `clock` is used to charge simulated network latency (SleepFor). A null
   // network model makes every hop free.
   explicit Broker(Clock& clock,
@@ -258,7 +250,6 @@ class Broker {
   // Charges one topic->node network hop without touching the stream — the
   // query path uses this instead of a zero-length Fetch probe.
   Status ChargeHop(TopicHandle& handle, NodeId node);
-  Status ChargeHop(const std::string& topic, NodeId node);
 
   NodeId HomeNode(const std::string& topic) const;
 
@@ -275,16 +266,6 @@ class Broker {
     TopicInfo info;
     std::unique_ptr<TelemetryStream> stream;
   };
-
-  // Padded so neighboring stripes never share a cache line under fan-in.
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Topic> topics;
-  };
-
-  Stripe& StripeFor(const std::string& name) const {
-    return stripes_[std::hash<std::string>{}(name) & (kStripes - 1)];
-  }
 
   // Revalidates `handle` against the current registry version, re-resolving
   // by name when stale. Hot path: one atomic load and a compare.
@@ -311,7 +292,8 @@ class Broker {
   std::atomic<std::uint64_t> version_{1};
   std::atomic<FaultInjector*> fault_{nullptr};
   std::atomic<PublishObserver*> publish_observer_{nullptr};
-  mutable std::array<Stripe, kStripes> stripes_;
+  mutable std::mutex mu_;  // guards topics_
+  std::unordered_map<std::string, Topic> topics_;
 };
 
 }  // namespace apollo

@@ -4,7 +4,6 @@
 // Semantics mirrored from Redis Streams:
 //  - entries get monotonically increasing ids on append;
 //  - any number of independent consumers read from their own cursor (XREAD);
-//  - a blocking read waits until an entry past the cursor arrives;
 //  - the in-memory window is bounded (XTRIM ~ maxlen) and evicted entries
 //    are handed to an optional Archiver.
 //
@@ -15,19 +14,20 @@
 // a rolling aggregate index (count/sum/min/max/latest, monotonic wedges
 // for min/max) so predicate-free aggregate queries answer in O(1).
 //
-// Appends are mutex-protected: the queue-side throughput in Figure 6 is
-// dominated by fan-in contention which this reproduces faithfully. Archiver
-// evictions are batched and flushed *outside* the stream lock so file I/O
-// never serializes producers. A flush hands the whole staged batch to
-// Archiver::AppendBatch, which pays one fflush per chunk, not per record.
+// One mutex guards the window. An append collects the rows it evicts and
+// hands them to Archiver::AppendBatch (one fflush per WAL chunk) before it
+// releases that mutex, so a row leaves the ring only once the archive holds
+// it (or has counted it in Archiver::Failures()). The cost: a reader of the
+// same stream on another thread waits while that write runs, fsync
+// included under kEveryN/kInterval.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -86,8 +86,6 @@ class Stream {
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
-  ~Stream() { FlushEvictions(); }
-
   // Appends one entry; returns its id. Thread-safe (multi-producer). A batch
   // of one: see AppendBatch.
   std::uint64_t Append(TimeNs timestamp, T value) {
@@ -97,12 +95,11 @@ class Stream {
 
   // Appends `n` entries under one lock acquisition. Entry `id` fields in
   // `entries` are ignored; ids are assigned contiguously and the id of the
-  // last appended entry is returned (first is `returned - n + 1`). Evicted
-  // entries are staged under the lock and written to the archiver outside
-  // it, in one flush attempted once at the end; waiters are notified once.
-  // Precondition: n > 0.
+  // last appended entry is returned (first is `returned - n + 1`). The
+  // entries this evicts go to the archiver in one AppendBatch call before
+  // the lock is released. Precondition: n > 0.
   std::uint64_t AppendBatch(const Entry* entries, std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     std::uint64_t id = 0;
     for (std::size_t i = 0; i < n; ++i) {
       id = next_id_++;
@@ -111,7 +108,7 @@ class Stream {
         // Entries below restore_limit_ were restored from a durable copy
         // (see RestoreWindowAt) — re-archiving them would duplicate it.
         if (archiver_ != nullptr && victim.id >= restore_limit_) {
-          evict_pending_.push_back(ToRecord(victim));
+          evicted_.push_back(ToRecord(victim));
         }
         if constexpr (kHasAggregateIndex) IndexEvict(victim);
         ++first_id_;
@@ -124,10 +121,15 @@ class Stream {
       slot.value = entries[i].value;
       if constexpr (kHasAggregateIndex) IndexAppend(slot);
     }
-    const bool flush = archiver_ != nullptr && !evict_pending_.empty();
-    lock.unlock();
-    cv_.notify_all();
-    if (flush) TryFlushEvictions();
+    if (!evicted_.empty()) {
+      // A record that still fails after the archiver's retry policy is
+      // dropped and counted in Archiver::Failures() (blocking producers
+      // forever on a dead disk would be worse).
+      TRACE_SPAN("stream.flush_evictions");
+      GlobalTelemetry().stream_evictions.Inc(evicted_.size());
+      (void)archiver_->AppendBatch(evicted_.data(), evicted_.size());
+      evicted_.clear();  // keeps its capacity for the next append
+    }
     return id;
   }
 
@@ -152,17 +154,6 @@ class Stream {
     std::vector<Entry> out;
     Read(cursor, out, max_entries);
     return out;
-  }
-
-  // Blocks until an entry with id >= cursor exists or the real-time deadline
-  // passes. Returns true when data is available. (Used only in real-clock
-  // runs; sim-clock vertices poll from timer callbacks instead.)
-  bool WaitFor(std::uint64_t cursor,
-               std::chrono::nanoseconds timeout) const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [&] {
-      return next_id_ > cursor;
-    });
   }
 
   // Most recent entry, if any.
@@ -209,16 +200,6 @@ class Stream {
     }
   }
 
-  // Timestamp of the oldest in-memory entry with timestamp >= ts, if any.
-  // Lets the query path decide whether an archive read is needed without
-  // materializing the window.
-  std::optional<TimeNs> FirstTimestampAtOrAfter(TimeNs ts) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t id = first_id_ + LowerPosByTime(ts);
-    if (id >= next_id_) return std::nullopt;
-    return ring_[id & mask_].timestamp;
-  }
-
   // Latest entry at or before `ts` (the "value as of time t" query).
   std::optional<Entry> LatestAtOrBefore(TimeNs ts) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -237,8 +218,9 @@ class Stream {
     StreamAggregates agg;
     agg.count = static_cast<std::size_t>(next_id_ - first_id_);
     agg.sum_value = sum_value_;
-    agg.min_value = min_wedge_.front().second;
-    agg.max_value = max_wedge_.front().second;
+    // NaN never enters a wedge: an all-NaN window has no min or max.
+    agg.min_value = min_wedge_.empty() ? kNan : min_wedge_.front().second;
+    agg.max_value = max_wedge_.empty() ? kNan : max_wedge_.front().second;
     agg.sum_timestamp = sum_ts_;
     agg.min_timestamp = ring_[first_id_ & mask_].value.timestamp;
     agg.max_timestamp = ring_[(next_id_ - 1) & mask_].value.timestamp;
@@ -279,22 +261,9 @@ class Stream {
   }
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  // Archive appends that stayed failed after retries (also visible on the
-  // archiver itself and in GlobalTelemetry()).
-  std::uint64_t ArchiveFailures() const {
-    return archive_failures_.load(std::memory_order_acquire);
-  }
-
-  // Drains staged evictions into the archiver, blocking until any in-flight
-  // flush completes so archive order stays id-sorted. Readers that are
-  // about to scan the archive call this to make recent evictions visible.
-  // Returns the first persist error of the drained batch (the entries are
-  // dropped but counted — see ArchiveFailures()).
-  Status FlushEvictions() {
-    if (archiver_ == nullptr) return Status::Ok();
-    std::lock_guard<std::mutex> archive_lock(archive_mu_);
-    return FlushLocked();
-  }
+  // Evicted entries are archived before the append that evicted them
+  // returns, so there is never anything left to flush; always Ok.
+  Status FlushEvictions() { return Status::Ok(); }
 
   // Seeds an empty stream with a window from a durable copy, oldest first,
   // KEEPING the entries' ids: the archive tail on restart
@@ -308,7 +277,7 @@ class Stream {
   // with kFailedPrecondition on a stream that has ever been appended to,
   // and kInvalidArgument when `entries` exceeds the capacity or has gaps.
   Status RestoreWindowAt(const std::vector<Entry>& entries) {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (next_id_ != 0) {
       return Status(ErrorCode::kFailedPrecondition,
                     "RestoreWindowAt requires an empty stream");
@@ -336,12 +305,12 @@ class Stream {
       if constexpr (kHasAggregateIndex) IndexAppend(slot);
     }
     restore_limit_ = next_id_;
-    lock.unlock();
-    cv_.notify_all();
     return Status::Ok();
   }
 
  private:
+  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
   static std::size_t RoundUpPow2(std::size_t n) {
     std::size_t p = 1;
     while (p < n) p <<= 1;
@@ -395,6 +364,9 @@ class Stream {
     sum_ts_ += static_cast<double>(entry.value.timestamp);
     if (entry.value.timestamp != entry.timestamp) ts_mismatch_ = true;
     if (entry.value.provenance == Provenance::kPredicted) ++predicted_;
+    // MIN/MAX ignore NaN, as the scan does; a NaN in a wedge would never
+    // be popped and would hide every later value.
+    if (std::isnan(v)) return;
     while (!max_wedge_.empty() && max_wedge_.back().second <= v) {
       max_wedge_.pop_back();
     }
@@ -417,48 +389,14 @@ class Stream {
     }
   }
 
-  // Opportunistic flush after an append: skips (leaving entries staged for
-  // the next flusher) rather than blocking a producer behind archive I/O.
-  void TryFlushEvictions() {
-    std::unique_lock<std::mutex> archive_lock(archive_mu_, std::try_to_lock);
-    if (!archive_lock.owns_lock()) return;
-    (void)FlushLocked();  // failures are counted in ArchiveFailures()
-  }
-
   static Record ToRecord(const Entry& entry) {
     return Archiver<T>::MakeRecord(entry.id, entry.timestamp, entry.value);
-  }
-
-  // Caller holds archive_mu_ (serializes flushers, keeping archive order).
-  // The whole staged batch goes to the archiver in one call. A record that
-  // still fails after the archiver's retry policy is counted and dropped
-  // (blocking producers forever on a dead disk would be worse); the first
-  // error of the batch is returned so flush callers can react.
-  Status FlushLocked() {
-    std::vector<Record> batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      batch.swap(evict_pending_);
-    }
-    if (batch.empty()) return Status::Ok();
-    TRACE_SPAN("stream.flush_evictions");
-    GlobalTelemetry().stream_evictions.Inc(batch.size());
-    std::size_t failed = 0;
-    Status result = archiver_->AppendBatch(batch.data(), batch.size(), &failed);
-    archive_failures_.fetch_add(failed, std::memory_order_acq_rel);
-    batch.clear();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (evict_pending_.empty()) evict_pending_.swap(batch);  // keep capacity
-    return result;
   }
 
   const std::size_t capacity_;
   Archiver<T>* archiver_;
   std::atomic<bool> degraded_{false};
-  std::atomic<std::uint64_t> archive_failures_{0};
   mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::mutex archive_mu_;  // serializes eviction flushes (see FlushLocked)
 
   // Ring indexed by id & mask_; live ids are [first_id_, next_id_).
   std::vector<Entry> ring_;
@@ -468,7 +406,7 @@ class Stream {
   // Ids below this were restored from a durable copy (see RestoreWindowAt)
   // and must not be re-archived on eviction.
   std::uint64_t restore_limit_ = 0;
-  std::vector<Record> evict_pending_;  // staged for the next flush
+  std::vector<Record> evicted_;  // this append's evictions (see AppendBatch)
 
   // Rolling aggregate index (Sample streams only; guarded by mu_). Wedges
   // hold (id, value) in monotone order so window min/max evict in O(1).

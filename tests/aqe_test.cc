@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "aqe/executor.h"
 #include "aqe/parser.h"
@@ -244,6 +248,168 @@ TEST_F(ExecutorTest, EmptyTableAggregatesNaN) {
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(std::isnan(rs->rows[0].values[0]));
   EXPECT_DOUBLE_EQ(rs->rows[0].values[1], 0.0);
+}
+
+// --- NaN: the rolling index and the scan agree ---
+
+// MIN(metric) and MAX(metric) of `table`, once as written (the rolling
+// index answers) and once with an always-true WHERE that forces a scan.
+struct MinMaxPaths {
+  std::vector<double> index;
+  std::vector<double> scan;
+};
+
+MinMaxPaths MinMaxBothPaths(Executor& executor, const std::string& table) {
+  MinMaxPaths out;
+  const std::string select = "SELECT MIN(metric), MAX(metric) FROM " + table;
+  auto profile = executor.Explain(select, /*analyze=*/false);
+  EXPECT_TRUE(profile.ok());
+  if (profile.ok()) {
+    EXPECT_EQ(profile->vertices.at(0).strategy, "index");
+  }
+  auto index = executor.Execute(select);
+  auto scan = executor.Execute(select + " WHERE timestamp >= 0");
+  EXPECT_TRUE(index.ok());
+  EXPECT_TRUE(scan.ok());
+  if (index.ok()) out.index = index->rows.at(0).values;
+  if (scan.ok()) out.scan = scan->rows.at(0).values;
+  return out;
+}
+
+// Equal, or both NaN.
+bool SameAnswer(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+void ExpectMinMax(const MinMaxPaths& paths, double min, double max) {
+  ASSERT_EQ(paths.index.size(), 2u);
+  ASSERT_EQ(paths.scan.size(), 2u);
+  const double want[2] = {min, max};
+  for (int i = 0; i < 2; ++i) {
+    const char* label = i == 0 ? "MIN " : "MAX ";
+    EXPECT_TRUE(SameAnswer(paths.index[i], want[i]))
+        << "index " << label << paths.index[i];
+    EXPECT_TRUE(SameAnswer(paths.scan[i], want[i]))
+        << "scan " << label << paths.scan[i];
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+void PublishValues(Broker& broker, const std::string& topic,
+                   const std::vector<double>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const TimeNs ts = Seconds(static_cast<double>(i + 1));
+    ASSERT_TRUE(broker
+                    .Publish(topic, kLocalNode, ts,
+                             Sample{ts, values[i], Provenance::kMeasured})
+                    .ok());
+  }
+}
+
+TEST_F(ExecutorTest, MinMaxIgnoreNaNOnIndexAndScan) {
+  broker_.CreateTopic("nan_mid");
+  PublishValues(broker_, "nan_mid", {1.0, kNaN, 2.0});
+  Executor executor(broker_, &pool_);
+  ExpectMinMax(MinMaxBothPaths(executor, "nan_mid"), 1.0, 2.0);
+}
+
+TEST_F(ExecutorTest, MinMaxOfAllNaNWindowIsNaNOnIndexAndScan) {
+  broker_.CreateTopic("nan_all");
+  PublishValues(broker_, "nan_all", {kNaN, kNaN});
+  Executor executor(broker_, &pool_);
+  ExpectMinMax(MinMaxBothPaths(executor, "nan_all"), kNaN, kNaN);
+}
+
+// A 4-row ring: after every append the index agrees with the scan and
+// with the window's true min/max, before and after the NaN is evicted.
+TEST_F(ExecutorTest, MinMaxAgreeWhileNaNPassesThroughRing) {
+  broker_.CreateTopic("nan_ring", kLocalNode, /*capacity=*/4);
+  const std::vector<double> values = {1.0, kNaN, 7.0, 3.0, 2.0, 0.0, 5.0};
+  Executor executor(broker_, &pool_);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const TimeNs ts = Seconds(static_cast<double>(i + 1));
+    ASSERT_TRUE(broker_
+                    .Publish("nan_ring", kLocalNode, ts,
+                             Sample{ts, values[i], Provenance::kMeasured})
+                    .ok());
+    double min = kNaN;
+    double max = kNaN;
+    for (std::size_t j = i < 3 ? 0 : i - 3; j <= i; ++j) {
+      if (std::isnan(values[j])) continue;
+      min = std::isnan(min) ? values[j] : std::min(min, values[j]);
+      max = std::isnan(max) ? values[j] : std::max(max, values[j]);
+    }
+    SCOPED_TRACE(testing::Message() << "after append " << i);
+    ExpectMinMax(MinMaxBothPaths(executor, "nan_ring"), min, max);
+  }
+}
+
+// --- ORDER BY over NaN keys: NaN last in both directions ---
+
+std::vector<double> OrderedMetrics(Executor& executor,
+                                   const std::string& query) {
+  auto rs = executor.Execute(query);
+  EXPECT_TRUE(rs.ok()) << query;
+  std::vector<double> out;
+  if (!rs.ok()) return out;
+  for (const ResultRow& row : rs->rows) out.push_back(row.values.at(0));
+  return out;
+}
+
+void ExpectSameSequence(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& query) {
+  ASSERT_EQ(got.size(), want.size()) << query;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameAnswer(got[i], want[i]))
+        << query << ": row " << i << " is " << got[i];
+  }
+}
+
+TEST_F(ExecutorTest, OrderByPutsNaNKeysLastInBothDirections) {
+  broker_.CreateTopic("nan_keys");
+  PublishValues(broker_, "nan_keys", {1.0, kNaN, 3.0, 2.0});
+  Executor executor(broker_, &pool_);
+  const std::vector<double> asc = {1.0, 2.0, 3.0, kNaN};
+  const std::vector<double> desc = {3.0, 2.0, 1.0, kNaN};
+  for (std::size_t limit : {0u, 1u, 3u, 10u}) {
+    std::string suffix = " LIMIT ";
+    suffix += std::to_string(limit);
+    const std::size_t take = std::min<std::size_t>(limit, asc.size());
+    const std::string asc_query =
+        "SELECT metric FROM nan_keys ORDER BY metric ASC" + suffix;
+    ExpectSameSequence(OrderedMetrics(executor, asc_query),
+                       {asc.begin(), asc.begin() + take}, asc_query);
+    const std::string desc_query =
+        "SELECT metric FROM nan_keys ORDER BY metric DESC" + suffix;
+    ExpectSameSequence(OrderedMetrics(executor, desc_query),
+                       {desc.begin(), desc.begin() + take}, desc_query);
+  }
+}
+
+// Equal keys keep scan (id) order, NaN keys included.
+TEST_F(ExecutorTest, OrderByTiesKeepIdOrder) {
+  broker_.CreateTopic("ties");
+  PublishValues(broker_, "ties", {2.0, kNaN, 1.0, 2.0, kNaN, 1.0});
+  Executor executor(broker_, &pool_);
+  for (const char* dir : {"ASC", "DESC"}) {
+    const std::string query =
+        std::string("SELECT timestamp, metric FROM ties ORDER BY metric ") +
+        dir;
+    auto rs = executor.Execute(query);
+    ASSERT_TRUE(rs.ok());
+    ASSERT_EQ(rs->NumRows(), 6u);
+    for (std::size_t i = 1; i < rs->NumRows(); ++i) {
+      const auto& prev = rs->rows[i - 1].values;
+      const auto& cur = rs->rows[i].values;
+      if (SameAnswer(prev[1], cur[1])) {
+        EXPECT_LT(prev[0], cur[0]) << query << ": tie at row " << i;
+      }
+    }
+    EXPECT_TRUE(std::isnan(rs->rows[4].values[1])) << query;
+    EXPECT_TRUE(std::isnan(rs->rows[5].values[1])) << query;
+  }
 }
 
 TEST_F(ExecutorTest, SequentialWithoutPoolMatchesParallel) {

@@ -97,7 +97,6 @@ class ThreeTierTopic {
   }
 
   void Compact() {
-    stream_->FlushEvictions();
     auto result = cold_.CompactOnce(archiver_);
     ASSERT_TRUE(result.ok()) << result.error().ToString();
   }
@@ -365,7 +364,6 @@ void RunModel(std::uint64_t seed) {
       topic.Compact();
       if (testing::Test::HasFatalFailure()) return;
     }
-    topic.stream()->FlushEvictions();
     const TierRows tiers = ReadTiers(topic);
     ASSERT_EQ(tiers.ring.size() + tiers.wal.size() + tiers.cold_ids.size(),
               topic.model().size());
@@ -459,7 +457,6 @@ TEST(ColdTierDegraded, QuarantinedBlockMarksAnswerDegraded) {
 TEST(ColdTierDegraded, UnreadableWalMarksAnswerDegraded) {
   DegradedTopic topic;
   ASSERT_TRUE(topic.ok());
-  topic.stream()->FlushEvictions();
   bool degraded = true;
   ASSERT_DOUBLE_EQ(topic.Count(&degraded),
                    static_cast<double>(DegradedTopic::kRows));

@@ -2,8 +2,6 @@
 // and the observability of broker/archiver failures.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -366,103 +364,6 @@ TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
   EXPECT_EQ(archiver.Failures(), 0u);
   EXPECT_EQ(archiver.Count(), 1u);
   EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
-}
-
-TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
-  GlobalTelemetry().Reset();
-  SimClock clock;
-  Broker broker(clock);
-  Archiver<Sample> archiver;
-  FaultInjector injector;
-  FaultSpec spec;
-  spec.site = FaultSite::kArchiveWrite;
-  spec.probability = 1.0;
-  injector.Arm(spec);
-  archiver.AttachFaultInjector(&injector);
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  archiver.set_retry_policy(policy);
-
-  // Capacity 4: every publish past the 4th evicts into the (failing)
-  // archive.
-  ASSERT_TRUE(broker.CreateTopic("t", kLocalNode, 4, &archiver).ok());
-  auto handle = *broker.Resolve("t");
-  for (TimeNs ts = 1; ts <= 10; ++ts) {
-    ASSERT_TRUE(broker
-                    .Publish(handle, kLocalNode, ts,
-                             Sample{ts, 1.0, Provenance::kMeasured})
-                    .ok());
-  }
-  (void)handle.stream()->FlushEvictions();
-  EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_EQ(handle.stream()->ArchiveFailures(), 6u)
-      << "all six evicted records failed to persist and were counted";
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.Value(), 6u);
-}
-
-// One 16-record eviction batch whose kArchiveWrite check fires on hits 3
-// and 7, with no retries: exactly those two records are dropped and
-// counted, the rest land in order, and the runs between them still share
-// one flush each.
-TEST(StreamFaultTest, WriteFaultsInOneEvictionBatchDropOnlyTheirRecords) {
-  GlobalTelemetry().Reset();
-  const std::string dir = testing::TempDir() + "/stream_fault_batch";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  Archiver<Sample> archiver(dir + "/metric.log");
-  ASSERT_FALSE(archiver.InMemory());
-  FaultInjector injector;
-  FaultSpec spec;
-  spec.site = FaultSite::kArchiveWrite;
-  spec.fire_on_hits = {3, 7};
-  injector.Arm(spec);
-  archiver.AttachFaultInjector(&injector);
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  archiver.set_retry_policy(policy);
-
-  // A 4-row ring fed 20 entries in one batch evicts ids 0..15 at once.
-  TelemetryStream stream(4, &archiver);
-  std::vector<TelemetryStream::Entry> entries(20);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const TimeNs ts = static_cast<TimeNs>(i + 1);
-    entries[i].timestamp = ts;
-    entries[i].value =
-        Sample{ts, static_cast<double>(i), Provenance::kMeasured};
-  }
-  stream.AppendBatch(entries.data(), entries.size());
-  (void)stream.FlushEvictions();
-
-  EXPECT_EQ(injector.Hits(FaultSite::kArchiveWrite), 16u);  // one per record
-  EXPECT_EQ(stream.ArchiveFailures(), 2u);
-  EXPECT_EQ(archiver.Failures(), 2u);
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.Value(), 2u);
-  EXPECT_EQ(archiver.Flushes(), 3u);  // ids 0-2, 4-6, 8-15
-  auto rows = archiver.ReadRange(0, 1000);
-  ASSERT_TRUE(rows.ok());
-  std::vector<std::uint64_t> ids;
-  for (const auto& row : *rows) ids.push_back(row.id);
-  std::vector<std::uint64_t> want;
-  for (std::uint64_t id = 0; id < 16; ++id) {
-    if (id != 3 && id != 7) want.push_back(id);
-  }
-  EXPECT_EQ(ids, want);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(StreamFaultTest, DegradedFlagTransitionsAreEdgeTriggered) {
-  SimClock clock;
-  Broker broker(clock);
-  ASSERT_TRUE(broker.CreateTopic("t").ok());
-  auto handle = *broker.Resolve("t");
-  TelemetryStream* stream = handle.stream();
-
-  EXPECT_FALSE(stream->degraded());
-  EXPECT_FALSE(stream->SetDegraded(true));  // was clear
-  EXPECT_TRUE(stream->degraded());
-  EXPECT_TRUE(stream->SetDegraded(true));  // already set: no transition
-  EXPECT_TRUE(stream->SetDegraded(false));
-  EXPECT_FALSE(stream->degraded());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
@@ -107,27 +110,6 @@ TEST(Stream, LatestAtOrBefore) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->value.value, 2.0);  // t=4s entry
   EXPECT_FALSE(stream.LatestAtOrBefore(-1).has_value());
-}
-
-TEST(Stream, WaitForReturnsImmediatelyWhenDataExists) {
-  TelemetryStream stream(8);
-  stream.Append(1, S(1, 1.0));
-  EXPECT_TRUE(stream.WaitFor(0, std::chrono::milliseconds(1)));
-}
-
-TEST(Stream, WaitForTimesOutWithoutData) {
-  TelemetryStream stream(8);
-  EXPECT_FALSE(stream.WaitFor(0, std::chrono::milliseconds(5)));
-}
-
-TEST(Stream, WaitForWakesOnAppend) {
-  TelemetryStream stream(8);
-  std::thread appender([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stream.Append(1, S(1, 1.0));
-  });
-  EXPECT_TRUE(stream.WaitFor(0, std::chrono::seconds(5)));
-  appender.join();
 }
 
 TEST(Stream, ConcurrentAppendersAllLand) {
@@ -278,6 +260,91 @@ TEST(Broker, LocalAccessFree) {
   broker.CreateTopic("local", /*home_node=*/3);
   ASSERT_TRUE(broker.Publish("local", /*from_node=*/3, 0, S(0, 1.0)).ok());
   EXPECT_EQ(clock.Now(), 0);  // same node: no latency charged
+}
+
+// Registry churn: four threads each create, resolve, publish to and remove
+// their own topics while resolving and listing everyone's, and all of them
+// publish through one long-lived handle to a shared topic. Every create or
+// remove bumps the registry version, so that handle (and each thread's
+// handle to a removed topic) is stale on almost every use and re-resolves
+// by name under the registry lock. A thread only publishes to its own
+// topics: a handle does not keep a removed stream alive.
+TEST(BrokerStress, RegistryChurnWithStaleHandles) {
+  Broker broker(RealClock::Instance());
+  ASSERT_TRUE(broker.CreateTopic("shared").ok());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3003;
+  constexpr int kOwnTopics = 3;
+  std::atomic<int> errors{0};
+  auto check = [&errors](bool ok) {
+    if (!ok) errors.fetch_add(1, std::memory_order_relaxed);
+  };
+  auto topic_name = [](int thread, int k) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "t%d.%d", thread, k);
+    return std::string(buf);
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto shared = broker.Resolve("shared");
+      check(shared.ok());
+      if (!shared.ok()) return;
+      TopicHandle shared_handle = *shared;
+      std::vector<TopicHandle> stale;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::string own = topic_name(t, round % kOwnTopics);
+        const std::string other =
+            topic_name((t + 1) % kThreads, round % kOwnTopics);
+        const TimeNs ts = round;
+        const Sample sample{ts, static_cast<double>(round),
+                            Provenance::kMeasured};
+        if (broker.HasTopic(own)) {
+          // Publish through the handle from when this topic was created,
+          // made stale by every create/remove since, then remove it.
+          check(broker.Publish(stale[round % kOwnTopics], kLocalNode, ts,
+                               sample)
+                    .ok());
+          check(broker.RemoveTopic(own).ok());
+          // The removed topic's handle re-resolves and reports NotFound.
+          auto gone = broker.Publish(stale[round % kOwnTopics], kLocalNode,
+                                     ts, sample);
+          check(!gone.ok() && gone.error().code() == ErrorCode::kNotFound);
+        } else {
+          check(broker.CreateTopic(own, /*home_node=*/t, 8).ok());
+          auto handle = broker.Resolve(own);
+          check(handle.ok());
+          if (!handle.ok()) return;
+          if (stale.size() < kOwnTopics) {
+            stale.push_back(*handle);
+          } else {
+            stale[round % kOwnTopics] = *handle;
+          }
+        }
+        // Another thread's topic may come and go under these calls.
+        (void)broker.Resolve(other);
+        (void)broker.HomeNode(other);
+        check(broker.ListTopics().size() <= 1 + kThreads * kOwnTopics);
+        check(broker.Publish(shared_handle, kLocalNode, ts, sample).ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+
+  auto shared = broker.GetTopic("shared");
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ((*shared)->NextId(),
+            static_cast<std::uint64_t>(kThreads * kRounds));
+  // Each own name alternates create and remove over its 1001 rounds, so
+  // its last round left it present.
+  const std::vector<TopicInfo> topics = broker.ListTopics();
+  EXPECT_EQ(topics.size(), static_cast<std::size_t>(1 + kThreads * kOwnTopics));
+  for (const TopicInfo& info : topics) {
+    if (info.name == "shared") continue;
+    EXPECT_EQ(info.home_node, info.name[1] - '0') << info.name;
+  }
 }
 
 TEST(UniformNetworkTest, LatencyRules) {

@@ -267,9 +267,7 @@ TEST(ArchiveRecovery, InjectedFsyncFailureMidBatchRetriesChunkOnce) {
     entries[i].value = S(entries[i].timestamp, static_cast<double>(i));
   }
   stream.AppendBatch(entries.data(), entries.size());
-  ASSERT_TRUE(stream.FlushEvictions().ok());
 
-  EXPECT_EQ(stream.ArchiveFailures(), 0u);
   EXPECT_EQ(archiver.Failures(), 0u);
   EXPECT_EQ(GlobalTelemetry().archive_fsync_failures.Value(), 1u);
   EXPECT_GE(GlobalTelemetry().archive_retries.Value(), 1u);
@@ -318,7 +316,6 @@ std::uint64_t ExpectBatchedFlushWritesSameBytes(const std::string& name,
     entries[i].value = ZeroPadded(entries[i].timestamp, static_cast<double>(i));
   }
   stream.AppendBatch(entries.data(), entries.size());
-  EXPECT_TRUE(stream.FlushEvictions().ok());
 
   EXPECT_EQ(batched.Count(), kRecords);
   EXPECT_EQ(per_record.Flushes(), kRecords);
@@ -425,7 +422,6 @@ TEST(StreamRestore, RestoredEntriesAreNotReArchived) {
   for (int i = 4; i < 10; ++i) {
     stream.Append(Seconds(i), S(Seconds(i), i));
   }
-  ASSERT_TRUE(stream.FlushEvictions().ok());
   EXPECT_EQ(archiver.Count(), 2u);
   auto archived = archiver.ReadRange(0, Seconds(1000));
   ASSERT_TRUE(archived.ok());
@@ -571,7 +567,6 @@ TEST(ServiceRecovery, RestoredWindowKeepsArchivedIds) {
     auto stream = apollo.broker().GetTopic("metric");
     ASSERT_TRUE(stream.ok());
     for (int i = 0; i < 12; ++i) (*stream)->Append(ts, S(ts, i));
-    ASSERT_TRUE((*stream)->FlushEvictions().ok());
   }
 
   ApolloService apollo(options);
@@ -598,7 +593,6 @@ TEST(ServiceRecovery, RestoredWindowKeepsArchivedIds) {
   // Eight more rows evict the restored ids 4-7 (already on disk) and then
   // ids 8-11, which the WAL takes after the previous run's 0-7.
   for (int i = 12; i < 20; ++i) (*stream)->Append(ts, S(ts, i));
-  ASSERT_TRUE((*stream)->FlushEvictions().ok());
   auto wal = (*stream)->archiver()->ReadRange(0, Seconds(1000));
   ASSERT_TRUE(wal.ok());
   ASSERT_EQ(wal->size(), 12u);

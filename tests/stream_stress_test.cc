@@ -4,6 +4,7 @@
 //
 // Invariants checked:
 //  - ids seen by any cursor reader are strictly increasing;
+//  - a row is in the archive before it leaves the window;
 //  - after all threads join, archive ∪ window contains every id exactly once;
 //  - the rolling aggregate index matches a brute-force rescan of the window.
 //
@@ -139,7 +140,6 @@ TEST(StreamStress, ConcurrentAppendReadScanAndEvict) {
   for (auto& t : producers) t.join();
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
-  stream.FlushEvictions();
 
   // Exactly-once accounting: archive ∪ window == {0, ..., kTotal-1}.
   ASSERT_EQ(stream.Size(), kCapacity);
@@ -200,7 +200,6 @@ TEST(StreamStress, AggregateIndexMatchesRescanThroughEviction) {
     ASSERT_EQ(agg->latest.id, expect.latest.id) << "step " << i;
     ASSERT_TRUE(agg->timestamps_trusted);
   }
-  stream.FlushEvictions();
   ASSERT_EQ(archiver.Count(), 2000 - kCapacity);
 }
 
@@ -228,57 +227,63 @@ TEST(StreamStress, RingGrowthPreservesEntries) {
   EXPECT_EQ(ranged.back().timestamp, 9990);
 }
 
-// Readers racing FlushEvictions() against the producer's opportunistic
-// flush must leave the archive id-sorted with no gaps or duplicates, and
-// archive ∪ window must still cover every appended id exactly once.
-// (Flushers serialize on the archive mutex; this pins that ordering.)
+// Four appenders race readers that snapshot the ring and then read the
+// archive. A row leaves the ring only once the archive holds it, so every
+// archive read is ids 0..k-1 in order with k at least the oldest id of the
+// ring snapshot taken just before it. After the appenders return (no flush
+// call), ring ∪ archive covers every id exactly once, in id order.
 TEST(StreamStress, ConcurrentFlushEvictionsKeepArchiveOrdered) {
   Archiver<Sample> archiver;  // in-memory archive
   TelemetryStream stream(/*capacity=*/256, &archiver);
-  constexpr std::size_t kAppends = 40000;
+  constexpr std::size_t kAppenders = 4;
+  constexpr std::size_t kPerAppender = 5000;
+  constexpr std::size_t kAppends = kAppenders * kPerAppender;
   std::atomic<bool> done{false};
-  std::atomic<int> flush_errors{0};
 
-  std::vector<std::thread> flushers;
-  for (int t = 0; t < 3; ++t) {
-    flushers.emplace_back([&] {
-      std::vector<StreamEntry<Sample>> scratch;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::vector<StreamEntry<Sample>> window;
+      std::vector<Archiver<Sample>::Record> archived;
       while (!done.load(std::memory_order_acquire)) {
-        if (!stream.FlushEvictions().ok()) {
-          flush_errors.fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t cursor = 0;
+        stream.Read(cursor, window);
+        if (window.empty()) continue;
+        ASSERT_TRUE(archiver.ReadRange(0, kTs, archived).ok());
+        ASSERT_GE(archived.size(), window.front().id)
+            << "a row left the ring before the archive held it";
+        for (std::size_t i = 0; i < archived.size(); ++i) {
+          ASSERT_EQ(archived[i].id, i);
         }
-        // Interleave window reads so flushers also race the scan path.
-        std::uint64_t cursor = stream.FirstId();
-        stream.Read(cursor, scratch, 64);
       }
     });
   }
 
-  for (std::size_t i = 0; i < kAppends; ++i) {
-    const TimeNs ts = static_cast<TimeNs>(i);
-    stream.Append(ts, Sample{ts, static_cast<double>(i),
-                             Provenance::kMeasured});
+  std::vector<std::thread> appenders;
+  for (std::size_t a = 0; a < kAppenders; ++a) {
+    appenders.emplace_back([&stream, a] {
+      for (std::size_t i = 0; i < kPerAppender; ++i) {
+        const double value = static_cast<double>(a * kPerAppender + i);
+        stream.Append(kTs, Sample{kTs, value, Provenance::kMeasured});
+      }
+    });
   }
+  for (auto& th : appenders) th.join();
   done.store(true, std::memory_order_release);
-  for (auto& th : flushers) th.join();
-  EXPECT_EQ(flush_errors.load(), 0);
+  for (auto& th : readers) th.join();
 
-  // Final drain, then verify the archive prefix is exactly the evicted ids
-  // in order: sorted, gap-free, duplicate-free.
-  ASSERT_TRUE(stream.FlushEvictions().ok());
-  auto records = archiver.ReadRange(0, static_cast<TimeNs>(kAppends));
+  auto records = archiver.ReadRange(0, kTs);
   ASSERT_TRUE(records.ok());
-  const std::uint64_t first_live = stream.FirstId();
-  ASSERT_EQ(records->size(), first_live);
-  for (std::size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ((*records)[i].id, static_cast<std::uint64_t>(i));
-  }
-  // Archive ∪ window covers [0, kAppends) with no overlap.
   std::uint64_t cursor = 0;
   const auto window = stream.Read(cursor);
-  ASSERT_FALSE(window.empty());
-  EXPECT_EQ(window.front().id, first_live);
-  EXPECT_EQ(first_live + window.size(), kAppends);
+  ASSERT_EQ(window.size(), 256u);
+  ASSERT_EQ(records->size() + window.size(), kAppends);
+  for (std::size_t i = 0; i < records->size(); ++i) {
+    ASSERT_EQ((*records)[i].id, static_cast<std::uint64_t>(i));
+  }
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    ASSERT_EQ(window[i].id, records->size() + i);
+  }
 }
 
 // A payload timestamp that disagrees with the entry timestamp must trip the
