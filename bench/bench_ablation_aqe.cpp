@@ -44,7 +44,7 @@ void BM_ParseResourceQuery(benchmark::State& state) {
 BENCHMARK(BM_ParseResourceQuery);
 
 void BM_ExecuteLatestByComplexity(benchmark::State& state) {
-  Executor executor(SharedBroker(), nullptr);
+  Executor executor(SharedBroker());
   std::vector<std::string> tables;
   for (int i = 0; i < state.range(0); ++i) {
     const std::string index = std::to_string(i);
@@ -60,7 +60,7 @@ void BM_ExecuteLatestByComplexity(benchmark::State& state) {
 BENCHMARK(BM_ExecuteLatestByComplexity)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ParseAndExecute(benchmark::State& state) {
-  Executor executor(SharedBroker(), nullptr);
+  Executor executor(SharedBroker());
   for (auto _ : state) {
     auto rs = executor.Execute(kResourceQuery);
     benchmark::DoNotOptimize(rs.ok());
@@ -69,7 +69,7 @@ void BM_ParseAndExecute(benchmark::State& state) {
 BENCHMARK(BM_ParseAndExecute);
 
 void BM_RangeCount(benchmark::State& state) {
-  Executor executor(SharedBroker(), nullptr);
+  Executor executor(SharedBroker());
   const std::string query =
       "SELECT COUNT(*) FROM t0 WHERE timestamp >= 100000000000 AND "
       "timestamp <= 900000000000";

@@ -22,7 +22,6 @@ struct Outcome {
 Outcome Run(double change_probability, bool suppress) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   auto rng = std::make_shared<Rng>(

@@ -57,7 +57,6 @@ std::unique_ptr<Rig> MakeRig(int nodes, bool start_apollo,
   if (start_apollo) {
     ApolloOptions options;
     options.mode = ApolloOptions::Mode::kRealTime;
-    options.query_threads = 8;
     rig->apollo = std::make_unique<ApolloService>(options);
   }
   if (start_ldms) {

@@ -51,7 +51,6 @@ TimeNs MeasurePropagation(ApolloService& apollo,
 ApolloOptions SimWithNetwork() {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.network = std::make_shared<UniformNetwork>(Millis(0.05));
   return options;
 }

@@ -31,7 +31,6 @@ Outcome RunPolicy(const CapacityTrace& trace, TimeNs duration,
                   const std::string& controller) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   FactDeployment deployment;

@@ -216,7 +216,7 @@ QueryPoint MeasureQueries(std::size_t window) {
                          Sample{ts, static_cast<double>(i % 97),
                                 Provenance::kMeasured});
   }
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   QueryPoint point;
   point.window = window;
   point.latest_ns = QueryLatencyNs(executor, "SELECT LAST(metric) FROM m");
@@ -391,7 +391,7 @@ NetPoint MeasureLoopback(int clients) {
     topics.push_back("netbench.c" + std::to_string(c));
     broker.CreateTopic(topics.back(), kLocalNode, 4096);
   }
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   net::ApolloDaemon daemon(broker, executor);
   if (!daemon.Start().ok()) {
     std::fprintf(stderr, "loopback daemon failed to start\n");
@@ -476,7 +476,7 @@ BatchPoint MeasureBatchPublish(std::size_t batch) {
   Broker broker(clock);
   const std::string topic = "batchbench.t0";
   broker.CreateTopic(topic, kLocalNode, 8192);
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   net::ApolloDaemon daemon(broker, executor);
   if (!daemon.Start().ok()) {
     std::fprintf(stderr, "loopback daemon failed to start\n");
@@ -544,7 +544,7 @@ CQFanoutPoint MeasureCQFanout(int clients) {
   Broker broker(clock);
   const std::string topic = "cqbench.t0";
   broker.CreateTopic(topic, kLocalNode, 4096);
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   net::DaemonConfig daemon_config;
   daemon_config.cq.max_queries =
       std::max<std::size_t>(8192, static_cast<std::size_t>(clients) * 2);
@@ -656,7 +656,7 @@ ShedPoint MeasureShedOverhead(int queries) {
     (void)broker.Publish(topic, kLocalNode, ts,
                          Sample{ts, 1.0, Provenance::kMeasured});
   }
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   net::DaemonConfig daemon_config;
   // Effectively one admitted query ever: enough to warm the answer cache,
   // every later query sheds.

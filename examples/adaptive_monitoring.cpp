@@ -31,7 +31,6 @@ RunResult RunSetup(const CapacityTrace& trace, TimeNs duration,
                    const delphi::DelphiModel* model) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
   if (use_delphi) apollo.SetDelphiModel(model->Clone());
 

@@ -330,7 +330,6 @@ int main(int argc, char** argv) {
 
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   if (archive_dir != nullptr) {
     // Durable shell: evicted rows spill to per-topic WALs, `compact`
     // folds sealed segments into cold blocks, and time-travel queries

@@ -59,7 +59,7 @@ bool ParseClusterList(const std::string& list,
   return !peers.empty();
 }
 
-// "tenant=rate[:burst[:weight]]" (tenant "*" sets the default quota).
+// "tenant=rate[:burst]" (tenant "*" sets the default quota).
 bool ParseTenantQuota(const std::string& spec, net::DaemonConfig& config) {
   const std::size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0) return false;
@@ -68,10 +68,7 @@ bool ParseTenantQuota(const std::string& spec, net::DaemonConfig& config) {
   char* end = nullptr;
   quota.rate_per_sec = std::strtod(spec.c_str() + eq + 1, &end);
   if (end == spec.c_str() + eq + 1) return false;
-  if (*end == ':') {
-    quota.burst = std::strtod(end + 1, &end);
-    if (*end == ':') quota.weight = std::strtod(end + 1, &end);
-  }
+  if (*end == ':') quota.burst = std::strtod(end + 1, &end);
   if (*end != '\0') return false;
   if (tenant == "*") {
     config.admission.default_quota = quota;
@@ -118,7 +115,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--tenant-quota") == 0 && i + 1 < argc) {
       if (!ParseTenantQuota(argv[++i], config)) {
         std::fprintf(stderr,
-                     "--tenant-quota expects tenant=rate[:burst[:weight]] "
+                     "--tenant-quota expects tenant=rate[:burst] "
                      "(tenant '*' sets the default), got '%s'\n", argv[i]);
         return 2;
       }
@@ -133,7 +130,7 @@ int main(int argc, char** argv) {
                    "          [--cluster host:port,...]"
                    " [--cluster-self host:port]\n"
                    "          [--cluster-rf N] [--cluster-quorum N]\n"
-                   "          [--tenant-quota tenant=rate[:burst[:weight]]]"
+                   "          [--tenant-quota tenant=rate[:burst]]"
                    "...\n",
                    argv[0]);
       return 2;

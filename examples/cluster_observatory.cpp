@@ -84,7 +84,6 @@ int main() {
 
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
   apollo.SetDelphiModel(std::move(*loaded));
 

@@ -70,7 +70,6 @@ int main() {
 
     ApolloOptions options;
     options.mode = ApolloOptions::Mode::kSimulated;
-    options.query_threads = 0;
     ApolloService apollo(options);
     for (Device* d : cluster->DevicesOfType(DeviceType::kNvme)) {
       FactDeployment deployment;

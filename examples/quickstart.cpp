@@ -23,7 +23,6 @@ int main() {
   //    minutes of monitoring complete instantly.
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   // 3. One Fact Vertex per NVMe with a complex-AIMD adaptive interval.

@@ -22,12 +22,8 @@ ApolloService::ApolloService(ApolloOptions options)
   }
   broker_ = std::make_unique<Broker>(*clock_, options_.network);
   graph_ = std::make_unique<ScoreGraph>(*broker_);
-  if (options_.query_threads > 0 &&
-      options_.mode == ApolloOptions::Mode::kRealTime) {
-    pool_ = std::make_unique<ThreadPool>(options_.query_threads);
-  }
   executor_ = std::make_unique<aqe::Executor>(
-      *broker_, pool_.get(), aqe::ExecutorOptions{options_.client_node});
+      *broker_, aqe::ExecutorOptions{options_.client_node});
   if (options_.enable_supervisor) {
     supervisor_ =
         std::make_unique<VertexSupervisor>(*graph_, options_.supervisor);
@@ -96,9 +92,14 @@ Expected<FactVertex*> ApolloService::DeployFact(
       break;
     case FactDeployment::Archive::kInherit:
       if (!options_.archive_dir.empty()) {
-        archivers_.push_back(std::make_unique<Archiver<Sample>>(
+        auto file_backed = std::make_unique<Archiver<Sample>>(
             options_.archive_dir + "/" + config.topic + ".log",
-            options_.wal));
+            options_.wal);
+        // An archiver whose WAL cannot open falls back to memory; deploying
+        // on top of it would run the topic without durability, unreported.
+        Status opened = file_backed->OpenStatus();
+        if (!opened.ok()) return Error(opened.code(), opened.message());
+        archivers_.push_back(std::move(file_backed));
         archiver = archivers_.back().get();
       }
       break;

@@ -1,7 +1,7 @@
 // ApolloService — the public facade wiring every subsystem together.
 //
 // Owns the pub-sub broker, the SCoRe graph, the event loop that drives
-// vertices, the query thread pool, and (optionally) a trained Delphi model
+// vertices, the query executor, and (optionally) a trained Delphi model
 // shared by all vertices. Two operating modes:
 //
 //  - kRealTime: the event loop runs on a background thread against the
@@ -35,7 +35,6 @@
 #include "coldtier/cold_tier.h"
 #include "common/clock.h"
 #include "common/expected.h"
-#include "concurrent/thread_pool.h"
 #include "delphi/delphi_model.h"
 #include "common/fault.h"
 #include "eventloop/event_loop.h"
@@ -50,7 +49,6 @@ struct ApolloOptions {
   enum class Mode { kRealTime, kSimulated };
   Mode mode = Mode::kRealTime;
   std::shared_ptr<const NetworkModel> network;  // null = free network
-  std::size_t query_threads = 4;  // 0 = sequential query resolution
   NodeId client_node = kLocalNode;
   // When set, every deployed vertex gets a file-backed Archiver at
   // <archive_dir>/<topic>.log (WAL segments <topic>.log.<seq>.wal);
@@ -257,7 +255,6 @@ class ApolloService {
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<ScoreGraph> graph_;
   std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<aqe::Executor> executor_;
   std::unique_ptr<delphi::DelphiModel> delphi_;
   std::vector<std::unique_ptr<Archiver<Sample>>> archivers_;

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <functional>
-#include <future>
 #include <limits>
 #include <numeric>
 
@@ -15,6 +14,9 @@ namespace apollo::aqe {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+// Parsed plans cached by query text; the cache resets when it fills.
+constexpr std::size_t kPlanCacheCapacity = 1024;
 
 double CellOf(Column column, const StreamEntry<Sample>& entry) {
   switch (column) {
@@ -172,9 +174,8 @@ bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
                       });
 }
 
-Executor::Executor(Broker& broker, ThreadPool* pool, ExecutorOptions options)
+Executor::Executor(Broker& broker, ExecutorOptions options)
     : broker_(broker),
-      pool_(pool),
       options_(options),
       queries_(obs::MetricsRegistry::Global().GetCounter(
           "apollo_aqe_queries_total", "AQE queries executed")),
@@ -237,7 +238,7 @@ Expected<std::shared_ptr<const Executor::Plan>> Executor::ResolvePlan(
     fresh->query = std::move(*parsed);
     ResolveHandles(*fresh);
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (plan_cache_.size() >= options_.plan_cache_capacity) {
+    if (plan_cache_.size() >= kPlanCacheCapacity) {
       plan_cache_.clear();
     }
     plan_cache_[query_text] = fresh;
@@ -316,8 +317,6 @@ Expected<QueryProfile> Executor::Explain(const std::string& query_text,
   // and the statically-knowable strategy (runtime state — archive contents,
   // index trust — can still demote an "index" plan to a scan at exec time).
   const Plan& resolved = **plan;
-  profile.parallel =
-      pool_ != nullptr && resolved.query.selects.size() > 1;
   for (std::size_t i = 0; i < resolved.query.selects.size(); ++i) {
     const Select& select = resolved.query.selects[i];
     VertexProfile vp;
@@ -375,32 +374,6 @@ Expected<ResultSet> Executor::ExecutePlan(const Plan& plan,
   }
   if (profile != nullptr) {
     profile->vertices.assign(query.selects.size(), VertexProfile{});
-  }
-
-  if (pool_ != nullptr && query.selects.size() > 1) {
-    if (profile != nullptr) profile->parallel = true;
-    std::vector<std::future<Expected<std::vector<ResultRow>>>> futures;
-    futures.reserve(query.selects.size());
-    for (std::size_t i = 0; i < query.selects.size(); ++i) {
-      const Select& select = query.selects[i];
-      VertexProfile* vp =
-          profile != nullptr ? &profile->vertices[i] : nullptr;
-      futures.push_back(pool_->Submit(
-          [this, &select, vp, handle = plan.handles[i]]() mutable {
-            return ExecuteSelect(select, std::move(handle), vp);
-          }));
-    }
-    for (auto& future : futures) {
-      auto rows = future.get();
-      if (!rows.ok()) return rows.error();
-      for (auto& row : *rows) {
-        result.degraded |= row.degraded;
-        result.max_staleness_ns =
-            std::max(result.max_staleness_ns, row.staleness_ns);
-        result.rows.push_back(std::move(row));
-      }
-    }
-    return result;
   }
 
   for (std::size_t i = 0; i < query.selects.size(); ++i) {

@@ -1,12 +1,17 @@
-// AQE executor: resolves a parsed query into parallel per-vertex stream
-// accesses (§3.1: "converts a client query into multiple Information
-// access calls which are served by the Query Executor of that Vertex").
+// AQE executor: resolves a parsed query into per-vertex stream accesses
+// (§3.1: "converts a client query into multiple Information access calls
+// which are served by the Query Executor of that Vertex").
 //
-// Each UNION branch targets one topic and is executed as an independent
-// task on a thread pool — the embarrassingly parallel resolution the paper
-// credits for its query-complexity scaling (Figure 12(b)). Rows come from
-// the in-memory stream window; WHERE clauses whose timestamp range reaches
-// below the window fall back to the vertex's Archiver.
+// Each UNION branch targets one topic. Branches run on the calling thread,
+// in branch order. The paper overlaps branches because each is a call to
+// another node; here each is an in-process O(1) or window read, so a
+// thread-pool fan-out had nothing to overlap and measured as pure cost
+// (bench_fig12_apollo_vs_ldms, 4 vCPUs: a UNION of 8 latest-value branches
+// took a 25.3 us median on an 8-thread pool and 2.5 us on the calling
+// thread). Across nodes, the parallel calls are RemoteQueryEngine's
+// per-node legs (net/remote_query.h). Rows come from the in-memory stream
+// window; WHERE clauses whose timestamp range reaches below the window
+// fall back to the vertex's Archiver.
 //
 // Hot path: middleware re-issues identical query strings on every placement
 // decision, so Execute() caches parsed plans (with per-branch TopicHandles
@@ -15,6 +20,7 @@
 // scanning the window.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -26,7 +32,6 @@
 #include "aqe/parser.h"
 #include "aqe/profile.h"
 #include "common/expected.h"
-#include "concurrent/thread_pool.h"
 #include "obs/metrics.h"
 #include "pubsub/broker.h"
 
@@ -88,16 +93,15 @@ struct ResultSet {
 struct ExecutorOptions {
   // Perspective node for network-latency charging on remote topic access.
   NodeId client_node = kLocalNode;
-  // Parsed plans cached by query text; the cache resets when it fills.
-  std::size_t plan_cache_capacity = 1024;
 };
 
 class Executor {
  public:
-  // `pool` may be null: queries then resolve sequentially on the calling
-  // thread (useful under a SimClock where worker threads would deadlock).
-  Executor(Broker& broker, ThreadPool* pool,
-           ExecutorOptions options = {});
+  explicit Executor(Broker& broker, ExecutorOptions options = {});
+  // Exists only because perfbench/ constructs `Executor(broker, nullptr)`
+  // (the second argument used to be a query thread pool). Like
+  // Stream::FlushEvictions(), it goes once that benchmark stops calling it.
+  Executor(Broker& broker, std::nullptr_t) : Executor(broker) {}
 
   // Parses (or fetches the cached plan) and executes. A query starting
   // with EXPLAIN [ANALYZE] is routed through Explain() and its profile is
@@ -144,7 +148,6 @@ class Executor {
   void ResolveHandles(Plan& plan) const;
 
   Broker& broker_;
-  ThreadPool* pool_;
   ExecutorOptions options_;
 
   // Registry handles, resolved once at construction (hot-path bumps are

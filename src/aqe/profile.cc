@@ -12,8 +12,7 @@ std::vector<std::string> QueryProfile::ToLines() const {
   {
     std::ostringstream os;
     os << "plan: " << (plan_cache_hit ? "cache hit" : "cache miss")
-       << "; branches=" << vertices.size()
-       << "; dispatch=" << (parallel ? "parallel" : "sequential");
+       << "; branches=" << vertices.size();
     lines.push_back(os.str());
   }
   for (std::size_t i = 0; i < vertices.size(); ++i) {

@@ -34,7 +34,6 @@ struct QueryProfile {
   std::string query_text;
   bool analyzed = false;        // EXPLAIN ANALYZE (executed) vs EXPLAIN
   bool plan_cache_hit = false;  // plan came from the text-keyed cache
-  bool parallel = false;        // branches fanned out on the thread pool
   std::vector<VertexProfile> vertices;
   bool degraded = false;        // any branch degraded
   TimeNs max_staleness_ns = 0;

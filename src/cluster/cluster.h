@@ -66,9 +66,6 @@ class Cluster {
   std::vector<NodeId> OnlineNodes() const;
 
   const NetworkModel& network() const { return *network_; }
-  std::shared_ptr<const NetworkModel> shared_network() const {
-    return network_;
-  }
 
   // Ping time between two nodes (round-trip = 2x one-way latency).
   TimeNs PingTime(NodeId a, NodeId b) const {

@@ -26,17 +26,15 @@ std::uint64_t PlacementHash(std::string_view key) {
   return Mix(h);
 }
 
-PlacementRing::PlacementRing(const std::vector<std::string>& nodes,
-                             std::uint32_t vnodes) {
+PlacementRing::PlacementRing(const std::vector<std::string>& nodes) {
   node_names_ = nodes;
   std::sort(node_names_.begin(), node_names_.end());
   node_names_.erase(std::unique(node_names_.begin(), node_names_.end()),
                     node_names_.end());
-  if (vnodes == 0) vnodes = 1;
-  ring_.reserve(node_names_.size() * vnodes);
+  ring_.reserve(node_names_.size() * kPlacementVnodes);
   for (std::uint32_t n = 0; n < node_names_.size(); ++n) {
     std::uint64_t h = PlacementHash(node_names_[n]);
-    for (std::uint32_t v = 0; v < vnodes; ++v) {
+    for (std::uint32_t v = 0; v < kPlacementVnodes; ++v) {
       // Derive each vnode point from the previous by mixing: cheap, stable,
       // and independent of how many vnodes other nodes use.
       h = Mix(h + v + 1);

@@ -1,9 +1,9 @@
 // Consistent-hash topic -> node placement for the replicated cluster.
 //
-// Every node is mapped onto a 64-bit hash ring at `vnodes` points; a
-// topic's replica set is the first `replication_factor` DISTINCT nodes
-// found walking clockwise from the topic's hash. The walk is computed over
-// the full configured member list, so placement is a pure function of
+// Every node is mapped onto a 64-bit hash ring at kPlacementVnodes
+// points; a topic's replica set is the first `replication_factor` DISTINCT
+// nodes found walking clockwise from the topic's hash. The walk is computed
+// over the full configured member list, so placement is a pure function of
 // (members, topic) — every node and client derives the same base replica
 // set without coordination. Failover re-runs the same walk restricted to
 // ELIGIBLE (alive-or-suspect) nodes: a dead replica is replaced by the
@@ -29,12 +29,15 @@ namespace apollo::cluster {
 // Stable cross-process hash for ring points and topic keys.
 std::uint64_t PlacementHash(std::string_view key);
 
+// Ring points per node. Every daemon and client builds its ring with the
+// same count, so they all agree on each topic's replicas.
+constexpr std::uint32_t kPlacementVnodes = 64;
+
 class PlacementRing {
  public:
   // `nodes` is the full configured membership (order-insensitive: ring
   // position depends only on each name's hash). Duplicate names collapse.
-  explicit PlacementRing(const std::vector<std::string>& nodes,
-                         std::uint32_t vnodes = 64);
+  explicit PlacementRing(const std::vector<std::string>& nodes);
 
   // First `rf` distinct node names clockwise from hash(topic), over ALL
   // configured nodes (liveness-agnostic base order).

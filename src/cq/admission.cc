@@ -8,7 +8,6 @@ namespace apollo::cq {
 namespace {
 
 TenantQuota Normalize(TenantQuota q) {
-  if (q.weight <= 0.0) q.weight = 1.0;
   if (q.rate_per_sec > 0.0 && q.burst <= 0.0) {
     q.burst = std::max(q.rate_per_sec, 1.0);
   }
@@ -70,16 +69,7 @@ bool AdmissionController::Admit(const std::string& tenant, TimeNs now,
   if (t.quota.rate_per_sec > 0.0) t.tokens -= cost;
   ++t.admitted;
   t.admitted_total.Inc();
-  const double start = std::max(t.vtime, vfloor_);
-  t.vtime = start + cost / t.quota.weight;
-  vfloor_ = start;
   return true;
-}
-
-double AdmissionController::FairStart(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Tenant& t = TenantFor(tenant);
-  return std::max(t.vtime, vfloor_);
 }
 
 void AdmissionController::SetQuota(const std::string& tenant,
@@ -101,27 +91,7 @@ TenantAdmissionStats AdmissionController::Stats(const std::string& tenant) {
   stats.shed = t.shed;
   stats.tokens = t.tokens;
   stats.rate_per_sec = t.quota.rate_per_sec;
-  stats.weight = t.quota.weight;
   return stats;
-}
-
-std::vector<std::pair<std::string, TenantAdmissionStats>>
-AdmissionController::AllStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, TenantAdmissionStats>> out;
-  out.reserve(tenants_.size());
-  for (auto& [name, t] : tenants_) {
-    TenantAdmissionStats stats;
-    stats.admitted = t.admitted;
-    stats.shed = t.shed;
-    stats.tokens = t.tokens;
-    stats.rate_per_sec = t.quota.rate_per_sec;
-    stats.weight = t.quota.weight;
-    out.emplace_back(name, stats);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
 }
 
 }  // namespace apollo::cq

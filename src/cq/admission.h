@@ -9,13 +9,6 @@
 // `burst`, so a tenant that stays under its rate never notices the
 // controller.
 //
-// On top of the buckets sits start-time fair queueing: FairStart()
-// returns a virtual-time tag (start = max(tenant.vtime, vfloor)), and
-// admitted work advances the tenant's virtual time by cost/weight. The
-// CQ engine sorts pending evaluations by tag, so when evaluation budget
-// is scarce a weight-2 tenant gets twice the service of a weight-1
-// tenant instead of whoever published last winning.
-//
 // Thread-safe (one mutex); callers are the daemon loop thread plus
 // tests. Per-tenant accounting is exported as
 // apollo_admission_admitted_total{tenant=...} /
@@ -26,7 +19,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/clock.h"
 #include "obs/metrics.h"
@@ -35,12 +27,10 @@ namespace apollo::cq {
 
 struct TenantQuota {
   // Sustained admissions per second. <= 0 means unlimited (Admit always
-  // succeeds; fair-queueing weight still applies).
+  // succeeds).
   double rate_per_sec = 0.0;
   // Bucket capacity (peak burst). <= 0 defaults to max(rate_per_sec, 1).
   double burst = 0.0;
-  // Weighted-fair share relative to other tenants (<= 0 clamps to 1).
-  double weight = 1.0;
 };
 
 struct AdmissionOptions {
@@ -55,7 +45,6 @@ struct TenantAdmissionStats {
   std::uint64_t shed = 0;
   double tokens = 0.0;        // tokens currently in the bucket
   double rate_per_sec = 0.0;  // 0 = unlimited
-  double weight = 1.0;
 };
 
 class AdmissionController {
@@ -66,28 +55,19 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
 
   // Spends `cost` tokens from `tenant`'s bucket (refilled to `now`
-  // first). True = admitted (tenant virtual time advances by
-  // cost/weight); false = shed. Unlimited tenants always admit.
+  // first). True = admitted; false = shed. Unlimited tenants always admit.
   bool Admit(const std::string& tenant, TimeNs now, double cost = 1.0);
-
-  // Virtual-time tag this tenant's next evaluation would start at —
-  // lower tags go first. Pure peek: charges nothing.
-  double FairStart(const std::string& tenant);
 
   // Replaces one tenant's quota (token balance resets to the new burst).
   void SetQuota(const std::string& tenant, const TenantQuota& quota);
 
   TenantAdmissionStats Stats(const std::string& tenant);
 
-  // Tenants seen so far with their accounting, name-sorted.
-  std::vector<std::pair<std::string, TenantAdmissionStats>> AllStats();
-
  private:
   struct Tenant {
     TenantQuota quota;
     double tokens = 0.0;
     TimeNs refilled_at = 0;
-    double vtime = 0.0;  // start-time fair-queueing virtual time
     std::uint64_t admitted = 0;
     std::uint64_t shed = 0;
     obs::Counter admitted_total;
@@ -100,10 +80,6 @@ class AdmissionController {
   std::mutex mu_;
   AdmissionOptions options_;
   std::unordered_map<std::string, Tenant> tenants_;
-  // Floor of the fair-queueing virtual clock: an idle tenant's next tag
-  // starts here instead of at its stale (tiny) vtime, so coming back
-  // from idle does not starve active tenants.
-  double vfloor_ = 0.0;
 };
 
 }  // namespace apollo::cq

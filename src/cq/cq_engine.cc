@@ -349,22 +349,21 @@ std::size_t CQEngine::Pump(TimeNs now, AdmissionController* admission,
     if (it != records_.end()) it->second.dirty = true;
   }
 
-  // Phase 2: order due evaluations by the tenants' weighted-fair virtual
-  // time, then evaluate under admission.
-  std::vector<std::pair<double, std::uint64_t>> due;
+  // Phase 2: evaluate due queries in ascending id order, under admission.
+  // Every due query is evaluated in this call and each Admit reads only
+  // its own tenant's bucket, so the order changes no admission or push.
+  std::vector<std::uint64_t> due;
   for (auto& [id, record] : records_) {
     if (!record.dirty) continue;
     if (record.query.every_ns > 0 && record.last_eval != 0 &&
         now - record.last_eval < record.query.every_ns) {
       continue;  // stays dirty; due again once the interval elapses
     }
-    const double tag =
-        admission != nullptr ? admission->FairStart(record.tenant) : 0.0;
-    due.emplace_back(tag, id);
+    due.push_back(id);
   }
   std::sort(due.begin(), due.end());
 
-  for (const auto& [tag, id] : due) {
+  for (std::uint64_t id : due) {
     auto it = records_.find(id);
     if (it == records_.end()) continue;
     CQRecord& record = it->second;

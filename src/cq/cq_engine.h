@@ -32,11 +32,11 @@
 //     growing the queue. The client sees the latest state the moment the
 //     connection drains, and seq stays hole-free.
 //
-// Admission: Pump() orders dirty queries by the tenants' weighted-fair
-// virtual time and charges each evaluation against the tenant's token
-// bucket; an over-quota query stays dirty (counted in
-// apollo_cq_throttled_total{tenant}) and retries next pump, so one
-// tenant's publish storm cannot starve another tenant's pushes.
+// Admission: Pump() evaluates dirty queries in id order and charges each
+// evaluation against the tenant's token bucket; an over-quota query stays
+// dirty (counted in apollo_cq_throttled_total{tenant}) and retries next
+// pump, so one tenant's publish storm cannot starve another tenant's
+// pushes.
 //
 // Threading: Register/Cancel/DetachConn/Pump run on the daemon loop
 // thread (a mutex still guards the records so tests and metrics can peek
@@ -133,9 +133,9 @@ class CQEngine : public PublishObserver {
   // retries next pump (the update is not considered delivered).
   using EmitFn = std::function<bool(const CQInfo&, const CQUpdate&)>;
 
-  // Evaluates dirty queries (weighted-fair order, admission-gated when
-  // `admission` is non-null) and emits undelivered updates for attached
-  // connections. Loop thread. Returns the number of updates emitted.
+  // Evaluates dirty queries (id order, admission-gated when `admission`
+  // is non-null) and emits undelivered updates for attached connections.
+  // Loop thread. Returns the number of updates emitted.
   std::size_t Pump(TimeNs now, AdmissionController* admission,
                    const EmitFn& emit);
 

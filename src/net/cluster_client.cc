@@ -7,18 +7,14 @@
 
 namespace apollo::net {
 
-ClusterClient::ClusterClient(std::vector<ClusterPeer> nodes,
-                             ClusterClientOptions options)
-    : options_(std::move(options)) {
+ClusterClient::ClusterClient(std::vector<ClusterPeer> nodes) {
   nodes_.reserve(nodes.size());
   for (ClusterPeer& peer : nodes) {
     Node node;
-    ClientConfig config = options_.base;
+    ClientConfig config;
     config.host = peer.host;
     config.port = peer.port;
-    if (config.client_name == "apollo-client") {
-      config.client_name = "cluster-client:" + peer.name;
-    }
+    config.client_name = "cluster-client:" + peer.name;
     node.info = std::move(peer);
     node.client = std::make_unique<ApolloClient>(std::move(config));
     nodes_.push_back(std::move(node));
@@ -63,7 +59,7 @@ std::vector<std::size_t> ClusterClient::TargetsFor(const std::string& topic) {
     for (const cluster::Member& m : map_->members) {
       member_names.push_back(m.name);
     }
-    const cluster::PlacementRing ring(member_names, options_.vnodes);
+    const cluster::PlacementRing ring(member_names);
     for (const cluster::Member* m :
          cluster::AliveReplicasFor(ring, *map_, topic)) {
       const std::size_t idx = index_of(m->name);

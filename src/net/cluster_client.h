@@ -27,18 +27,9 @@
 
 namespace apollo::net {
 
-struct ClusterClientOptions {
-  // Per-node client template; host/port/client_name are set per node.
-  ClientConfig base;
-  // Must match the daemons' placement vnodes for primary-picking to
-  // agree with the cluster's own routing.
-  std::uint32_t vnodes = 64;
-};
-
 class ClusterClient {
  public:
-  ClusterClient(std::vector<ClusterPeer> nodes,
-                ClusterClientOptions options = {});
+  explicit ClusterClient(std::vector<ClusterPeer> nodes);
 
   ClusterClient(const ClusterClient&) = delete;
   ClusterClient& operator=(const ClusterClient&) = delete;
@@ -73,7 +64,6 @@ class ClusterClient {
   void AbsorbPushes(Node& node);
 
   std::vector<Node> nodes_;
-  ClusterClientOptions options_;
   std::optional<cluster::ClusterMap> map_;
   std::size_t rr_ = 0;  // round-robin start when the map has no opinion
 };

@@ -13,6 +13,9 @@ namespace apollo::net {
 
 namespace {
 
+// Entries per kResyncPull chunk.
+constexpr std::uint32_t kResyncChunk = 2048;
+
 // Generations must order a node's incarnations across restarts, so they
 // come from the wall clock, not the process-relative monotonic clock.
 std::uint64_t WallGeneration() {
@@ -56,7 +59,7 @@ ClusterController::ClusterController(Broker& broker, ClusterNodeConfig config)
     : broker_(broker),
       config_(std::move(config)),
       generation_(WallGeneration()),
-      ring_(PeerNames(config_.members), config_.vnodes),
+      ring_(PeerNames(config_.members)),
       membership_(config_.self, generation_, MembersFromPeers(config_.members),
                   cluster::MembershipConfig{config_.suspect_after,
                                             config_.dead_after}) {
@@ -251,7 +254,7 @@ bool ClusterController::ResyncTopicFrom(Peer& source,
     ResyncPullMsg pull;
     pull.topic = topic;
     pull.from_id = from;
-    pull.max_entries = config_.resync_chunk;
+    pull.max_entries = kResyncChunk;
     auto chunk = source.probe->ResyncPull(pull);
     if (!chunk.ok()) return false;
     if (chunk->entries.empty()) return true;  // at the source's high water

@@ -76,7 +76,6 @@ struct ClusterNodeConfig {
   // Replicas (counting the primary) that must hold a run before it is
   // acked. 1 = primary-only (async replication).
   std::uint32_t write_quorum = 2;
-  std::uint32_t vnodes = 64;
   TimeNs heartbeat_interval = Millis(100);
   // Silence thresholds; must exceed peer_timeout so one in-flight
   // replicate round-trip on the peer's loop thread cannot by itself make
@@ -85,8 +84,6 @@ struct ClusterNodeConfig {
   TimeNs dead_after = Millis(1200);
   // Per round-trip deadline for every peer client (probe and route).
   TimeNs peer_timeout = Millis(250);
-  // Entries per kResyncPull chunk.
-  std::uint32_t resync_chunk = 2048;
 };
 
 class ClusterController {

@@ -13,6 +13,18 @@
 
 namespace apollo::net {
 
+namespace {
+
+// Subscription pump period: how often new stream entries are pushed.
+constexpr TimeNs kDeliveryInterval = 2 * kNsPerMs;
+// Max entries per kDeliver frame.
+constexpr std::size_t kDeliveryBatch = 512;
+// A shed one-shot query whose cached answer is older than this is refused
+// (kResourceExhausted) instead of served degraded.
+constexpr TimeNs kShedAnswerMaxAge = 60 * kNsPerSec;
+
+}  // namespace
+
 ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
                            DaemonConfig config)
     : broker_(broker),
@@ -43,9 +55,9 @@ Status ApolloDaemon::Start() {
   loop_.ClearStop();
   Status status = server_.Start();
   if (!status.ok()) return status;
-  pump_timer_ = loop_.AddTimer(config_.delivery_interval, [this](TimeNs) {
+  pump_timer_ = loop_.AddTimer(kDeliveryInterval, [this](TimeNs) {
     PumpSubscriptions();
-    return config_.delivery_interval;
+    return kDeliveryInterval;
   });
   running_ = true;
   thread_ = std::thread([this] {
@@ -408,7 +420,7 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
   if (!is_explain && !admission_.Admit(tenant, now)) {
     auto cached = last_good_.find(text);
     if (cached == last_good_.end() ||
-        now - cached->second.at > config_.shed_answer_max_age) {
+        now - cached->second.at > kShedAnswerMaxAge) {
       SendError(conn, frame.request_id, ErrorCode::kResourceExhausted,
                 "tenant '" + tenant +
                     "' over query quota and no cached answer to degrade to");
@@ -445,7 +457,6 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
                  (stats.rate_per_sec > 0.0
                       ? std::to_string(stats.rate_per_sec) + "/s"
                       : std::string("unlimited")) +
-                 " weight=" + std::to_string(stats.weight) +
                  " active_cqs=" + std::to_string(cq_engine_.ActiveCount());
     reply.result.rows.push_back(std::move(row));
   }
@@ -593,7 +604,7 @@ void ApolloDaemon::PumpSubscriptions() {
     for (Subscription& sub : subs) {
       std::uint64_t cursor = sub.cursor;
       auto entries = broker_.Fetch(sub.topic, config_.node, cursor,
-                                   config_.delivery_batch);
+                                   kDeliveryBatch);
       if (!entries.ok() || entries->empty()) continue;
       DeliverMsg deliver;
       deliver.subscription_id = sub.id;

@@ -48,10 +48,6 @@ namespace apollo::net {
 
 struct DaemonConfig {
   ServerConfig server;
-  // Subscription pump period: how often new stream entries are pushed.
-  TimeNs delivery_interval = 2 * kNsPerMs;
-  // Max entries per kDeliver frame.
-  std::size_t delivery_batch = 512;
   // Node identity used for broker latency charging.
   NodeId node = kLocalNode;
   // Cluster membership/replication; disabled (standalone daemon) by
@@ -68,9 +64,6 @@ struct DaemonConfig {
   // rate_per_sec on a tenant (or the default) turns on shedding for
   // one-shot queries and CQ evaluation.
   cq::AdmissionOptions admission;
-  // Shed one-shot answers older than this are refused (kUnavailable)
-  // instead of served degraded.
-  TimeNs shed_answer_max_age = 60 * kNsPerSec;
 };
 
 class ApolloDaemon final : public FrameHandler {

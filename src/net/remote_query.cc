@@ -152,7 +152,7 @@ Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteCluster(
   // daemons use), restricted to live members for primary selection.
   std::vector<std::string> member_names;
   for (const cluster::Member& m : map->members) member_names.push_back(m.name);
-  cluster::PlacementRing ring(member_names, options_.vnodes);
+  cluster::PlacementRing ring(member_names);
 
   // Distinct tables -> ordered candidate replicas.
   std::map<std::string, std::vector<std::string>> candidates;

@@ -54,8 +54,6 @@ struct RemoteQueryOptions {
   // Replica-aware routing (see the header comment). Node names must
   // match the cluster's configured member names.
   bool cluster_mode = false;
-  // Must match the daemons' placement vnodes for routing to agree.
-  std::uint32_t vnodes = 64;
 };
 
 // Per-node account of the last Execute() (tests and EXPLAIN-style

@@ -92,13 +92,6 @@ class Connection {
   void Cork() { ++cork_depth_; }
   void Uncork();
 
-  // Arbitrary per-connection state owned by the handler (e.g. the daemon's
-  // subscription table), destroyed with the connection.
-  void set_user_data(std::shared_ptr<void> data) {
-    user_data_ = std::move(data);
-  }
-  const std::shared_ptr<void>& user_data() const { return user_data_; }
-
   // Idle-reaper exemption. A connection holding server-side sessions
   // (push subscriptions, continuous queries) is intentionally quiet on
   // the inbound side — it must not be reaped as idle while those
@@ -128,7 +121,6 @@ class Connection {
   bool closing_ = false;
   bool idle_exempt_ = false;
   TimeNs last_activity_ = 0;
-  std::shared_ptr<void> user_data_;
 };
 
 class Server {

@@ -262,7 +262,8 @@ class Stream {
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
   // Evicted entries are archived before the append that evicted them
-  // returns, so there is never anything left to flush; always Ok.
+  // returns, so there is never anything left to flush; always Ok. Kept
+  // only because perfbench/ calls it, like Executor(Broker&, nullptr_t).
   Status FlushEvictions() { return Status::Ok(); }
 
   // Seeds an empty stream with a window from a durable copy, oldest first,

@@ -25,7 +25,6 @@ delphi::DelphiModel& SmallDelphi() {
 ApolloOptions SimOptions() {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   return options;
 }
 
@@ -180,7 +179,6 @@ TEST(ApolloServiceSim, AdaptiveIntervalReducesHookCalls) {
 TEST(ApolloServiceReal, StartStopAndServeQueries) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kRealTime;
-  options.query_threads = 2;
   ApolloService apollo(options);
 
   Device device("d", DeviceSpec::Nvme());

@@ -134,7 +134,7 @@ TEST(Parser, ErrorsArriveAsParseError) {
 
 class ExecutorTest : public testing::Test {
  protected:
-  ExecutorTest() : broker_(RealClock::Instance()), pool_(4) {
+  ExecutorTest() : broker_(RealClock::Instance()) {
     broker_.CreateTopic("cap");
     for (int i = 0; i < 10; ++i) {
       broker_.Publish("cap", kLocalNode, Seconds(i),
@@ -150,11 +150,10 @@ class ExecutorTest : public testing::Test {
   }
 
   Broker broker_;
-  ThreadPool pool_;
 };
 
 TEST_F(ExecutorTest, LatestValueIdiom) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute("SELECT MAX(Timestamp), metric FROM cap");
   ASSERT_TRUE(rs.ok());
   ASSERT_EQ(rs->NumRows(), 1u);
@@ -167,7 +166,7 @@ TEST_F(ExecutorTest, LatestValueIdiom) {
 }
 
 TEST_F(ExecutorTest, UnionCombinesTables) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute(
       "SELECT MAX(Timestamp), metric FROM cap UNION "
       "SELECT MAX(Timestamp), metric FROM load");
@@ -179,7 +178,7 @@ TEST_F(ExecutorTest, UnionCombinesTables) {
 }
 
 TEST_F(ExecutorTest, Aggregates) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute(
       "SELECT MAX(metric), MIN(metric), AVG(metric), SUM(metric), COUNT(*) "
       "FROM load");
@@ -193,7 +192,7 @@ TEST_F(ExecutorTest, Aggregates) {
 }
 
 TEST_F(ExecutorTest, WhereTimestampRange) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute(
       "SELECT COUNT(*) FROM cap WHERE timestamp >= 2000000000 AND "
       "timestamp <= 5000000000");
@@ -202,21 +201,21 @@ TEST_F(ExecutorTest, WhereTimestampRange) {
 }
 
 TEST_F(ExecutorTest, WhereProvenanceFilter) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute("SELECT COUNT(*) FROM cap WHERE predicted = 1");
   ASSERT_TRUE(rs.ok());
   EXPECT_DOUBLE_EQ(rs->rows[0].values[0], 5.0);
 }
 
 TEST_F(ExecutorTest, WhereMetricThreshold) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute("SELECT COUNT(*) FROM cap WHERE metric < 95");
   ASSERT_TRUE(rs.ok());
   EXPECT_DOUBLE_EQ(rs->rows[0].values[0], 4.0);  // 91,92,93,94
 }
 
 TEST_F(ExecutorTest, RowSelectWithOrderAndLimit) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute(
       "SELECT timestamp, metric FROM load ORDER BY metric DESC LIMIT 3");
   ASSERT_TRUE(rs.ok());
@@ -226,7 +225,7 @@ TEST_F(ExecutorTest, RowSelectWithOrderAndLimit) {
 }
 
 TEST_F(ExecutorTest, RowSelectAscendingDefault) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute(
       "SELECT metric FROM load ORDER BY metric LIMIT 2");
   ASSERT_TRUE(rs.ok());
@@ -235,7 +234,7 @@ TEST_F(ExecutorTest, RowSelectAscendingDefault) {
 }
 
 TEST_F(ExecutorTest, MissingTableError) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute("SELECT metric FROM nope");
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.error().code(), ErrorCode::kNotFound);
@@ -243,7 +242,7 @@ TEST_F(ExecutorTest, MissingTableError) {
 
 TEST_F(ExecutorTest, EmptyTableAggregatesNaN) {
   broker_.CreateTopic("empty");
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   auto rs = executor.Execute("SELECT MAX(metric), COUNT(*) FROM empty");
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(std::isnan(rs->rows[0].values[0]));
@@ -310,14 +309,14 @@ void PublishValues(Broker& broker, const std::string& topic,
 TEST_F(ExecutorTest, MinMaxIgnoreNaNOnIndexAndScan) {
   broker_.CreateTopic("nan_mid");
   PublishValues(broker_, "nan_mid", {1.0, kNaN, 2.0});
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   ExpectMinMax(MinMaxBothPaths(executor, "nan_mid"), 1.0, 2.0);
 }
 
 TEST_F(ExecutorTest, MinMaxOfAllNaNWindowIsNaNOnIndexAndScan) {
   broker_.CreateTopic("nan_all");
   PublishValues(broker_, "nan_all", {kNaN, kNaN});
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   ExpectMinMax(MinMaxBothPaths(executor, "nan_all"), kNaN, kNaN);
 }
 
@@ -326,7 +325,7 @@ TEST_F(ExecutorTest, MinMaxOfAllNaNWindowIsNaNOnIndexAndScan) {
 TEST_F(ExecutorTest, MinMaxAgreeWhileNaNPassesThroughRing) {
   broker_.CreateTopic("nan_ring", kLocalNode, /*capacity=*/4);
   const std::vector<double> values = {1.0, kNaN, 7.0, 3.0, 2.0, 0.0, 5.0};
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   for (std::size_t i = 0; i < values.size(); ++i) {
     const TimeNs ts = Seconds(static_cast<double>(i + 1));
     ASSERT_TRUE(broker_
@@ -370,7 +369,7 @@ void ExpectSameSequence(const std::vector<double>& got,
 TEST_F(ExecutorTest, OrderByPutsNaNKeysLastInBothDirections) {
   broker_.CreateTopic("nan_keys");
   PublishValues(broker_, "nan_keys", {1.0, kNaN, 3.0, 2.0});
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   const std::vector<double> asc = {1.0, 2.0, 3.0, kNaN};
   const std::vector<double> desc = {3.0, 2.0, 1.0, kNaN};
   for (std::size_t limit : {0u, 1u, 3u, 10u}) {
@@ -392,7 +391,7 @@ TEST_F(ExecutorTest, OrderByPutsNaNKeysLastInBothDirections) {
 TEST_F(ExecutorTest, OrderByTiesKeepIdOrder) {
   broker_.CreateTopic("ties");
   PublishValues(broker_, "ties", {2.0, kNaN, 1.0, 2.0, kNaN, 1.0});
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   for (const char* dir : {"ASC", "DESC"}) {
     const std::string query =
         std::string("SELECT timestamp, metric FROM ties ORDER BY metric ") +
@@ -412,22 +411,6 @@ TEST_F(ExecutorTest, OrderByTiesKeepIdOrder) {
   }
 }
 
-TEST_F(ExecutorTest, SequentialWithoutPoolMatchesParallel) {
-  Executor parallel(broker_, &pool_);
-  Executor sequential(broker_, nullptr);
-  const std::string query =
-      "SELECT MAX(Timestamp), metric FROM cap UNION "
-      "SELECT MAX(Timestamp), metric FROM load";
-  auto a = parallel.Execute(query);
-  auto b = sequential.Execute(query);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->NumRows(), b->NumRows());
-  for (std::size_t i = 0; i < a->NumRows(); ++i) {
-    EXPECT_EQ(a->rows[i].values, b->rows[i].values);
-  }
-}
-
 TEST_F(ExecutorTest, ArchiveFallbackForHistoricalRange) {
   // Small in-memory window + archiver: old entries only in the archive.
   static Archiver<Sample> archiver;
@@ -437,7 +420,7 @@ TEST_F(ExecutorTest, ArchiveFallbackForHistoricalRange) {
                     Sample{Seconds(i), static_cast<double>(i),
                            Provenance::kMeasured});
   }
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   // t in [0s, 9s] is entirely evicted from the 4-entry window.
   auto rs = executor.Execute(
       "SELECT COUNT(*) FROM hist WHERE timestamp >= 0 AND "
@@ -449,7 +432,7 @@ TEST_F(ExecutorTest, ArchiveFallbackForHistoricalRange) {
 // --- plan cache under topic churn ---
 
 TEST_F(ExecutorTest, PlanCacheInvalidatedByTopicChurn) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   broker_.CreateTopic("churn");
   broker_.Publish("churn", kLocalNode, Seconds(1),
                   Sample{Seconds(1), 1.0, Provenance::kMeasured});
@@ -474,7 +457,7 @@ TEST_F(ExecutorTest, PlanCacheInvalidatedByTopicChurn) {
 }
 
 TEST_F(ExecutorTest, PlanCacheSurvivesRemovalAndLateRecreation) {
-  Executor executor(broker_, &pool_);
+  Executor executor(broker_);
   broker_.CreateTopic("doomed");
   broker_.Publish("doomed", kLocalNode, Seconds(1),
                   Sample{Seconds(1), 7.0, Provenance::kMeasured});
@@ -502,7 +485,7 @@ TEST_F(ExecutorTest, PlanCacheSurvivesRemovalAndLateRecreation) {
 
 TEST(ExecutorStandalone, EmptyQueryRejected) {
   Broker broker(RealClock::Instance());
-  Executor executor(broker, nullptr);
+  Executor executor(broker);
   Query query;
   EXPECT_FALSE(executor.ExecuteQuery(query).ok());
 }

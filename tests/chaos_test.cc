@@ -227,7 +227,6 @@ TEST(ChaosTest, ConcurrentQueriesUnderFaultsRealTime) {
   GlobalTelemetry().Reset();
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kRealTime;
-  options.query_threads = 2;
   options.supervisor.check_interval = Millis(20);
   options.supervisor.stall_timeout = Millis(200);
   options.supervisor.initial_restart_backoff = Millis(5);

@@ -192,7 +192,7 @@ TEST_F(ClusterChaosTest, SigkillLosesNoAcknowledgedSample) {
   // placement AND the in-flight replication stream break at once.
   std::vector<std::string> names;
   for (const ClusterPeer& p : peers_) names.push_back(p.name);
-  const cluster::PlacementRing ring(names, 64);
+  const cluster::PlacementRing ring(names);
   const std::size_t victim = IndexOf(ring.ReplicasFor(topics[0], 2).front());
   ASSERT_LT(victim, kNodes);
 

@@ -68,8 +68,8 @@ std::vector<std::uint16_t> PickFreePorts(std::size_t n) {
 
 TEST(ClusterPlacement, DeterministicDistinctReplicas) {
   const std::vector<std::string> nodes = {"n1", "n2", "n3", "n4"};
-  PlacementRing a(nodes, 64);
-  PlacementRing b({"n4", "n3", "n2", "n1"}, 64);  // order-insensitive
+  PlacementRing a(nodes);
+  PlacementRing b({"n4", "n3", "n2", "n1"});  // order-insensitive
   for (const char* topic : {"cpu.util", "mem.free", "nvme0.write_mb",
                             "score.compute0", "delphi.lat"}) {
     const auto ra = a.ReplicasFor(topic, 3);
@@ -81,7 +81,7 @@ TEST(ClusterPlacement, DeterministicDistinctReplicas) {
 
 TEST(ClusterPlacement, SpreadsPrimariesAcrossNodes) {
   const std::vector<std::string> nodes = {"n1", "n2", "n3"};
-  PlacementRing ring(nodes, 64);
+  PlacementRing ring(nodes);
   std::map<std::string, int> primaries;
   for (int i = 0; i < 300; ++i) {
     primaries[ring.ReplicasFor("topic." + std::to_string(i), 2).front()]++;
@@ -96,7 +96,7 @@ TEST(ClusterPlacement, SpreadsPrimariesAcrossNodes) {
 // instead of shrinking it.
 TEST(ClusterPlacement, EligibleWalkRefillsReplicaSet) {
   const std::vector<std::string> nodes = {"n1", "n2", "n3"};
-  PlacementRing ring(nodes, 64);
+  PlacementRing ring(nodes);
   for (int i = 0; i < 200; ++i) {
     const std::string topic = "t." + std::to_string(i);
     const auto base = ring.ReplicasFor(topic, 2);
@@ -112,7 +112,7 @@ TEST(ClusterPlacement, EligibleWalkRefillsReplicaSet) {
 
 TEST(ClusterPlacement, DeathMovesOnlyTheDeadNodesTopics) {
   const std::vector<std::string> nodes = {"n1", "n2", "n3", "n4"};
-  PlacementRing ring(nodes, 64);
+  PlacementRing ring(nodes);
   for (int i = 0; i < 200; ++i) {
     const std::string topic = "t." + std::to_string(i);
     const auto base = ring.ReplicasFor(topic, 2);
@@ -186,7 +186,7 @@ TEST(ClusterMembership, NeverSeenPeersAreNotPlacementTargets) {
   EXPECT_EQ(map.Find("n1")->state, MemberState::kJoining);
   EXPECT_EQ(map.Find("n2")->state, MemberState::kDead);
   EXPECT_EQ(map.Find("n3")->state, MemberState::kDead);
-  PlacementRing ring({"n1", "n2", "n3"}, 64);
+  PlacementRing ring({"n1", "n2", "n3"});
   EXPECT_TRUE(AliveReplicasFor(ring, map, "solo.topic").empty());
 
   // Once resync finishes, self becomes the sole eligible replica.
@@ -253,8 +253,7 @@ class ClusterNetTest : public ::testing::Test {
     node->name = peers_[i].name;
     node->port = peers_[i].port;
     node->broker = std::make_unique<Broker>(RealClock::Instance());
-    node->executor =
-        std::make_unique<aqe::Executor>(*node->broker, /*pool=*/nullptr);
+    node->executor = std::make_unique<aqe::Executor>(*node->broker);
     DaemonConfig config;
     config.server.port = peers_[i].port;
     config.server.server_name = peers_[i].name;
@@ -314,7 +313,7 @@ class ClusterNetTest : public ::testing::Test {
   std::size_t PrimaryOf(const std::string& topic) {
     std::vector<std::string> names;
     for (const ClusterPeer& p : peers_) names.push_back(p.name);
-    PlacementRing ring(names, 64);
+    PlacementRing ring(names);
     const std::string primary = ring.ReplicasFor(topic, 2).front();
     for (std::size_t i = 0; i < peers_.size(); ++i) {
       if (peers_[i].name == primary) return i;
@@ -345,7 +344,7 @@ TEST_F(ClusterNetTest, ReplicatedPublishLandsOnQuorum) {
   // The two ring replicas hold byte-identical streams.
   std::vector<std::string> names;
   for (const ClusterPeer& p : peers_) names.push_back(p.name);
-  PlacementRing ring(names, 64);
+  PlacementRing ring(names);
   const auto replicas = ring.ReplicasFor(topic, 2);
   std::size_t holders = 0;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -470,7 +469,7 @@ TEST_F(ClusterNetTest, RestartedNodeResyncsFromPeers) {
   std::vector<std::string> names;
   for (const ClusterPeer& p : peers_) names.push_back(p.name);
   const std::string second =
-      PlacementRing(names, 64).ReplicasFor(topic, 2)[1];
+      PlacementRing(names).ReplicasFor(topic, 2)[1];
   std::size_t witness = (primary + 1) % kNodes;
   for (std::size_t i = 0; i < kNodes; ++i) {
     if (peers_[i].name == second) witness = i;

@@ -81,7 +81,7 @@ class ThreeTierTopic {
         archiver_(dir_.path + "/t.log", SegmentsOf(records_per_segment)),
         cold_(archiver_.path()),
         broker_(RealClock::Instance()),
-        executor_(broker_, nullptr) {
+        executor_(broker_) {
     open_ = !archiver_.InMemory() && cold_.Open().ok();
     archiver_.AttachColdReader(&cold_);
     auto stream = broker_.CreateTopic("t", kLocalNode, ring, &archiver_);

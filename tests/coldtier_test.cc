@@ -217,7 +217,6 @@ TEST(ColdTierService, TimeTravelQueryPastRingAndWal) {
   const std::string dir = FreshDir("coldtier_service");
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   options.wal = SmallSegments(4);
   options.coldtier_enabled = true;
@@ -296,7 +295,6 @@ TEST(ColdTierService, RecoverReportsColdBlocks) {
   {
     ApolloOptions options;
     options.mode = ApolloOptions::Mode::kSimulated;
-    options.query_threads = 0;
     options.archive_dir = dir;
     options.wal = SmallSegments(4);
     options.coldtier_enabled = true;
@@ -325,7 +323,6 @@ TEST(ColdTierService, RecoverReportsColdBlocks) {
 
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   options.wal = SmallSegments(4);
   options.coldtier_enabled = true;

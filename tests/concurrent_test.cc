@@ -7,7 +7,6 @@
 
 #include "concurrent/mpmc_queue.h"
 #include "concurrent/spsc_queue.h"
-#include "concurrent/thread_pool.h"
 
 namespace apollo {
 namespace {
@@ -132,65 +131,6 @@ TEST(MpmcQueue, SizeApproxTracks) {
   EXPECT_EQ(q.SizeApprox(), 10u);
   for (int i = 0; i < 4; ++i) q.TryPop();
   EXPECT_EQ(q.SizeApprox(), 6u);
-}
-
-// --- ThreadPool ---
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(4);
-  auto f = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitWithArgs) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([](int a, int b) { return a + b; }, 3, 4);
-  EXPECT_EQ(f.get(), 7);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(8);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 1000; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPool, DrainWaitsForAll) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.NumThreads(), 1u);
-  EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("bad"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructorJoinsCleanly) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i) pool.Submit([&done] { ++done; });
-  }
-  EXPECT_EQ(done.load(), 10);
 }
 
 }  // namespace

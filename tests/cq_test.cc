@@ -88,23 +88,10 @@ TEST(CQAdmission, UnlimitedTenantNeverSheds) {
   EXPECT_EQ(admission.Stats("free").shed, 0u);
 }
 
-TEST(CQAdmission, WeightedFairVirtualTimeFavorsHeavyTenant) {
-  cq::AdmissionOptions options;
-  options.tenant_quotas["heavy"] = {0.0, 0.0, 4.0};
-  options.tenant_quotas["light"] = {0.0, 0.0, 1.0};
-  cq::AdmissionController admission(options);
-
-  // Same admitted work; the weight-4 tenant's virtual time advances 4x
-  // slower, so its next evaluation sorts first.
-  ASSERT_TRUE(admission.Admit("light", kNsPerSec));
-  ASSERT_TRUE(admission.Admit("heavy", kNsPerSec));
-  EXPECT_LT(admission.FairStart("heavy"), admission.FairStart("light"));
-}
-
 TEST(CQAdmission, SetQuotaResetsBucketToNewBurst) {
   cq::AdmissionController admission;
   ASSERT_TRUE(admission.Admit("t", kNsPerSec));  // unlimited so far
-  admission.SetQuota("t", {5.0, 2.0, 1.0});
+  admission.SetQuota("t", {5.0, 2.0});
   EXPECT_TRUE(admission.Admit("t", kNsPerSec));
   EXPECT_TRUE(admission.Admit("t", kNsPerSec));
   EXPECT_FALSE(admission.Admit("t", kNsPerSec));
@@ -288,7 +275,7 @@ TEST_F(CQEngineTest, ResumeContinuesEpochAndStaleResumeBumpsIt) {
 
 TEST_F(CQEngineTest, ThrottledEvaluationStaysDirtyAndRetries) {
   cq::AdmissionOptions options;
-  options.tenant_quotas["capped"] = {1e-9, 1.0, 1.0};  // one admit, ever
+  options.tenant_quotas["capped"] = {1e-9, 1.0};  // one admit, ever
   cq::AdmissionController capped(options);
   Publish(1.0);
   ASSERT_TRUE(engine_
@@ -321,7 +308,7 @@ TEST_F(CQEngineTest, ThrottledEvaluationStaysDirtyAndRetries) {
                 throttled_before,
             1u);
   // Lift the quota: the still-dirty CQ evaluates on the next pump.
-  capped.SetQuota("capped", {0.0, 0.0, 1.0});
+  capped.SetQuota("capped", {0.0, 0.0});
   engine_.Pump(clock_.Now(), &capped,
                [&](const cq::CQInfo&, const cq::CQUpdate& u) {
                  got.push_back({{}, u});
@@ -341,7 +328,7 @@ TEST_F(CQEngineTest, HistoryBeyondTheRingPushesDegraded) {
                              MakeSample(i, static_cast<double>(i)))
                     .ok());
   }
-  aqe::Executor executor(broker_, nullptr);
+  aqe::Executor executor(broker_);
   auto one_shot = executor.Execute(
       "SELECT COUNT(Metric), SUM(Metric), MIN(Metric) FROM cq.hist");
   ASSERT_TRUE(one_shot.ok());
@@ -388,7 +375,7 @@ TEST_F(CQEngineTest, UntrustedTimestampStatsPushDegraded) {
                              MakeSample(payload_ts[i], 1.0))
                     .ok());
   }
-  aqe::Executor executor(broker_, nullptr);
+  aqe::Executor executor(broker_);
   auto one_shot =
       executor.Execute("SELECT MIN(Timestamp), MAX(Timestamp) FROM cq.ts");
   ASSERT_TRUE(one_shot.ok());
@@ -426,9 +413,7 @@ TEST_F(CQEngineTest, UntrustedTimestampStatsPushDegraded) {
 class CQLoopbackTest : public ::testing::Test {
  protected:
   CQLoopbackTest()
-      : clock_(RealClock::Instance()),
-        broker_(clock_),
-        executor_(broker_, /*pool=*/nullptr) {}
+      : clock_(RealClock::Instance()), broker_(clock_), executor_(broker_) {}
 
   void SetUp() override {
     ASSERT_TRUE(broker_.CreateTopic("cq.alpha", kLocalNode, 1024).ok());

@@ -19,7 +19,7 @@ TEST(AqeEdge, RemoteTopicAccessChargesLatencyInSimTime) {
   broker.CreateTopic("remote", /*home_node=*/5);
   broker.Publish("remote", 5, 0, Sample{0, 1.0, Provenance::kMeasured});
 
-  aqe::Executor executor(broker, nullptr, aqe::ExecutorOptions{/*client=*/7});
+  aqe::Executor executor(broker, aqe::ExecutorOptions{/*client=*/7});
   const TimeNs before = clock.Now();
   auto rs = executor.Execute("SELECT MAX(Timestamp), metric FROM remote");
   ASSERT_TRUE(rs.ok());
@@ -32,7 +32,7 @@ TEST(AqeEdge, LocalTopicAccessFree) {
   Broker broker(clock, network);
   broker.CreateTopic("local", /*home_node=*/7);
   broker.Publish("local", 7, 0, Sample{0, 1.0, Provenance::kMeasured});
-  aqe::Executor executor(broker, nullptr, aqe::ExecutorOptions{7});
+  aqe::Executor executor(broker, aqe::ExecutorOptions{7});
   const TimeNs before = clock.Now();
   ASSERT_TRUE(executor.Execute("SELECT MAX(Timestamp), metric FROM local")
                   .ok());
@@ -46,7 +46,7 @@ TEST(AqeEdge, FastPathAndScanPathAgreeOnLatestValue) {
     broker.Publish("t", kLocalNode, Seconds(i),
                    Sample{Seconds(i), i * 3.0, Provenance::kMeasured});
   }
-  aqe::Executor executor(broker, nullptr);
+  aqe::Executor executor(broker);
   auto fast = executor.Execute("SELECT MAX(Timestamp), metric FROM t");
   auto scan = executor.Execute(
       "SELECT MAX(Timestamp), LAST(metric) FROM t WHERE timestamp >= 0");
@@ -58,7 +58,7 @@ TEST(AqeEdge, FastPathAndScanPathAgreeOnLatestValue) {
 TEST(AqeEdge, FastPathOnEmptyTopicReturnsNaN) {
   Broker broker(RealClock::Instance());
   broker.CreateTopic("empty");
-  aqe::Executor executor(broker, nullptr);
+  aqe::Executor executor(broker);
   auto rs = executor.Execute("SELECT MAX(Timestamp), metric FROM empty");
   ASSERT_TRUE(rs.ok());
   ASSERT_EQ(rs->NumRows(), 1u);

@@ -20,7 +20,7 @@ using aqe::QueryProfile;
 
 class ExplainTest : public testing::Test {
  protected:
-  ExplainTest() : broker_(RealClock::Instance()), executor_(broker_, nullptr) {
+  ExplainTest() : broker_(RealClock::Instance()), executor_(broker_) {
     // Seeded graph: 10 rows on "cap" (values 100..91), 5 rows on "load".
     broker_.CreateTopic("cap");
     for (int i = 0; i < 10; ++i) {
@@ -85,7 +85,6 @@ TEST_F(ExplainTest, AnalyzeUnionCountsPerVertex) {
   EXPECT_EQ(profile->vertices[1].topic, "load");
   EXPECT_EQ(profile->vertices[1].rows_scanned, 5u);
   EXPECT_EQ(profile->vertices[1].rows_matched, 2u);  // values 3, 4
-  EXPECT_FALSE(profile->parallel);  // no pool in this fixture
   EXPECT_EQ(profile->total_rows, 2u);  // one aggregate row per branch
 }
 
@@ -235,6 +234,38 @@ TEST(ExplainDegradedTest, DegradedVertexFlaggedInProfile) {
   auto rs = service.Query("EXPLAIN ANALYZE SELECT LAST(Metric) FROM m");
   ASSERT_TRUE(rs.ok());
   EXPECT_TRUE(rs->degraded);
+}
+
+// A UNION whose first branch fails returns that branch's error, and no
+// other branch is still reading the plan or writing the profile after
+// Explain returns (under ASan a late writer is a heap-use-after-free). A
+// default real-time service, 200 scan branches behind the missing topic.
+TEST(ExplainFailedBranchTest, MissingFirstBranchAmongManyIsNotFound) {
+  ApolloService service;
+  ASSERT_TRUE(service.broker().CreateTopic("t").ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(service.broker()
+                    .Publish("t", kLocalNode, Seconds(i),
+                             Sample{Seconds(i), static_cast<double>(i),
+                                    Provenance::kMeasured})
+                    .ok());
+  }
+  std::string query = "SELECT COUNT(*) FROM missing";
+  for (int i = 0; i < 200; ++i) {
+    query += " UNION SELECT metric FROM t WHERE metric > 1";
+  }
+
+  auto explained = service.Query("EXPLAIN ANALYZE " + query);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.error().code(), ErrorCode::kNotFound);
+  auto answered = service.Query(query);
+  ASSERT_FALSE(answered.ok());
+  EXPECT_EQ(answered.error().code(), ErrorCode::kNotFound);
+
+  auto count = service.Query("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok());
+  ASSERT_EQ(count->NumRows(), 1u);
+  EXPECT_DOUBLE_EQ(count->rows[0].values[0], 100.0);
 }
 
 }  // namespace

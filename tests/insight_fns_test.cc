@@ -83,7 +83,6 @@ TEST(InsightFns, RangeAsImbalanceIndicator) {
 TEST(InsightFns, MscaDeployedAsScoReInsight) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   Device device("d", DeviceSpec::Hdd());

@@ -18,7 +18,6 @@ namespace {
 ApolloOptions SimOptions() {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   return options;
 }
 

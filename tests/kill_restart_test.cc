@@ -92,7 +92,6 @@ void VerifyRecovery(const std::string& dir, const CrashPoint& point,
   constexpr std::size_t kWindow = 8;
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   ApolloService apollo(options);
   FactDeployment deployment;
@@ -230,7 +229,6 @@ void VerifyCompactionRecovery(const std::string& dir,
                               std::uint64_t records) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   options.wal.segment_bytes = 16 + 4 * kFrameBytes;
   options.coldtier_enabled = true;

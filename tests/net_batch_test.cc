@@ -185,9 +185,7 @@ TEST(NetBatch, AckRejectsErrorCountAboveCount) {
 class NetBatchLoopbackTest : public ::testing::Test {
  protected:
   NetBatchLoopbackTest()
-      : clock_(RealClock::Instance()),
-        broker_(clock_),
-        executor_(broker_, /*pool=*/nullptr) {}
+      : clock_(RealClock::Instance()), broker_(clock_), executor_(broker_) {}
 
   void SetUp() override {
     ASSERT_TRUE(broker_.CreateTopic("b.cpu").ok());
@@ -499,7 +497,7 @@ TEST(NetBatchStress, FourBatchingClientsConcurrent) {
         broker.CreateTopic("stress.c" + std::to_string(c), kLocalNode, 4096)
             .ok());
   }
-  aqe::Executor executor(broker, /*pool=*/nullptr);
+  aqe::Executor executor(broker);
   ApolloDaemon daemon(broker, executor);
   ASSERT_TRUE(daemon.Start().ok());
 

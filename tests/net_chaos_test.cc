@@ -41,10 +41,10 @@ Sample MakeSample(TimeNs timestamp, double value) {
   return sample;
 }
 
-// One self-contained daemon node: broker + sequential executor + daemon.
+// One self-contained daemon node: broker + executor + daemon.
 struct TestNode {
   explicit TestNode(const std::string& name)
-      : broker(RealClock::Instance()), executor(broker, nullptr) {
+      : broker(RealClock::Instance()), executor(broker) {
     DaemonConfig config;
     config.server.server_name = name;
     daemon = std::make_unique<ApolloDaemon>(broker, executor, config);

@@ -34,14 +34,12 @@ Sample MakeSample(TimeNs timestamp, double value,
   return sample;
 }
 
-// Broker + sequential executor + daemon on an ephemeral port, with two
+// Broker + executor + daemon on an ephemeral port, with two
 // seeded topics so aggregate queries have deterministic answers.
 class NetLoopbackTest : public ::testing::Test {
  protected:
   NetLoopbackTest()
-      : clock_(RealClock::Instance()),
-        broker_(clock_),
-        executor_(broker_, /*pool=*/nullptr) {}
+      : clock_(RealClock::Instance()), broker_(clock_), executor_(broker_) {}
 
   void SetUp() override {
     ASSERT_TRUE(broker_.CreateTopic("alpha.cpu").ok());
@@ -118,7 +116,7 @@ void ExpectSameRows(const aqe::ResultSet& remote, const aqe::ResultSet& local) {
 TEST(NetLoopbackHandshake, HelloCarriesServerName) {
   RealClock& clock = RealClock::Instance();
   Broker broker(clock);
-  aqe::Executor executor(broker, nullptr);
+  aqe::Executor executor(broker);
   DaemonConfig config;
   config.server.server_name = "node-a";
   ApolloDaemon daemon(broker, executor, config);

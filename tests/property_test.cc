@@ -156,7 +156,7 @@ TEST(AqeProperty, AggregatesMatchGroundTruthOnRandomTables) {
       broker.Publish(table, kLocalNode, Seconds(i),
                      Sample{Seconds(i), v, Provenance::kMeasured});
     }
-    aqe::Executor executor(broker, nullptr);
+    aqe::Executor executor(broker);
     auto rs = executor.Execute(
         "SELECT MAX(metric), MIN(metric), AVG(metric), SUM(metric), "
         "COUNT(*), LAST(metric) FROM " +
@@ -185,7 +185,7 @@ TEST(AqeProperty, TimestampRangePartitionIsExhaustive) {
                    Sample{Seconds(i), rng.NextDouble(),
                           Provenance::kMeasured});
   }
-  aqe::Executor executor(broker, nullptr);
+  aqe::Executor executor(broker);
   for (int trial = 0; trial < 10; ++trial) {
     const long long mid =
         static_cast<long long>(rng.NextBounded(rows)) * 1'000'000'000LL;

@@ -97,7 +97,7 @@ TEST(QueryBuilder, BuiltQueryExecutes) {
     broker.Publish("m", kLocalNode, Seconds(i),
                    Sample{Seconds(i), i * 2.0, Provenance::kMeasured});
   }
-  Executor executor(broker, nullptr);
+  Executor executor(broker);
   auto rs = executor.ExecuteQuery(LatestValueQuery({"m"}));
   ASSERT_TRUE(rs.ok());
   ASSERT_EQ(rs->NumRows(), 1u);

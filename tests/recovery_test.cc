@@ -483,7 +483,6 @@ TEST(ServiceRecovery, RebuildsWindowsAndAnswersQueries) {
   const std::string dir = FreshDir("service_recovery");
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
 
   // First lifetime: 31 samples published (t = 0..30s), window capacity 4,
@@ -553,7 +552,6 @@ TEST(ServiceRecovery, RestoredWindowKeepsArchivedIds) {
   const std::string dir = FreshDir("service_recovery_ids");
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   const TimeNs ts = Seconds(5);
 
@@ -605,7 +603,6 @@ TEST(ServiceRecovery, TornArchiveTailCountedInReport) {
   const std::string dir = FreshDir("service_recovery_torn");
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
 
   {
@@ -636,10 +633,44 @@ TEST(ServiceRecovery, TornArchiveTailCountedInReport) {
   EXPECT_DOUBLE_EQ(count->rows[0].values[0], 27.0);
 }
 
+// A WAL that cannot open fails the deployment instead of leaving the topic
+// on a silently in-memory archive: once for a missing directory, once for
+// a regular file where the directory should be.
+TEST(ServiceRecovery, DeployFailsWhenArchiveCannotOpen) {
+  const std::string dir = FreshDir("service_unopenable_archive");
+  const std::string regular_file = dir + "/not_a_directory";
+  std::FILE* f = std::fopen(regular_file.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+
+  for (const std::string& archive_dir : {dir + "/missing", regular_file}) {
+    ApolloOptions options;
+    options.mode = ApolloOptions::Mode::kSimulated;
+    options.archive_dir = archive_dir;
+    ApolloService apollo(options);
+    TimeNs tick = 0;
+    auto deployed = apollo.DeployFact(CountingHook("metric", &tick),
+                                      CountingDeployment("metric"));
+    ASSERT_FALSE(deployed.ok()) << archive_dir;
+    EXPECT_EQ(deployed.error().code(), ErrorCode::kIoError);
+    EXPECT_NE(deployed.error().message().find(archive_dir + "/metric.log."),
+              std::string::npos)
+        << deployed.error().message();
+
+    // Nothing was deployed: no topic to query, nothing to recover.
+    ASSERT_TRUE(apollo.RunFor(Seconds(20)).ok());
+    auto count = apollo.Query("SELECT COUNT(*) FROM metric");
+    ASSERT_FALSE(count.ok());
+    EXPECT_EQ(count.error().code(), ErrorCode::kNotFound);
+    auto report = apollo.Recover();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->topics_recovered, 0u);
+  }
+}
+
 TEST(ServiceRecovery, RequiresConfiguredDirectory) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
   auto report = apollo.Recover();
   ASSERT_FALSE(report.ok());

@@ -14,7 +14,6 @@ namespace {
 ApolloOptions SimOptions() {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   return options;
 }
 
@@ -143,7 +142,6 @@ namespace {
 TEST(ArchiveOption, MemoryArchiveKeepsEvictedHistory) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   TimeNs tick = 0;
@@ -172,7 +170,6 @@ TEST(ArchiveOption, FileArchiveUnderArchiveDir) {
   std::filesystem::create_directories(dir);
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   options.archive_dir = dir;
   ApolloService apollo(options);
 
@@ -201,7 +198,6 @@ TEST(ArchiveOption, FileArchiveUnderArchiveDir) {
 TEST(ArchiveOption, NoneDropsEvictedEntries) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   TimeNs tick = 0;
@@ -229,7 +225,6 @@ namespace {
 TEST(ServiceStats, AggregatesVertexCounters) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
 
   Device device("d", DeviceSpec::Nvme());
@@ -254,7 +249,6 @@ TEST(ServiceStats, AggregatesVertexCounters) {
 TEST(ServiceStats, EmptyServiceZeroed) {
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kSimulated;
-  options.query_threads = 0;
   ApolloService apollo(options);
   const auto stats = apollo.Stats();
   EXPECT_EQ(stats.fact_vertices, 0u);

@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   if (opt.target.empty()) {
     broker = std::make_unique<Broker>(clock);
     broker->CreateTopic(opt.topic, kLocalNode, 4096);
-    executor = std::make_unique<aqe::Executor>(*broker, nullptr);
+    executor = std::make_unique<aqe::Executor>(*broker);
     net::DaemonConfig config;
     config.cq.max_queries = std::max(8192, opt.clients * 2);
     daemon = std::make_unique<net::ApolloDaemon>(*broker, *executor, config);
