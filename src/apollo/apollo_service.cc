@@ -73,83 +73,88 @@ Expected<FactVertex*> ApolloService::DeployFact(
   config.node = deployment.node;
   config.queue_capacity = deployment.queue_capacity;
   config.publish_only_on_change = deployment.publish_only_on_change;
-  const delphi::DelphiModel* model = nullptr;
   if (deployment.use_delphi) {
-    if (delphi_ == nullptr) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "use_delphi requested but no Delphi model is set");
-    }
-    model = delphi_.get();
     config.prediction_granularity = deployment.prediction_granularity;
   }
-  Archiver<Sample>* archiver = nullptr;
-  switch (deployment.archive) {
-    case FactDeployment::Archive::kNone:
-      break;
-    case FactDeployment::Archive::kMemory:
-      archivers_.push_back(std::make_unique<Archiver<Sample>>());
-      archiver = archivers_.back().get();
-      break;
-    case FactDeployment::Archive::kInherit:
-      if (!options_.archive_dir.empty()) {
-        auto file_backed = std::make_unique<Archiver<Sample>>(
-            options_.archive_dir + "/" + config.topic + ".log",
-            options_.wal);
-        // An archiver whose WAL cannot open falls back to memory; deploying
-        // on top of it would run the topic without durability, unreported.
-        Status opened = file_backed->OpenStatus();
-        if (!opened.ok()) return Error(opened.code(), opened.message());
-        archivers_.push_back(std::move(file_backed));
-        archiver = archivers_.back().get();
-      }
-      break;
-  }
-  if (archiver != nullptr) {
-    archiver->set_fault_label(config.topic);
-    if (fault_ != nullptr) archiver->AttachFaultInjector(fault_);
-    archiver_by_topic_[config.topic] = archiver;
-    if (options_.coldtier_enabled && !archiver->InMemory()) {
-      auto cold = std::make_unique<coldtier::ColdTier>(archiver->path());
-      Status opened = cold->Open();
-      if (!opened.ok()) return Error(opened.code(), opened.message());
-      // Finish any compaction a crash interrupted before the archiver
-      // appends again, then let the archiver consult the tier: range
-      // queries merge cold rows and WAL retention only deletes segments
-      // the manifest already covers.
-      Status reconciled = cold->Reconcile(*archiver);
-      if (!reconciled.ok()) {
-        return Error(reconciled.code(), reconciled.message());
-      }
-      cold->set_fault_label(config.topic);
-      if (fault_ != nullptr) cold->AttachFaultInjector(fault_);
-      archiver->AttachColdReader(cold.get());
-      std::lock_guard<std::mutex> lock(cold_mu_);
-      cold_by_topic_[config.topic] = {cold.get(), archiver};
-      cold_tiers_.push_back(std::move(cold));
-    }
-  }
+  auto attach =
+      PrepareDeploy(config.topic, deployment.use_delphi, deployment.archive);
+  if (!attach.ok()) return attach.error();
   auto vertex = std::make_unique<FactVertex>(
       *broker_, std::move(hook), std::move(controller), std::move(config),
-      model, archiver);
+      attach->delphi, attach->archiver);
   return graph_->AddFact(std::move(vertex), loop_.get());
 }
 
 Expected<InsightVertex*> ApolloService::DeployInsight(
     InsightVertexConfig config, InsightFn fn, bool use_delphi) {
-  const delphi::DelphiModel* model = nullptr;
+  if (use_delphi && config.prediction_granularity == 0) {
+    config.prediction_granularity = Seconds(1);
+  }
+  auto attach = PrepareDeploy(config.topic, use_delphi,
+                              FactDeployment::Archive::kInherit);
+  if (!attach.ok()) return attach.error();
+  auto vertex = std::make_unique<InsightVertex>(
+      *broker_, std::move(fn), std::move(config), attach->delphi,
+      attach->archiver);
+  return graph_->AddInsight(std::move(vertex), loop_.get());
+}
+
+Expected<ApolloService::VertexAttachments> ApolloService::PrepareDeploy(
+    const std::string& topic, bool use_delphi,
+    FactDeployment::Archive archive) {
+  VertexAttachments attach;
   if (use_delphi) {
     if (delphi_ == nullptr) {
       return Error(ErrorCode::kFailedPrecondition,
                    "use_delphi requested but no Delphi model is set");
     }
-    model = delphi_.get();
-    if (config.prediction_granularity == 0) {
-      config.prediction_granularity = Seconds(1);
+    attach.delphi = delphi_.get();
+  }
+  // Reject a duplicate before opening anything: a second archiver and cold
+  // tier on the live topic's files would replace its entries below.
+  if (graph_->Has(topic)) {
+    return Error(ErrorCode::kAlreadyExists, "vertex exists: " + topic);
+  }
+  switch (archive) {
+    case FactDeployment::Archive::kNone:
+      return attach;
+    case FactDeployment::Archive::kMemory:
+      archivers_.push_back(std::make_unique<Archiver<Sample>>());
+      break;
+    case FactDeployment::Archive::kInherit: {
+      if (options_.archive_dir.empty()) return attach;
+      auto file_backed = std::make_unique<Archiver<Sample>>(
+          options_.archive_dir + "/" + topic + ".log", options_.wal);
+      // An archiver whose WAL cannot open falls back to memory; deploying
+      // on top of it would run the topic without durability, unreported.
+      Status opened = file_backed->OpenStatus();
+      if (!opened.ok()) return Error(opened.code(), opened.message());
+      archivers_.push_back(std::move(file_backed));
+      break;
     }
   }
-  auto vertex = std::make_unique<InsightVertex>(*broker_, std::move(fn),
-                                                std::move(config), model);
-  return graph_->AddInsight(std::move(vertex), loop_.get());
+  Archiver<Sample>* archiver = archivers_.back().get();
+  archiver->set_fault_label(topic);
+  if (fault_ != nullptr) archiver->AttachFaultInjector(fault_);
+  archiver_by_topic_[topic] = archiver;
+  attach.archiver = archiver;
+  if (!options_.coldtier_enabled || archiver->InMemory()) return attach;
+  auto cold = std::make_unique<coldtier::ColdTier>(archiver->path());
+  Status opened = cold->Open();
+  if (!opened.ok()) return Error(opened.code(), opened.message());
+  // Finish any compaction a crash interrupted before the archiver appends
+  // again, then let range queries merge the tier's rows.
+  Status reconciled = cold->Reconcile(*archiver);
+  if (!reconciled.ok()) {
+    return Error(reconciled.code(), reconciled.message());
+  }
+  cold->set_fault_label(topic);
+  if (fault_ != nullptr) cold->AttachFaultInjector(fault_);
+  archiver->AttachColdReader(cold.get());
+  std::lock_guard<std::mutex> lock(cold_mu_);
+  cold_by_topic_[topic] = {cold.get(), archiver};
+  cold_tiers_.push_back(std::move(cold));
+  return attach;
 }
 
 Status ApolloService::Undeploy(const std::string& topic) {
@@ -397,30 +402,21 @@ std::size_t ApolloService::SubscriptionCount() const {
 
 ApolloService::ServiceStats ApolloService::Stats() const {
   ServiceStats stats;
-  for (const std::string& topic : graph_->FactTopics()) {
-    auto vertex = graph_->FindFact(topic);
+  for (const std::string& topic : graph_->AllTopics()) {
+    auto vertex = graph_->Find(topic);
     if (!vertex.ok()) continue;
+    if (dynamic_cast<const FactVertex*>(*vertex) != nullptr) {
+      ++stats.fact_vertices;
+    } else {
+      ++stats.insight_vertices;
+    }
+    // An insight has no hook, so its hook counters stay 0.
     const VertexStats& vs = (*vertex)->stats();
-    ++stats.fact_vertices;
     stats.hook_calls += vs.hook_calls;
     stats.published += vs.published;
     stats.suppressed += vs.suppressed;
     stats.predictions += vs.predictions;
     stats.hook_time_ns += vs.hook_time_ns;
-    stats.publish_time_ns += vs.publish_time_ns;
-    stats.predict_time_ns += vs.predict_time_ns;
-    stats.publish_failures += vs.publish_failures;
-    stats.crashes += vs.crashes;
-    stats.restarts += vs.restarts;
-  }
-  for (const std::string& topic : graph_->InsightTopics()) {
-    auto vertex = graph_->FindInsight(topic);
-    if (!vertex.ok()) continue;
-    const VertexStats& vs = (*vertex)->stats();
-    ++stats.insight_vertices;
-    stats.published += vs.published;
-    stats.suppressed += vs.suppressed;
-    stats.predictions += vs.predictions;
     stats.publish_time_ns += vs.publish_time_ns;
     stats.predict_time_ns += vs.predict_time_ns;
     stats.publish_failures += vs.publish_failures;

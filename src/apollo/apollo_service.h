@@ -50,23 +50,24 @@ struct ApolloOptions {
   Mode mode = Mode::kRealTime;
   std::shared_ptr<const NetworkModel> network;  // null = free network
   NodeId client_node = kLocalNode;
-  // When set, every deployed vertex gets a file-backed Archiver at
-  // <archive_dir>/<topic>.log (WAL segments <topic>.log.<seq>.wal);
-  // entries evicted from the in-memory window persist there and remain
-  // reachable by AQE timestamp-range queries — and replayable with
-  // Recover() after a restart. Empty = in-memory archives only when a
-  // vertex requests one.
+  // When set, every deployed vertex — fact or insight — gets a
+  // file-backed Archiver at <archive_dir>/<topic>.log (WAL segments
+  // <topic>.log.<seq>.wal); entries evicted from the in-memory window
+  // persist there and remain reachable by AQE timestamp-range queries —
+  // and replayable with Recover() after a restart. Empty = in-memory
+  // archives only when a fact deployment requests one.
   std::string archive_dir;
-  // Durability knobs for file-backed archivers: segment size/rotation,
-  // retention cap, fsync policy (see pubsub/archiver.h).
+  // Durability knobs for file-backed archivers: segment size (rotation)
+  // and fsync policy (see pubsub/archiver.h). The WAL keeps every segment
+  // until the cold tier compacts it.
   WalConfig wal;
   // Columnar cold tier: when enabled (and archive_dir is set), every
   // file-backed archiver gets a ColdTier beside it that compacts sealed
-  // WAL segments into compressed immutable blocks (coldtier/cold_tier.h).
-  // AQE range scans then reach past WAL retention via zone-map-pruned
-  // block reads, and WAL retention only deletes compacted segments. In
-  // real-time mode a timer on the event loop compacts every
-  // coldtier_compact_interval; simulated/manual callers use CompactNow().
+  // WAL segments into compressed immutable blocks (coldtier/cold_tier.h)
+  // and then deletes those segments. AQE range scans merge the blocks'
+  // rows via zone-map-pruned reads. In real-time mode a timer on the event
+  // loop compacts every coldtier_compact_interval; simulated/manual
+  // callers use CompactNow().
   bool coldtier_enabled = false;
   TimeNs coldtier_compact_interval = Seconds(30);
   // Vertex supervision: crash/stall detection with bounded-backoff
@@ -256,6 +257,17 @@ class ApolloService {
   std::unique_ptr<ScoreGraph> graph_;
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<aqe::Executor> executor_;
+  // The deploy path both vertex kinds share: checks the Delphi request,
+  // rejects a topic the graph already holds before it opens anything, and
+  // attaches the archiver (plus cold tier) `archive` asks for.
+  struct VertexAttachments {
+    const delphi::DelphiModel* delphi = nullptr;
+    Archiver<Sample>* archiver = nullptr;
+  };
+  Expected<VertexAttachments> PrepareDeploy(const std::string& topic,
+                                            bool use_delphi,
+                                            FactDeployment::Archive archive);
+
   std::unique_ptr<delphi::DelphiModel> delphi_;
   std::vector<std::unique_ptr<Archiver<Sample>>> archivers_;
   // Topic -> service-owned archiver, for the recovery pass. Entries are

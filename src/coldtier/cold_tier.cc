@@ -190,7 +190,7 @@ void ColdTier::RefreshTotalsLocked() {
   }
   total_rows_.store(rows, std::memory_order_release);
   // Monotonic: quarantining the newest block must not re-open its WAL
-  // sequences for retention (their segment files are already gone).
+  // sequences for compaction (their segment files are already gone).
   last_compacted_seq_.store(last_seq, std::memory_order_release);
 }
 

@@ -98,7 +98,8 @@ class ColdTier : public ColdReaderBase {
   std::uint64_t ColdRowCount() const override {
     return total_rows_.load(std::memory_order_acquire);
   }
-  bool IsCompacted(std::uint64_t wal_seq) const override {
+  // True when `wal_seq` is covered by the committed manifest. Lock-free.
+  bool IsCompacted(std::uint64_t wal_seq) const {
     return wal_seq <= last_compacted_seq_.load(std::memory_order_acquire);
   }
 

@@ -213,24 +213,6 @@ Status ArchiveLog::RotateLocked() {
   }
   ++rotations_;
   GlobalTelemetry().archive_rotations.Inc();
-  return ApplyRetentionLocked();
-}
-
-Status ArchiveLog::ApplyRetentionLocked() {
-  if (config_.max_segments == 0) return Status::Ok();
-  while (segments_.size() > config_.max_segments) {
-    const Segment oldest = segments_.front();
-    // With a cold tier attached, only manifest-committed segments may
-    // expire: deleting an uncompacted sealed segment would destroy the
-    // sole copy of its rows. Retention simply waits for the compactor
-    // to catch up (segment count may temporarily exceed max_segments).
-    if (retention_gate_ && !retention_gate_(oldest.seq)) break;
-    std::error_code ec;
-    fs::remove(oldest.path, ec);
-    if (ec) return IoError("archive retention remove failed", oldest.path);
-    record_count_ -= oldest.records;
-    segments_.erase(segments_.begin());
-  }
   return Status::Ok();
 }
 
@@ -257,7 +239,6 @@ Status ArchiveLog::SyncLocked() {
   ++fsyncs_;
   GlobalTelemetry().archive_fsyncs.Inc();
   appends_since_sync_ = 0;
-  last_sync_ = RealClock::Instance().Now();
   return Status::Ok();
 }
 
@@ -331,19 +312,8 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
   record_count_ += n;
   appends_since_sync_ += n;
 
-  bool sync_due = false;
-  switch (config_.fsync_policy) {
-    case FsyncPolicy::kNever:
-      break;
-    case FsyncPolicy::kEveryN:
-      sync_due = appends_since_sync_ >= config_.fsync_every_n;
-      break;
-    case FsyncPolicy::kInterval:
-      sync_due =
-          RealClock::Instance().Now() - last_sync_ >= config_.fsync_interval;
-      break;
-  }
-  if (sync_due) {
+  if (config_.fsync_policy == FsyncPolicy::kEveryN &&
+      appends_since_sync_ >= config_.fsync_every_n) {
     Status status = SyncLocked();
     if (!status.ok()) {
       // The chunk is not durably acknowledged: roll it back so the

@@ -9,15 +9,16 @@
 //
 // File mode is a WAL (see pubsub/wal_format.h): records are length-prefixed
 // and CRC32C-checksummed inside size-rotated segment files
-// `<base>.<seq>.wal`, with an optional retention cap and a configurable
-// fsync policy. Opening an existing archive is append-safe: segments are
-// scanned, a torn/corrupt tail is truncated to the last valid record, and
-// unreadable segments are quarantined (renamed `.corrupt`) — every
-// recovered and dropped byte is counted. Records are written in chunks —
-// the run of records up to the next rotation or kEveryN fsync point — with
-// one fflush per chunk. Chunks are atomic: a failed write, flush, or fsync
-// rolls the segment back to the chunk's start offset, so retries can never
-// duplicate or interleave a record.
+// `<base>.<seq>.wal`, with a configurable fsync policy. Segments stay
+// until the cold tier compacts them (DropSegmentsThrough). Opening an
+// existing archive is append-safe: segments are scanned, a torn/corrupt
+// tail is truncated to the last valid record, and unreadable segments are
+// quarantined (renamed `.corrupt`) — every recovered and dropped byte is
+// counted. Records are written in chunks — the run of records up to the
+// next rotation or kEveryN fsync point — with one fflush per chunk. Chunks
+// are atomic: a failed write, flush, or fsync rolls the segment back to the
+// chunk's start offset, so retries can never duplicate or interleave a
+// record.
 //
 // Failed writes are never silent: every append surfaces a Status,
 // AppendBatch and AppendWithRetry add bounded exponential backoff, and
@@ -54,20 +55,15 @@ namespace apollo {
 
 // When the archiver calls fsync on its active segment.
 enum class FsyncPolicy : std::uint8_t {
-  kNever,     // leave durability to the OS (process death still safe)
-  kInterval,  // at most once per fsync_interval of real time
-  kEveryN,    // after every fsync_every_n appended records
+  kNever,   // leave durability to the OS (process death still safe)
+  kEveryN,  // after every fsync_every_n appended records
 };
 
 struct WalConfig {
   // Rotate the active segment once it would exceed this many bytes.
   std::size_t segment_bytes = 4u << 20;
-  // Retention cap: delete the oldest segment when the live count exceeds
-  // this. 0 = unlimited (keep the full history).
-  std::size_t max_segments = 0;
   FsyncPolicy fsync_policy = FsyncPolicy::kNever;
-  std::uint64_t fsync_every_n = 64;       // kEveryN
-  TimeNs fsync_interval = Seconds(1);     // kInterval (real clock)
+  std::uint64_t fsync_every_n = 64;  // kEveryN
 };
 
 // What an append-safe open found: how much of the existing archive
@@ -81,7 +77,7 @@ struct ArchiveRecoveryStats {
 };
 
 // Non-template WAL engine behind Archiver<T>: segment files, rotation,
-// retention, fsync policy, and startup recovery over fixed-size payloads.
+// fsync policy, and startup recovery over fixed-size payloads.
 // Not internally synchronized — Archiver<T> serializes all calls.
 class ArchiveLog {
  public:
@@ -107,10 +103,9 @@ class ArchiveLog {
   // Appends `n` payload_size-byte records laid out back to back, as one
   // chunk: 1 <= n <= ChunkRoom(). Rotates first if the active segment is
   // full, writes each frame into the stdio buffer, issues one fflush, and
-  // fsyncs after it when the policy is due (kInterval is checked once per
-  // chunk). Atomic: on any write/flush/fsync failure the segment is rolled
-  // back to the chunk's start and an error is returned, so a retry cannot
-  // duplicate a record.
+  // fsyncs after it when the policy is due. Atomic: on any
+  // write/flush/fsync failure the segment is rolled back to the chunk's
+  // start and an error is returned, so a retry cannot duplicate a record.
   Status Append(const void* payloads, std::size_t n);
 
   // Flushes and fsyncs the active segment regardless of policy.
@@ -151,14 +146,6 @@ class ArchiveLog {
   // Returns how many segment files were removed.
   std::uint64_t DropSegmentsThrough(std::uint64_t through_seq);
 
-  // Retention gate: when set, ApplyRetention only deletes a sealed
-  // segment the gate approves (the cold tier approves manifest-committed
-  // sequences). Without a gate, max_segments deletes blindly — the PR 3
-  // behavior — which can drop a sealed segment that was never compacted.
-  void set_retention_gate(std::function<bool(std::uint64_t)> gate) {
-    retention_gate_ = std::move(gate);
-  }
-
   // kArchiveFsync faults are evaluated against `label` before each real
   // fsync. Not owned; may be null.
   void AttachFaultInjector(FaultInjector* injector) { fault_ = injector; }
@@ -177,7 +164,6 @@ class ArchiveLog {
   // True when the next record would overflow the non-empty active segment.
   bool RotationDue() const;
   Status RotateLocked();
-  Status ApplyRetentionLocked();
   Status SyncLocked();
   // Truncates the active segment back to `offset` after a failed chunk.
   void RollbackActive(std::uint64_t offset);
@@ -191,13 +177,11 @@ class ArchiveLog {
   WalConfig config_;
   std::string label_;
   FaultInjector* fault_ = nullptr;
-  std::function<bool(std::uint64_t)> retention_gate_;
 
   std::vector<Segment> segments_;  // seq-ascending; back() is active
   std::FILE* active_ = nullptr;
   std::uint64_t record_count_ = 0;       // live records across segments
   std::uint64_t appends_since_sync_ = 0;
-  TimeNs last_sync_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t fsyncs_ = 0;
   std::uint64_t flushes_ = 0;
@@ -363,7 +347,7 @@ class Archiver {
   }
 
   // Records reachable in the archive: recovered history plus this
-  // lifetime's appends, minus anything retention has expired.
+  // lifetime's appends, minus the segments compaction has dropped.
   std::uint64_t Count() const {
     std::lock_guard<std::mutex> lock(mu_);
     return log_ != nullptr ? log_->record_count() : count_;
@@ -419,11 +403,6 @@ class Archiver {
   // time before queries run.
   void AttachColdReader(ColdReaderBase* cold) {
     cold_.store(cold, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (log_ != nullptr && cold != nullptr) {
-      log_->set_retention_gate(
-          [cold](std::uint64_t seq) { return cold->IsCompacted(seq); });
-    }
   }
   ColdReaderBase* cold_reader() const {
     return cold_.load(std::memory_order_acquire);

@@ -4,9 +4,9 @@
 // The compactor drains sealed WAL segments into columnar blocks; once a
 // segment is manifest-committed its rows leave the WAL and are only
 // reachable here. Archiver<Sample> holds a borrowed pointer to the tier
-// so the executor's scan path can extend a range read past the WAL
-// retention horizon: cold rows are strictly older than every WAL row
-// (compaction always drains the oldest sealed segments first).
+// so the executor's scan path can extend a range read past the oldest WAL
+// segment: cold rows are strictly older than every WAL row (compaction
+// always drains the oldest sealed segments first).
 #pragma once
 
 #include <cstdint>
@@ -46,10 +46,6 @@ class ColdReaderBase {
 
   // Total rows committed to the cold tier (from the manifest; no file IO).
   virtual std::uint64_t ColdRowCount() const = 0;
-
-  // True when `seq` is covered by the committed manifest — the WAL may
-  // delete that segment. Lock-free; called under archiver locks.
-  virtual bool IsCompacted(std::uint64_t wal_seq) const = 0;
 };
 
 }  // namespace apollo

@@ -19,7 +19,7 @@
 // releases that mutex, so a row leaves the ring only once the archive holds
 // it (or has counted it in Archiver::Failures()). The cost: a reader of the
 // same stream on another thread waits while that write runs, fsync
-// included under kEveryN/kInterval.
+// included under kEveryN.
 #pragma once
 
 #include <algorithm>

@@ -1,27 +1,20 @@
 // Insight Vertex — SCoRe's inner/sink vertices (§3.1, §3.2).
 //
-// Subscribes (pull-based, per the paper's "pull mechanism" design note) to
-// one or more upstream streams — Facts or other Insights — and combines
-// their latest values into a new Insight via an InsightFn, publishing into
-// its own dedicated queue. Like Fact Vertices, an optional Delphi predictor
-// can fill in predicted Insights between pulls.
+// Its measured value comes from one or more upstream streams — Facts or
+// other Insights — pulled every pull_interval (the paper's "pull
+// mechanism" design note) and combined by an InsightFn from each
+// upstream's latest value. The lifecycle it shares with FactVertex
+// (stream, timer, Delphi fill-in between pulls, publishing, crash and
+// restart) is the Vertex base in score/vertex.h.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/expected.h"
-#include "common/fault.h"
-#include "delphi/predictor.h"
-#include "eventloop/event_loop.h"
-#include "pubsub/broker.h"
-#include "score/vertex_stats.h"
+#include "score/vertex.h"
 
 namespace apollo {
 
@@ -48,35 +41,17 @@ struct InsightVertexConfig {
   RetryPolicy publish_retry;
 };
 
-class InsightVertex {
+class InsightVertex : public Vertex {
  public:
   InsightVertex(Broker& broker, InsightFn fn, InsightVertexConfig config,
                 const delphi::DelphiModel* delphi = nullptr,
                 Archiver<Sample>* archiver = nullptr);
 
-  ~InsightVertex();
+  ~InsightVertex() override;
 
-  InsightVertex(const InsightVertex&) = delete;
-  InsightVertex& operator=(const InsightVertex&) = delete;
-
-  Status Deploy(EventLoop& loop);
-  void Undeploy();
-
-  // --- supervision surface (see FactVertex for semantics) ---
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
-  TimeNs last_fire() const {
-    return last_fire_.load(std::memory_order_acquire);
+  const std::vector<std::string>& upstream() const override {
+    return upstream_;
   }
-  TimeNs ExpectedFireInterval() const;
-  void ForceCrash();
-  Status Restart();
-
-  const std::string& topic() const { return config_.topic; }
-  NodeId node() const { return config_.node; }
-  const std::vector<std::string>& upstream() const {
-    return config_.upstream;
-  }
-  const VertexStats& stats() const { return stats_; }
 
   // Latest computed insight value (NaN until all upstreams have produced
   // at least one value — or a partial value if the InsightFn tolerates
@@ -84,35 +59,23 @@ class InsightVertex {
   std::optional<double> LatestValue() const { return last_published_; }
 
  private:
-  TimeNs OnTimer(TimeNs now);
-  void DoPull(TimeNs now);
-  void DoPrediction(TimeNs now);
-  void PublishSample(TimeNs now, double value, Provenance provenance);
-  void MarkCrashed();
+  // Pulls every upstream's new entries (consume time), applies the
+  // InsightFn (build time), and publishes the result unless it is NaN.
+  TimeNs Produce(TimeNs now) override;
+  TimeNs ProduceInterval() const override { return pull_interval_; }
+  // Rejects an empty upstream list, starts every cursor at 0 so existing
+  // upstream history is consumed, and resolves the upstream handles.
+  Status Prepare() override;
 
-  Broker& broker_;
   InsightFn fn_;
-  InsightVertexConfig config_;
-  std::unique_ptr<delphi::StreamingPredictor> predictor_;
-  Archiver<Sample>* archiver_;
-
-  EventLoop* loop_ = nullptr;
-  TimerId timer_ = 0;
-  bool deployed_ = false;
-  std::atomic<bool> crashed_{false};
-  std::atomic<TimeNs> last_fire_{0};
-
-  TimeNs next_pull_time_ = 0;
-  // Own topic + upstream handles resolved at deploy time (an upstream that
-  // does not exist yet resolves lazily on first successful pull); cursors
-  // are parallel to config_.upstream.
-  TopicHandle handle_;
+  std::vector<std::string> upstream_;
+  TimeNs pull_interval_;
+  // Parallel to upstream_. An upstream that does not exist yet stays an
+  // invalid handle and resolves on a later pull.
   std::vector<TopicHandle> upstream_handles_;
   std::vector<std::uint64_t> cursors_;
   std::vector<StreamEntry<Sample>> fetch_scratch_;
   std::vector<double> latest_;
-  std::optional<double> last_published_;
-  VertexStats stats_;
 };
 
 }  // namespace apollo

@@ -1,11 +1,11 @@
 // ScoreGraph: the SCoRe DAG registry.
 //
-// Owns Fact and Insight vertices, validates acyclicity when insight
-// vertices are registered, computes graph properties (height h, Hamming
-// distance from sources — the paper's §3.2 complexity model O(p*h)), and
-// deploys/undeploys vertices on an EventLoop at runtime (§3.1: "users can
-// register/unregister custom Fact and Insight vertices during the runtime
-// of their application").
+// Owns Fact and Insight vertices in one topic-keyed map, validates
+// acyclicity when vertices are registered, computes graph properties
+// (height h, Hamming distance from sources — the paper's §3.2 complexity
+// model O(p*h)), and deploys/undeploys vertices on an EventLoop at runtime
+// (§3.1: "users can register/unregister custom Fact and Insight vertices
+// during the runtime of their application").
 #pragma once
 
 #include <map>
@@ -43,14 +43,16 @@ class ScoreGraph {
   // Undeploys and removes a vertex (runtime unregister).
   Status Remove(const std::string& topic);
 
+  // A vertex of either kind; FindFact/FindInsight also check the kind.
+  Expected<Vertex*> Find(const std::string& topic) const;
   Expected<FactVertex*> FindFact(const std::string& topic) const;
   Expected<InsightVertex*> FindInsight(const std::string& topic) const;
   bool Has(const std::string& topic) const;
 
   std::vector<std::string> FactTopics() const;
   std::vector<std::string> InsightTopics() const;
-  // Every registered topic, facts then insights (each sorted). The recovery
-  // path uses this to decide which archives belong to live vertices.
+  // Every registered topic, sorted. The recovery path uses this to decide
+  // which archives belong to live vertices.
   std::vector<std::string> AllTopics() const;
   std::size_t NumVertices() const;
 
@@ -72,8 +74,13 @@ class ScoreGraph {
   Broker& broker() { return broker_; }
 
  private:
+  // The one registration path: rejects a duplicate topic or a cycle, then
+  // deploys (when `deploy_on` is set) and stores the vertex.
+  Status Add(std::unique_ptr<Vertex> vertex, EventLoop* deploy_on);
+  // Sorted topics of the registered facts (or of the insights).
+  std::vector<std::string> TopicsOfKind(bool facts) const;
+
   // Internal helpers assume mu_ is held by the caller.
-  bool HasLocked(const std::string& topic) const;
   bool WouldCreateCycle(const std::string& topic,
                         const std::vector<std::string>& upstream) const;
   Expected<int> DistanceInternal(const std::string& topic,
@@ -82,8 +89,7 @@ class ScoreGraph {
 
   Broker& broker_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<FactVertex>> facts_;
-  std::map<std::string, std::unique_ptr<InsightVertex>> insights_;
+  std::map<std::string, std::unique_ptr<Vertex>> vertices_;
 };
 
 }  // namespace apollo

@@ -37,8 +37,7 @@ void VertexSupervisor::Stop() {
   loop_ = nullptr;
 }
 
-template <typename V>
-void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
+void VertexSupervisor::SuperviseLocked(Vertex& vertex, TimeNs now) {
   Entry& entry = entries_[vertex.topic()];
   if (entry.gave_up) return;
 
@@ -120,12 +119,8 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
 void VertexSupervisor::Poll(TimeNs now) {
   TRACE_SPAN("supervisor.poll");
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& topic : graph_.FactTopics()) {
-    auto vertex = graph_.FindFact(topic);
-    if (vertex.ok()) SuperviseLocked(**vertex, now);
-  }
-  for (const std::string& topic : graph_.InsightTopics()) {
-    auto vertex = graph_.FindInsight(topic);
+  for (const std::string& topic : graph_.AllTopics()) {
+    auto vertex = graph_.Find(topic);
     if (vertex.ok()) SuperviseLocked(**vertex, now);
   }
 }
@@ -134,32 +129,19 @@ std::vector<VertexSupervisor::VertexHealth> VertexSupervisor::Snapshot()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<VertexHealth> out;
-  auto add = [&](const std::string& topic, NodeId node, bool crashed,
-                 TimeNs last_fire) {
+  for (const std::string& topic : graph_.AllTopics()) {
+    auto vertex = graph_.Find(topic);
+    if (!vertex.ok()) continue;
     VertexHealth health;
     health.topic = topic;
-    health.node = node;
-    health.crashed = crashed;
-    health.last_fire = last_fire;
+    health.node = (*vertex)->node();
+    health.crashed = (*vertex)->crashed();
+    health.last_fire = (*vertex)->last_fire();
     if (auto it = entries_.find(topic); it != entries_.end()) {
       health.gave_up = it->second.gave_up;
       health.restarts = it->second.restarts;
     }
     out.push_back(std::move(health));
-  };
-  for (const std::string& topic : graph_.FactTopics()) {
-    auto vertex = graph_.FindFact(topic);
-    if (vertex.ok()) {
-      add(topic, (*vertex)->node(), (*vertex)->crashed(),
-          (*vertex)->last_fire());
-    }
-  }
-  for (const std::string& topic : graph_.InsightTopics()) {
-    auto vertex = graph_.FindInsight(topic);
-    if (vertex.ok()) {
-      add(topic, (*vertex)->node(), (*vertex)->crashed(),
-          (*vertex)->last_fire());
-    }
   }
   return out;
 }
@@ -187,17 +169,6 @@ bool VertexSupervisor::NodeHealthy(NodeId node) const {
     }
   }
   return true;
-}
-
-MonitorHook SupervisorAvailableNodesHook(const VertexSupervisor& supervisor,
-                                         TimeNs cost) {
-  MonitorHook hook;
-  hook.metric_name = "cluster.nodes_available";
-  hook.cost = cost;
-  hook.read = [&supervisor](TimeNs) {
-    return static_cast<double>(supervisor.AvailableNodes());
-  };
-  return hook;
 }
 
 }  // namespace apollo

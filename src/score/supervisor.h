@@ -25,7 +25,6 @@
 
 #include "common/clock.h"
 #include "eventloop/event_loop.h"
-#include "score/monitor_hook.h"
 #include "score/score_graph.h"
 
 namespace apollo {
@@ -122,9 +121,7 @@ class VertexSupervisor {
     bool was_crashed = false;  // edge-detect crash transitions
   };
 
-  // V is FactVertex or InsightVertex (identical supervision surface).
-  template <typename V>
-  void SuperviseLocked(V& vertex, TimeNs now);
+  void SuperviseLocked(Vertex& vertex, TimeNs now);
 
   ScoreGraph& graph_;
   SupervisorOptions options_;
@@ -141,12 +138,5 @@ class VertexSupervisor {
   std::atomic<std::uint64_t> restarts_issued_{0};
   std::atomic<std::uint64_t> give_ups_{0};
 };
-
-// Monitor hook reporting the supervisor's available-node count — the
-// real-signal replacement for the synthetic node-availability input in the
-// curated insight set. The supervisor must outlive any vertex using the
-// hook.
-MonitorHook SupervisorAvailableNodesHook(const VertexSupervisor& supervisor,
-                                         TimeNs cost = 0);
 
 }  // namespace apollo

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apollo/apollo_service.h"
@@ -76,50 +77,65 @@ TEST(ChaosTest, CrashedVertexDegradesAndSupervisorRecovers) {
   ApolloService service(SimOptions());
   ASSERT_TRUE(
       service.DeployFact(TimeValuedHook("m"), FixedFact(Millis(10))).ok());
+  InsightVertexConfig insight;
+  insight.topic = "i";
+  insight.upstream = {"m"};
+  insight.pull_interval = Millis(10);
+  ASSERT_TRUE(service.DeployInsight(insight, SumInsight()).ok());
   auto fact = service.graph().FindFact("m");
   ASSERT_TRUE(fact.ok());
+  auto sum = service.graph().FindInsight("i");
+  ASSERT_TRUE(sum.ok());
 
   FaultInjector injector(/*seed=*/7);
   service.AttachFaultInjector(&injector);
-
   ASSERT_TRUE(service.RunFor(Millis(100)).ok());
-  auto healthy = service.Query("SELECT LAST(metric) FROM m");
-  ASSERT_TRUE(healthy.ok());
-  EXPECT_FALSE(healthy->degraded);
 
-  // Crash the vertex on its next poll.
-  FaultSpec crash;
-  crash.site = FaultSite::kVertexPoll;
-  crash.fire_on_hits = {0};
-  injector.Arm(crash);
-  ASSERT_TRUE(service.RunFor(Millis(20)).ok());
-  EXPECT_TRUE((*fact)->crashed());
+  // The same cycle for a fact, then for an insight.
+  const std::vector<std::pair<std::string, Vertex*>> vertices = {
+      {"m", *fact}, {"i", *sum}};
+  for (const auto& [topic, vertex] : vertices) {
+    SCOPED_TRACE(topic);
+    const std::string last = "SELECT LAST(metric) FROM " + topic;
+    auto healthy = service.Query(last);
+    ASSERT_TRUE(healthy.ok());
+    EXPECT_FALSE(healthy->degraded);
 
-  // Before the supervisor's restart lands, queries still answer — from
-  // last-known-good data, flagged degraded with visible staleness.
-  auto degraded = service.Query("SELECT LAST(metric) FROM m");
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_TRUE(degraded->degraded);
-  EXPECT_GT(degraded->max_staleness_ns, 0);
-  ASSERT_EQ(degraded->NumRows(), 1u);
-  EXPECT_TRUE(degraded->rows[0].degraded);
+    // Crash the vertex on its next timer firing.
+    FaultSpec crash;
+    crash.site = FaultSite::kVertexPoll;
+    crash.topic = topic;
+    crash.fire_on_hits = {0};
+    injector.Arm(crash);
+    ASSERT_TRUE(service.RunFor(Millis(20)).ok());
+    EXPECT_TRUE(vertex->crashed());
 
-  // Let the supervisor restart it and fresh data flow.
-  ASSERT_TRUE(service.RunFor(Seconds(1)).ok());
-  EXPECT_FALSE((*fact)->crashed());
-  auto recovered = service.Query("SELECT LAST(metric) FROM m");
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_FALSE(recovered->degraded);
-  EXPECT_LE(recovered->max_staleness_ns, Millis(100));
+    // Before the supervisor's restart lands, queries still answer — from
+    // last-known-good data, flagged degraded with visible staleness.
+    auto degraded = service.Query(last);
+    ASSERT_TRUE(degraded.ok());
+    EXPECT_TRUE(degraded->degraded);
+    EXPECT_GT(degraded->max_staleness_ns, 0);
+    ASSERT_EQ(degraded->NumRows(), 1u);
+    EXPECT_TRUE(degraded->rows[0].degraded);
+
+    // Let the supervisor restart it and fresh data flow.
+    ASSERT_TRUE(service.RunFor(Seconds(1)).ok());
+    EXPECT_FALSE(vertex->crashed());
+    auto recovered = service.Query(last);
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_FALSE(recovered->degraded);
+    EXPECT_LE(recovered->max_staleness_ns, Millis(100));
+    ExpectNoDoubleCounting(service, topic);
+  }
 
   ASSERT_NE(service.supervisor(), nullptr);
-  EXPECT_GE(service.supervisor()->crashes_seen(), 1u);
-  EXPECT_GE(service.supervisor()->restarts_issued(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_crashes.Value(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_restarts.Value(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_marked.Value(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_cleared.Value(), 1u);
-  ExpectNoDoubleCounting(service, "m");
+  EXPECT_GE(service.supervisor()->crashes_seen(), 2u);
+  EXPECT_GE(service.supervisor()->restarts_issued(), 2u);
+  EXPECT_GE(GlobalTelemetry().vertex_crashes.Value(), 2u);
+  EXPECT_GE(GlobalTelemetry().vertex_restarts.Value(), 2u);
+  EXPECT_GE(GlobalTelemetry().degraded_marked.Value(), 2u);
+  EXPECT_GE(GlobalTelemetry().degraded_cleared.Value(), 2u);
 }
 
 TEST(ChaosTest, StallDetectionConvertsSilentTimerDeath) {

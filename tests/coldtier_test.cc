@@ -1,6 +1,5 @@
 // Cold-tier integration: sealed WAL segments compact into columnar
-// blocks, zone maps prune scans, retention never deletes an uncompacted
-// sealed segment (the PR-3 gap), reconcile sweeps crash debris, the
+// blocks, zone maps prune scans, reconcile sweeps crash debris, the
 // service answers time-travel queries over data evicted from both the
 // ring and the raw WAL tier, and the whole stack survives a
 // compact-while-publish-while-query hammering under TSan
@@ -148,40 +147,6 @@ TEST(ColdTierCompaction, ZoneMapsPruneDisjointRanges) {
   fs::remove_all(dir);
 }
 
-// Regression for the PR-3 retention gap: with max_segments set, rotation
-// used to delete the oldest sealed segment even though it had never been
-// compacted — acked rows silently lost. With a cold tier attached the
-// retention gate defers deletion until the manifest covers the segment.
-TEST(ColdTierCompaction, RetentionWaitsForCompaction) {
-  const std::string dir = FreshDir("coldtier_retention");
-  const std::string base = dir + "/metric.log";
-  WalConfig config = SmallSegments(4);
-  config.max_segments = 2;
-
-  {
-    // Baseline (the latent bug this gate fixes): without a cold tier,
-    // retention drops acked rows once the cap is hit.
-    Archiver<Sample> ungated(dir + "/ungated.log", config);
-    AppendN(ungated, 0, 20);
-    EXPECT_LT(ungated.Count(), 20u);
-  }
-
-  Archiver<Sample> archiver(base, config);
-  ColdTier cold(base);
-  ASSERT_TRUE(cold.Open().ok());
-  archiver.AttachColdReader(&cold);
-  AppendN(archiver, 0, 20);
-  // Nothing compacted yet -> retention must hold every acked row even
-  // though the segment count is far past max_segments.
-  EXPECT_EQ(archiver.Count(), 20u);
-
-  // After compaction the same cap applies again: compacted segments are
-  // gone from the WAL (moved, not lost) and the union is still complete.
-  ASSERT_TRUE(cold.CompactOnce(archiver).ok());
-  EXPECT_EQ(cold.ColdRowCount() + archiver.Count(), 20u);
-  fs::remove_all(dir);
-}
-
 TEST(ColdTierCompaction, ReconcileSweepsCrashDebris) {
   const std::string dir = FreshDir("coldtier_reconcile");
   const std::string base = dir + "/metric.log";
@@ -283,6 +248,52 @@ TEST(ColdTierService, TimeTravelQueryPastRingAndWal) {
             cold->BlockCount());
   const std::string text = profile->ToText();
   EXPECT_NE(text.find("cold_blocks_scanned="), std::string::npos) << text;
+  fs::remove_all(dir);
+}
+
+// A second DeployFact of a live topic is rejected before it opens another
+// archiver and cold tier on the topic's files, so the live topic keeps its
+// WAL wiring: compaction still drains every sealed segment it writes.
+TEST(ColdTierService, RejectedDuplicateDeployKeepsLiveWiring) {
+  const std::string dir = FreshDir("coldtier_duplicate_deploy");
+  ApolloOptions options;
+  options.mode = ApolloOptions::Mode::kSimulated;
+  options.archive_dir = dir;
+  options.wal = SmallSegments(4);
+  options.coldtier_enabled = true;
+  ApolloService apollo(options);
+
+  FactDeployment deployment;
+  deployment.topic = "f";
+  deployment.queue_capacity = 8;
+  deployment.publish_only_on_change = false;
+  std::atomic<int> tick{0};
+  auto hook = [&tick] {
+    return MonitorHook{"f",
+                       [&tick](TimeNs) {
+                         return static_cast<double>(tick.fetch_add(1));
+                       },
+                       0};
+  };
+  ASSERT_TRUE(apollo.DeployFact(hook(), deployment).ok());
+  ColdTier* live = apollo.cold_tier("f");
+  ASSERT_NE(live, nullptr);
+  auto duplicate = apollo.DeployFact(hook(), deployment);
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.error().code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(apollo.cold_tier("f"), live);
+
+  // 49 rows (t = 0..48 s) through a ring of 8: 41 reach the WAL, which
+  // seals 10 segments of 4 rows.
+  ASSERT_TRUE(apollo.RunFor(Seconds(48)).ok());
+  auto compacted = apollo.CompactNow();
+  ASSERT_TRUE(compacted.ok()) << compacted.error().message();
+  EXPECT_EQ(compacted->segments_compacted, 10u);
+  EXPECT_EQ(compacted->rows_compacted, 40u);
+  EXPECT_EQ(live->ColdRowCount(), 40u);
+  auto total = apollo.Query("SELECT COUNT(*) FROM f WHERE Timestamp >= 0");
+  ASSERT_TRUE(total.ok());
+  EXPECT_DOUBLE_EQ(total->rows[0].values[0], 49.0);
   fs::remove_all(dir);
 }
 

@@ -1,5 +1,5 @@
 // Durability & recovery tests: append-safe archiver opens, segment
-// rotation/retention, torn-tail truncation, quarantine, injected
+// rotation, torn-tail truncation, quarantine, injected
 // write/fsync failures, and full-service restart recovery.
 #include <gtest/gtest.h>
 
@@ -85,30 +85,28 @@ TEST(ArchiveRecovery, TwoLifetimesPreserveRecords) {
 // segment header 16, so segment_bytes = 120 fits exactly two records.
 constexpr std::size_t kTwoRecordSegment = 120;
 
-TEST(ArchiveRecovery, RotationAndRetention) {
+TEST(ArchiveRecovery, RotationKeepsEverySegment) {
   const std::string dir = FreshDir("wal_rotation");
   WalConfig config;
   config.segment_bytes = kTwoRecordSegment;
-  config.max_segments = 2;
   Archiver<Sample> archiver(dir + "/metric.log", config);
   ASSERT_FALSE(archiver.InMemory());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(archiver.Append(i, Seconds(i), S(Seconds(i), i)).ok());
   }
-  // 10 records at 2/segment = 5 segments written; retention keeps 2.
-  EXPECT_EQ(archiver.SegmentPaths().size(), 2u);
-  EXPECT_EQ(archiver.Count(), 4u);
+  // 10 records at 2/segment = 5 segments, every record still readable.
+  EXPECT_EQ(archiver.SegmentPaths().size(), 5u);
+  EXPECT_EQ(archiver.Count(), 10u);
   auto all = archiver.ReadRange(0, Seconds(1000));
   ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 4u);
-  EXPECT_EQ(all->front().payload.value, 6.0);  // oldest surviving record
+  ASSERT_EQ(all->size(), 10u);
+  EXPECT_EQ(all->front().payload.value, 0.0);
   EXPECT_EQ(all->back().payload.value, 9.0);
-  // Expired segment files are really gone.
   std::size_t wal_files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".wal") ++wal_files;
   }
-  EXPECT_EQ(wal_files, 2u);
+  EXPECT_EQ(wal_files, 5u);
 }
 
 TEST(ArchiveRecovery, TornTailTruncatedOnOpen) {
@@ -631,6 +629,49 @@ TEST(ServiceRecovery, TornArchiveTailCountedInReport) {
   auto count = apollo.Query("SELECT COUNT(*) FROM metric WHERE timestamp >= 0");
   ASSERT_TRUE(count.ok());
   EXPECT_DOUBLE_EQ(count->rows[0].values[0], 27.0);
+}
+
+// An insight deployed through the service gets the same file-backed
+// archiver as a fact: every row it published stays queryable after the
+// ring evicts it, and a restart recovers its window beside the fact's.
+TEST(ServiceRecovery, InsightArchivedAndRecovered) {
+  const std::string dir = FreshDir("service_recovery_insight");
+  ApolloOptions options;
+  options.mode = ApolloOptions::Mode::kSimulated;
+  options.archive_dir = dir;
+  auto deploy = [](ApolloService& apollo, TimeNs* tick) {
+    FactDeployment fact = CountingDeployment("f");
+    fact.queue_capacity = 8;
+    ASSERT_TRUE(apollo.DeployFact(CountingHook("f", tick), fact).ok());
+    InsightVertexConfig insight;
+    insight.topic = "i";
+    insight.upstream = {"f"};
+    insight.queue_capacity = 8;
+    ASSERT_TRUE(apollo.DeployInsight(insight, SumInsight()).ok());
+  };
+
+  {
+    ApolloService apollo(options);
+    TimeNs tick = 0;
+    deploy(apollo, &tick);
+    ASSERT_TRUE(apollo.RunFor(Seconds(60)).ok());
+    auto insight = apollo.graph().FindInsight("i");
+    ASSERT_TRUE(insight.ok());
+    const std::uint64_t published = (*insight)->stats().published;
+    ASSERT_GT(published, 8u);  // more rows than the ring holds
+    auto count = apollo.Query("SELECT COUNT(*) FROM i WHERE Timestamp >= 0");
+    ASSERT_TRUE(count.ok());
+    EXPECT_DOUBLE_EQ(count->rows[0].values[0],
+                     static_cast<double>(published));
+    EXPECT_FALSE(count->degraded);
+  }
+
+  ApolloService apollo(options);
+  TimeNs tick = 0;
+  deploy(apollo, &tick);
+  auto report = apollo.Recover();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->topics_recovered, 2u);
 }
 
 // A WAL that cannot open fails the deployment instead of leaving the topic

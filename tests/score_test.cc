@@ -4,6 +4,7 @@
 
 #include "cluster/workloads.h"
 #include "delphi/delphi_model.h"
+#include "obs/metrics.h"
 #include "pubsub/broker.h"
 #include "score/fact_vertex.h"
 #include "score/insight_vertex.h"
@@ -28,6 +29,19 @@ MonitorHook CountingHook(std::string name, int* counter, double value,
                        return value;
                      },
                      cost};
+}
+
+// A small trained Delphi model, shared by the prediction tests.
+const delphi::DelphiModel& TrainedDelphi() {
+  static const delphi::DelphiModel model = [] {
+    delphi::DelphiConfig config;
+    config.feature_config.train_length = 512;
+    config.feature_config.epochs = 15;
+    config.combiner_epochs = 20;
+    config.composite_length = 512;
+    return delphi::DelphiModel::Train(config);
+  }();
+  return model;
 }
 
 // --- MonitorHook library ---
@@ -197,15 +211,6 @@ TEST(FactVertex, TracksChangingTraceWithAimd) {
 }
 
 TEST(FactVertex, DelphiFillsPredictionsBetweenPolls) {
-  static delphi::DelphiModel model = [] {
-    delphi::DelphiConfig config;
-    config.feature_config.train_length = 512;
-    config.feature_config.epochs = 15;
-    config.combiner_epochs = 20;
-    config.composite_length = 512;
-    return delphi::DelphiModel::Train(config);
-  }();
-
   SimRig rig;
   int calls = 0;
   // Ramp metric so every poll publishes.
@@ -220,7 +225,7 @@ TEST(FactVertex, DelphiFillsPredictionsBetweenPolls) {
   config.prediction_granularity = Seconds(1);
   FactVertex vertex(rig.broker, std::move(hook),
                     std::make_unique<FixedInterval>(Seconds(5)), config,
-                    &model);
+                    &TrainedDelphi());
   ASSERT_TRUE(vertex.HasPredictor());
   vertex.Deploy(rig.loop);
   rig.loop.Run(Seconds(60));
@@ -352,6 +357,37 @@ TEST(InsightVertex, ChainedInsights) {
   EXPECT_DOUBLE_EQ(*top.LatestValue(), 11.0);
 }
 
+// An insight fills in between pulls through the same Delphi path as a
+// fact: every prediction is counted in apollo_delphi_predictions_total.
+TEST(InsightVertex, DelphiPredictionsAreCounted) {
+  SimRig rig;
+  MonitorHook hook{"ramp",
+                   [](TimeNs now) {
+                     return static_cast<double>(now) / Seconds(1);
+                   },
+                   0};
+  FactVertexConfig fact_config;
+  fact_config.topic = "ramp";
+  FactVertex fact(rig.broker, std::move(hook),
+                  std::make_unique<FixedInterval>(Seconds(1)), fact_config);
+  ASSERT_TRUE(fact.Deploy(rig.loop).ok());
+
+  InsightVertexConfig config;
+  config.topic = "ramp.sum";
+  config.upstream = {"ramp"};
+  config.pull_interval = Seconds(5);
+  config.prediction_granularity = Seconds(1);
+  InsightVertex insight(rig.broker, SumInsight(), config, &TrainedDelphi());
+  ASSERT_TRUE(insight.Deploy(rig.loop).ok());
+
+  obs::Counter counter = obs::MetricsRegistry::Global().GetCounter(
+      "apollo_delphi_predictions_total");
+  const std::uint64_t before = counter.Value();
+  rig.loop.Run(Seconds(60));
+  EXPECT_GT(insight.stats().predictions, 0u);
+  EXPECT_EQ(counter.Value() - before, insight.stats().predictions);
+}
+
 TEST(InsightVertex, ConsumeStatsAccumulate) {
   SimRig rig;
   int calls = 0;
@@ -367,6 +403,40 @@ TEST(InsightVertex, ConsumeStatsAccumulate) {
   insight.Deploy(rig.loop);
   rig.loop.Run(Seconds(3));
   EXPECT_GT(insight.stats().published, 0u);
+}
+
+// --- Vertex lifecycle ---
+
+// A vertex destroyed while deployed cancels its timer before its value
+// source is torn down: the loop never fires into a destroyed fact or
+// insight (under ASan that would be a heap-use-after-free).
+TEST(VertexLifecycle, DestroyedWhileDeployedNeverFiresAgain) {
+  SimRig rig;
+  int calls = 0;
+  {
+    FactVertexConfig fact_config;
+    fact_config.topic = "f";
+    fact_config.publish_only_on_change = false;
+    FactVertex fact(rig.broker, CountingHook("f", &calls, 1.0),
+                    std::make_unique<FixedInterval>(Seconds(1)),
+                    fact_config);
+    InsightVertexConfig insight_config;
+    insight_config.topic = "i";
+    insight_config.upstream = {"f"};
+    insight_config.publish_only_on_change = false;
+    InsightVertex insight(rig.broker, SumInsight(), insight_config);
+    ASSERT_TRUE(fact.Deploy(rig.loop).ok());
+    ASSERT_TRUE(insight.Deploy(rig.loop).ok());
+    rig.loop.Run(Seconds(3));
+    ASSERT_GT(calls, 0);
+    ASSERT_GT(insight.stats().published, 0u);
+  }
+  const int calls_before = calls;
+  const std::uint64_t insight_next_id =
+      rig.broker.GetTopic("i").value()->NextId();
+  rig.loop.Run(Seconds(10));
+  EXPECT_EQ(calls, calls_before);
+  EXPECT_EQ(rig.broker.GetTopic("i").value()->NextId(), insight_next_id);
 }
 
 // --- ScoreGraph ---
