@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <numeric>
 
 #include "obs/trace.h"
 
@@ -32,32 +31,136 @@ double CellOf(Column column, const StreamEntry<Sample>& entry) {
   return 0.0;
 }
 
-bool Matches(const Condition& cond, const StreamEntry<Sample>& entry) {
-  const double lhs = CellOf(cond.column, entry);
-  switch (cond.op) {
-    case CompareOp::kLt:
-      return lhs < cond.value;
-    case CompareOp::kLe:
-      return lhs <= cond.value;
-    case CompareOp::kGt:
-      return lhs > cond.value;
-    case CompareOp::kGe:
-      return lhs >= cond.value;
-    case CompareOp::kEq:
-      return lhs == cond.value;
-    case CompareOp::kNe:
-      return lhs != cond.value;
-  }
-  return false;
+// `v`, integral or infinite, as a TimeNs saturated at the int64 limits.
+TimeNs SaturatedTimeNs(double v) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (v >= kTwo63) return std::numeric_limits<TimeNs>::max();
+  if (v <= -kTwo63) return std::numeric_limits<TimeNs>::min();
+  return static_cast<TimeNs>(v);
 }
 
-bool MatchesAll(const std::vector<Condition>& where,
-                const StreamEntry<Sample>& entry) {
-  for (const Condition& cond : where) {
-    if (!Matches(cond, entry)) return false;
+// A branch's WHERE clause folded into one closed interval [lo, hi] per
+// compared column, plus the `!=` values. Matches() equals the conjunction
+// of the literal comparisons on every row, NaN cells and signed zeros
+// included: for a non-NaN cell v, `v > x` is `v >= nextafter(x, +inf)` and
+// `v < x` is `v <= nextafter(x, -inf)`; a NaN cell fails every interval and
+// passes every `!=`. `> +inf`, `< -inf`, a NaN bound or an empty interval
+// matches nothing.
+class RowFilter {
+ public:
+  explicit RowFilter(const std::vector<Condition>& where) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Interval {
+      double lo = -kInf;
+      double hi = kInf;
+      bool bounded = false;
+    };
+    Interval by_column[kColumns];
+    for (const Condition& cond : where) {
+      if (cond.op == CompareOp::kNe) {
+        not_equal_.push_back(cond);
+        continue;
+      }
+      Interval& in = by_column[static_cast<std::size_t>(cond.column)];
+      in.bounded = true;
+      const double x = cond.value;
+      if (std::isnan(x) || (cond.op == CompareOp::kGt && x == kInf) ||
+          (cond.op == CompareOp::kLt && x == -kInf)) {
+        none_ = true;
+        continue;
+      }
+      switch (cond.op) {
+        case CompareOp::kGt:
+          in.lo = std::max(in.lo, std::nextafter(x, kInf));
+          break;
+        case CompareOp::kGe:
+          in.lo = std::max(in.lo, x);
+          break;
+        case CompareOp::kLt:
+          in.hi = std::min(in.hi, std::nextafter(x, -kInf));
+          break;
+        case CompareOp::kLe:
+          in.hi = std::min(in.hi, x);
+          break;
+        case CompareOp::kEq:
+          in.lo = std::max(in.lo, x);
+          in.hi = std::min(in.hi, x);
+          break;
+        case CompareOp::kNe:
+          break;
+      }
+    }
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const Interval& in = by_column[c];
+      if (!in.bounded) continue;
+      if (in.lo > in.hi) none_ = true;
+      ranges_[num_ranges_++] = Range{static_cast<Column>(c), in.lo, in.hi};
+    }
+    // Every int64 timestamp whose double cell can lie in the interval: one
+    // adjacent double outward covers the rounding of timestamps beyond
+    // 2^53, then the bounds round inward to whole TimeNs. For an integral
+    // bound below 2^53 this is the bound itself.
+    const Interval& ts =
+        by_column[static_cast<std::size_t>(Column::kTimestamp)];
+    from_ts_ = SaturatedTimeNs(std::ceil(std::nextafter(ts.lo, -kInf)));
+    to_ts_ = SaturatedTimeNs(std::floor(std::nextafter(ts.hi, kInf)));
   }
-  return true;
-}
+
+  bool Matches(const StreamEntry<Sample>& entry) const {
+    if (none_) return false;
+    for (std::size_t i = 0; i < num_ranges_; ++i) {
+      const double v = CellOf(ranges_[i].column, entry);
+      if (!(v >= ranges_[i].lo && v <= ranges_[i].hi)) return false;
+    }
+    for (const Condition& cond : not_equal_) {
+      if (CellOf(cond.column, entry) == cond.value) return false;
+    }
+    return true;
+  }
+
+  // The timestamp range the ring, the WAL and the cold tier read. It only
+  // pre-narrows: Matches() still checks the timestamp of every row read.
+  TimeNs from_ts() const { return from_ts_; }
+  TimeNs to_ts() const { return to_ts_; }
+
+ private:
+  static constexpr std::size_t kColumns = 4;  // every Column value
+
+  struct Range {
+    Column column = Column::kTimestamp;
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  Range ranges_[kColumns];
+  std::size_t num_ranges_ = 0;
+  std::vector<Condition> not_equal_;
+  bool none_ = false;
+  TimeNs from_ts_ = 0;
+  TimeNs to_ts_ = 0;
+};
+
+// A matching row waiting for ORDER BY: its sort key and scan position.
+struct Candidate {
+  double key = 0.0;
+  std::uint64_t pos = 0;
+  StreamEntry<Sample> entry;
+};
+
+// ORDER BY's total order: keys in the requested direction, NaN keys last
+// in both directions, equal keys (±0.0 alike, NaNs alike) in scan order.
+// Sorting by it gives what a stable sort of the scan order gives.
+struct SortsBefore {
+  bool descending = false;
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    const bool a_nan = std::isnan(a.key);
+    const bool b_nan = std::isnan(b.key);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && a.key != b.key) {
+      return descending ? a.key > b.key : a.key < b.key;
+    }
+    return a.pos < b.pos;
+  }
+};
 
 // Sum / min / max of a column over the window, read off the rolling index.
 double IndexSum(Column column, const StreamAggregates& agg) {
@@ -369,7 +472,9 @@ Expected<ResultSet> Executor::ExecutePlan(const Plan& plan,
     return Error(ErrorCode::kInvalidArgument, "empty query");
   }
   ResultSet result;
-  for (const SelectItem& item : query.selects.front().items) {
+  const std::vector<SelectItem>& items = query.selects.front().items;
+  result.columns.reserve(items.size());
+  for (const SelectItem& item : items) {
     result.columns.push_back(SelectItemLabel(item));
   }
   if (profile != nullptr) {
@@ -378,20 +483,15 @@ Expected<ResultSet> Executor::ExecutePlan(const Plan& plan,
 
   for (std::size_t i = 0; i < query.selects.size(); ++i) {
     VertexProfile* vp = profile != nullptr ? &profile->vertices[i] : nullptr;
-    auto rows = ExecuteSelect(query.selects[i], plan.handles[i], vp);
-    if (!rows.ok()) return rows.error();
-    for (auto& row : *rows) {
-      result.degraded |= row.degraded;
-      result.max_staleness_ns =
-          std::max(result.max_staleness_ns, row.staleness_ns);
-      result.rows.push_back(std::move(row));
-    }
+    Status status =
+        ExecuteSelect(query.selects[i], plan.handles[i], result, vp);
+    if (!status.ok()) return Error(status.code(), status.message());
   }
   return result;
 }
 
-Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
-    const Select& select, TopicHandle handle, VertexProfile* vp) const {
+Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
+                               ResultSet& result, VertexProfile* vp) const {
   TRACE_SPAN("aqe.select", select.table);
   const TimeNs exec_start = vp != nullptr ? broker_.clock().Now() : 0;
   if (vp != nullptr) vp->topic = select.table;
@@ -414,23 +514,40 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   // values, a history scan that skipped an unreadable tier raises it too,
   // and staleness lets clients judge how old the values are.
   bool is_degraded = stream->degraded();
+  const std::optional<StreamEntry<Sample>> newest = stream->Latest();
   TimeNs staleness_ns = 0;
-  if (auto newest = stream->Latest(); newest.has_value()) {
+  if (newest.has_value()) {
     staleness_ns =
         std::max<TimeNs>(0, broker_.clock().Now() - newest->value.timestamp);
   }
-  auto stamped = [&](std::vector<ResultRow> rows) {
-    for (ResultRow& row : rows) {
-      row.degraded = is_degraded;
-      row.staleness_ns = staleness_ns;
+
+  // The branch appends its rows to the caller's, from `first` on, and
+  // stamps them once it knows whether its answer is degraded.
+  std::vector<ResultRow>& rows = result.rows;
+  const std::size_t first = rows.size();
+  auto new_row = [&]() -> ResultRow& {
+    ResultRow& row = rows.emplace_back();
+    row.source = select.table;
+    row.values.reserve(select.items.size());
+    return row;
+  };
+  auto stamp = [&] {
+    for (std::size_t i = first; i < rows.size(); ++i) {
+      rows[i].degraded = is_degraded;
+      rows[i].staleness_ns = staleness_ns;
+    }
+    if (rows.size() > first) {
+      result.degraded |= is_degraded;
+      result.max_staleness_ns =
+          std::max(result.max_staleness_ns, staleness_ns);
     }
     if (vp != nullptr) {
       vp->degraded = is_degraded;
       vp->staleness_ns = staleness_ns;
-      vp->rows_returned = rows.size();
+      vp->rows_returned = rows.size() - first;
       vp->exec_ns = broker_.clock().Now() - exec_start;
     }
-    return rows;
+    return Status::Ok();
   };
 
   const bool has_aggregate =
@@ -445,19 +562,17 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   // placement decision, so it gets O(1) treatment.
   const IndexShape shape = ShapeOf(select);
   if (shape == IndexShape::kLatest) {
-    auto latest = stream->Latest();
-    ResultRow row;
-    row.source = select.table;
+    ResultRow& row = new_row();
     for (const SelectItem& item : select.items) {
-      row.values.push_back(latest.has_value() ? CellOf(item.column, *latest)
+      row.values.push_back(newest.has_value() ? CellOf(item.column, *newest)
                                               : kNan);
     }
     if (vp != nullptr) {
       vp->strategy = "latest";
-      vp->rows_scanned = latest.has_value() ? 1 : 0;
+      vp->rows_scanned = newest.has_value() ? 1 : 0;
       vp->rows_matched = vp->rows_scanned;
     }
-    return stamped(std::vector<ResultRow>{std::move(row)});
+    return stamp();
   }
 
   // O(1) rolling-aggregate path: COUNT/SUM/AVG/MIN/MAX with no WHERE answer
@@ -466,8 +581,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   if (shape == IndexShape::kIndex) {
     auto agg = stream->Aggregates();
     if (IndexAnswersExactly(select, *stream, agg)) {
-      ResultRow row;
-      row.source = select.table;
+      ResultRow& row = new_row();
       for (const SelectItem& item : select.items) {
         row.values.push_back(IndexAggregateCell(item, agg));
       }
@@ -475,34 +589,15 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
         vp->strategy = "index";
         vp->rows_matched = agg.has_value() ? agg->count : 0;
       }
-      return stamped(std::vector<ResultRow>{std::move(row)});
+      return stamp();
     }
   }
 
-  // Determine the candidate window: default = full in-memory window;
-  // timestamp predicates narrow it (and may reach into the archive).
-  TimeNs from_ts = std::numeric_limits<TimeNs>::min();
-  TimeNs to_ts = std::numeric_limits<TimeNs>::max();
-  for (const Condition& cond : select.where) {
-    if (cond.column != Column::kTimestamp) continue;
-    const TimeNs v = static_cast<TimeNs>(cond.value);
-    switch (cond.op) {
-      case CompareOp::kGt:
-      case CompareOp::kGe:
-        from_ts = std::max(from_ts, v);
-        break;
-      case CompareOp::kLt:
-      case CompareOp::kLe:
-        to_ts = std::min(to_ts, v);
-        break;
-      case CompareOp::kEq:
-        from_ts = std::max(from_ts, v);
-        to_ts = std::min(to_ts, v);
-        break;
-      case CompareOp::kNe:
-        break;
-    }
-  }
+  // The candidate window: the full in-memory window unless timestamp
+  // predicates narrow it (they may reach into the archive).
+  const RowFilter filter(select.where);
+  const TimeNs from_ts = filter.from_ts();
+  const TimeNs to_ts = filter.to_ts();
 
   // History: once rows have left the ring for the WAL (and from there for
   // cold blocks), read the tiers warm to cold — ring snapshot, WAL, cold
@@ -633,7 +728,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
 
     scan([&](const StreamEntry<Sample>& entry) {
       if (vp != nullptr) ++vp->rows_scanned;
-      if (!MatchesAll(select.where, entry)) return true;
+      if (!filter.Matches(entry)) return true;
       ++matched;
       if (!has_latest || entry.value.timestamp >= latest.value.timestamp) {
         latest = entry;
@@ -658,8 +753,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     });
     if (vp != nullptr) vp->rows_matched = matched;
 
-    ResultRow row;
-    row.source = select.table;
+    ResultRow& row = new_row();
     for (std::size_t i = 0; i < select.items.size(); ++i) {
       const SelectItem& item = select.items[i];
       double cell = kNan;
@@ -688,55 +782,61 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
       }
       row.values.push_back(cell);
     }
-    return stamped(std::vector<ResultRow>{std::move(row)});
+    return stamp();
   }
 
-  // Row-per-entry select, built in one pass. Without ORDER BY the scan
-  // stops as soon as LIMIT rows have matched.
-  const bool ordered = select.order_by.has_value();
   const std::size_t limit = select.limit.has_value()
                                 ? static_cast<std::size_t>(*select.limit)
                                 : SIZE_MAX;
-  std::vector<ResultRow> rows;
-  std::vector<double> keys;  // sort keys, parallel to rows (ORDER BY only)
-
-  scan([&](const StreamEntry<Sample>& entry) {
-    if (vp != nullptr) ++vp->rows_scanned;
-    if (!MatchesAll(select.where, entry)) return true;
-    if (vp != nullptr) ++vp->rows_matched;
-    if (!ordered && rows.size() >= limit) return false;
-    ResultRow row;
-    row.source = select.table;
-    row.values.reserve(select.items.size());
+  auto append = [&](const StreamEntry<Sample>& entry) {
+    ResultRow& row = new_row();
     for (const SelectItem& item : select.items) {
       row.values.push_back(CellOf(item.column, entry));
     }
-    rows.push_back(std::move(row));
-    if (ordered) keys.push_back(CellOf(select.order_by->column, entry));
+  };
+
+  // Row-per-entry select without ORDER BY: rows in scan order, and the
+  // scan stops as soon as LIMIT rows have matched.
+  if (!select.order_by.has_value()) {
+    scan([&](const StreamEntry<Sample>& entry) {
+      if (vp != nullptr) ++vp->rows_scanned;
+      if (!filter.Matches(entry)) return true;
+      if (vp != nullptr) ++vp->rows_matched;
+      if (rows.size() - first >= limit) return false;
+      append(entry);
+      return true;
+    });
+    return stamp();
+  }
+
+  // ORDER BY [LIMIT k] as a bounded top-k during the scan: `top` holds at
+  // most k candidates, and once full it is a heap whose front sorts last,
+  // which a new match replaces only if it sorts before it. Rows are built
+  // for the winners alone. Without LIMIT the heap is unbounded.
+  const SortsBefore before{select.order_by->descending};
+  const Column key_column = select.order_by->column;
+  std::vector<Candidate> top;
+  if (limit <= stream->Capacity()) top.reserve(limit);
+  std::uint64_t pos = 0;
+  scan([&](const StreamEntry<Sample>& entry) {
+    if (vp != nullptr) ++vp->rows_scanned;
+    if (!filter.Matches(entry)) return true;
+    if (vp != nullptr) ++vp->rows_matched;
+    const Candidate match{CellOf(key_column, entry), pos++, entry};
+    if (top.size() < limit) {
+      top.push_back(match);
+      if (top.size() == limit) std::make_heap(top.begin(), top.end(), before);
+    } else if (limit > 0 && before(match, top.front())) {
+      std::pop_heap(top.begin(), top.end(), before);
+      top.back() = match;
+      std::push_heap(top.begin(), top.end(), before);
+    }
     return true;
   });
-
-  if (ordered) {
-    const bool descending = select.order_by->descending;
-    std::vector<std::size_t> idx(rows.size());
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    // NaN keys sort last in both directions (a comparison with NaN is
-    // false, so the first term never orders one); stable_sort keeps ties
-    // in scan (id) order.
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const double x = keys[a];
-                       const double y = keys[b];
-                       return (descending ? x > y : x < y) ||
-                              (std::isnan(y) && !std::isnan(x));
-                     });
-    if (idx.size() > limit) idx.resize(limit);
-    std::vector<ResultRow> out;
-    out.reserve(idx.size());
-    for (std::size_t i : idx) out.push_back(std::move(rows[i]));
-    rows = std::move(out);
-  }
-  return stamped(std::move(rows));
+  std::sort(top.begin(), top.end(), before);
+  rows.reserve(first + top.size());
+  for (const Candidate& candidate : top) append(candidate.entry);
+  return stamp();
 }
 
 }  // namespace apollo::aqe

@@ -18,6 +18,16 @@
 // resolved at plan time) keyed by query text, and predicate-free aggregate
 // selects answer from the stream's O(1) rolling-aggregate index instead of
 // scanning the window.
+//
+// A scanning branch pays per row only for what its answer returns. Its
+// WHERE clause is folded once into one closed interval per compared column
+// (plus the `!=` values), which tests each row exactly as the literal
+// comparisons would; the timestamp interval, saturated to int64, is the
+// range the ring, WAL and cold tier read. ORDER BY ... LIMIT k keeps at most
+// k candidates in a heap during the scan, under one total order (NaN keys
+// last in both directions, ties in scan order, so the answer equals a
+// stable sort of the scan), and builds ResultRows for the winners alone.
+// Every branch appends its rows to the caller's ResultSet in place.
 #pragma once
 
 #include <cstddef>
@@ -141,9 +151,10 @@ class Executor {
       const std::string& query_text, bool* cache_hit);
   Expected<ResultSet> ExecutePlan(const Plan& plan,
                                   QueryProfile* profile = nullptr);
-  Expected<std::vector<ResultRow>> ExecuteSelect(
-      const Select& select, TopicHandle handle,
-      VertexProfile* profile = nullptr) const;
+  // Runs one UNION branch and appends its rows to `result`.
+  Status ExecuteSelect(const Select& select, TopicHandle handle,
+                       ResultSet& result,
+                       VertexProfile* profile = nullptr) const;
 
   void ResolveHandles(Plan& plan) const;
 

@@ -41,6 +41,8 @@ const char* ColumnName(Column col) {
 
 namespace {
 
+constexpr double kTwo63 = 9223372036854775808.0;
+
 enum class TokKind { kIdent, kNumber, kSymbol, kEnd };
 
 struct Token {
@@ -155,7 +157,7 @@ class Parser {
         return Error(ErrorCode::kParseError, "expected number after EVERY");
       }
       const double n = Advance().number;
-      if (n < 0) {
+      if (!(n >= 0)) {
         return Error(ErrorCode::kParseError, "EVERY interval must be >= 0");
       }
       std::int64_t scale = 0;
@@ -170,8 +172,12 @@ class Parser {
                      "expected time unit (ns|us|ms|s) near '" + Peek().raw +
                          "'");
       }
-      query.every_ns = static_cast<std::int64_t>(n *
-                                                 static_cast<double>(scale));
+      const double every_ns = n * static_cast<double>(scale);
+      if (every_ns >= kTwo63) {
+        return Error(ErrorCode::kParseError,
+                     "EVERY interval must be below 2^63 ns");
+      }
+      query.every_ns = static_cast<std::int64_t>(every_ns);
     }
     MatchSymbol(";");
     if (Peek().kind != TokKind::kEnd) {
@@ -354,7 +360,12 @@ class Parser {
       if (Peek().kind != TokKind::kNumber) {
         return Error(ErrorCode::kParseError, "expected number after LIMIT");
       }
-      select.limit = static_cast<std::uint64_t>(Advance().number);
+      // A fractional LIMIT truncates; one at or above 2^64 is no limit.
+      const double n = Advance().number;
+      if (!(n >= 0)) {
+        return Error(ErrorCode::kParseError, "LIMIT must be >= 0");
+      }
+      if (n < 2 * kTwo63) select.limit = static_cast<std::uint64_t>(n);
     }
     return select;
   }

@@ -1,5 +1,6 @@
 #include "aqe/query_builder.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace apollo::aqe {
@@ -39,15 +40,18 @@ const char* OpText(CompareOp op) {
 
 std::string NumberText(double value) {
   // Integral values (timestamps, flags) print without a fraction so the
-  // round-trip through the parser is exact.
-  if (value == static_cast<double>(static_cast<long long>(value))) {
+  // round-trip through the parser is exact; only those inside long long's
+  // range are cast.
+  if (std::fabs(value) < 9.2e18 && value == std::trunc(value)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(value));
     return buf;
   }
+  // A sign keeps inf and nan numbers: unsigned, they lex as identifiers.
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  std::snprintf(buf, sizeof(buf), std::isfinite(value) ? "%.17g" : "%+.17g",
+                value);
   return buf;
 }
 

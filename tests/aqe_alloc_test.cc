@@ -1,0 +1,139 @@
+// Allocation gate for the query path. A counting global operator new (in
+// this binary only, so the other suites keep the normal allocator) prices
+// one Executor::Execute of each query shape the `query` workload issues,
+// after two warm-up runs have cached its plan. A query may allocate one
+// block per returned row (its values) plus a fixed allowance, however many
+// rows it scans. Allocation counts repeat exactly on every host.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <random>
+#include <string>
+
+#include "aqe/executor.h"
+#include "pubsub/broker.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (size == 0) size = 1;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace apollo::aqe {
+namespace {
+
+// Allocations a query may make beyond one per returned row: the result's
+// column and row vectors, the top-k candidates, and their regrowth.
+constexpr std::uint64_t kFixedAllowance = 16;
+
+struct Priced {
+  std::uint64_t allocs = 0;
+  std::size_t rows = 0;
+};
+
+Priced Price(Executor& executor, const std::string& query) {
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(executor.Execute(query).ok()) << query;
+  }
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  auto rs = executor.Execute(query);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_TRUE(rs.ok()) << query;
+  Priced priced;
+  priced.allocs = g_allocs.load(std::memory_order_relaxed);
+  priced.rows = rs.ok() ? rs->NumRows() : 0;
+  return priced;
+}
+
+// An 8192-row ring of values below 100000, as in the `query` workload;
+// about 5% of rows exceed 95000.
+class AqeAlloc : public testing::Test {
+ protected:
+  static constexpr std::size_t kRing = 8192;
+
+  AqeAlloc() : broker_(RealClock::Instance()) {
+    EXPECT_TRUE(broker_.CreateTopic("ring", kLocalNode, kRing).ok());
+    std::mt19937_64 rng(7);
+    for (std::size_t i = 0; i < kRing; ++i) {
+      const TimeNs ts = 1'000'000 + static_cast<TimeNs>(i) * 1000;
+      const double value = static_cast<double>(rng() % 100000);
+      if (value > 95000) ++above_95000_;
+      EXPECT_TRUE(broker_
+                      .Publish("ring", kLocalNode, ts,
+                               Sample{ts, value, Provenance::kMeasured})
+                      .ok());
+    }
+  }
+
+  Broker broker_;
+  Executor executor_{broker_};
+  std::size_t above_95000_ = 0;
+};
+
+TEST_F(AqeAlloc, WindowScanTopKBuildsOnlyReturnedRows) {
+  ASSERT_GT(above_95000_, 300u);
+  ASSERT_LT(above_95000_, 500u);
+  const Priced p = Price(executor_,
+                         "SELECT timestamp, metric FROM ring WHERE metric > "
+                         "95000 ORDER BY metric DESC LIMIT 10");
+  EXPECT_EQ(p.rows, 10u);
+  EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+}
+
+TEST_F(AqeAlloc, TimeRangeAllocatesPerReturnedRow) {
+  const TimeNs from = 1'000'000 + 4000 * 1000;
+  const TimeNs to = from + 143 * 1000;
+  const Priced p = Price(executor_,
+                         "SELECT timestamp, metric FROM ring WHERE timestamp "
+                         "BETWEEN " + std::to_string(from) + " AND " +
+                             std::to_string(to));
+  EXPECT_EQ(p.rows, 144u);
+  EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+}
+
+TEST_F(AqeAlloc, LatestUnionAllocatesPerReturnedRow) {
+  std::string query;
+  for (int t = 0; t < 16; ++t) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "u%02d", t);
+    ASSERT_TRUE(broker_.CreateTopic(name).ok());
+    for (int i = 0; i < 4; ++i) {
+      const TimeNs ts = 1000 + i;
+      ASSERT_TRUE(broker_
+                      .Publish(name, kLocalNode, ts,
+                               Sample{ts, static_cast<double>(t * 10 + i),
+                                      Provenance::kMeasured})
+                      .ok());
+    }
+    if (t > 0) query += " UNION ";
+    query += std::string("SELECT MAX(Timestamp), metric FROM ") + name;
+  }
+  const Priced p = Price(executor_, query);
+  EXPECT_EQ(p.rows, 16u);
+  EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+}
+
+}  // namespace
+}  // namespace apollo::aqe

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "aqe/executor.h"
 #include "aqe/parser.h"
+#include "aqe/query_builder.h"
 #include "pubsub/broker.h"
 
 namespace apollo::aqe {
@@ -128,6 +130,57 @@ TEST(Parser, ErrorsArriveAsParseError) {
   auto bad = Parse("SELECT metric FROM t @@");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code(), ErrorCode::kParseError);
+}
+
+// LIMIT arrives as a double: a negative or NaN one is an error, one at or
+// above 2^64 means no limit, and a fractional one truncates.
+TEST(Parser, LimitOutsideUint64) {
+  for (const char* bad : {"-1", "-0.5", "-nan", "+nan", "-inf"}) {
+    auto query = Parse(std::string("SELECT metric FROM t LIMIT ") + bad);
+    ASSERT_FALSE(query.ok()) << bad;
+    EXPECT_EQ(query.error().code(), ErrorCode::kParseError) << bad;
+  }
+  for (const char* none : {"1e30", "+inf", "18446744073709551616"}) {
+    auto query = Parse(std::string("SELECT metric FROM t LIMIT ") + none);
+    ASSERT_TRUE(query.ok()) << none;
+    EXPECT_FALSE(query->selects[0].limit.has_value()) << none;
+  }
+  auto fractional = Parse("SELECT metric FROM t LIMIT 2.9");
+  ASSERT_TRUE(fractional.ok());
+  EXPECT_EQ(fractional->selects[0].limit, std::optional<std::uint64_t>(2));
+}
+
+// Thresholds beyond long long and non-finite ones survive ToString, which
+// the daemon uses to re-render the branches it serves.
+TEST(Parser, ThresholdsRoundTripThroughToString) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double x : {1e30, -1e30, 9.3e18, 9.2e18, -9.2e18, kInf, -kInf,
+                   std::numeric_limits<double>::quiet_NaN(), 2.5, -7.0}) {
+    Query query = QueryBuilder()
+                      .Select(Aggregate::kCount, Column::kStar)
+                      .From("t")
+                      .Where(Column::kTimestamp, CompareOp::kLt, x)
+                      .Build();
+    const std::string text = ToString(query);
+    auto parsed = Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const double back = parsed->selects.at(0).where.at(0).value;
+    EXPECT_TRUE(back == x || (std::isnan(back) && std::isnan(x))) << text;
+  }
+}
+
+// An EVERY interval that is NaN or reaches 2^63 ns is an error.
+TEST(Parser, EveryOutsideInt64) {
+  for (const char* bad :
+       {"-nan s", "+nan ms", "1e30 s", "9.3e9 s", "+inf ns", "-1 s"}) {
+    auto query = Parse(
+        std::string("SUBSCRIBE SELECT LAST(metric) FROM t EVERY ") + bad);
+    ASSERT_FALSE(query.ok()) << bad;
+    EXPECT_EQ(query.error().code(), ErrorCode::kParseError) << bad;
+  }
+  auto most = Parse("SUBSCRIBE SELECT LAST(metric) FROM t EVERY 9e9 s");
+  ASSERT_TRUE(most.ok());
+  EXPECT_EQ(most->every_ns, 9'000'000'000'000'000'000);
 }
 
 // --- executor ---
@@ -408,6 +461,51 @@ TEST_F(ExecutorTest, OrderByTiesKeepIdOrder) {
     }
     EXPECT_TRUE(std::isnan(rs->rows[4].values[1])) << query;
     EXPECT_TRUE(std::isnan(rs->rows[5].values[1])) << query;
+  }
+}
+
+// Timestamp bounds beyond int64 saturate: they neither wrap the range the
+// tiers read nor empty it.
+TEST_F(ExecutorTest, TimestampBoundsBeyondInt64Saturate) {
+  broker_.CreateTopic("wide");
+  for (int i = 0; i < 10; ++i) {
+    const TimeNs ts = 1000 + i;
+    ASSERT_TRUE(broker_
+                    .Publish("wide", kLocalNode, ts,
+                             Sample{ts, static_cast<double>(i),
+                                    Provenance::kMeasured})
+                    .ok());
+  }
+  Executor executor(broker_);
+  const auto count = [&](const std::string& where) {
+    auto rs = executor.Execute("SELECT COUNT(*) FROM wide WHERE " + where);
+    EXPECT_TRUE(rs.ok()) << where;
+    return rs.ok() ? rs->rows.at(0).values.at(0) : -1.0;
+  };
+  for (const char* where :
+       {"timestamp < 1e30", "timestamp <= 9.3e18", "timestamp < +inf",
+        "timestamp > -1e30", "timestamp >= -9.3e18", "timestamp > -inf"}) {
+    EXPECT_EQ(count(where), 10.0) << where;
+  }
+  for (const char* where :
+       {"timestamp > 1e30", "timestamp >= 9.3e18", "timestamp > +inf",
+        "timestamp < -1e30", "timestamp < -inf"}) {
+    EXPECT_EQ(count(where), 0.0) << where;
+  }
+  auto limited = executor.Execute(
+      "SELECT metric FROM wide WHERE timestamp < 1e30 LIMIT 3");
+  ASSERT_TRUE(limited.ok());
+  EXPECT_EQ(limited->NumRows(), 3u);
+}
+
+TEST_F(ExecutorTest, LimitBeyondUint64ReturnsEveryRow) {
+  Executor executor(broker_);
+  for (const char* order : {"", " ORDER BY metric DESC"}) {
+    const std::string query =
+        std::string("SELECT metric FROM cap") + order + " LIMIT 1e30";
+    auto rs = executor.Execute(query);
+    ASSERT_TRUE(rs.ok()) << query;
+    EXPECT_EQ(rs->NumRows(), 10u) << query;
   }
 }
 
