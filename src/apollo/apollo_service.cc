@@ -48,12 +48,14 @@ ApolloService::~ApolloService() {
 void ApolloService::AttachFaultInjector(FaultInjector* injector) {
   fault_ = injector;
   broker_->AttachFaultInjector(injector);
-  for (auto& archiver : archivers_) {
-    archiver->AttachFaultInjector(injector);
-  }
   {
-    std::lock_guard<std::mutex> lock(cold_mu_);
-    for (auto& cold : cold_tiers_) cold->AttachFaultInjector(injector);
+    std::lock_guard<std::mutex> lock(storage_mu_);
+    for (auto& [topic, storage] : storage_) {
+      if (storage.archiver != nullptr) {
+        storage.archiver->AttachFaultInjector(injector);
+      }
+      if (storage.cold != nullptr) storage.cold->AttachFaultInjector(injector);
+    }
   }
   if (daemon_ != nullptr) daemon_->server().AttachFaultInjector(injector);
 }
@@ -110,50 +112,43 @@ Expected<ApolloService::VertexAttachments> ApolloService::PrepareDeploy(
     }
     attach.delphi = delphi_.get();
   }
-  // Reject a duplicate before opening anything: a second archiver and cold
-  // tier on the live topic's files would replace its entries below.
+  // Reject a duplicate before touching storage: the live vertex keeps its
+  // topic's archiver and cold tier.
   if (graph_->Has(topic)) {
     return Error(ErrorCode::kAlreadyExists, "vertex exists: " + topic);
   }
-  switch (archive) {
-    case FactDeployment::Archive::kNone:
-      return attach;
-    case FactDeployment::Archive::kMemory:
-      archivers_.push_back(std::make_unique<Archiver<Sample>>());
-      break;
-    case FactDeployment::Archive::kInherit: {
-      if (options_.archive_dir.empty()) return attach;
-      auto file_backed = std::make_unique<Archiver<Sample>>(
-          options_.archive_dir + "/" + topic + ".log", options_.wal);
-      // An archiver whose WAL cannot open falls back to memory; deploying
-      // on top of it would run the topic without durability, unreported.
-      Status opened = file_backed->OpenStatus();
-      if (!opened.ok()) return Error(opened.code(), opened.message());
-      archivers_.push_back(std::move(file_backed));
-      break;
-    }
+  std::lock_guard<std::mutex> lock(storage_mu_);
+  if (auto it = storage_.find(topic); it != storage_.end()) {
+    // A redeploy: the broker stream still evicts into the first archiver,
+    // so opening a second one (and a second cold tier) on the same files
+    // would leave each blind to what the other wrote.
+    attach.archiver = it->second.archiver.get();
+    return attach;
   }
-  Archiver<Sample>* archiver = archivers_.back().get();
-  archiver->set_fault_label(topic);
-  if (fault_ != nullptr) archiver->AttachFaultInjector(fault_);
-  archiver_by_topic_[topic] = archiver;
-  attach.archiver = archiver;
-  if (!options_.coldtier_enabled || archiver->InMemory()) return attach;
-  auto cold = std::make_unique<coldtier::ColdTier>(archiver->path());
-  Status opened = cold->Open();
-  if (!opened.ok()) return Error(opened.code(), opened.message());
-  // Finish any compaction a crash interrupted before the archiver appends
-  // again, then let range queries merge the tier's rows.
-  Status reconciled = cold->Reconcile(*archiver);
-  if (!reconciled.ok()) {
-    return Error(reconciled.code(), reconciled.message());
+  TopicStorage storage;
+  if (archive == FactDeployment::Archive::kInherit &&
+      !options_.archive_dir.empty()) {
+    storage.archiver = std::make_unique<Archiver<Sample>>(
+        options_.archive_dir + "/" + topic + ".log", options_.wal);
+    Status opened = storage.archiver->OpenStatus();
+    if (!opened.ok()) return Error(opened.code(), opened.message());
+    storage.archiver->set_fault_label(topic);
+    storage.archiver->AttachFaultInjector(fault_);
   }
-  cold->set_fault_label(topic);
-  if (fault_ != nullptr) cold->AttachFaultInjector(fault_);
-  archiver->AttachColdReader(cold.get());
-  std::lock_guard<std::mutex> lock(cold_mu_);
-  cold_by_topic_[topic] = {cold.get(), archiver};
-  cold_tiers_.push_back(std::move(cold));
+  if (storage.archiver != nullptr && options_.coldtier_enabled) {
+    storage.cold =
+        std::make_unique<coldtier::ColdTier>(storage.archiver->path());
+    Status opened = storage.cold->Open();
+    // Finish any compaction a crash interrupted before the archiver
+    // appends again, then let range queries merge the tier's rows.
+    if (opened.ok()) opened = storage.cold->Reconcile(*storage.archiver);
+    if (!opened.ok()) return Error(opened.code(), opened.message());
+    storage.cold->set_fault_label(topic);
+    storage.cold->AttachFaultInjector(fault_);
+    storage.archiver->AttachColdReader(storage.cold.get());
+  }
+  attach.archiver = storage.archiver.get();
+  storage_.emplace(topic, std::move(storage));
   return attach;
 }
 
@@ -246,10 +241,16 @@ Expected<ApolloService::RecoveryReport> ApolloService::Recover(
   const std::string prefix = root.back() == '/' ? root : root + "/";
   RecoveryReport report;
   for (const std::string& topic : graph_->AllTopics()) {
-    auto it = archiver_by_topic_.find(topic);
-    if (it == archiver_by_topic_.end()) continue;
-    Archiver<Sample>* archiver = it->second;
-    if (archiver->InMemory()) continue;  // nothing survives a restart
+    Archiver<Sample>* archiver = nullptr;
+    coldtier::ColdTier* cold = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(storage_mu_);
+      auto it = storage_.find(topic);
+      if (it == storage_.end()) continue;
+      archiver = it->second.archiver.get();
+      cold = it->second.cold.get();
+    }
+    if (archiver == nullptr) continue;
     if (archiver->path().compare(0, prefix.size(), prefix) != 0) continue;
 
     // The append-safe open already validated segments, truncated torn
@@ -263,7 +264,7 @@ Expected<ApolloService::RecoveryReport> ApolloService::Recover(
 
     // Cold blocks were loaded (and any interrupted compaction finished)
     // when the tier opened at deploy time; fold in what is reachable.
-    if (coldtier::ColdTier* cold = cold_tier(topic)) {
+    if (cold != nullptr) {
       report.cold_blocks += cold->BlockCount();
       report.cold_rows += cold->ColdRowCount();
       report.cold_quarantined_blocks += cold->quarantined_blocks();
@@ -305,13 +306,16 @@ Expected<ApolloService::RecoveryReport> ApolloService::Recover(
 
 Expected<coldtier::CompactResult> ApolloService::CompactNow() {
   // Snapshot under the lock, compact outside it: CompactOnce does file IO
-  // and must not block deploys. The pointers stay valid — tiers and
-  // archivers live as long as the service.
+  // and must not block deploys. The pointers stay valid — storage lives as
+  // long as the service.
   std::vector<std::pair<coldtier::ColdTier*, Archiver<Sample>*>> tiers;
   {
-    std::lock_guard<std::mutex> lock(cold_mu_);
-    tiers.reserve(cold_by_topic_.size());
-    for (const auto& [topic, pair] : cold_by_topic_) tiers.push_back(pair);
+    std::lock_guard<std::mutex> lock(storage_mu_);
+    for (const auto& [topic, storage] : storage_) {
+      if (storage.cold != nullptr) {
+        tiers.emplace_back(storage.cold.get(), storage.archiver.get());
+      }
+    }
   }
   coldtier::CompactResult total;
   for (const auto& [cold, archiver] : tiers) {
@@ -327,9 +331,9 @@ Expected<coldtier::CompactResult> ApolloService::CompactNow() {
 }
 
 coldtier::ColdTier* ApolloService::cold_tier(const std::string& topic) const {
-  std::lock_guard<std::mutex> lock(cold_mu_);
-  auto it = cold_by_topic_.find(topic);
-  return it == cold_by_topic_.end() ? nullptr : it->second.first;
+  std::lock_guard<std::mutex> lock(storage_mu_);
+  auto it = storage_.find(topic);
+  return it == storage_.end() ? nullptr : it->second.cold.get();
 }
 
 Expected<aqe::ResultSet> ApolloService::Query(const std::string& query_text) {

@@ -50,24 +50,24 @@ struct ApolloOptions {
   Mode mode = Mode::kRealTime;
   std::shared_ptr<const NetworkModel> network;  // null = free network
   NodeId client_node = kLocalNode;
-  // When set, every deployed vertex — fact or insight — gets a
-  // file-backed Archiver at <archive_dir>/<topic>.log (WAL segments
-  // <topic>.log.<seq>.wal); entries evicted from the in-memory window
-  // persist there and remain reachable by AQE timestamp-range queries —
-  // and replayable with Recover() after a restart. Empty = in-memory
-  // archives only when a fact deployment requests one.
+  // When set, every deployed vertex — fact or insight — gets an Archiver
+  // at <archive_dir>/<topic>.log (WAL segments <topic>.log.<seq>.wal);
+  // entries evicted from the in-memory window persist there and remain
+  // reachable by AQE timestamp-range queries — and replayable with
+  // Recover() after a restart. Empty = no archives: evicted entries are
+  // dropped.
   std::string archive_dir;
-  // Durability knobs for file-backed archivers: segment size (rotation)
-  // and fsync policy (see pubsub/archiver.h). The WAL keeps every segment
-  // until the cold tier compacts it.
+  // Durability knobs for archivers: segment size (rotation) and fsync
+  // policy (see pubsub/archiver.h). The WAL keeps every segment until the
+  // cold tier compacts it.
   WalConfig wal;
   // Columnar cold tier: when enabled (and archive_dir is set), every
-  // file-backed archiver gets a ColdTier beside it that compacts sealed
-  // WAL segments into compressed immutable blocks (coldtier/cold_tier.h)
-  // and then deletes those segments. AQE range scans merge the blocks'
-  // rows via zone-map-pruned reads. In real-time mode a timer on the event
-  // loop compacts every coldtier_compact_interval; simulated/manual
-  // callers use CompactNow().
+  // archiver gets a ColdTier beside it that compacts sealed WAL segments
+  // into compressed immutable blocks (coldtier/cold_tier.h) and then
+  // deletes those segments. AQE range scans merge the blocks' rows via
+  // zone-map-pruned reads. In real-time mode a timer on the event loop
+  // compacts every coldtier_compact_interval; simulated/manual callers use
+  // CompactNow().
   bool coldtier_enabled = false;
   TimeNs coldtier_compact_interval = Seconds(30);
   // Vertex supervision: crash/stall detection with bounded-backoff
@@ -89,9 +89,9 @@ struct FactDeployment {
   bool use_delphi = false;
   TimeNs prediction_granularity = Seconds(1);
   // Attach an archiver for evicted entries: "inherit" follows the service
-  // option (file-backed when archive_dir is set), "memory" forces an
-  // in-memory archive, "none" drops evicted entries.
-  enum class Archive { kInherit, kMemory, kNone };
+  // option (a WAL under archive_dir when it is set), "none" drops evicted
+  // entries. Only a topic's first deploy decides (see DeployFact).
+  enum class Archive { kInherit, kNone };
   Archive archive = Archive::kInherit;
 };
 
@@ -104,6 +104,11 @@ class ApolloService {
   ApolloService& operator=(const ApolloService&) = delete;
 
   // --- deployment ---
+  // A topic's storage — its archiver and cold tier — is decided at its
+  // first deploy and kept for the service's lifetime. Undeploy stops the
+  // vertex but keeps the broker stream and that storage; a later deploy of
+  // the topic reuses both, whatever its Archive setting, so one set of WAL
+  // segments and cold blocks holds the topic's whole history.
   Expected<FactVertex*> DeployFact(MonitorHook hook,
                                    const FactDeployment& deployment = {});
   Expected<InsightVertex*> DeployInsight(InsightVertexConfig config,
@@ -236,7 +241,8 @@ class ApolloService {
 
   // --- fault tolerance ---
   // Routes injected faults into the broker and every service-owned
-  // archiver (current and future deployments). Pass nullptr to detach.
+  // archiver and cold tier (current and future deployments). Pass nullptr
+  // to detach.
   void AttachFaultInjector(FaultInjector* injector);
   // Null when enable_supervisor is false.
   VertexSupervisor* supervisor() { return supervisor_.get(); }
@@ -259,7 +265,8 @@ class ApolloService {
   std::unique_ptr<aqe::Executor> executor_;
   // The deploy path both vertex kinds share: checks the Delphi request,
   // rejects a topic the graph already holds before it opens anything, and
-  // attaches the archiver (plus cold tier) `archive` asks for.
+  // returns the topic's archiver — opening its storage on the first
+  // deploy, as `archive` asks.
   struct VertexAttachments {
     const delphi::DelphiModel* delphi = nullptr;
     Archiver<Sample>* archiver = nullptr;
@@ -269,19 +276,17 @@ class ApolloService {
                                             FactDeployment::Archive archive);
 
   std::unique_ptr<delphi::DelphiModel> delphi_;
-  std::vector<std::unique_ptr<Archiver<Sample>>> archivers_;
-  // Topic -> service-owned archiver, for the recovery pass. Entries are
-  // not erased on Undeploy (the archiver outlives the vertex, like
-  // archivers_ itself); Recover() consults the live graph for topics.
-  std::map<std::string, Archiver<Sample>*> archiver_by_topic_;
-  // Cold tiers mirror archivers_: one per file-backed archiver when
-  // coldtier_enabled, owned for the service's lifetime. cold_mu_ guards
-  // the containers (deploys vs the loop-thread compaction timer), not the
-  // tiers themselves (ColdTier is internally synchronized).
-  mutable std::mutex cold_mu_;
-  std::vector<std::unique_ptr<coldtier::ColdTier>> cold_tiers_;
-  std::map<std::string, std::pair<coldtier::ColdTier*, Archiver<Sample>*>>
-      cold_by_topic_;
+  // Where each deployed topic's history lives, made at its first deploy
+  // and never erased: the archiver (null when that deploy archived
+  // nothing) and, with coldtier_enabled, the cold tier beside it.
+  // storage_mu_ guards the map (deploys vs the loop-thread compaction
+  // timer), not the archivers and tiers (both are internally synchronized).
+  struct TopicStorage {
+    std::unique_ptr<Archiver<Sample>> archiver;
+    std::unique_ptr<coldtier::ColdTier> cold;
+  };
+  mutable std::mutex storage_mu_;
+  std::map<std::string, TopicStorage> storage_;
   TimerId compact_timer_ = 0;
   bool compact_timer_armed_ = false;
   // Declared after loop_/graph_ so it is destroyed (timer cancelled)

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 
+#include "coldtier/cold_tier.h"
 #include "obs/trace.h"
 
 namespace apollo::aqe {
@@ -263,7 +264,7 @@ bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
   }
   if (Archiver<Sample>* archiver = stream.archiver()) {
     if (archiver->Count() > 0) return false;
-    ColdReaderBase* cold = archiver->cold_reader();
+    coldtier::ColdTier* cold = archiver->cold_reader();
     if (cold != nullptr && cold->ColdRowCount() > 0) return false;
   }
   if (!agg.has_value() || agg->timestamps_trusted) return true;
@@ -515,11 +516,10 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   // and staleness lets clients judge how old the values are.
   bool is_degraded = stream->degraded();
   const std::optional<StreamEntry<Sample>> newest = stream->Latest();
-  TimeNs staleness_ns = 0;
-  if (newest.has_value()) {
-    staleness_ns =
-        std::max<TimeNs>(0, broker_.clock().Now() - newest->value.timestamp);
-  }
+  const TimeNs staleness_ns =
+      newest.has_value()
+          ? StalenessNs(broker_.clock().Now(), newest->value.timestamp)
+          : 0;
 
   // The branch appends its rows to the caller's, from `first` on, and
   // stamps them once it knows whether its answer is degraded.
@@ -606,7 +606,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   // records, the ring snapshot. Without history the ring is iterated in
   // place. Either way no row is copied into a merged vector.
   Archiver<Sample>* archiver = stream->archiver();
-  ColdReaderBase* cold =
+  coldtier::ColdTier* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
   const bool archive_has_rows = archiver != nullptr && archiver->Count() > 0;
   const bool cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;

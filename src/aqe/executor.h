@@ -30,7 +30,9 @@
 // Every branch appends its rows to the caller's ResultSet in place.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -56,6 +58,18 @@ std::string SelectItemLabel(const SelectItem& item);
 // to maintain materialized rows on publish without re-executing the query.
 double IndexAggregateCell(const SelectItem& item,
                           const std::optional<StreamAggregates>& agg);
+
+// Age of a row stamped `timestamp` at `now`: now - timestamp, clamped to
+// [0, INT64_MAX]. Any wire client may stamp a row with any int64, so the
+// plain difference can overflow; the executor and the continuous-query
+// engine stamp every answer's staleness with this.
+inline TimeNs StalenessNs(TimeNs now, TimeNs timestamp) {
+  TimeNs age = 0;
+  if (__builtin_sub_overflow(now, timestamp, &age)) {
+    return timestamp < now ? std::numeric_limits<TimeNs>::max() : 0;
+  }
+  return std::max<TimeNs>(0, age);
+}
 
 // What the O(1) paths can serve of one UNION branch, judged from the query
 // alone.

@@ -7,6 +7,7 @@
 // way Executor does across branches of a local query.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -33,5 +34,10 @@ Status MergeResult(ResultSet& merged, const ResultSet& part);
 // `staleness_ns` — applied to last-known-good answers served from the
 // client-side cache when a node misses its deadline.
 void MarkDegraded(ResultSet& result, TimeNs staleness_ns);
+
+// Entries a last-known-good answer cache holds — the daemon's answers for
+// shed queries and RemoteQueryEngine's per-(node, query) answers. A cache
+// that is full is cleared before the next insert.
+inline constexpr std::size_t kLastGoodCacheEntries = 256;
 
 }  // namespace apollo::aqe

@@ -256,7 +256,7 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
   };
   using Record = Archiver<Sample>::Record;
 
-  for (const ArchiveLog::SealedSegment& seg : archiver.SealedSegments()) {
+  for (const auto& seg : archiver.SealedSegments()) {
     if (result.segments_compacted >= max_segments) break;
     if (IsCompacted(seg.seq)) continue;  // crash window leftovers
 

@@ -41,7 +41,21 @@
 #include "common/expected.h"
 #include "common/fault.h"
 #include "pubsub/archiver.h"
-#include "pubsub/cold_reader.h"
+#include "pubsub/telemetry.h"
+
+namespace apollo {
+
+// Per-scan accounting, surfaced through EXPLAIN ANALYZE.
+struct ColdScanStats {
+  std::uint64_t blocks_total = 0;    // blocks considered
+  std::uint64_t blocks_pruned = 0;   // skipped via zone map
+  std::uint64_t blocks_scanned = 0;  // decoded and row-filtered
+  std::uint64_t rows_visited = 0;    // rows emitted to the visitor
+  std::uint64_t blocks_quarantined = 0;  // failed decode, renamed .corrupt
+  std::uint64_t read_errors = 0;     // unreadable/injected-fault blocks
+};
+
+}  // namespace apollo
 
 namespace apollo::coldtier {
 
@@ -68,7 +82,7 @@ struct CompactResult {
   std::uint64_t block_bytes = 0;  // block bytes written
 };
 
-class ColdTier : public ColdReaderBase {
+class ColdTier {
  public:
   // `base_path` matches the archiver's: blocks live at `<base>.<seq>.blk`,
   // the manifest at `<base>.manifest`.
@@ -90,12 +104,20 @@ class ColdTier : public ColdReaderBase {
   Expected<CompactResult> CompactOnce(Archiver<Sample>& archiver,
                                       std::size_t max_segments = SIZE_MAX);
 
-  // ColdReaderBase
+  // Visits every cold row with timestamp in [from_ts, to_ts] in block
+  // order (oldest block first, rows in stored order). Unreadable or
+  // corrupt blocks are skipped and counted in `stats`, never fatal: the
+  // scan still returns every row the healthy blocks hold. `visit` must not
+  // start another scan on the same thread (blocks decode into a reused
+  // per-thread buffer). Cold rows are strictly older than every WAL row
+  // (compaction drains the oldest sealed segments first), so the executor
+  // extends a range read past the oldest WAL segment with this scan.
   Status ScanRange(TimeNs from_ts, TimeNs to_ts,
                    const std::function<void(std::uint64_t id, TimeNs timestamp,
                                             const Sample& sample)>& visit,
-                   ColdScanStats* stats) override;
-  std::uint64_t ColdRowCount() const override {
+                   ColdScanStats* stats);
+  // Total rows committed to the cold tier (from the manifest; no file IO).
+  std::uint64_t ColdRowCount() const {
     return total_rows_.load(std::memory_order_acquire);
   }
   // True when `wal_seq` is covered by the committed manifest. Lock-free.
@@ -105,9 +127,6 @@ class ColdTier : public ColdReaderBase {
 
   std::uint64_t BlockCount() const;
   std::vector<std::string> BlockPaths() const;
-  std::uint64_t LastCompactedSeq() const {
-    return last_compacted_seq_.load(std::memory_order_acquire);
-  }
   // Zone-map bounds over the whole tier (0,0 when empty).
   void TsBounds(TimeNs* min_ts, TimeNs* max_ts) const;
   std::uint64_t quarantined_blocks() const {

@@ -47,12 +47,6 @@ struct ManifestEntry {
 
 struct Manifest {
   std::vector<ManifestEntry> entries;
-
-  // Highest WAL segment sequence covered by any entry (0 when empty —
-  // WAL sequences start at 1).
-  std::uint64_t LastCompactedSeq() const {
-    return entries.empty() ? 0 : entries.back().last_wal_seq;
-  }
 };
 
 // Serializes the manifest to its on-disk image.

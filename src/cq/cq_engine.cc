@@ -280,8 +280,8 @@ aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
       row.degraded = stream->degraded() ||
                      !aqe::IndexAnswersExactly(*branch.select, *stream, agg);
       if (auto newest = stream->Latest(); newest.has_value()) {
-        row.staleness_ns = std::max<TimeNs>(
-            0, broker_.clock().Now() - newest->value.timestamp);
+        row.staleness_ns =
+            aqe::StalenessNs(broker_.clock().Now(), newest->value.timestamp);
       }
     }
     result.degraded = result.degraded || row.degraded;

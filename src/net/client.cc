@@ -694,14 +694,14 @@ Expected<std::string> ApolloClient::FetchMetricsText() {
   return msg.text;
 }
 
-Expected<HeartbeatAckMsg> ApolloClient::Heartbeat(const HeartbeatMsg& msg) {
+Expected<HeartbeatMsg> ApolloClient::Heartbeat(const HeartbeatMsg& msg) {
   Payload payload;
   msg.Encode(payload);
   auto reply =
       Roundtrip(MsgType::kHeartbeat, payload, MsgType::kHeartbeatAck);
   if (!reply.ok()) return reply.error();
-  HeartbeatAckMsg ack;
-  if (!HeartbeatAckMsg::Decode(reply->payload, ack)) {
+  HeartbeatMsg ack;
+  if (!HeartbeatMsg::Decode(reply->payload, ack)) {
     return Error(ErrorCode::kParseError, "bad heartbeat ack");
   }
   return ack;

@@ -146,7 +146,7 @@ class ApolloClient {
 
   // --- cluster fabric round trips (daemon-to-daemon and map refresh) ---
 
-  Expected<HeartbeatAckMsg> Heartbeat(const HeartbeatMsg& msg);
+  Expected<HeartbeatMsg> Heartbeat(const HeartbeatMsg& msg);
   Expected<ReplicateAckMsg> Replicate(const ReplicateMsg& msg);
   Expected<ResyncChunkMsg> ResyncPull(const ResyncPullMsg& msg);
   Expected<cluster::ClusterMap> FetchClusterMap();

@@ -324,7 +324,7 @@ std::vector<const cluster::Member*> ClusterController::Replicas(
 }
 
 void ClusterController::HandleHeartbeat(const HeartbeatMsg& msg,
-                                        HeartbeatAckMsg& ack) {
+                                        HeartbeatMsg& ack) {
   // Passive observation: an inbound probe proves the sender is up, which
   // is how a rejoining peer reappears here within one of ITS intervals
   // even before our own probe reaches it.

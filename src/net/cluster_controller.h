@@ -110,7 +110,7 @@ class ClusterController {
 
   // --- loop-thread entry points (called by the daemon's frame handlers)
 
-  void HandleHeartbeat(const HeartbeatMsg& msg, HeartbeatAckMsg& ack);
+  void HandleHeartbeat(const HeartbeatMsg& msg, HeartbeatMsg& ack);
   void HandleReplicate(const ReplicateMsg& msg, ReplicateAckMsg& ack);
   Status HandleResyncPull(const ResyncPullMsg& msg, ResyncChunkMsg& chunk);
 

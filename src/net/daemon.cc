@@ -442,7 +442,7 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
   }
   reply.result = std::move(*result);
   if (!is_explain) {
-    if (last_good_.size() >= 256) last_good_.clear();
+    if (last_good_.size() >= aqe::kLastGoodCacheEntries) last_good_.clear();
     CachedAnswer& cached = last_good_[text];
     cached.result = reply.result;
     cached.at = now;
@@ -526,7 +526,7 @@ void ApolloDaemon::HandleHeartbeat(Connection& conn, const Frame& frame) {
     SendError(conn, frame.request_id, ErrorCode::kParseError, "bad heartbeat");
     return;
   }
-  HeartbeatAckMsg ack;
+  HeartbeatMsg ack;
   controller_->HandleHeartbeat(msg, ack);
   SendMsg(conn, MsgType::kHeartbeatAck, frame.request_id, ack);
 }

@@ -168,7 +168,7 @@ class ApolloDaemon final : public FrameHandler {
   std::map<std::uint64_t, std::vector<Subscription>> subs_;  // by conn id
   std::map<std::uint64_t, std::string> conn_tenants_;        // by conn id
   // Last-known-good answers for shed one-shot queries, keyed by query
-  // text. Bounded: cleared when full, like the executor's plan cache.
+  // text. Bounded: cleared when it holds aqe::kLastGoodCacheEntries.
   struct CachedAnswer {
     aqe::ResultSet result;
     TimeNs at = 0;

@@ -20,6 +20,15 @@ void EncodeEntries(WireWriter& w,
   }
 }
 
+// A Sample's provenance byte. Only kMeasured (0) and kPredicted (1) name
+// one; any other byte makes the message malformed, so no row reaches the
+// ring, the WAL or a cold block as neither measured nor predicted.
+bool ReadProvenance(WireReader& r, Provenance& provenance) {
+  const std::uint8_t byte = r.U8();
+  provenance = static_cast<Provenance>(byte);
+  return byte <= static_cast<std::uint8_t>(Provenance::kPredicted);
+}
+
 bool DecodeEntries(WireReader& r,
                    std::vector<TelemetryStream::Entry>& entries) {
   const std::uint32_t count = r.U32();
@@ -32,7 +41,7 @@ bool DecodeEntries(WireReader& r,
     entry.timestamp = r.I64();
     entry.value.timestamp = r.I64();
     entry.value.value = r.F64();
-    entry.value.provenance = static_cast<Provenance>(r.U8());
+    if (!ReadProvenance(r, entry.value.provenance)) return false;
     entries.push_back(entry);
   }
   return r.ok();
@@ -160,7 +169,7 @@ bool PublishBatchMsg::Decode(const Payload& in, PublishBatchMsg& msg) {
       entry.timestamp = r.I64();
       entry.value.timestamp = r.I64();
       entry.value.value = r.F64();
-      entry.value.provenance = static_cast<Provenance>(r.U8());
+      if (!ReadProvenance(r, entry.value.provenance)) return false;
       run.entries.push_back(entry);
     }
     msg.runs.push_back(std::move(run));
@@ -332,39 +341,15 @@ bool MetricsTextMsg::Decode(const Payload& in, MetricsTextMsg& msg) {
   return Finish(r);
 }
 
-namespace {
-
-void EncodeNodeInfo(WireWriter& w, const std::string& sender,
-                    std::uint64_t generation, std::uint8_t state,
-                    std::uint64_t map_version) {
+void HeartbeatMsg::Encode(Payload& out) const {
+  WireWriter w(out);
   w.Str(sender);
   w.U64(generation);
   w.U8(state);
   w.U64(map_version);
 }
 
-}  // namespace
-
-void HeartbeatMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  EncodeNodeInfo(w, sender, generation, state, map_version);
-}
-
 bool HeartbeatMsg::Decode(const Payload& in, HeartbeatMsg& msg) {
-  WireReader r(in);
-  msg.sender = r.Str();
-  msg.generation = r.U64();
-  msg.state = r.U8();
-  msg.map_version = r.U64();
-  return Finish(r);
-}
-
-void HeartbeatAckMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  EncodeNodeInfo(w, sender, generation, state, map_version);
-}
-
-bool HeartbeatAckMsg::Decode(const Payload& in, HeartbeatAckMsg& msg) {
   WireReader r(in);
   msg.sender = r.Str();
   msg.generation = r.U64();

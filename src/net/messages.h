@@ -172,10 +172,12 @@ struct MetricsTextMsg {
 
 // --- cluster fabric messages (heartbeat, map, replicate, resync) ---
 
-// Membership probe: carries the sender's identity so the receiving side
-// learns about the prober passively (an inbound heartbeat is as good an
-// aliveness proof as an ack), which is what lets a rejoining node
-// reappear in its peers' maps within one probe interval.
+// Membership probe (kHeartbeat) and its reply (kHeartbeatAck): the same
+// fields and bytes both ways. The probe carries the sender's identity so
+// the receiving side learns about the prober passively (an inbound
+// heartbeat is as good an aliveness proof as an ack), which is what lets a
+// rejoining node reappear in its peers' maps within one probe interval;
+// the ack tells the prober the peer's state.
 struct HeartbeatMsg {
   std::string sender;
   std::uint64_t generation = 0;  // sender's process-start stamp
@@ -184,16 +186,6 @@ struct HeartbeatMsg {
 
   void Encode(Payload& out) const;
   static bool Decode(const Payload& in, HeartbeatMsg& msg);
-};
-
-struct HeartbeatAckMsg {
-  std::string sender;
-  std::uint64_t generation = 0;
-  std::uint8_t state = 0;
-  std::uint64_t map_version = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, HeartbeatAckMsg& msg);
 };
 
 // Reply to kGetClusterMap and the push on membership change

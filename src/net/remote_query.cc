@@ -36,6 +36,13 @@ Expected<ResultMsg> RemoteQueryEngine::QueryNode(std::size_t node,
   return client.Query(sql, partial);
 }
 
+void RemoteQueryEngine::CacheLocked(const std::string& node,
+                                    const std::string& sql,
+                                    const aqe::ResultSet& result, TimeNs now) {
+  if (cache_.size() >= aqe::kLastGoodCacheEntries) cache_.clear();
+  cache_[{node, sql}] = CachedResult{result, now};
+}
+
 Expected<aqe::ResultSet> RemoteQueryEngine::Execute(const std::string& sql) {
   TRACE_SPAN("net.remote_query", sql);
   if (options_.cluster_mode) return ExecuteCluster(sql);
@@ -71,14 +78,13 @@ Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteBroadcast(
     NodeOutcome& outcome = outcomes[i];
     outcome.node = nodes_[i].name;
     auto& reply = replies[i].reply;
-    const auto cache_key = std::make_pair(nodes_[i].name, sql);
     if (reply.ok()) {
       Status status = aqe::MergeResult(merged, reply->result);
       if (!status.ok()) return Error(status.code(), status.message());
       outcome.ok = true;
       outcome.served_tables = reply->served_tables;
       any_fresh = true;
-      cache_[cache_key] = CachedResult{reply->result, now};
+      CacheLocked(nodes_[i].name, sql, reply->result, now);
       continue;
     }
     outcome.error = reply.error().ToString();
@@ -87,7 +93,7 @@ Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteBroadcast(
       have_error = true;
     }
     telemetry.net_node_timeouts.Inc();
-    auto cached = cache_.find(cache_key);
+    auto cached = cache_.find({nodes_[i].name, sql});
     if (cached != cache_.end()) {
       // Last-known-good fallback: stale rows beat a failed query.
       aqe::ResultSet stale = cached->second.result;
@@ -244,8 +250,8 @@ Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteCluster(
         any_fresh = true;
         for (const std::string& t : leg.tables) remaining.erase(t);
         std::lock_guard<std::mutex> lock(mu_);
-        cache_[{nodes_[leg.node].name, leg.sub_sql}] =
-            CachedResult{leg.reply->result, now};
+        CacheLocked(nodes_[leg.node].name, leg.sub_sql, leg.reply->result,
+                    now);
         continue;
       }
       outcome.error = leg.reply.error().ToString();

@@ -110,7 +110,13 @@ class RemoteQueryEngine {
   FaultInjector* fault_ = nullptr;
 
   mutable std::mutex mu_;
-  // Last-known-good answers keyed by (node name, query text).
+  // Records `result` as node `node`'s last-known-good answer to `sql`.
+  // Caller holds mu_.
+  void CacheLocked(const std::string& node, const std::string& sql,
+                   const aqe::ResultSet& result, TimeNs now);
+
+  // Last-known-good answers keyed by (node name, query text). Bounded:
+  // cleared when it holds aqe::kLastGoodCacheEntries.
   std::map<std::pair<std::string, std::string>, CachedResult> cache_;
   std::vector<NodeOutcome> last_outcomes_;
   std::optional<cluster::ClusterMap> map_;  // cluster mode only

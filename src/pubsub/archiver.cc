@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -56,54 +58,43 @@ Status ReadFile(const std::string& path, std::vector<std::uint8_t>& buf) {
 
 }  // namespace
 
-ArchiveLog::ArchiveLog(std::string base_path, std::uint32_t payload_size,
-                       WalConfig config)
-    : base_path_(std::move(base_path)),
-      payload_size_(payload_size),
-      config_(config) {
-  if (config_.segment_bytes <
-      wal::kHeaderSize + wal::kFrameOverhead + payload_size_) {
-    // A segment must hold at least one record.
-    config_.segment_bytes =
-        wal::kHeaderSize + wal::kFrameOverhead + payload_size_;
+Archiver<Sample>::Archiver(std::string path, WalConfig config)
+    : path_(std::move(path)), config_(config) {
+  // A segment must hold at least one record.
+  config_.segment_bytes =
+      std::max(config_.segment_bytes, wal::kHeaderSize + kFrameBytes);
+  open_status_ = path_.empty() ? Status(ErrorCode::kInvalidArgument,
+                                        "archive path is empty")
+                               : Open();
+  if (!open_status_.ok()) {
+    segments_.clear();
+    record_count_ = 0;
   }
-  frame_.resize(wal::kFrameOverhead + payload_size_);
 }
 
-ArchiveLog::~ArchiveLog() {
+Archiver<Sample>::~Archiver() {
   if (active_ != nullptr) {
     std::fflush(active_);
     std::fclose(active_);
   }
 }
 
-std::string ArchiveLog::SegmentPathFor(std::uint64_t seq) const {
+void Archiver<Sample>::set_fault_label(std::string label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  label_ = std::move(label);
+}
+
+std::string Archiver<Sample>::SegmentPathFor(std::uint64_t seq) const {
   char buf[24];
   std::snprintf(buf, sizeof(buf), ".%06llu",
                 static_cast<unsigned long long>(seq));
-  return base_path_ + buf + kSegmentSuffix;
+  return path_ + buf + kSegmentSuffix;
 }
 
-Status ArchiveLog::ScanSegmentFile(
-    const std::string& path, std::vector<std::uint8_t>& buf,
-    wal::ScanResult& result,
-    const std::function<void(const void*)>& fn) const {
-  Status status = ReadFile(path, buf);
-  if (!status.ok()) return status;
-  if (fn == nullptr) {
-    result = wal::ScanBuffer(buf.data(), buf.size());
-  } else {
-    result = wal::ScanBuffer(
-        buf.data(), buf.size(),
-        [&fn](const std::uint8_t* payload, std::uint32_t) { fn(payload); });
-  }
-  return Status::Ok();
-}
-
-Status ArchiveLog::Open() {
-  TRACE_SPAN("archiver.recover", base_path_);
+Status Archiver<Sample>::Open() {
+  TRACE_SPAN("archiver.recover", path_);
   // Discover existing segments of this base path.
-  const fs::path base(base_path_);
+  const fs::path base(path_);
   const std::string prefix = base.filename().string() + ".";
   std::error_code ec;
   const fs::path dir =
@@ -133,9 +124,9 @@ Status ArchiveLog::Open() {
   std::vector<std::uint8_t> buf;
   for (const auto& [seq, path] : found) {
     ++recovery_.segments_scanned;
-    wal::ScanResult scan;
-    Status status = ScanSegmentFile(path, buf, scan, nullptr);
+    Status status = ReadFile(path, buf);
     if (!status.ok()) return status;
+    const wal::ScanResult scan = wal::ScanBuffer(buf.data(), buf.size());
     if (!scan.header_ok) {
       // Unreadable as a WAL segment at all: move it aside so it never
       // poisons reads, but keep the bytes for forensics.
@@ -173,17 +164,17 @@ Status ArchiveLog::Open() {
   return OpenActive(/*fresh=*/false);
 }
 
-Status ArchiveLog::OpenActive(bool fresh) {
+Status Archiver<Sample>::OpenActive(bool fresh) {
   Segment& seg = segments_.back();
   // "ab" keeps every existing byte and positions at the (possibly just
-  // truncated) end — the append-safe open the old "wb+" mode lacked.
+  // truncated) end.
   active_ = std::fopen(seg.path.c_str(), fresh ? "wb" : "ab");
   if (active_ == nullptr) {
     return IoError("archive segment open failed", seg.path);
   }
   if (fresh) {
     std::uint8_t header[wal::kHeaderSize];
-    wal::EncodeHeader(header, payload_size_);
+    wal::EncodeHeader(header, kRecordBytes);
     if (std::fwrite(header, sizeof(header), 1, active_) != 1 ||
         std::fflush(active_) != 0) {
       GlobalTelemetry().archive_write_errors.Inc();
@@ -196,9 +187,90 @@ Status ArchiveLog::OpenActive(bool fresh) {
   return Status::Ok();
 }
 
-Status ArchiveLog::RotateLocked() {
-  TRACE_SPAN("archiver.rotate", base_path_);
-  Status status = SyncLocked();  // rotation is a durability barrier
+Status Archiver<Sample>::AppendBatch(const Record* records, std::size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AppendLocked(records, n, retry_.max_attempts);
+}
+
+Status Archiver<Sample>::Append(std::uint64_t id, TimeNs timestamp,
+                                const Sample& payload) {
+  const Record rec = MakeRecord(id, timestamp, payload);
+  std::lock_guard<std::mutex> lock(mu_);
+  return AppendLocked(&rec, 1, /*max_attempts=*/1);
+}
+
+Status Archiver<Sample>::AppendWithRetry(std::uint64_t id, TimeNs timestamp,
+                                         const Sample& payload) {
+  const Record rec = MakeRecord(id, timestamp, payload);
+  return AppendBatch(&rec, 1);
+}
+
+Status Archiver<Sample>::AppendLocked(const Record* records, std::size_t n,
+                                      int max_attempts) {
+  if (!open_status_.ok()) {
+    RecordFailures(open_status_, n);
+    return open_status_;
+  }
+  FaultInjector* injector = fault_.load(std::memory_order_acquire);
+  const std::string_view label = label_.empty() ? path_ : label_;
+  Status first_error;
+  std::size_t fired = n;
+  int attempt = 1;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t room = std::min(n - i, ChunkRoom());
+    std::size_t end = i;
+    while (end < i + room && end != fired) {
+      if (injector != nullptr) {
+        auto action = injector->Evaluate(FaultSite::kArchiveWrite, label);
+        if (action.has_value() && action->fails()) {
+          fired = end;
+          break;
+        }
+      }
+      ++end;
+    }
+    Status status;
+    if (end > i) {
+      status = WriteChunk(records + i, end - i);
+      if (status.ok()) {
+        GlobalTelemetry().archive_writes.Inc(end - i);
+        i = end;
+        attempt = 1;
+        continue;
+      }
+    } else {
+      GlobalTelemetry().archive_write_errors.Inc();
+      status = Status(ErrorCode::kIoError,
+                      "injected archive write failure: " + path_);
+      fired = n;
+      end = i + 1;
+    }
+    // Records [i, end) failed this attempt: retry them, or give up.
+    if (RetryableError(status.code()) && attempt < max_attempts) {
+      GlobalTelemetry().archive_retries.Inc();
+      std::this_thread::sleep_for(std::chrono::nanoseconds(
+          JitteredBackoffForAttempt(retry_, attempt)));
+      ++attempt;
+      continue;
+    }
+    RecordFailures(status, end - i);
+    if (first_error.ok()) first_error = status;
+    i = end;
+    attempt = 1;
+  }
+  return first_error;
+}
+
+void Archiver<Sample>::RecordFailures(const Status& status,
+                                      std::size_t records) {
+  failures_.fetch_add(records, std::memory_order_acq_rel);
+  last_error_ = status;
+  GlobalTelemetry().archive_write_failures.Inc(records);
+}
+
+Status Archiver<Sample>::Rotate() {
+  TRACE_SPAN("archiver.rotate", path_);
+  Status status = SyncActive();  // rotation is a durability barrier
   if (!status.ok()) return status;
   std::fclose(active_);
   active_ = nullptr;
@@ -211,20 +283,19 @@ Status ArchiveLog::RotateLocked() {
     Status reopen = OpenActive(/*fresh=*/false);
     return reopen.ok() ? status : reopen;
   }
-  ++rotations_;
   GlobalTelemetry().archive_rotations.Inc();
   return Status::Ok();
 }
 
-Status ArchiveLog::SyncLocked() {
+Status Archiver<Sample>::SyncActive() {
   TRACE_SPAN("archiver.fsync");
-  if (fault_ != nullptr) {
-    const std::string_view label = label_.empty() ? base_path_ : label_;
-    if (auto action = fault_->Evaluate(FaultSite::kArchiveFsync, label);
+  if (FaultInjector* injector = fault_.load(std::memory_order_acquire)) {
+    const std::string_view label = label_.empty() ? path_ : label_;
+    if (auto action = injector->Evaluate(FaultSite::kArchiveFsync, label);
         action.has_value() && action->fails()) {
       GlobalTelemetry().archive_fsync_failures.Inc();
       return Status(ErrorCode::kIoError,
-                    "injected archive fsync failure: " + base_path_);
+                    "injected archive fsync failure: " + path_);
     }
   }
   static obs::Histogram fsync_hist = obs::MetricsRegistry::Global().GetHistogram(
@@ -242,7 +313,7 @@ Status ArchiveLog::SyncLocked() {
   return Status::Ok();
 }
 
-void ArchiveLog::RollbackActive(std::uint64_t offset) {
+void Archiver<Sample>::RollbackActive(std::uint64_t offset) {
   // Cut the segment back to its pre-chunk length so the failed append
   // leaves no torn frame behind and a retry cannot duplicate bytes.
   std::clearerr(active_);
@@ -252,12 +323,12 @@ void ArchiveLog::RollbackActive(std::uint64_t offset) {
   }
 }
 
-bool ArchiveLog::RotationDue() const {
+bool Archiver<Sample>::RotationDue() const {
   const Segment& seg = segments_.back();
-  return seg.records > 0 && seg.bytes + frame_.size() > config_.segment_bytes;
+  return seg.records > 0 && seg.bytes + kFrameBytes > config_.segment_bytes;
 }
 
-std::size_t ArchiveLog::ChunkRoom() const {
+std::size_t Archiver<Sample>::ChunkRoom() const {
   // A chunk never spans a rotation: it starts in the segment a per-record
   // append would use (a fresh one if the active segment is full) and ends
   // where the next record would no longer fit. Every segment holds at
@@ -266,7 +337,7 @@ std::size_t ArchiveLog::ChunkRoom() const {
   const bool rotate = RotationDue();
   const std::uint64_t bytes =
       rotate ? wal::kHeaderSize : segments_.back().bytes;
-  std::uint64_t room = (config_.segment_bytes - bytes) / frame_.size();
+  std::uint64_t room = (config_.segment_bytes - bytes) / kFrameBytes;
   if (config_.fsync_policy == FsyncPolicy::kEveryN) {
     const std::uint64_t since = rotate ? 0 : appends_since_sync_;
     const std::uint64_t until_sync =
@@ -276,16 +347,10 @@ std::size_t ArchiveLog::ChunkRoom() const {
   return static_cast<std::size_t>(room);
 }
 
-Status ArchiveLog::Append(const void* payloads, std::size_t n) {
-  if (active_ == nullptr) {
-    return IoError("archive not open", base_path_);
-  }
-  if (n == 0 || n > ChunkRoom()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "archive chunk outside its room: " + base_path_);
-  }
+Status Archiver<Sample>::WriteChunk(const Record* records, std::size_t n) {
+  if (active_ == nullptr) return IoError("archive not open", path_);
   if (RotationDue()) {
-    Status status = RotateLocked();
+    Status status = Rotate();
     if (!status.ok()) return status;
   }
   Segment& seg = segments_.back();
@@ -294,11 +359,11 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
   // them into the OS, so only a real machine failure (not process death)
   // can lose an acknowledged append. The fsync policy below controls
   // power-loss durability.
-  const auto* payload = static_cast<const std::uint8_t*>(payloads);
+  std::uint8_t frame[kFrameBytes];
   bool written = true;
-  for (std::size_t i = 0; i < n && written; ++i, payload += payload_size_) {
-    wal::EncodeRecord(frame_.data(), payload, payload_size_);
-    written = std::fwrite(frame_.data(), frame_.size(), 1, active_) == 1;
+  for (std::size_t i = 0; i < n && written; ++i) {
+    wal::EncodeRecord(frame, &records[i], kRecordBytes);
+    written = std::fwrite(frame, sizeof(frame), 1, active_) == 1;
   }
   if (!written || std::fflush(active_) != 0) {
     GlobalTelemetry().archive_write_errors.Inc();
@@ -306,7 +371,7 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
     return IoError("archive write failed", seg.path);
   }
   ++flushes_;
-  const std::uint64_t bytes = n * frame_.size();
+  const std::uint64_t bytes = n * kFrameBytes;
   seg.bytes += bytes;
   seg.records += n;
   record_count_ += n;
@@ -314,7 +379,7 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
 
   if (config_.fsync_policy == FsyncPolicy::kEveryN &&
       appends_since_sync_ >= config_.fsync_every_n) {
-    Status status = SyncLocked();
+    Status status = SyncActive();
     if (!status.ok()) {
       // The chunk is not durably acknowledged: roll it back so the
       // caller's retry appends it exactly once.
@@ -329,40 +394,35 @@ Status ArchiveLog::Append(const void* payloads, std::size_t n) {
   return Status::Ok();
 }
 
-Status ArchiveLog::Sync() {
-  if (active_ == nullptr) return IoError("archive not open", base_path_);
-  return SyncLocked();
-}
-
-Status ArchiveLog::ForEach(
-    const std::function<void(const void* payload)>& fn) {
-  return ForEachTail(UINT64_MAX, fn);
-}
-
-Status ArchiveLog::ForEachTail(
-    std::uint64_t n, const std::function<void(const void* payload)>& fn) {
+template <typename Fn>
+Status Archiver<Sample>::ScanTail(std::uint64_t n, Fn&& fn) {
+  if (!open_status_.ok()) return open_status_;
   if (active_ != nullptr && std::fflush(active_) != 0) {
     GlobalTelemetry().archive_write_errors.Inc();
     return IoError("archive flush failed", segments_.back().path);
   }
   // Skip whole segments that lie entirely before the requested tail.
-  std::size_t first = 0;
-  if (n != UINT64_MAX) {
-    std::uint64_t kept = 0;
-    first = segments_.size();
-    while (first > 0 && kept < n) {
-      --first;
-      kept += segments_[first].records;
-    }
+  std::size_t first = segments_.size();
+  for (std::uint64_t kept = 0; first > 0 && kept < n;) {
+    --first;
+    kept += segments_[first].records;
   }
   // Every read on this thread reuses one segment buffer. It is per thread
-  // rather than per log, so its memory is bounded by the reading threads,
-  // not by the number of topics; `fn` must not start another archive read.
+  // rather than per archive, so its memory is bounded by the reading
+  // threads, not by the number of topics; `fn` must not start another
+  // archive read.
   thread_local std::vector<std::uint8_t> buf;
   for (std::size_t i = first; i < segments_.size(); ++i) {
-    wal::ScanResult scan;
-    Status status = ScanSegmentFile(segments_[i].path, buf, scan, fn);
+    Status status = ReadFile(segments_[i].path, buf);
     if (!status.ok()) return status;
+    const wal::ScanResult scan = wal::ScanBuffer(
+        buf.data(), buf.size(),
+        [&fn](const std::uint8_t* payload, std::uint32_t len) {
+          if (len != kRecordBytes) return;  // not a record of this archive
+          Record rec;
+          std::memcpy(&rec, payload, sizeof(rec));
+          fn(rec);
+        });
     if (scan.records != segments_[i].records) {
       // The file changed underneath us (external tampering or bit rot
       // since open). Surface it — the caller sees a short read otherwise.
@@ -374,21 +434,81 @@ Status ArchiveLog::ForEachTail(
   return Status::Ok();
 }
 
-std::vector<std::string> ArchiveLog::SegmentPaths() const {
+Status Archiver<Sample>::ReadRange(TimeNs from_ts, TimeNs to_ts,
+                                   std::vector<Record>& out) {
+  out.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  Status status = ScanTail(UINT64_MAX, [&](const Record& rec) {
+    if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
+      out.push_back(rec);
+    }
+  });
+  if (!status.ok()) out.clear();
+  return status;
+}
+
+Expected<std::vector<Archiver<Sample>::Record>> Archiver<Sample>::ReadRange(
+    TimeNs from_ts, TimeNs to_ts) {
+  std::vector<Record> out;
+  Status status = ReadRange(from_ts, to_ts, out);
+  if (!status.ok()) return Error(status.code(), status.message());
+  return out;
+}
+
+Expected<std::vector<Archiver<Sample>::Record>> Archiver<Sample>::TailRecords(
+    std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Record> out;
+  Status status =
+      ScanTail(n, [&out](const Record& rec) { out.push_back(rec); });
+  if (!status.ok()) return Error(status.code(), status.message());
+  // ScanTail skips whole leading segments; trim the in-segment overshoot.
+  if (out.size() > n) out.erase(out.begin(), out.end() - n);
+  return out;
+}
+
+std::uint64_t Archiver<Sample>::Count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return record_count_;
+}
+
+Status Archiver<Sample>::LastError() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_error_;
+}
+
+std::uint64_t Archiver<Sample>::Fsyncs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fsyncs_;
+}
+
+std::uint64_t Archiver<Sample>::Flushes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return flushes_;
+}
+
+ArchiveRecoveryStats Archiver<Sample>::RecoveryStats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return recovery_;
+}
+
+std::vector<std::string> Archiver<Sample>::SegmentPaths() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> paths;
   paths.reserve(segments_.size());
   for (const Segment& seg : segments_) paths.push_back(seg.path);
   return paths;
 }
 
-std::string ArchiveLog::ActiveSegmentPath() const {
+std::string Archiver<Sample>::ActiveSegmentPath() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return segments_.empty() ? std::string() : segments_.back().path;
 }
 
-std::vector<ArchiveLog::SealedSegment> ArchiveLog::SealedSegments() const {
+std::vector<Archiver<Sample>::SealedSegment>
+Archiver<Sample>::SealedSegments() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<SealedSegment> sealed;
-  if (segments_.size() <= 1) return sealed;
-  sealed.reserve(segments_.size() - 1);
   for (std::size_t i = 0; i + 1 < segments_.size(); ++i) {
     sealed.push_back(SealedSegment{segments_[i].seq, segments_[i].path,
                                    segments_[i].records});
@@ -396,7 +516,9 @@ std::vector<ArchiveLog::SealedSegment> ArchiveLog::SealedSegments() const {
   return sealed;
 }
 
-std::uint64_t ArchiveLog::DropSegmentsThrough(std::uint64_t through_seq) {
+std::uint64_t Archiver<Sample>::DropSegmentsThrough(
+    std::uint64_t through_seq) {
+  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t dropped = 0;
   while (segments_.size() > 1 && segments_.front().seq <= through_seq) {
     const Segment oldest = segments_.front();

@@ -1,5 +1,5 @@
-// Stream<T>: in-memory append-only timestamped log with cursor-based
-// consumption — the Redis Streams substitute.
+// TelemetryStream: in-memory append-only timestamped log of Samples with
+// cursor-based consumption — the Redis Streams substitute.
 //
 // Semantics mirrored from Redis Streams:
 //  - entries get monotonically increasing ids on append;
@@ -10,8 +10,8 @@
 // Hot-path layout: the window is a power-of-two ring buffer indexed by
 // entry id (slot = id & mask), so id lookup is O(1) and eviction is a
 // pointer bump — no deque node churn. The ring grows geometrically up to
-// the capacity so small streams stay small. Each Sample stream also keeps
-// a rolling aggregate index (count/sum/min/max/latest, monotonic wedges
+// the capacity so small streams stay small. Each stream also keeps a
+// rolling aggregate index (count/sum/min/max/latest, monotonic wedges
 // for min/max) so predicate-free aggregate queries answer in O(1).
 //
 // One mutex guards the window. An append collects the rows it evicts and
@@ -46,7 +46,7 @@ struct StreamEntry {
   T value{};
 };
 
-// O(1) snapshot of the rolling aggregates over a Sample stream's in-memory
+// O(1) snapshot of the rolling aggregates over a stream's in-memory
 // window. Sums are exact for integer-valued payloads (rolling add/subtract).
 struct StreamAggregates {
   std::size_t count = 0;
@@ -66,30 +66,27 @@ struct StreamAggregates {
   StreamEntry<Sample> latest{};
 };
 
-template <typename T>
-class Stream {
+class TelemetryStream {
  public:
-  using Entry = StreamEntry<T>;
-  using Record = typename Archiver<T>::Record;
-
-  static constexpr bool kHasAggregateIndex = std::is_same_v<T, Sample>;
+  using Entry = StreamEntry<Sample>;
+  using Record = Archiver<Sample>::Record;
 
   // `capacity` bounds the in-memory window; `archiver` (optional, not owned)
   // receives evicted entries.
-  explicit Stream(std::size_t capacity = 4096,
-                  Archiver<T>* archiver = nullptr)
+  explicit TelemetryStream(std::size_t capacity = 4096,
+                           Archiver<Sample>* archiver = nullptr)
       : capacity_(capacity == 0 ? 1 : capacity), archiver_(archiver) {
     ring_.resize(std::min<std::size_t>(RoundUpPow2(capacity_), 64));
     mask_ = ring_.size() - 1;
   }
 
-  Stream(const Stream&) = delete;
-  Stream& operator=(const Stream&) = delete;
+  TelemetryStream(const TelemetryStream&) = delete;
+  TelemetryStream& operator=(const TelemetryStream&) = delete;
 
   // Appends one entry; returns its id. Thread-safe (multi-producer). A batch
   // of one: see AppendBatch.
-  std::uint64_t Append(TimeNs timestamp, T value) {
-    const Entry entry{0, timestamp, std::move(value)};
+  std::uint64_t Append(TimeNs timestamp, const Sample& value) {
+    const Entry entry{0, timestamp, value};
     return AppendBatch(&entry, 1);
   }
 
@@ -110,7 +107,7 @@ class Stream {
         if (archiver_ != nullptr && victim.id >= restore_limit_) {
           evicted_.push_back(ToRecord(victim));
         }
-        if constexpr (kHasAggregateIndex) IndexEvict(victim);
+        IndexEvict(victim);
         ++first_id_;
       } else if (id - first_id_ == ring_.size()) {
         Grow();
@@ -119,7 +116,7 @@ class Stream {
       slot.id = id;
       slot.timestamp = entries[i].timestamp;
       slot.value = entries[i].value;
-      if constexpr (kHasAggregateIndex) IndexAppend(slot);
+      IndexAppend(slot);
     }
     if (!evicted_.empty()) {
       // A record that still fails after the archiver's retry policy is
@@ -208,11 +205,9 @@ class Stream {
     return ring_[(first_id_ + pos - 1) & mask_];
   }
 
-  // Rolling aggregates over the in-memory window, O(1). Empty window (or a
-  // non-Sample stream) yields nullopt.
+  // Rolling aggregates over the in-memory window, O(1). Empty window yields
+  // nullopt.
   std::optional<StreamAggregates> Aggregates() const {
-    static_assert(kHasAggregateIndex,
-                  "aggregate index is maintained for Sample streams only");
     std::lock_guard<std::mutex> lock(mu_);
     if (first_id_ == next_id_) return std::nullopt;
     StreamAggregates agg;
@@ -249,7 +244,7 @@ class Stream {
   }
 
   std::size_t Capacity() const { return capacity_; }
-  Archiver<T>* archiver() const { return archiver_; }
+  Archiver<Sample>* archiver() const { return archiver_; }
 
   // Degraded-data flag: set by the vertex supervisor when the producer
   // feeding this stream has crashed or stalled, cleared when fresh measured
@@ -303,7 +298,7 @@ class Stream {
       Entry& slot = ring_[id & mask_];
       slot = entry;
       slot.id = id;
-      if constexpr (kHasAggregateIndex) IndexAppend(slot);
+      IndexAppend(slot);
     }
     restore_limit_ = next_id_;
     return Status::Ok();
@@ -391,11 +386,12 @@ class Stream {
   }
 
   static Record ToRecord(const Entry& entry) {
-    return Archiver<T>::MakeRecord(entry.id, entry.timestamp, entry.value);
+    return Archiver<Sample>::MakeRecord(entry.id, entry.timestamp,
+                                        entry.value);
   }
 
   const std::size_t capacity_;
-  Archiver<T>* archiver_;
+  Archiver<Sample>* archiver_;
   std::atomic<bool> degraded_{false};
   mutable std::mutex mu_;
 
@@ -409,7 +405,7 @@ class Stream {
   std::uint64_t restore_limit_ = 0;
   std::vector<Record> evicted_;  // this append's evictions (see AppendBatch)
 
-  // Rolling aggregate index (Sample streams only; guarded by mu_). Wedges
+  // Rolling aggregate index (guarded by mu_). Wedges
   // hold (id, value) in monotone order so window min/max evict in O(1).
   double sum_value_ = 0.0;
   double sum_ts_ = 0.0;
@@ -418,8 +414,5 @@ class Stream {
   std::deque<std::pair<std::uint64_t, double>> max_wedge_;
   std::deque<std::pair<std::uint64_t, double>> min_wedge_;
 };
-
-// The telemetry stream type used throughout SCoRe.
-using TelemetryStream = Stream<Sample>;
 
 }  // namespace apollo

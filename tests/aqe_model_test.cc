@@ -24,6 +24,7 @@
 #include "aqe/executor.h"
 #include "aqe/query_builder.h"
 #include "pubsub/broker.h"
+#include "temp_wal.h"
 
 namespace apollo::aqe {
 namespace {
@@ -92,13 +93,13 @@ bool SameBits(double a, double b) {
 }
 
 // One topic "t" holding `rows` in publish order: a ring big enough for all
-// of them, or a 16-row ring that evicts into an in-memory archiver.
+// of them, or a 16-row ring that evicts into a WAL.
 class Table {
  public:
   Table(const std::vector<Row>& rows, bool with_wal)
       : broker_(RealClock::Instance()) {
     if (with_wal) {
-      archiver_ = std::make_unique<Archiver<Sample>>();
+      archiver_ = std::make_unique<TempWal>();
       EXPECT_TRUE(
           broker_.CreateTopic("t", kLocalNode, 16, archiver_.get()).ok());
     } else {
@@ -117,7 +118,7 @@ class Table {
   Executor& executor() { return executor_; }
 
  private:
-  std::unique_ptr<Archiver<Sample>> archiver_;  // outlives the stream
+  std::unique_ptr<TempWal> archiver_;  // outlives the stream
   Broker broker_;
   Executor executor_{broker_};
 };

@@ -11,6 +11,7 @@
 #include "aqe/parser.h"
 #include "aqe/query_builder.h"
 #include "pubsub/broker.h"
+#include "temp_wal.h"
 
 namespace apollo::aqe {
 namespace {
@@ -509,9 +510,30 @@ TEST_F(ExecutorTest, LimitBeyondUint64ReturnsEveryRow) {
   }
 }
 
+// Any wire client may stamp a row at INT64_MIN; its age overflows int64,
+// so the answer's staleness saturates instead of wrapping to 0.
+TEST_F(ExecutorTest, StalenessSaturatesForTimestampAtInt64Min) {
+  constexpr TimeNs kMin = std::numeric_limits<TimeNs>::min();
+  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+  broker_.CreateTopic("ancient");
+  ASSERT_TRUE(broker_
+                  .Publish("ancient", kLocalNode, kMin,
+                           Sample{kMin, 1.0, Provenance::kMeasured})
+                  .ok());
+  Executor executor(broker_);
+  auto rs = executor.Execute("SELECT LAST(metric) FROM ancient");
+  ASSERT_TRUE(rs.ok()) << rs.error().ToString();
+  ASSERT_EQ(rs->NumRows(), 1u);
+  EXPECT_EQ(rs->rows[0].staleness_ns, kMax);
+  EXPECT_EQ(rs->max_staleness_ns, kMax);
+  EXPECT_EQ(StalenessNs(kMin, kMax), 0);
+  EXPECT_EQ(StalenessNs(5, 7), 0);
+  EXPECT_EQ(StalenessNs(7, 5), 2);
+}
+
 TEST_F(ExecutorTest, ArchiveFallbackForHistoricalRange) {
   // Small in-memory window + archiver: old entries only in the archive.
-  static Archiver<Sample> archiver;
+  static TempWal archiver;
   broker_.CreateTopic("hist", kLocalNode, /*capacity=*/4, &archiver);
   for (int i = 0; i < 20; ++i) {
     broker_.Publish("hist", kLocalNode, Seconds(i),

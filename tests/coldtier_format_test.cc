@@ -457,7 +457,7 @@ TEST(ColdTierFormat, CorruptBlockQuarantined) {
       wal::kHeaderSize +
       4 * (wal::kFrameOverhead + sizeof(Archiver<Sample>::Record));
   Archiver<Sample> archiver(base, config);
-  ASSERT_FALSE(archiver.InMemory());
+  ASSERT_TRUE(archiver.OpenStatus().ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(archiver
                     .Append(static_cast<std::uint64_t>(i), Seconds(i + 1),

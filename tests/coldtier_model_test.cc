@@ -82,7 +82,7 @@ class ThreeTierTopic {
         cold_(archiver_.path()),
         broker_(RealClock::Instance()),
         executor_(broker_) {
-    open_ = !archiver_.InMemory() && cold_.Open().ok();
+    open_ = archiver_.OpenStatus().ok() && cold_.Open().ok();
     archiver_.AttachColdReader(&cold_);
     auto stream = broker_.CreateTopic("t", kLocalNode, ring, &archiver_);
     if (stream.ok()) stream_ = *stream;

@@ -64,7 +64,7 @@ TEST(ColdTierCompaction, SealedSegmentsBecomeBlocksAndWalShrinks) {
   const std::string dir = FreshDir("coldtier_compact");
   const std::string base = dir + "/metric.log";
   Archiver<Sample> archiver(base, SmallSegments(4));
-  ASSERT_FALSE(archiver.InMemory());
+  ASSERT_TRUE(archiver.OpenStatus().ok());
   AppendN(archiver, 0, 22);  // 5 sealed segments + active tail
 
   ColdTier cold(base);
@@ -294,6 +294,53 @@ TEST(ColdTierService, RejectedDuplicateDeployKeepsLiveWiring) {
   auto total = apollo.Query("SELECT COUNT(*) FROM f WHERE Timestamp >= 0");
   ASSERT_TRUE(total.ok());
   EXPECT_DOUBLE_EQ(total->rows[0].values[0], 49.0);
+  fs::remove_all(dir);
+}
+
+// Undeploy keeps the topic's broker stream, which keeps evicting into the
+// archiver of the topic's first deploy. A redeploy reuses that archiver
+// and its cold tier, so compaction and reads see one WAL: a second pair
+// opened on the same files compacted and deleted segments the first still
+// served, and the history answered 8 of 58 rows, degraded.
+TEST(ColdTierService, RedeployAfterUndeployKeepsOneStorage) {
+  const std::string dir = FreshDir("coldtier_redeploy");
+  ApolloOptions options;
+  options.mode = ApolloOptions::Mode::kSimulated;
+  options.archive_dir = dir;
+  options.wal = SmallSegments(4);
+  options.coldtier_enabled = true;
+  ApolloService apollo(options);
+
+  FactDeployment deployment;
+  deployment.topic = "f";
+  deployment.queue_capacity = 8;
+  deployment.publish_only_on_change = false;
+  std::atomic<int> published{0};
+  auto hook = [&published] {
+    return MonitorHook{"f",
+                       [&published](TimeNs) {
+                         return static_cast<double>(published.fetch_add(1));
+                       },
+                       0};
+  };
+  ASSERT_TRUE(apollo.DeployFact(hook(), deployment).ok());
+  ColdTier* cold = apollo.cold_tier("f");
+  ASSERT_NE(cold, nullptr);
+  ASSERT_TRUE(apollo.RunFor(Seconds(24)).ok());
+  ASSERT_TRUE(apollo.Undeploy("f").ok());
+  ASSERT_TRUE(apollo.DeployFact(hook(), deployment).ok());
+  ASSERT_TRUE(apollo.RunFor(Seconds(24)).ok());
+  auto compacted = apollo.CompactNow();
+  ASSERT_TRUE(compacted.ok()) << compacted.error().message();
+  EXPECT_GT(compacted->rows_compacted, 0u);
+  ASSERT_TRUE(apollo.RunFor(Seconds(8)).ok());
+
+  auto total = apollo.Query("SELECT COUNT(*) FROM f WHERE Timestamp >= 0");
+  ASSERT_TRUE(total.ok()) << total.error().ToString();
+  EXPECT_DOUBLE_EQ(total->rows[0].values[0],
+                   static_cast<double>(published.load()));
+  EXPECT_FALSE(total->degraded);
+  EXPECT_EQ(apollo.cold_tier("f"), cold);
   fs::remove_all(dir);
 }
 

@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
+#include "temp_wal.h"
 
 namespace apollo::net {
 namespace {
@@ -135,7 +136,7 @@ class CQEngineTest : public ::testing::Test {
   }
 
   RealClock& clock_;
-  Archiver<Sample> archiver_;  // in-memory; outlives broker_'s streams
+  TempWal archiver_;  // outlives broker_'s streams
   Broker broker_;
   cq::AdmissionController admission_;
   cq::CQEngine engine_;
@@ -320,6 +321,28 @@ TEST_F(CQEngineTest, ThrottledEvaluationStaysDirtyAndRetries) {
 
 // A CQ answers from the rolling index over the ring. Where a one-shot query
 // would not trust that index, the push must say its answer is partial.
+// A push stamps staleness with the executor's saturating rule: a row at
+// INT64_MIN is INT64_MAX old, not 0.
+TEST_F(CQEngineTest, StalenessSaturatesForTimestampAtInt64Min) {
+  constexpr TimeNs kMin = std::numeric_limits<TimeNs>::min();
+  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+  ASSERT_TRUE(broker_.CreateTopic("cq.ancient").ok());
+  ASSERT_TRUE(
+      broker_.Publish("cq.ancient", kLocalNode, kMin, MakeSample(kMin, 1.0))
+          .ok());
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "last",
+                            "SUBSCRIBE SELECT LAST(Metric) FROM cq.ancient", 0,
+                            0, clock_.Now())
+                  .ok());
+  std::vector<std::pair<cq::CQInfo, cq::CQUpdate>> got;
+  PumpInto(&got);
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(got[0].second.result.rows.size(), 1u);
+  EXPECT_EQ(got[0].second.result.rows[0].staleness_ns, kMax);
+  EXPECT_EQ(got[0].second.result.max_staleness_ns, kMax);
+}
+
 TEST_F(CQEngineTest, HistoryBeyondTheRingPushesDegraded) {
   ASSERT_TRUE(broker_.CreateTopic("cq.hist", kLocalNode, 4, &archiver_).ok());
   for (int i = 0; i < 10; ++i) {

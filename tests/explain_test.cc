@@ -11,6 +11,7 @@
 #include "aqe/executor.h"
 #include "common/fault.h"
 #include "pubsub/broker.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -120,7 +121,7 @@ TEST_F(ExplainTest, StrategiesMatchExecutionPaths) {
 
 TEST_F(ExplainTest, ScanPlusArchiveStrategy) {
   // 4-entry window + archiver: 16 of 20 rows live only in the archive.
-  static Archiver<Sample> archiver;
+  static TempWal archiver;
   broker_.CreateTopic("hist", kLocalNode, /*capacity=*/4, &archiver);
   for (int i = 0; i < 20; ++i) {
     broker_.Publish(

@@ -9,6 +9,7 @@
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 #include "pubsub/telemetry.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -321,7 +322,7 @@ TEST(BrokerFaultTest, FetchTimeoutLeavesCursorIntactForRetry) {
 
 TEST(ArchiverFaultTest, WriteFailuresAreObservable) {
   GlobalTelemetry().Reset();
-  Archiver<Sample> archiver;  // in-memory
+  TempWal archiver;
   FaultInjector injector;
   FaultSpec spec;
   spec.site = FaultSite::kArchiveWrite;
@@ -347,7 +348,7 @@ TEST(ArchiverFaultTest, WriteFailuresAreObservable) {
 
 TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
   GlobalTelemetry().Reset();
-  Archiver<Sample> archiver;
+  TempWal archiver;
   FaultInjector injector;
   FaultSpec spec;
   spec.site = FaultSite::kArchiveWrite;

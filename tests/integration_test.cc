@@ -11,6 +11,7 @@
 #include "insights/curations.h"
 #include "middleware/apps.h"
 #include "middleware/hdpe.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -134,7 +135,7 @@ TEST(Integration, NodeFailureVisibleThroughAvailabilityInsight) {
 
 TEST(Integration, ArchiverPreservesHistoryBeyondWindow) {
   ApolloService apollo(SimOptions());
-  static Archiver<Sample> archiver;  // in-memory archive
+  static TempWal archiver;
 
   // Tiny in-memory window so history spills to the archive quickly.
   auto created =

@@ -55,7 +55,7 @@ struct CrashPoint {
     config.fsync_every_n = 1;
   }
   Archiver<Sample> archiver(base, config);
-  if (archiver.InMemory()) std::_Exit(2);
+  if (!archiver.OpenStatus().ok()) std::_Exit(2);
   FaultInjector injector;
   FaultSpec spec;
   spec.site = point.site;
@@ -198,7 +198,7 @@ struct CompactionCrash {
   WalConfig config;
   config.segment_bytes = 16 + 4 * kFrameBytes;  // rotate every 4 records
   Archiver<Sample> archiver(base, config);
-  if (archiver.InMemory()) std::_Exit(2);
+  if (!archiver.OpenStatus().ok()) std::_Exit(2);
   for (std::uint64_t i = 0; i < crash.records; ++i) {
     const Sample sample{Seconds(static_cast<double>(i + 1)),
                         static_cast<double>(i), Provenance::kMeasured};

@@ -282,6 +282,20 @@ TEST_F(NetBatchLoopbackTest, BatchDecodeFaultRejectsWholeBatch) {
   EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 4u);
 }
 
+// Only bytes 0 and 1 name a provenance. A batch carrying any other byte is
+// malformed as a whole: it is refused with kParseError before any of its
+// samples reaches a ring.
+TEST_F(NetBatchLoopbackTest, UnknownProvenanceByteRejectsWholeBatch) {
+  ApolloClient client(ClientFor("batcher"));
+  PublishBatchMsg msg = MakeBatch({{"b.cpu", 3}, {"b.mem", 2}});
+  msg.runs[1].entries[1].value.provenance = static_cast<Provenance>(2);
+  auto ack = client.PublishBatch(msg);
+  ASSERT_FALSE(ack.ok());
+  EXPECT_EQ(ack.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 0u);
+  EXPECT_EQ((*broker_.GetTopic("b.mem"))->NextId(), 0u);
+}
+
 TEST_F(NetBatchLoopbackTest, ScriptedPublishDropsSetExactBitmapBits) {
   FaultInjector injector;
   // Entries 1 and 3 of the b.cpu run drop; everything else lands.

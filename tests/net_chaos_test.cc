@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "aqe/executor.h"
+#include "aqe/remote.h"
 #include "common/clock.h"
 #include "common/fault.h"
 #include "net/client.h"
@@ -268,6 +269,40 @@ TEST(NetChaos, DeadNodeWithoutCacheDegradesButQuerySucceeds) {
       EXPECT_FALSE(outcome.error.empty());
     }
   }
+}
+
+// The last-known-good cache follows the daemon's shed-cache rule: once it
+// holds aqe::kLastGoodCacheEntries answers it is cleared, so a client that
+// keeps issuing new query texts does not grow it without bound.
+TEST(NetChaos, RemoteQueryCacheIsBounded) {
+  TestNode node("bounded-node");
+  node.Seed("solo.load", 3, 1.0);
+  ASSERT_TRUE(node.daemon->Start().ok());
+  RemoteQueryOptions options;
+  options.node_deadline = 300 * kNsPerMs;
+  options.connect_timeout = 100 * kNsPerMs;
+  RemoteQueryEngine engine({{"n", "127.0.0.1", node.daemon->port()}},
+                           options);
+  const auto text = [](std::size_t i) {
+    return "SELECT COUNT(*) FROM solo.load WHERE Timestamp >= " +
+           std::to_string(i);
+  };
+  // One more distinct text than the cache holds: the last answer finds it
+  // full and clears it.
+  for (std::size_t i = 0; i <= aqe::kLastGoodCacheEntries; ++i) {
+    ASSERT_TRUE(engine.Execute(text(i)).ok()) << i;
+  }
+  node.daemon->Stop();
+
+  auto first = engine.Execute(text(0));
+  EXPECT_FALSE(first.ok()) << "the first answer is no longer cached";
+  ASSERT_EQ(engine.LastOutcomes().size(), 1u);
+  EXPECT_FALSE(engine.LastOutcomes()[0].from_cache);
+
+  auto last = engine.Execute(text(aqe::kLastGoodCacheEntries));
+  ASSERT_TRUE(last.ok()) << last.error().ToString();
+  EXPECT_TRUE(engine.LastOutcomes()[0].from_cache);
+  EXPECT_TRUE(last->degraded);
 }
 
 // Floods a connection with droppable frames while the peer refuses to

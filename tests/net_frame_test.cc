@@ -215,6 +215,27 @@ TEST(NetMessages, DeliverRoundtripCarriesEntries) {
   EXPECT_EQ(decoded.entries[4].value.value, 2.0);
 }
 
+// A window entry whose provenance byte is neither 0 (measured) nor 1
+// (predicted) fails decode, like any other malformed field.
+TEST(NetMessages, UnknownProvenanceByteFailsEntryDecode) {
+  DeliverMsg msg;
+  msg.subscription_id = 1;
+  msg.topic = "t";
+  TelemetryStream::Entry entry;
+  entry.value.provenance = Provenance::kPredicted;
+  msg.entries.push_back(entry);
+  Payload payload;
+  msg.Encode(payload);
+  DeliverMsg decoded;
+  ASSERT_TRUE(DeliverMsg::Decode(payload, decoded));
+  EXPECT_EQ(decoded.entries[0].value.provenance, Provenance::kPredicted);
+
+  msg.entries[0].value.provenance = static_cast<Provenance>(2);
+  payload.clear();
+  msg.Encode(payload);
+  EXPECT_FALSE(DeliverMsg::Decode(payload, decoded));
+}
+
 TEST(NetMessages, ResultRoundtripCarriesDegradedRollups) {
   ResultMsg msg;
   msg.result.columns = {"MAX(timestamp)", "LAST(metric)"};

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "delphi/predictor.h"
 #include "pubsub/stream.h"
+#include "temp_wal.h"
 #include "timeseries/generators.h"
 #include "timeseries/stats.h"
 
@@ -25,7 +26,7 @@ class StreamPropertyTest : public testing::TestWithParam<std::size_t> {};
 
 TEST_P(StreamPropertyTest, WindowNeverExceedsCapacityAndIdsMonotone) {
   const std::size_t capacity = GetParam();
-  Archiver<Sample> archiver;
+  TempWal archiver;
   TelemetryStream stream(capacity, &archiver);
   Rng rng(capacity * 7919);
   std::uint64_t appended = 0;

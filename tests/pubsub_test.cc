@@ -10,6 +10,7 @@
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 #include "pubsub/stream.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -74,7 +75,7 @@ TEST(Stream, EvictionKeepsWindowBounded) {
 }
 
 TEST(Stream, EvictedEntriesGoToArchiver) {
-  Archiver<Sample> archiver;  // in-memory
+  TempWal archiver;
   TelemetryStream stream(2, &archiver);
   for (int i = 0; i < 5; ++i) stream.Append(Seconds(i), S(Seconds(i), i));
   EXPECT_EQ(archiver.Count(), 3u);
@@ -141,7 +142,7 @@ TEST(Archiver, FileBackedRoundTrip) {
   std::vector<std::string> segments;
   {
     Archiver<Sample> archiver(path);
-    EXPECT_FALSE(archiver.InMemory());
+    EXPECT_TRUE(archiver.OpenStatus().ok());
     ASSERT_EQ(archiver.Count(), 0u);
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE(
@@ -162,10 +163,41 @@ TEST(Archiver, FileBackedRoundTrip) {
 }
 
 TEST(Archiver, EmptyRangeReadOk) {
-  Archiver<Sample> archiver;
+  TempWal archiver;
   auto result = archiver.ReadRange(0, 100);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
+}
+
+// The WAL is the only archive: one that cannot open holds nothing, and
+// says so on every append and read.
+TEST(Archiver, FailedOpenHoldsNothing) {
+  ScratchDir scratch;
+  Archiver<Sample> archiver(scratch.dir + "/missing/metric.log");
+  const Status open = archiver.OpenStatus();
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.code(), ErrorCode::kIoError);
+
+  const Status appended = archiver.Append(0, 1, S(1, 1.0));
+  EXPECT_EQ(appended.code(), open.code());
+  EXPECT_EQ(appended.message(), open.message());
+  const auto rec = Archiver<Sample>::MakeRecord(1, 2, S(2, 2.0));
+  EXPECT_EQ(archiver.AppendBatch(&rec, 1).message(), open.message());
+  EXPECT_EQ(archiver.Failures(), 2u);
+  EXPECT_EQ(archiver.Count(), 0u);
+  EXPECT_TRUE(archiver.SegmentPaths().empty());
+
+  auto rows = archiver.ReadRange(0, 100);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.error().message(), open.message());
+  auto tail = archiver.TailRecords(4);
+  ASSERT_FALSE(tail.ok());
+  EXPECT_EQ(tail.error().message(), open.message());
+
+  // A stream evicting into it counts every row it could not keep.
+  TelemetryStream stream(2, &archiver);
+  for (int i = 0; i < 5; ++i) stream.Append(i, S(i, i));
+  EXPECT_EQ(archiver.Failures(), 5u);
 }
 
 // --- Broker ---

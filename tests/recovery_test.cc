@@ -16,6 +16,7 @@
 #include "pubsub/stream.h"
 #include "pubsub/telemetry.h"
 #include "score/monitor_hook.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -61,13 +62,13 @@ TEST(ArchiveRecovery, TwoLifetimesPreserveRecords) {
   const std::string base = dir + "/metric.log";
   {
     Archiver<Sample> first(base);
-    ASSERT_FALSE(first.InMemory());
+    ASSERT_TRUE(first.OpenStatus().ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(first.Append(i, Seconds(i), S(Seconds(i), i)).ok());
     }
   }
   Archiver<Sample> second(base);
-  ASSERT_FALSE(second.InMemory());
+  ASSERT_TRUE(second.OpenStatus().ok());
   EXPECT_EQ(second.Count(), 10u);
   EXPECT_EQ(second.RecoveryStats().records_recovered, 10u);
   EXPECT_EQ(second.RecoveryStats().bytes_truncated, 0u);
@@ -90,7 +91,7 @@ TEST(ArchiveRecovery, RotationKeepsEverySegment) {
   WalConfig config;
   config.segment_bytes = kTwoRecordSegment;
   Archiver<Sample> archiver(dir + "/metric.log", config);
-  ASSERT_FALSE(archiver.InMemory());
+  ASSERT_TRUE(archiver.OpenStatus().ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(archiver.Append(i, Seconds(i), S(Seconds(i), i)).ok());
   }
@@ -123,7 +124,7 @@ TEST(ArchiveRecovery, TornTailTruncatedOnOpen) {
   AppendGarbage(active, 7);  // a write SIGKILL'd mid-frame
 
   Archiver<Sample> second(base);
-  ASSERT_FALSE(second.InMemory());
+  ASSERT_TRUE(second.OpenStatus().ok());
   const ArchiveRecoveryStats stats = second.RecoveryStats();
   EXPECT_EQ(stats.records_recovered, 5u);
   EXPECT_EQ(stats.bytes_truncated, 7u);
@@ -404,7 +405,7 @@ TEST(ArchiveRecovery, EveryNPolicySyncsOnSchedule) {
 }
 
 TEST(StreamRestore, RestoredEntriesAreNotReArchived) {
-  Archiver<Sample> archiver;  // in-memory
+  TempWal archiver;
   TelemetryStream stream(4, &archiver);
   std::vector<TelemetryStream::Entry> entries;
   for (int i = 0; i < 4; ++i) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "pubsub/broker.h"
 #include "pubsub/stream.h"
 #include "pubsub/telemetry.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -24,7 +24,7 @@ TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
   GlobalTelemetry().Reset();
   SimClock clock;
   Broker broker(clock);
-  Archiver<Sample> archiver;
+  TempWal archiver;
   FaultInjector injector;
   FaultSpec spec;
   spec.site = FaultSite::kArchiveWrite;
@@ -59,11 +59,7 @@ TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
 // one flush each.
 TEST(StreamFaultTest, WriteFaultsInOneEvictionBatchDropOnlyTheirRecords) {
   GlobalTelemetry().Reset();
-  const std::string dir = testing::TempDir() + "/stream_fault_batch";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  Archiver<Sample> archiver(dir + "/metric.log");
-  ASSERT_FALSE(archiver.InMemory());
+  TempWal archiver;
   FaultInjector injector;
   FaultSpec spec;
   spec.site = FaultSite::kArchiveWrite;
@@ -98,7 +94,6 @@ TEST(StreamFaultTest, WriteFaultsInOneEvictionBatchDropOnlyTheirRecords) {
     if (id != 3 && id != 7) want.push_back(id);
   }
   EXPECT_EQ(ids, want);
-  std::filesystem::remove_all(dir);
 }
 
 // Two appenders share one archived 4-row stream. The first appender's
@@ -108,11 +103,7 @@ TEST(StreamFaultTest, WriteFaultsInOneEvictionBatchDropOnlyTheirRecords) {
 // holds both evicted rows in id order.
 TEST(StreamFaultTest, AppendDuringEvictionRetryLosesNoRow) {
   GlobalTelemetry().Reset();
-  const std::string dir = testing::TempDir() + "/stream_fault_retry_race";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  Archiver<Sample> archiver(dir + "/metric.log");
-  ASSERT_FALSE(archiver.InMemory());
+  TempWal archiver;
   FaultInjector injector;
   FaultSpec spec;
   spec.site = FaultSite::kArchiveWrite;
@@ -160,7 +151,6 @@ TEST(StreamFaultTest, AppendDuringEvictionRetryLosesNoRow) {
   EXPECT_EQ((*rows)[0].id, 0u);
   EXPECT_EQ((*rows)[1].id, 1u);
   EXPECT_EQ(stream.FirstId(), 2u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(StreamFaultTest, DegradedFlagTransitionsAreEdgeTriggered) {

@@ -24,6 +24,7 @@
 
 #include "pubsub/archiver.h"
 #include "pubsub/stream.h"
+#include "temp_wal.h"
 
 namespace apollo {
 namespace {
@@ -59,7 +60,7 @@ constexpr TimeNs kTs = 1000;  // constant: keeps timestamps monotonic
                               // under concurrent appends
 
 TEST(StreamStress, ConcurrentAppendReadScanAndEvict) {
-  Archiver<Sample> archiver;  // in-memory
+  TempWal archiver;
   TelemetryStream stream(kCapacity, &archiver);
 
   std::atomic<bool> done{false};
@@ -175,7 +176,7 @@ TEST(StreamStress, ConcurrentAppendReadScanAndEvict) {
 // This pins down the monotonic-wedge bookkeeping exactly.
 TEST(StreamStress, AggregateIndexMatchesRescanThroughEviction) {
   constexpr std::size_t kCapacity = 64;
-  Archiver<Sample> archiver;
+  TempWal archiver;
   TelemetryStream stream(kCapacity, &archiver);
 
   std::mt19937 rng(1234);
@@ -233,7 +234,7 @@ TEST(StreamStress, RingGrowthPreservesEntries) {
 // ring snapshot taken just before it. After the appenders return (no flush
 // call), ring ∪ archive covers every id exactly once, in id order.
 TEST(StreamStress, ConcurrentFlushEvictionsKeepArchiveOrdered) {
-  Archiver<Sample> archiver;  // in-memory archive
+  TempWal archiver;
   TelemetryStream stream(/*capacity=*/256, &archiver);
   constexpr std::size_t kAppenders = 4;
   constexpr std::size_t kPerAppender = 5000;

@@ -139,29 +139,6 @@ TEST(Subscription, RealTimeDelivery) {
 namespace apollo {
 namespace {
 
-TEST(ArchiveOption, MemoryArchiveKeepsEvictedHistory) {
-  ApolloOptions options;
-  options.mode = ApolloOptions::Mode::kSimulated;
-  ApolloService apollo(options);
-
-  TimeNs tick = 0;
-  MonitorHook hook{"ramp",
-                   [&tick](TimeNs) { return static_cast<double>(tick++); },
-                   0};
-  FactDeployment deployment;
-  deployment.topic = "ramp";
-  deployment.queue_capacity = 4;  // tiny window: most entries evict
-  deployment.publish_only_on_change = false;
-  deployment.archive = FactDeployment::Archive::kMemory;
-  ASSERT_TRUE(apollo.DeployFact(std::move(hook), deployment).ok());
-  apollo.RunFor(Seconds(50));
-
-  // All 51 samples are reachable even though the window holds 4.
-  auto rs = apollo.Query("SELECT COUNT(*) FROM ramp WHERE timestamp >= 0");
-  ASSERT_TRUE(rs.ok());
-  EXPECT_DOUBLE_EQ(rs->rows[0].values[0], 51.0);
-}
-
 TEST(ArchiveOption, FileArchiveUnderArchiveDir) {
   // Fresh subdir: archivers recover any segments already present at their
   // path, so a reused directory would leak records across test runs.
