@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "coldtier/cold_tier.h"
+#include "common/exact_sum.h"
 #include "obs/trace.h"
 
 namespace apollo::aqe {
@@ -124,6 +125,29 @@ class RowFilter {
   TimeNs from_ts() const { return from_ts_; }
   TimeNs to_ts() const { return to_ts_; }
 
+  // True when every row whose timestamp cell lies in [lo, hi] matches: the
+  // filter tests the timestamp alone, its interval holds [lo, hi], and no
+  // `!=` value lies in it. Casting an int64 to double keeps its order, so
+  // every row of a block whose timestamps span [lo, hi] has its cell there.
+  bool CoversTimestamps(TimeNs lo, TimeNs hi) const {
+    if (none_) return false;
+    const double a = static_cast<double>(lo);
+    const double b = static_cast<double>(hi);
+    for (std::size_t i = 0; i < num_ranges_; ++i) {
+      if (ranges_[i].column != Column::kTimestamp ||
+          !(a >= ranges_[i].lo && b <= ranges_[i].hi)) {
+        return false;
+      }
+    }
+    for (const Condition& cond : not_equal_) {
+      if (cond.column != Column::kTimestamp ||
+          (a <= cond.value && cond.value <= b)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
  private:
   static constexpr std::size_t kColumns = 4;  // every Column value
 
@@ -169,7 +193,8 @@ double IndexSum(Column column, const StreamAggregates& agg) {
     case Column::kTimestamp:
       return agg.sum_timestamp;
     case Column::kMetric:
-      return agg.sum_value;
+      return SumRule(agg.sum_value, agg.nan_values > 0,
+                     agg.pos_inf_values > 0, agg.neg_inf_values > 0);
     case Column::kPredicted:
       return static_cast<double>(agg.predicted);
     case Column::kStar:
@@ -204,6 +229,35 @@ double IndexMax(Column column, const StreamAggregates& agg) {
       return 0.0;
   }
   return 0.0;
+}
+
+// True when block summaries can stand for a branch's cold rows: its WHERE
+// tests only Timestamp, and every item is COUNT, SUM/AVG/MIN/MAX(metric),
+// MIN/MAX(Timestamp), LAST or a bare column.
+bool SummariesAnswer(const Select& select) {
+  for (const Condition& cond : select.where) {
+    if (cond.column != Column::kTimestamp) return false;
+  }
+  for (const SelectItem& item : select.items) {
+    switch (item.aggregate) {
+      case Aggregate::kNone:
+      case Aggregate::kLast:
+      case Aggregate::kCount:
+        break;
+      case Aggregate::kSum:
+      case Aggregate::kAvg:
+        if (item.column != Column::kMetric) return false;
+        break;
+      case Aggregate::kMin:
+      case Aggregate::kMax:
+        if (item.column != Column::kMetric &&
+            item.column != Column::kTimestamp) {
+          return false;
+        }
+        break;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -276,6 +330,16 @@ bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
                                 item.aggregate == Aggregate::kMin ||
                                 item.aggregate == Aggregate::kMax);
                       });
+}
+
+bool HistoryIncomplete(const Select& select, const TelemetryStream& stream) {
+  Archiver<Sample>* archiver = stream.archiver();
+  if (archiver == nullptr || ShapeOf(select) == IndexShape::kLatest) {
+    return false;
+  }
+  if (archiver->Failures() > 0) return true;
+  coldtier::ColdTier* cold = archiver->cold_reader();
+  return cold != nullptr && cold->quarantined_blocks() > 0;
 }
 
 Executor::Executor(Broker& broker, ExecutorOptions options)
@@ -532,6 +596,11 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     return row;
   };
   auto stamp = [&] {
+    // Checked after the tiers were read: a row the archive dropped is
+    // counted before its append returns, and a block is counted as
+    // quarantined before it leaves the live set, so an answer that misses
+    // either sees the count.
+    if (HistoryIncomplete(select, *stream)) is_degraded = true;
     for (std::size_t i = first; i < rows.size(); ++i) {
       rows[i].degraded = is_degraded;
       rows[i].staleness_ns = staleness_ns;
@@ -599,18 +668,21 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   const TimeNs from_ts = filter.from_ts();
   const TimeNs to_ts = filter.to_ts();
 
-  // History: once rows have left the ring for the WAL (and from there for
-  // cold blocks), read the tiers warm to cold — ring snapshot, WAL, cold
-  // scan — each capped below the warmer tier's oldest row, then feed the
-  // rows oldest first: cold rows straight from the scan's visitor, the WAL
-  // records, the ring snapshot. Without history the ring is iterated in
-  // place. Either way no row is copied into a merged vector.
+  // History: a topic with an archiver may hold rows in the WAL and in cold
+  // blocks, so read the tiers warm to cold — ring snapshot, WAL, cold scan
+  // — each capped below the warmer tier's oldest row, then feed the rows
+  // oldest first: cold rows straight from the scan's visitor, the WAL
+  // records, the ring snapshot. Whether a colder tier holds rows is asked
+  // only after the warmer one was read: a row leaves the ring only once
+  // the WAL counts it, and a segment leaves the WAL only once the cold tier
+  // holds its rows, so a row moving between tiers mid-query is never
+  // missed. Without an archiver the ring is iterated in place. Either way
+  // no row is copied into a merged vector.
   Archiver<Sample>* archiver = stream->archiver();
   coldtier::ColdTier* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
-  const bool archive_has_rows = archiver != nullptr && archiver->Count() > 0;
-  const bool cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
-  const bool history = archive_has_rows || cold_has_rows;
+  const bool history = archiver != nullptr;
+  bool cold_has_rows = false;
 
   // The oldest row a warmer tier returned. A colder tier keeps a row only
   // if it is older: an earlier timestamp, or the same timestamp and a
@@ -638,7 +710,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       wal_cap = Cap{scratch.front().timestamp, scratch.front().id};
     }
     wal.clear();
-    if (archive_has_rows && from_ts <= wal_cap.ts) {
+    if (archiver->Count() > 0 && from_ts <= wal_cap.ts) {
       // An unreadable WAL leaves `wal` empty: the answer comes from the
       // other tiers and is marked degraded below.
       wal_failed = !archiver->ReadRange(from_ts, wal_cap.ts, wal).ok();
@@ -657,13 +729,17 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     // older than the first WAL row and gets excluded here.
     cold_cap = wal.empty() ? wal_cap
                            : Cap{wal.front().timestamp, wal.front().id};
+    cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
   }
 
   // Single pass: predicates filter inline; `visit` returns false to stop
   // (LIMIT without ORDER BY). The cold scan runs here, after the WAL read.
+  // `merge`, when set, is offered each cold block's summary (see
+  // ColdTier::VisitRange) and returns true when it merged it.
   ColdScanStats cold_stats;
   std::uint64_t cold_rows = 0;
-  auto scan = [&](auto&& visit) {
+  auto scan = [&](auto&& visit,
+                  const coldtier::ColdTier::SummaryVisitor& merge = nullptr) {
     if (vp != nullptr) vp->strategy = "scan";
     if (!history) {
       stream->ForEachInRange(from_ts, to_ts, visit);
@@ -680,12 +756,25 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
         ++cold_rows;
         feed(StreamEntry<Sample>{id, timestamp, sample});
       };
-      // ScanRange degrades internally (quarantine/skip + stats) and visits
+      // A summary stands for its block only when the scan would feed every
+      // row of it: none is older than the range or not older than the cap.
+      const auto cold_block = [&](const coldtier::BlockSummary& summary) {
+        if (summary.min_ts < from_ts ||
+            !cold_cap.Keeps(summary.max_ts, summary.last_id) ||
+            !merge(summary)) {
+          return false;
+        }
+        cold_rows += summary.rows;
+        return true;
+      };
+      coldtier::ColdTier::SummaryVisitor offer;
+      if (merge) offer = std::cref(cold_block);
+      // VisitRange degrades internally (quarantine/skip + stats) and visits
       // its whole range; rows after a stop are skipped, so the counts below
-      // do not depend on LIMIT. std::cref keeps the visitor inside
+      // do not depend on LIMIT. std::cref keeps the visitors inside
       // std::function's small buffer.
-      (void)cold->ScanRange(from_ts, cold_cap.ts, std::cref(cold_row),
-                            &cold_stats);
+      (void)cold->VisitRange(from_ts, cold_cap.ts, offer, std::cref(cold_row),
+                             &cold_stats);
     }
     for (const auto& rec : wal) {
       if (!open) break;
@@ -705,7 +794,9 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       if (cold_rows > 0) vp->strategy += "+cold";
       vp->archive_rows = wal.size();
       vp->cold_rows = cold_rows;
-      vp->cold_blocks_scanned = cold_stats.blocks_scanned;
+      vp->cold_blocks_scanned =
+          cold_stats.blocks_scanned + cold_stats.blocks_summarized;
+      vp->cold_blocks_summarized = cold_stats.blocks_summarized;
       vp->cold_blocks_pruned = cold_stats.blocks_pruned;
     }
   };
@@ -713,47 +804,94 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   if (has_aggregate) {
     // One row; bare columns in an aggregate select resolve against the
     // latest matching entry (the paper's MAX(Timestamp), metric idiom).
-    // MIN/MAX skip NaN, as the rolling index does; with no other value
-    // they answer NaN.
+    // SUM/AVG are exact, and MIN/MAX skip NaN and order -0.0 below +0.0
+    // (common/exact_sum.h); with no other value MIN/MAX answer NaN. So the
+    // answer does not depend on row order, and a cold block's summary
+    // merges to the same bits as its rows.
     struct ItemAcc {
-      double sum = 0.0;
-      double min = std::numeric_limits<double>::infinity();
-      double max = -std::numeric_limits<double>::infinity();
-      bool ordered = false;  // a non-NaN value reached min/max
+      ExactSum sum;
+      double min = kNan;
+      double max = kNan;
+      void Order(double v) {
+        if (std::isnan(v)) return;
+        if (std::isnan(min) || OrdersBelow(v, min)) min = v;
+        if (std::isnan(max) || OrdersBelow(max, v)) max = v;
+      }
     };
     std::vector<ItemAcc> accs(select.items.size());
     std::size_t matched = 0;
     StreamEntry<Sample> latest{};
     bool has_latest = false;
-
-    scan([&](const StreamEntry<Sample>& entry) {
-      if (vp != nullptr) ++vp->rows_scanned;
-      if (!filter.Matches(entry)) return true;
-      ++matched;
+    const auto keep_latest = [&](const StreamEntry<Sample>& entry) {
       if (!has_latest || entry.value.timestamp >= latest.value.timestamp) {
         latest = entry;
         has_latest = true;
       }
+    };
+
+    const auto row = [&](const StreamEntry<Sample>& entry) {
+      if (vp != nullptr) ++vp->rows_scanned;
+      if (!filter.Matches(entry)) return true;
+      ++matched;
+      keep_latest(entry);
       for (std::size_t i = 0; i < select.items.size(); ++i) {
         const SelectItem& item = select.items[i];
-        if (item.aggregate == Aggregate::kNone ||
-            item.aggregate == Aggregate::kLast ||
-            item.aggregate == Aggregate::kCount) {
-          continue;
+        switch (item.aggregate) {
+          case Aggregate::kNone:
+          case Aggregate::kLast:
+          case Aggregate::kCount:
+            break;
+          case Aggregate::kSum:
+          case Aggregate::kAvg:
+            accs[i].sum.Add(CellOf(item.column, entry));
+            break;
+          case Aggregate::kMin:
+          case Aggregate::kMax:
+            accs[i].Order(CellOf(item.column, entry));
+            break;
         }
-        const double v = CellOf(item.column, entry);
-        ItemAcc& acc = accs[i];
-        acc.sum += v;
-        if (std::isnan(v)) continue;
-        acc.min = std::min(acc.min, v);
-        acc.max = std::max(acc.max, v);
-        acc.ordered = true;
       }
       return true;
-    });
+    };
+    // A block's summary merges when the WHERE matches every row of it.
+    const auto merge = [&](const coldtier::BlockSummary& summary) {
+      if (!filter.CoversTimestamps(summary.min_sample_ts,
+                                   summary.max_sample_ts)) {
+        return false;
+      }
+      matched += summary.rows;
+      keep_latest(summary.latest);
+      for (std::size_t i = 0; i < select.items.size(); ++i) {
+        const SelectItem& item = select.items[i];
+        switch (item.aggregate) {
+          case Aggregate::kNone:
+          case Aggregate::kLast:
+          case Aggregate::kCount:
+            break;
+          case Aggregate::kSum:
+          case Aggregate::kAvg:
+            accs[i].sum.Merge(summary.sum);
+            break;
+          case Aggregate::kMin:
+          case Aggregate::kMax:
+            if (item.column == Column::kMetric) {
+              accs[i].Order(summary.min_value);
+              accs[i].Order(summary.max_value);
+            } else {
+              accs[i].Order(static_cast<double>(summary.min_sample_ts));
+              accs[i].Order(static_cast<double>(summary.max_sample_ts));
+            }
+            break;
+        }
+      }
+      return true;
+    };
+    coldtier::ColdTier::SummaryVisitor summaries;
+    if (SummariesAnswer(select)) summaries = std::cref(merge);
+    scan(row, summaries);
     if (vp != nullptr) vp->rows_matched = matched;
 
-    ResultRow& row = new_row();
+    ResultRow& out = new_row();
     for (std::size_t i = 0; i < select.items.size(); ++i) {
       const SelectItem& item = select.items[i];
       double cell = kNan;
@@ -766,21 +904,21 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
           cell = static_cast<double>(matched);
           break;
         case Aggregate::kMax:
-          if (accs[i].ordered) cell = accs[i].max;
+          cell = accs[i].max;
           break;
         case Aggregate::kMin:
-          if (accs[i].ordered) cell = accs[i].min;
+          cell = accs[i].min;
           break;
         case Aggregate::kSum:
-          if (matched > 0) cell = accs[i].sum;
+          if (matched > 0) cell = accs[i].sum.Value();
           break;
         case Aggregate::kAvg:
           if (matched > 0) {
-            cell = accs[i].sum / static_cast<double>(matched);
+            cell = accs[i].sum.Value() / static_cast<double>(matched);
           }
           break;
       }
-      row.values.push_back(cell);
+      out.values.push_back(cell);
     }
     return stamp();
   }

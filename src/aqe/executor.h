@@ -19,6 +19,12 @@
 // selects answer from the stream's O(1) rolling-aggregate index instead of
 // scanning the window.
 //
+// An aggregate over history merges each cold block's summary (row count,
+// exact sum, bounds, latest row) instead of decoding the block, when the
+// block lies wholly inside the branch's timestamp range and below the
+// warmer tiers; SUM is exact on every path, so the answer is the same bits
+// a decode of every block gives.
+//
 // A scanning branch pays per row only for what its answer returns. Its
 // WHERE clause is folded once into one closed interval per compared column
 // (plus the `!=` values), which tests each row exactly as the literal
@@ -90,6 +96,15 @@ IndexShape ShapeOf(const Select& select);
 // `agg` is the stream's Aggregates() snapshot.
 bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
                          const std::optional<StreamAggregates>& agg);
+
+// True when a branch's answer misses rows the topic's history lost: the
+// topic's archiver dropped records after their retries
+// (Archiver::Failures()) or its cold tier quarantined a block. Every branch
+// but a kLatest one reads the history, so the executor, EXPLAIN and the
+// continuous-query engine mark its answer degraded. Both counts only grow,
+// so the mark lasts as long as the archiver and cold-tier objects do; a
+// restart forgets it.
+bool HistoryIncomplete(const Select& select, const TelemetryStream& stream);
 
 struct ResultRow {
   std::string source;  // topic the row came from

@@ -29,6 +29,7 @@ std::vector<std::string> QueryProfile::ToLines() const {
       if (v.cold_rows > 0) os << " cold_rows=" << v.cold_rows;
       if (v.cold_blocks_scanned > 0 || v.cold_blocks_pruned > 0) {
         os << " cold_blocks_scanned=" << v.cold_blocks_scanned
+           << " cold_blocks_summarized=" << v.cold_blocks_summarized
            << " cold_blocks_pruned=" << v.cold_blocks_pruned;
       }
       os << " degraded=" << (v.degraded ? "yes" : "no")

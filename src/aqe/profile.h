@@ -23,7 +23,11 @@ struct VertexProfile {
   std::uint64_t rows_returned = 0;  // rows emitted to the result set
   std::uint64_t archive_rows = 0;   // archived entries merged into the scan
   std::uint64_t cold_rows = 0;      // cold-tier rows merged into the scan
-  std::uint64_t cold_blocks_scanned = 0;  // blocks decoded for this branch
+  // Blocks whose rows entered the branch, decoded or summarized; of them,
+  // the ones merged from their summary without a read. Summarized rows
+  // count in cold_rows and rows_matched, not in rows_scanned.
+  std::uint64_t cold_blocks_scanned = 0;
+  std::uint64_t cold_blocks_summarized = 0;
   std::uint64_t cold_blocks_pruned = 0;   // blocks skipped via zone maps
   bool degraded = false;
   TimeNs staleness_ns = 0;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/exact_sum.h"
 #include "pubsub/wal_format.h"
 
 namespace apollo::coldtier {
@@ -412,19 +413,16 @@ ZoneMap ComputeZoneMap(const std::vector<BlockRow>& rows) {
   double min_v = std::numeric_limits<double>::infinity();
   double max_v = -std::numeric_limits<double>::infinity();
   double sum = 0.0;
-  // NaNs are ignored and -0.0 orders below +0.0. std::fmin/fmax may return
-  // either zero when the operands differ only in sign (GCC's inlined
-  // builtin and libm differ), which would make the bits, and so
-  // DecodeBlock's zone-map re-check, depend on the build.
-  const auto less = [](double a, double b) {
-    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
-  };
+  // NaNs are ignored and -0.0 orders below +0.0 (OrdersBelow).
+  // std::fmin/fmax may return either zero when the operands differ only in
+  // sign (GCC's inlined builtin and libm differ), which would make the
+  // bits, and so DecodeBlock's zone-map re-check, depend on the build.
   for (const BlockRow& row : rows) {
     if (row.timestamp < zone.min_ts) zone.min_ts = row.timestamp;
     if (row.timestamp > zone.max_ts) zone.max_ts = row.timestamp;
     if (!std::isnan(row.value)) {
-      if (less(row.value, min_v)) min_v = row.value;
-      if (less(max_v, row.value)) max_v = row.value;
+      if (OrdersBelow(row.value, min_v)) min_v = row.value;
+      if (OrdersBelow(max_v, row.value)) max_v = row.value;
     }
     sum += row.value;
   }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 
 #include <fcntl.h>
@@ -41,6 +42,7 @@ struct ColdCounters {
   obs::Counter compact_failures;
   obs::Counter scans;
   obs::Counter blocks_scanned;
+  obs::Counter blocks_summarized;
   obs::Counter blocks_pruned;
   obs::Counter rows_read;
   obs::Counter blocks_quarantined;
@@ -71,6 +73,8 @@ ColdCounters& Counters() {
                        "Cold-tier range scans"),
         reg.GetCounter("apollo_coldtier_blocks_scanned_total",
                        "Blocks decoded by scans"),
+        reg.GetCounter("apollo_coldtier_blocks_summarized_total",
+                       "Blocks a scan merged from their summary, unread"),
         reg.GetCounter("apollo_coldtier_blocks_pruned_total",
                        "Blocks skipped via zone maps"),
         reg.GetCounter("apollo_coldtier_rows_read_total",
@@ -135,6 +139,42 @@ class MappedFile {
   std::vector<std::uint8_t> fallback_;
 };
 
+// The summary of a verified block (never empty: EncodeBlock refuses no
+// rows); see BlockSummary. DecodeBlock checked the zone map against the
+// rows bit for bit, so its bounds are the rows' bounds.
+BlockSummary Summarize(const DecodedBlock& block) {
+  const std::vector<BlockRow>& rows = block.rows;
+  BlockSummary summary;
+  summary.rows = rows.size();
+  summary.min_ts = block.zone.min_ts;
+  summary.max_ts = block.zone.max_ts;
+  summary.last_id = block.zone.last_id;
+  // The zone map orders values as MIN/MAX do, and gives a block of only
+  // NaNs min +inf and max -inf, where MIN/MAX have no value.
+  const bool ordered = !(block.zone.min_value() > block.zone.max_value());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  summary.min_value = ordered ? block.zone.min_value() : nan;
+  summary.max_value = ordered ? block.zone.max_value() : nan;
+  summary.min_sample_ts = summary.max_sample_ts = rows.front().sample_timestamp;
+  ExactSum sum;
+  const BlockRow* latest = &rows.front();
+  for (const BlockRow& row : rows) {
+    sum.Add(row.value);
+    summary.min_sample_ts = std::min(summary.min_sample_ts,
+                                     row.sample_timestamp);
+    summary.max_sample_ts = std::max(summary.max_sample_ts,
+                                     row.sample_timestamp);
+    if (row.sample_timestamp >= latest->sample_timestamp) latest = &row;
+  }
+  summary.sum = sum.Pack();
+  summary.latest.id = latest->id;
+  summary.latest.timestamp = latest->timestamp;
+  summary.latest.value.timestamp = latest->sample_timestamp;
+  summary.latest.value.value = latest->value;
+  summary.latest.value.provenance = static_cast<Provenance>(latest->provenance);
+  return summary;
+}
+
 }  // namespace
 
 ColdTier::ColdTier(std::string base_path, ColdTierConfig config)
@@ -174,8 +214,12 @@ Status ColdTier::Open() {
   if (!manifest.ok()) {
     return Status(manifest.error().code(), manifest.error().message());
   }
+  auto blocks = std::make_shared<Entries>();
+  for (ManifestEntry& entry : manifest->entries) {
+    blocks->push_back(LiveBlock{std::move(entry)});
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  entries_ = std::make_shared<const Entries>(std::move(manifest->entries));
+  entries_ = std::move(blocks);
   RefreshTotalsLocked();
   opened_ = true;
   return Status::Ok();
@@ -184,9 +228,9 @@ Status ColdTier::Open() {
 void ColdTier::RefreshTotalsLocked() {
   std::uint64_t rows = 0;
   std::uint64_t last_seq = last_compacted_seq_.load(std::memory_order_acquire);
-  for (const ManifestEntry& entry : *entries_) {
-    rows += entry.row_count;
-    last_seq = std::max(last_seq, entry.last_wal_seq);
+  for (const LiveBlock& block : *entries_) {
+    rows += block.entry.row_count;
+    last_seq = std::max(last_seq, block.entry.last_wal_seq);
   }
   total_rows_.store(rows, std::memory_order_release);
   // Monotonic: quarantining the newest block must not re-open its WAL
@@ -210,8 +254,8 @@ Status ColdTier::Reconcile(Archiver<Sample>& archiver) {
   std::vector<std::string> referenced;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const ManifestEntry& entry : *entries_) {
-      referenced.push_back(entry.block_file);
+    for (const LiveBlock& block : *entries_) {
+      referenced.push_back(block.entry.block_file);
     }
   }
   const fs::path base(base_path_);
@@ -364,7 +408,9 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
     Manifest next;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      next.entries = *entries_;
+      for (const LiveBlock& block : *entries_) {
+        next.entries.push_back(block.entry);
+      }
     }
     next.entries.push_back(entry);
     hook(kCrashPreManifest, seg.seq);
@@ -376,8 +422,13 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
     }
     hook(kCrashPostManifest, seg.seq);
     {
+      // The live list as it is now (a quarantine since the copy above
+      // stays in effect) plus the new block, which has no summary until a
+      // read verifies it.
       std::lock_guard<std::mutex> lock(mu_);
-      entries_ = std::make_shared<const Entries>(std::move(next.entries));
+      auto blocks = std::make_shared<Entries>(*entries_);
+      blocks->push_back(LiveBlock{std::move(entry)});
+      entries_ = std::move(blocks);
       RefreshTotalsLocked();
     }
 
@@ -409,27 +460,29 @@ void ColdTier::QuarantineBlock(const ManifestEntry& entry) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto next = std::make_shared<Entries>();
-    for (const ManifestEntry& e : *entries_) {
-      if (e.block_file != entry.block_file) next->push_back(e);
+    for (const LiveBlock& block : *entries_) {
+      if (block.entry.block_file != entry.block_file) next->push_back(block);
     }
+    if (next->size() == entries_->size()) return;  // a concurrent scan won
+    // Counted before the block leaves the live set: a reader whose snapshot
+    // lacks the block then sees the count (aqe::HistoryIncomplete).
+    quarantined_blocks_.fetch_add(1, std::memory_order_acq_rel);
     entries_ = std::move(next);
     RefreshTotalsLocked();
   }
-  quarantined_blocks_.fetch_add(1, std::memory_order_acq_rel);
   Counters().blocks_quarantined.Inc();
   const std::string path = block_dir_ + entry.block_file;
   std::error_code ec;
   fs::rename(path, path + ".corrupt", ec);
 }
 
-Status ColdTier::ScanRange(
-    TimeNs from_ts, TimeNs to_ts,
-    const std::function<void(std::uint64_t id, TimeNs timestamp,
-                             const Sample& sample)>& visit,
-    ColdScanStats* stats) {
+Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
+                            const SummaryVisitor& summary,
+                            const RowVisitor& visit, ColdScanStats* stats) {
   TRACE_SPAN("coldtier.scan", base_path_);
   ColdScanStats local;
   if (stats == nullptr) stats = &local;
+  const ColdScanStats before = *stats;
   const TimeNs start = RealClock::Instance().Now();
   std::shared_ptr<const Entries> snapshot;
   {
@@ -443,10 +496,17 @@ Status ColdTier::ScanRange(
   thread_local std::string path;
   ColdCounters& counters = Counters();
   counters.scans.Inc();
-  for (const ManifestEntry& entry : *snapshot) {
+  for (const LiveBlock& live : *snapshot) {
+    const ManifestEntry& entry = live.entry;
     ++stats->blocks_total;
     if (entry.zone.max_ts < from_ts || entry.zone.min_ts > to_ts) {
       ++stats->blocks_pruned;
+      continue;
+    }
+    const BlockSummary* known =
+        live.slot->summary.load(std::memory_order_acquire);
+    if (known != nullptr && summary && summary(*known)) {
+      ++stats->blocks_summarized;
       continue;
     }
     if (InjectedFault(FaultSite::kBlockRead)) {
@@ -470,6 +530,17 @@ Status ColdTier::ScanRange(
       ++stats->blocks_quarantined;
       continue;
     }
+    if (known == nullptr) {
+      // Verified: its rows become its summary, unless a concurrent read
+      // got there first.
+      auto fresh = std::make_unique<BlockSummary>(Summarize(block));
+      const BlockSummary* expected = nullptr;
+      if (live.slot->summary.compare_exchange_strong(
+              expected, fresh.get(), std::memory_order_acq_rel,
+              std::memory_order_acquire)) {
+        fresh.release();
+      }
+    }
     ++stats->blocks_scanned;
     for (const BlockRow& row : block.rows) {
       if (row.timestamp < from_ts || row.timestamp > to_ts) continue;
@@ -481,9 +552,11 @@ Status ColdTier::ScanRange(
       ++stats->rows_visited;
     }
   }
-  counters.blocks_scanned.Inc(stats->blocks_scanned);
-  counters.blocks_pruned.Inc(stats->blocks_pruned);
-  counters.rows_read.Inc(stats->rows_visited);
+  counters.blocks_scanned.Inc(stats->blocks_scanned - before.blocks_scanned);
+  counters.blocks_summarized.Inc(stats->blocks_summarized -
+                                 before.blocks_summarized);
+  counters.blocks_pruned.Inc(stats->blocks_pruned - before.blocks_pruned);
+  counters.rows_read.Inc(stats->rows_visited - before.rows_visited);
   counters.scan_ns.Record(RealClock::Instance().Now() - start);
   return Status::Ok();
 }
@@ -497,8 +570,8 @@ std::vector<std::string> ColdTier::BlockPaths() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> paths;
   paths.reserve(entries_->size());
-  for (const ManifestEntry& entry : *entries_) {
-    paths.push_back(block_dir_ + entry.block_file);
+  for (const LiveBlock& block : *entries_) {
+    paths.push_back(block_dir_ + block.entry.block_file);
   }
   return paths;
 }
@@ -508,14 +581,15 @@ void ColdTier::TsBounds(TimeNs* min_ts, TimeNs* max_ts) const {
   *min_ts = 0;
   *max_ts = 0;
   bool first = true;
-  for (const ManifestEntry& entry : *entries_) {
+  for (const LiveBlock& block : *entries_) {
+    const ZoneMap& zone = block.entry.zone;
     if (first) {
-      *min_ts = entry.zone.min_ts;
-      *max_ts = entry.zone.max_ts;
+      *min_ts = zone.min_ts;
+      *max_ts = zone.max_ts;
       first = false;
     } else {
-      *min_ts = std::min(*min_ts, entry.zone.min_ts);
-      *max_ts = std::max(*max_ts, entry.zone.max_ts);
+      *min_ts = std::min(*min_ts, zone.min_ts);
+      *max_ts = std::max(*max_ts, zone.max_ts);
     }
   }
 }

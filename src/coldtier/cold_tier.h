@@ -14,16 +14,20 @@
 // Reconcile() finishes step 4 idempotently. Either way every acked row is
 // readable from exactly one tier.
 //
-// Reads are mmap'd: ScanRange prunes blocks on the manifest's zone maps
+// Reads are mmap'd: VisitRange prunes blocks on the manifest's zone maps
 // (no file IO for a pruned block), decodes survivors, and emits rows in
-// [from_ts, to_ts]. Each scan re-reads and re-verifies every block it does
-// not prune; only the row buffer it decodes into is reused (one per
-// thread), never decoded rows. A block that fails its CRC/consistency
-// checks is quarantined (renamed `.corrupt`, dropped from the live set,
-// counted) — a corrupt block can cost rows, never invent them.
+// [from_ts, to_ts]. A block that fails its CRC/consistency checks is
+// quarantined (renamed `.corrupt`, dropped from the live set, counted) — a
+// corrupt block can cost rows, never invent them. The first read in this
+// process that decodes and verifies a block also builds its BlockSummary
+// (row count, exact value sum, value and timestamp bounds, latest row),
+// kept beside the block's manifest entry; compaction never builds one, and
+// neither does the manifest alone. An aggregate that can use the summary
+// merges it instead of reading the block again. Only the row buffer a
+// block decodes into is reused (one per thread), never decoded rows.
 //
-// Thread safety: ScanRange, IsCompacted, and the metadata accessors are
-// safe against a concurrent CompactOnce/Reconcile. Compaction itself is
+// Thread safety: VisitRange/ScanRange, IsCompacted, and the metadata
+// accessors are safe against a concurrent CompactOnce/Reconcile. Compaction itself is
 // serialized internally, so a background compactor thread and manual
 // CompactNow() calls can overlap.
 #pragma once
@@ -38,9 +42,11 @@
 
 #include "coldtier/block_format.h"
 #include "coldtier/manifest.h"
+#include "common/exact_sum.h"
 #include "common/expected.h"
 #include "common/fault.h"
 #include "pubsub/archiver.h"
+#include "pubsub/stream.h"
 #include "pubsub/telemetry.h"
 
 namespace apollo {
@@ -50,6 +56,7 @@ struct ColdScanStats {
   std::uint64_t blocks_total = 0;    // blocks considered
   std::uint64_t blocks_pruned = 0;   // skipped via zone map
   std::uint64_t blocks_scanned = 0;  // decoded and row-filtered
+  std::uint64_t blocks_summarized = 0;  // answered by their summary, unread
   std::uint64_t rows_visited = 0;    // rows emitted to the visitor
   std::uint64_t blocks_quarantined = 0;  // failed decode, renamed .corrupt
   std::uint64_t read_errors = 0;     // unreadable/injected-fault blocks
@@ -72,6 +79,24 @@ struct ColdTierConfig {
   // Test-only crash-point instrumentation: called at each named point
   // with the WAL sequence being compacted. Production leaves this empty.
   std::function<void(const char* point, std::uint64_t wal_seq)> crash_hook;
+};
+
+// What one cold block holds, from the rows of the first read that decoded
+// and verified it in this process. Values follow common/exact_sum.h's
+// rules: `sum` is exact, and min/max skip NaN (NaN when every value is NaN)
+// and order -0.0 below +0.0. `latest` is the row the scan's `latest` rule
+// keeps: the last one with the greatest sample timestamp.
+struct BlockSummary {
+  std::uint64_t rows = 0;
+  ExactSum::Packed sum;
+  double min_value = 0.0;
+  double max_value = 0.0;
+  TimeNs min_ts = 0;  // entry timestamps, as the zone map has them
+  TimeNs max_ts = 0;
+  TimeNs min_sample_ts = 0;
+  TimeNs max_sample_ts = 0;
+  std::uint64_t last_id = 0;
+  StreamEntry<Sample> latest;
 };
 
 struct CompactResult {
@@ -104,18 +129,30 @@ class ColdTier {
   Expected<CompactResult> CompactOnce(Archiver<Sample>& archiver,
                                       std::size_t max_segments = SIZE_MAX);
 
-  // Visits every cold row with timestamp in [from_ts, to_ts] in block
-  // order (oldest block first, rows in stored order). Unreadable or
-  // corrupt blocks are skipped and counted in `stats`, never fatal: the
-  // scan still returns every row the healthy blocks hold. `visit` must not
-  // start another scan on the same thread (blocks decode into a reused
-  // per-thread buffer). Cold rows are strictly older than every WAL row
-  // (compaction drains the oldest sealed segments first), so the executor
-  // extends a range read past the oldest WAL segment with this scan.
-  Status ScanRange(TimeNs from_ts, TimeNs to_ts,
-                   const std::function<void(std::uint64_t id, TimeNs timestamp,
-                                            const Sample& sample)>& visit,
-                   ColdScanStats* stats);
+  using RowVisitor = std::function<void(std::uint64_t id, TimeNs timestamp,
+                                        const Sample& sample)>;
+  using SummaryVisitor = std::function<bool(const BlockSummary& summary)>;
+
+  // Visits the cold rows with timestamp in [from_ts, to_ts] block by block,
+  // oldest block first. A block the range reaches that already has a
+  // summary is first offered to `summary` (when set): if it returns true,
+  // the summary stands for the block's rows, the block is not read and no
+  // kBlockRead fault is evaluated for it (stats->blocks_summarized). Every
+  // other such block is read, verified and decoded, and its rows in range
+  // go to `visit` in stored order. Unreadable or corrupt blocks are skipped
+  // and counted in `stats`, never fatal. Neither visitor may start another
+  // scan on the same thread (blocks decode into a reused per-thread
+  // buffer). Cold rows are strictly older than every WAL row (compaction
+  // drains the oldest sealed segments first), so the executor extends a
+  // range read past the oldest WAL segment with this scan.
+  Status VisitRange(TimeNs from_ts, TimeNs to_ts,
+                    const SummaryVisitor& summary, const RowVisitor& visit,
+                    ColdScanStats* stats);
+  // VisitRange without summaries: decodes every block the range reaches.
+  Status ScanRange(TimeNs from_ts, TimeNs to_ts, const RowVisitor& visit,
+                   ColdScanStats* stats) {
+    return VisitRange(from_ts, to_ts, nullptr, visit, stats);
+  }
   // Total rows committed to the cold tier (from the manifest; no file IO).
   std::uint64_t ColdRowCount() const {
     return total_rows_.load(std::memory_order_acquire);
@@ -149,12 +186,24 @@ class ColdTier {
  private:
   std::string BlockPathFor(std::uint64_t seq) const;
   bool InjectedFault(FaultSite site);
-  // Removes `entry` from the live set and renames its file `.corrupt`.
+  // Removes `entry` (and its summary) from the live set and renames its
+  // file `.corrupt`.
   void QuarantineBlock(const ManifestEntry& entry);
   // Refreshes total_rows_/last_compacted_seq_ from entries_ (mu_ held).
   void RefreshTotalsLocked();
 
-  using Entries = std::vector<ManifestEntry>;
+  // A block's summary, set once by the first read that verifies the block.
+  // Every copy of the entry list shares the block's slot, so a scan that
+  // holds an old list sees the summary too.
+  struct SummarySlot {
+    std::atomic<const BlockSummary*> summary{nullptr};
+    ~SummarySlot() { delete summary.load(std::memory_order_acquire); }
+  };
+  struct LiveBlock {
+    ManifestEntry entry;
+    std::shared_ptr<SummarySlot> slot = std::make_shared<SummarySlot>();
+  };
+  using Entries = std::vector<LiveBlock>;
 
   std::string base_path_;
   std::string block_dir_;  // base path's directory plus '/', or empty
@@ -164,8 +213,8 @@ class ColdTier {
 
   mutable std::mutex mu_;        // guards entries_ + label_
   std::mutex compact_mu_;        // serializes CompactOnce/Reconcile
-  // The live manifest entries. Compaction and quarantine publish a new
-  // vector; a scan's snapshot copies the pointer, not the entries.
+  // The live blocks. Compaction and quarantine publish a new vector; a
+  // scan's snapshot copies the pointer, not the entries.
   std::shared_ptr<const Entries> entries_;
   std::atomic<std::uint64_t> total_rows_{0};
   std::atomic<std::uint64_t> last_compacted_seq_{0};

@@ -275,10 +275,11 @@ aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
       }
       // Same degradation surface the executor stamps per branch, plus the
       // index's own limit: where a one-shot query would scan instead
-      // (history beyond the ring, untrusted timestamps), the index's
-      // answer is partial and says so.
+      // (history beyond the ring, untrusted timestamps), or the history
+      // lost rows, the index's answer is partial and says so.
       row.degraded = stream->degraded() ||
-                     !aqe::IndexAnswersExactly(*branch.select, *stream, agg);
+                     !aqe::IndexAnswersExactly(*branch.select, *stream, agg) ||
+                     aqe::HistoryIncomplete(*branch.select, *stream);
       if (auto newest = stream->Latest(); newest.has_value()) {
         row.staleness_ns =
             aqe::StalenessNs(broker_.clock().Now(), newest->value.timestamp);

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/exact_sum.h"
 #include "obs/trace.h"
 #include "pubsub/archiver.h"
 #include "pubsub/telemetry.h"
@@ -47,10 +48,15 @@ struct StreamEntry {
 };
 
 // O(1) snapshot of the rolling aggregates over a stream's in-memory
-// window. Sums are exact for integer-valued payloads (rolling add/subtract).
+// window. `sum_value` is the rolling double sum of the finite values (exact
+// for integer-valued payloads); NaN and the infinities are counted instead,
+// and SUM applies common/exact_sum.h's SumRule to the counts.
 struct StreamAggregates {
   std::size_t count = 0;
   double sum_value = 0.0;
+  std::uint64_t nan_values = 0;
+  std::uint64_t pos_inf_values = 0;
+  std::uint64_t neg_inf_values = 0;
   double min_value = 0.0;
   double max_value = 0.0;
   double sum_timestamp = 0.0;
@@ -213,6 +219,9 @@ class TelemetryStream {
     StreamAggregates agg;
     agg.count = static_cast<std::size_t>(next_id_ - first_id_);
     agg.sum_value = sum_value_;
+    agg.nan_values = nan_values_;
+    agg.pos_inf_values = pos_inf_values_;
+    agg.neg_inf_values = neg_inf_values_;
     // NaN never enters a wedge: an all-NaN window has no min or max.
     agg.min_value = min_wedge_.empty() ? kNan : min_wedge_.front().second;
     agg.max_value = max_wedge_.empty() ? kNan : max_wedge_.front().second;
@@ -354,27 +363,46 @@ class TelemetryStream {
     mask_ = new_mask;
   }
 
+  // The count a non-finite value goes to: NaN, +inf or -inf.
+  std::uint64_t& NonFiniteCount(double v) {
+    return std::isnan(v) ? nan_values_ : v > 0 ? pos_inf_values_
+                                               : neg_inf_values_;
+  }
+
   void IndexAppend(const Entry& entry) {
     const double v = entry.value.value;
-    sum_value_ += v;
+    // A non-finite value would poison the rolling sum for good (inf - inf
+    // is NaN), so it is counted instead.
+    if (std::isfinite(v)) [[likely]] {
+      sum_value_ += v;
+    } else {
+      ++NonFiniteCount(v);
+    }
     sum_ts_ += static_cast<double>(entry.value.timestamp);
     if (entry.value.timestamp != entry.timestamp) ts_mismatch_ = true;
     if (entry.value.provenance == Provenance::kPredicted) ++predicted_;
     // MIN/MAX ignore NaN, as the scan does; a NaN in a wedge would never
-    // be popped and would hide every later value.
+    // be popped and would hide every later value. The wedges order -0.0
+    // below +0.0 (OrdersBelow), as the scan does, so MIN/MAX do not depend
+    // on which zero arrived first.
     if (std::isnan(v)) return;
-    while (!max_wedge_.empty() && max_wedge_.back().second <= v) {
+    while (!max_wedge_.empty() && !OrdersBelow(v, max_wedge_.back().second)) {
       max_wedge_.pop_back();
     }
     max_wedge_.emplace_back(entry.id, v);
-    while (!min_wedge_.empty() && min_wedge_.back().second >= v) {
+    while (!min_wedge_.empty() && !OrdersBelow(min_wedge_.back().second, v)) {
       min_wedge_.pop_back();
     }
     min_wedge_.emplace_back(entry.id, v);
   }
 
   void IndexEvict(const Entry& entry) {
-    sum_value_ -= entry.value.value;
+    const double v = entry.value.value;
+    if (std::isfinite(v)) [[likely]] {
+      sum_value_ -= v;
+    } else {
+      --NonFiniteCount(v);
+    }
     sum_ts_ -= static_cast<double>(entry.value.timestamp);
     if (entry.value.provenance == Provenance::kPredicted) --predicted_;
     if (!max_wedge_.empty() && max_wedge_.front().first == entry.id) {
@@ -407,7 +435,10 @@ class TelemetryStream {
 
   // Rolling aggregate index (guarded by mu_). Wedges
   // hold (id, value) in monotone order so window min/max evict in O(1).
-  double sum_value_ = 0.0;
+  double sum_value_ = 0.0;  // finite values only
+  std::uint64_t nan_values_ = 0;
+  std::uint64_t pos_inf_values_ = 0;
+  std::uint64_t neg_inf_values_ = 0;
   double sum_ts_ = 0.0;
   std::uint64_t predicted_ = 0;
   bool ts_mismatch_ = false;

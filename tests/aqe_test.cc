@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -395,6 +396,100 @@ TEST_F(ExecutorTest, MinMaxAgreeWhileNaNPassesThroughRing) {
     }
     SCOPED_TRACE(testing::Message() << "after append " << i);
     ExpectMinMax(MinMaxBothPaths(executor, "nan_ring"), min, max);
+  }
+}
+
+// --- SUM over NaN/±inf and MIN/MAX over ±0.0: one rule on both paths ---
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// Both NaN, or the same bits (so +0.0 is not -0.0).
+bool SameSum(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || SameBits(a, b);
+}
+
+// `items` of `table`, once as written (the rolling index answers) and once
+// with an always-true WHERE that forces a scan.
+MinMaxPaths BothPaths(Executor& executor, const std::string& items,
+                      const std::string& table) {
+  MinMaxPaths out;
+  const std::string select = "SELECT " + items + " FROM " + table;
+  auto index = executor.Execute(select);
+  auto scan = executor.Execute(select + " WHERE timestamp >= 0");
+  EXPECT_TRUE(index.ok());
+  EXPECT_TRUE(scan.ok());
+  if (index.ok()) out.index = index->rows.at(0).values;
+  if (scan.ok()) out.scan = scan->rows.at(0).values;
+  return out;
+}
+
+// SUM(metric) after each append to a 4-row ring, on both paths. A NaN or
+// an infinity counts while it is in the ring and is gone once it leaves.
+void ExpectSumsThroughRing(Executor& executor, Broker& broker,
+                           const std::string& topic,
+                           const std::vector<double>& values,
+                           const std::vector<double>& sums) {
+  broker.CreateTopic(topic, kLocalNode, /*capacity=*/4);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const TimeNs ts = Seconds(static_cast<double>(i + 1));
+    ASSERT_TRUE(broker
+                    .Publish(topic, kLocalNode, ts,
+                             Sample{ts, values[i], Provenance::kMeasured})
+                    .ok());
+    const MinMaxPaths sum = BothPaths(executor, "SUM(metric)", topic);
+    ASSERT_EQ(sum.index.size(), 1u);
+    ASSERT_EQ(sum.scan.size(), 1u);
+    EXPECT_TRUE(SameSum(sum.index[0], sums[i]))
+        << "after append " << i << ": index SUM " << sum.index[0];
+    EXPECT_TRUE(SameSum(sum.scan[0], sums[i]))
+        << "after append " << i << ": scan SUM " << sum.scan[0];
+  }
+}
+
+// A NaN or an infinity that has left the ring no longer reaches the index's
+// SUM: added into one rolling double it would leave NaN behind for good,
+// while a scan of the same ring answers 22 and 14.
+TEST_F(ExecutorTest, EvictedInfinityLeavesTheIndexSum) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Executor executor(broker_);
+  ExpectSumsThroughRing(executor, broker_, "inf_ring",
+                        {1, 2, kInf, 3, 4, 5, 6, 7},
+                        {1, 3, kInf, kInf, kInf, kInf, 18, 22});
+  // Both infinities in the ring sum to NaN, and one sign leaves.
+  ExpectSumsThroughRing(executor, broker_, "both_inf_ring",
+                        {kInf, -kInf, 1, 2, 3, 4},
+                        {kInf, kNaN, kNaN, kNaN, -kInf, 10});
+}
+
+TEST_F(ExecutorTest, EvictedNaNLeavesTheIndexSum) {
+  Executor executor(broker_);
+  ExpectSumsThroughRing(executor, broker_, "nan_sum_ring",
+                        {kNaN, 1, 2, 3, 4, 5}, {kNaN, kNaN, kNaN, kNaN, 10, 14});
+}
+
+// -0.0 orders below +0.0 on every path, as in the zone maps: MIN is -0.0
+// and MAX is +0.0 whichever zero arrives first. Under plain == the index's
+// wedges keep the later of two equal values and the scan the earlier, so
+// the two paths would disagree on a ring fed +0.0 then -0.0.
+TEST_F(ExecutorTest, SignedZerosOrderTheSameOnIndexAndScan) {
+  Executor executor(broker_);
+  const std::vector<std::vector<double>> feeds = {
+      {0.0, -0.0}, {-0.0, 0.0}, {0.0, -0.0, 0.0}, {-0.0, 0.0, -0.0}};
+  for (std::size_t f = 0; f < feeds.size(); ++f) {
+    const std::string topic = "zeros" + std::to_string(f);
+    broker_.CreateTopic(topic);
+    PublishValues(broker_, topic, feeds[f]);
+    const MinMaxPaths paths =
+        BothPaths(executor, "MIN(metric), MAX(metric)", topic);
+    ASSERT_EQ(paths.index.size(), 2u);
+    ASSERT_EQ(paths.scan.size(), 2u);
+    SCOPED_TRACE(topic);
+    EXPECT_TRUE(SameBits(paths.index[0], -0.0)) << paths.index[0];
+    EXPECT_TRUE(SameBits(paths.index[1], 0.0)) << paths.index[1];
+    EXPECT_TRUE(SameBits(paths.scan[0], -0.0)) << paths.scan[0];
+    EXPECT_TRUE(SameBits(paths.scan[1], 0.0)) << paths.scan[1];
   }
 }
 

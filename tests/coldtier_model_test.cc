@@ -3,11 +3,14 @@
 // into cold blocks. Seeded random appends (timestamps non-decreasing, with
 // runs of equal timestamps) are interleaved with CompactOnce, and after
 // every step random queries must answer exactly what a plain
-// vector<(id, ts, value)> answers — sums and `latest` ties bit for bit —
-// while EXPLAIN ANALYZE attributes every row to the tier that holds it.
-// The degraded tests check that an answer which skipped an unreadable
-// tier says so. (Suite names carry "ColdTier" so the tsan name filter
-// picks them up.)
+// vector<(id, ts, value)> answers — the exact sum rounded once, MIN/MAX
+// with -0.0 below +0.0, and `latest` ties, bit for bit — while EXPLAIN
+// ANALYZE attributes every row to the tier that holds it and shows that
+// every cold block a qualifying aggregate may take from its summary was
+// taken from it. A sibling run feeds NaN, ±inf, subnormals, ±0.0 and
+// values that cancel. The degraded tests check that an answer which
+// skipped an unreadable tier, or misses rows a tier lost, says so. (Suite
+// names carry "ColdTier" so the tsan name filter picks them up.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "coldtier/manifest.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "cq/cq_engine.h"
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 
@@ -50,6 +54,78 @@ struct ModelRow {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// The exact sum of finite values, rounded once to nearest-even: Shewchuk's
+// non-overlapping partials (J. R. Shewchuk, "Adaptive Precision
+// Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997),
+// rounded the way Python's math.fsum rounds them. A different method from
+// the fixed-point digits of src/common/exact_sum.h, so each checks the
+// other. Exact while no partial overflows, which holds for every value the
+// runs below append. A zero sum is +0.0.
+double ShewchukSum(const std::vector<double>& values) {
+  std::vector<double> partials;
+  for (double x : values) {
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < partials.size(); ++j) {
+      double y = partials[j];
+      if (std::fabs(x) < std::fabs(y)) std::swap(x, y);
+      const double hi = x + y;
+      const double lo = y - (hi - x);
+      if (lo != 0.0) partials[i++] = lo;
+      x = hi;
+    }
+    partials.resize(i);
+    if (x != 0.0) partials.push_back(x);
+  }
+  double hi = 0.0;
+  std::size_t n = partials.size();
+  if (n > 0) {
+    hi = partials[--n];
+    double lo = 0.0;
+    while (n > 0) {
+      const double x = hi;
+      const double y = partials[--n];
+      hi = x + y;
+      lo = y - (hi - x);
+      if (lo != 0.0) break;
+    }
+    // Half-even rounding across partials: a remainder of the same sign as
+    // the next partial breaks a tie away from `hi`.
+    if (n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) ||
+                  (lo > 0.0 && partials[n - 1] > 0.0))) {
+      const double y = lo * 2.0;
+      const double x = hi + y;
+      if (y == x - hi) hi = x;
+    }
+  }
+  return hi == 0.0 ? 0.0 : hi;
+}
+
+// SUM as the model defines it: NaN over a NaN or both infinities, an
+// infinity over infinities of one sign, else the exact sum of the rest.
+double ModelSum(const std::vector<double>& values) {
+  bool nan = false, pos_inf = false, neg_inf = false;
+  std::vector<double> finite;
+  for (double v : values) {
+    if (std::isnan(v)) {
+      nan = true;
+    } else if (std::isinf(v)) {
+      (v > 0 ? pos_inf : neg_inf) = true;
+    } else {
+      finite.push_back(v);
+    }
+  }
+  if (nan || (pos_inf && neg_inf)) return kNan;
+  if (pos_inf) return kInf;
+  if (neg_inf) return -kInf;
+  return ShewchukSum(finite);
+}
+
+// MIN/MAX's order: numeric, with -0.0 below +0.0.
+bool ModelBelow(double a, double b) {
+  if (a == 0.0 && b == 0.0) return std::signbit(a) && !std::signbit(b);
+  return a < b;
 }
 
 // Removes its directory after everything declared after it is gone.
@@ -90,9 +166,11 @@ class ThreeTierTopic {
 
   bool ok() const { return open_ && stream_ != nullptr; }
 
-  void Append(TimeNs ts, double value) {
-    const std::uint64_t id =
-        stream_->Append(ts, Sample{ts, value, Provenance::kMeasured});
+  // The sample's own timestamp is `ts + sample_offset`; the model keeps
+  // the entry timestamp.
+  void Append(TimeNs ts, double value, TimeNs sample_offset = 0) {
+    const std::uint64_t id = stream_->Append(
+        ts, Sample{ts + sample_offset, value, Provenance::kMeasured});
     model_.push_back(ModelRow{id, ts, value});
   }
 
@@ -105,6 +183,7 @@ class ThreeTierTopic {
   TelemetryStream* stream() { return stream_; }
   Archiver<Sample>& archiver() { return archiver_; }
   ColdTier& cold() { return cold_; }
+  Broker& broker() { return broker_; }
   aqe::Executor& executor() { return executor_; }
 
  private:
@@ -142,8 +221,9 @@ struct QuerySpec {
       joiner = " AND ";
     }
     if (metric_above) {
+      // Signed, so that the lexer reads "+nan" and "+inf" as numbers.
       char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.17g", *metric_above);
+      std::snprintf(buf, sizeof(buf), "%+.17g", *metric_above);
       text += joiner + std::string("metric > ") + buf;
     }
     if (order == Order::kMetricDesc) text += " ORDER BY metric DESC";
@@ -161,19 +241,22 @@ struct QuerySpec {
   std::vector<std::vector<double>> Answer(
       const std::vector<ModelRow>& model) const {
     if (aggregate) {
-      std::size_t n = 0;
-      double sum = 0.0, min = kInf, max = -kInf, min_ts = kInf;
+      std::vector<double> values;
+      double min = kNan, max = kNan, min_ts = kInf;
       const ModelRow* latest = nullptr;
       for (const ModelRow& row : model) {
         if (!Matches(row)) continue;
-        ++n;
+        values.push_back(row.value);
         if (latest == nullptr || row.ts >= latest->ts) latest = &row;
-        sum += row.value;
-        min = std::min(min, row.value);
-        max = std::max(max, row.value);
+        if (!std::isnan(row.value)) {
+          if (std::isnan(min) || ModelBelow(row.value, min)) min = row.value;
+          if (std::isnan(max) || ModelBelow(max, row.value)) max = row.value;
+        }
         min_ts = std::min(min_ts, static_cast<double>(row.ts));
       }
+      const std::size_t n = values.size();
       if (n == 0) return {{0.0, kNan, kNan, kNan, kNan, kNan, kNan}};
+      const double sum = ModelSum(values);
       return {{static_cast<double>(n), sum, sum / static_cast<double>(n), min,
                max, min_ts, latest->value}};
     }
@@ -189,9 +272,13 @@ struct QuerySpec {
     if (order == Order::kNone) return rows;
     std::vector<std::size_t> idx(rows.size());
     std::iota(idx.begin(), idx.end(), std::size_t{0});
+    // NaN keys sort last in both directions.
     const bool descending = order == Order::kMetricDesc;
     std::stable_sort(idx.begin(), idx.end(),
                      [&](std::size_t a, std::size_t b) {
+                       if (std::isnan(keys[a]) || std::isnan(keys[b])) {
+                         return !std::isnan(keys[a]);
+                       }
                        return descending ? keys[a] > keys[b]
                                          : keys[a] < keys[b];
                      });
@@ -245,6 +332,29 @@ double RandomValue(Rng& rng, double prev) {
   return rng.Uniform(-1e6, 1e6);
 }
 
+// Values any wire client may send: NaN, ±inf, subnormals, both zeros, and
+// ±1e17 and ±1e300 beside small reals, so that sums cancel to what a
+// rolling double sum loses. Non-finite values are rare enough that most
+// ranges hold none.
+double HostileValue(Rng& rng, double prev) {
+  const double pick = rng.Uniform(0.0, 1.0);
+  const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  if (pick < 0.004) return kNan;
+  if (pick < 0.008) return kInf;
+  if (pick < 0.012) return -kInf;
+  if (pick < 0.15) return prev;
+  if (pick < 0.25) return sign * 0.0;
+  if (pick < 0.35) {
+    // k * 2^-1074: a subnormal, exact.
+    return sign * static_cast<double>(1 + rng.NextBounded(1u << 20)) *
+           std::numeric_limits<double>::denorm_min();
+  }
+  if (pick < 0.45) return sign * 1e17;
+  if (pick < 0.5) return sign * 1e300;
+  if (pick < 0.8) return sign * 0.1 * static_cast<double>(1 + rng.NextBounded(9));
+  return rng.Uniform(-1e6, 1e6);
+}
+
 // Rows each tier holds, read from the tiers themselves.
 struct TierRows {
   std::vector<StreamEntry<Sample>> ring;
@@ -270,14 +380,29 @@ TierRows ReadTiers(ThreeTierTopic& topic) {
   return tiers;
 }
 
+// What the checked queries of one run exercised.
+struct Coverage {
+  std::uint64_t blocks_summarized = 0;
+  // Aggregates whose exact SUM is finite and differs from a double sum of
+  // the same rows in id order.
+  std::uint64_t sums_a_double_sum_misses = 0;
+};
+
 void CheckQuery(ThreeTierTopic& topic, const TierRows& tiers,
-                const QuerySpec& q) {
+                const QuerySpec& q, Coverage& coverage) {
   const std::string text = q.Text();
   SCOPED_TRACE(text);
   auto result = topic.executor().Execute(text);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   EXPECT_FALSE(result->degraded);
   const auto expected = q.Answer(topic.model());
+  if (q.aggregate && std::isfinite(expected[0][1])) {
+    double naive = 0.0;
+    for (const ModelRow& row : topic.model()) {
+      if (q.Matches(row)) naive += row.value;
+    }
+    coverage.sums_a_double_sum_misses += !SameBits(naive, expected[0][1]);
+  }
   ASSERT_EQ(result->rows.size(), expected.size());
   for (std::size_t r = 0; r < expected.size(); ++r) {
     ASSERT_EQ(result->rows[r].values.size(), expected[r].size());
@@ -335,9 +460,40 @@ void CheckQuery(ThreeTierTopic& topic, const TierRows& tiers,
     blocks += block.zone.max_ts >= q.from() && block.zone.min_ts <= cold_to;
   }
   EXPECT_EQ(vp.cold_blocks_scanned, blocks);
+
+  // ReadTiers has read every block, so each has a summary. An aggregate
+  // whose WHERE tests only Timestamp takes from its summary every block
+  // that lies wholly inside the range and below the warmer tiers' oldest
+  // row (timestamp, then id), and decodes the rest.
+  std::uint64_t summarized = 0;
+  if (q.aggregate && !q.metric_above) {
+    TimeNs cap_ts = q.to();
+    std::uint64_t cap_id = UINT64_MAX;
+    const auto first_in_range = [&](const auto& rows) {
+      for (const auto& row : rows) {
+        if (!in_range(row.timestamp)) continue;
+        cap_ts = row.timestamp;
+        cap_id = row.id;
+        return true;
+      }
+      return false;
+    };
+    if (!first_in_range(tiers.wal)) first_in_range(tiers.ring);
+    for (const auto& block : tiers.blocks) {
+      const bool inside =
+          block.zone.min_ts >= q.from() && block.zone.max_ts <= q.to();
+      const bool below =
+          block.zone.max_ts < cap_ts ||
+          (block.zone.max_ts == cap_ts && block.zone.last_id < cap_id);
+      summarized += inside && below;
+    }
+  }
+  EXPECT_EQ(vp.cold_blocks_summarized, summarized);
+  coverage.blocks_summarized += vp.cold_blocks_summarized;
 }
 
-void RunModel(std::uint64_t seed) {
+void RunModel(std::uint64_t seed,
+              double (*next_value)(Rng& rng, double prev) = RandomValue) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   constexpr std::size_t kRing = 24;
   ThreeTierTopic topic("coldtier_model_" + std::to_string(seed), kRing,
@@ -353,11 +509,12 @@ void RunModel(std::uint64_t seed) {
       if (!rng.Bernoulli(0.25)) {
         ts += 1 + static_cast<TimeNs>(rng.NextBounded(2000));
       }
-      value = RandomValue(rng, value);
+      value = next_value(rng, value);
       topic.Append(ts, value);
     }
   };
   append(kRing + 1);  // history from the first query on
+  Coverage coverage;
   for (int step = 0; step < 30; ++step) {
     append(1 + rng.NextBounded(3 * kRing));
     if (rng.Bernoulli(0.5)) {
@@ -368,16 +525,30 @@ void RunModel(std::uint64_t seed) {
     ASSERT_EQ(tiers.ring.size() + tiers.wal.size() + tiers.cold_ids.size(),
               topic.model().size());
     for (int k = 0; k < 8; ++k) {
-      CheckQuery(topic, tiers, RandomQuery(rng, topic.model()));
+      CheckQuery(topic, tiers, RandomQuery(rng, topic.model()), coverage);
       if (testing::Test::HasFatalFailure()) return;
     }
   }
   EXPECT_GT(topic.cold().BlockCount(), 0u);
+  // The run reached what it is for: blocks merged from their summaries,
+  // and sums that rounding in id order gets wrong.
+  EXPECT_GT(coverage.blocks_summarized, 0u);
+  EXPECT_GT(coverage.sums_a_double_sum_misses, 0u);
 }
 
 TEST(ColdTierModel, RandomAppendsCompactionsAndQueriesMatchModel) {
   for (std::uint64_t seed : {0x3713A1u, 0x3713A2u, 0x3713A3u}) {
     RunModel(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// Every cell bit for bit over NaN, ±inf, subnormals, ±0.0 and cancelling
+// magnitudes: the exact sum does not depend on which rows sit in which
+// tier or block, or on whether a block was merged from its summary.
+TEST(ColdTierModel, HostileValuesMatchModelBitForBit) {
+  for (std::uint64_t seed : {0x5EED01u, 0x5EED02u, 0x5EED03u}) {
+    RunModel(seed, HostileValue);
     if (HasFatalFailure()) return;
   }
 }
@@ -394,8 +565,9 @@ class DegradedTopic : public ThreeTierTopic {
     }
   }
 
-  double Count(bool* degraded) {
-    auto result = executor().Execute("SELECT COUNT(*) FROM t");
+  double Count(bool* degraded,
+               const std::string& query = "SELECT COUNT(*) FROM t") {
+    auto result = executor().Execute(query);
     EXPECT_TRUE(result.ok());
     if (!result.ok()) return -1;
     *degraded = result->degraded;
@@ -470,6 +642,239 @@ TEST(ColdTierDegraded, UnreadableWalMarksAnswerDegraded) {
   const double partial = topic.Count(&degraded);
   EXPECT_LT(partial, static_cast<double>(DegradedTopic::kRows));
   EXPECT_TRUE(degraded) << "an answer missing the WAL is not degraded";
+}
+
+// A quarantined block's rows stay missing after the scan that quarantined
+// it, so every later answer over the history says so too, for the life of
+// the cold tier.
+TEST(ColdTierDegraded, QuarantinedBlockKeepsLaterAnswersDegraded) {
+  DegradedTopic topic;
+  ASSERT_TRUE(topic.ok());
+  topic.Compact();
+  const std::string victim = topic.cold().BlockPaths().at(2);
+  {
+    std::FILE* f = std::fopen(victim.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 100, SEEK_SET);
+    std::fputc(0xEE, f);
+    std::fclose(f);
+  }
+  const double lost = static_cast<double>(DegradedTopic::kRows - 80);
+  bool degraded = false;
+  EXPECT_DOUBLE_EQ(topic.Count(&degraded), lost);
+  EXPECT_TRUE(degraded);
+  ASSERT_EQ(topic.cold().quarantined_blocks(), 1u);
+  for (const std::string query :
+       {"SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t WHERE Timestamp >= 0",
+        "SELECT COUNT(*), SUM(metric) FROM t WHERE metric >= 0"}) {
+    SCOPED_TRACE(query);
+    EXPECT_DOUBLE_EQ(topic.Count(&degraded, query), lost);
+    EXPECT_TRUE(degraded);
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_TRUE(profile->degraded);
+    EXPECT_TRUE(profile->vertices.at(0).degraded);
+  }
+  // The newest row is not history.
+  auto latest = topic.executor().Execute("SELECT LAST(metric) FROM t");
+  ASSERT_TRUE(latest.ok());
+  EXPECT_FALSE(latest->degraded);
+}
+
+// Rows the archive dropped after their retries (a dead disk) are missing
+// from every answer over the history: the index path, the scan, EXPLAIN
+// and a continuous query each say so; LAST does not.
+TEST(ColdTierDegraded, DroppedArchiveWritesMarkAnswersDegraded) {
+  FaultInjector injector;  // outlives the topic's archiver
+  ThreeTierTopic topic("coldtier_dropped_writes", /*ring=*/4,
+                       /*records_per_segment=*/80);
+  ASSERT_TRUE(topic.ok());
+  FaultSpec spec;
+  spec.site = FaultSite::kArchiveWrite;
+  spec.probability = 1.0;
+  injector.Arm(spec);
+  topic.archiver().AttachFaultInjector(&injector);
+  RetryPolicy once;
+  once.max_attempts = 1;
+  topic.archiver().set_retry_policy(once);
+  for (int i = 0; i < 10; ++i) topic.Append(1'000 + i * 10, i);
+  ASSERT_EQ(topic.archiver().Failures(), 6u);
+  ASSERT_EQ(topic.archiver().Count(), 0u);
+
+  for (const std::string query :
+       {"SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t WHERE Timestamp >= 0",
+        "SELECT metric FROM t ORDER BY metric DESC LIMIT 2"}) {
+    SCOPED_TRACE(query);
+    auto result = topic.executor().Execute(query);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->degraded);
+    ASSERT_FALSE(result->rows.empty());
+    EXPECT_TRUE(result->rows[0].degraded);
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_TRUE(profile->vertices.at(0).degraded);
+  }
+  auto count = topic.executor().Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok());
+  EXPECT_DOUBLE_EQ(count->rows.at(0).values.at(0), 4.0);
+  auto latest = topic.executor().Execute("SELECT LAST(metric) FROM t");
+  ASSERT_TRUE(latest.ok());
+  EXPECT_FALSE(latest->degraded);
+  EXPECT_DOUBLE_EQ(latest->rows.at(0).values.at(0), 9.0);
+
+  cq::CQEngine engine(topic.broker());
+  auto registered = engine.Register(1, "default", "count",
+                                    "SUBSCRIBE SELECT COUNT(*) FROM t", 0, 0,
+                                    RealClock::Instance().Now());
+  ASSERT_TRUE(registered.ok()) << registered.error().ToString();
+  std::vector<cq::CQUpdate> updates;
+  engine.Pump(RealClock::Instance().Now(), nullptr,
+              [&](const cq::CQInfo&, const cq::CQUpdate& update) {
+                updates.push_back(update);
+                return true;
+              });
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_DOUBLE_EQ(updates[0].result.rows.at(0).values.at(0), 4.0);
+  EXPECT_TRUE(updates[0].result.degraded);
+  topic.archiver().AttachFaultInjector(nullptr);
+}
+
+// The summary path's counter gate, exact on every host and preset. On a
+// topic with B cold blocks the first history aggregate decodes all B (and
+// builds their summaries); the second merges all B from their summaries,
+// decodes none, and scans only the ring and WAL rows. A range decodes only
+// the blocks at its edges.
+TEST(ColdTierSummaries, RepeatedAggregateDecodesNoBlock) {
+  DegradedTopic topic;
+  ASSERT_TRUE(topic.ok());
+  topic.Compact();
+  const std::uint64_t blocks = topic.cold().BlockCount();
+  ASSERT_EQ(blocks, 5u);
+  const std::uint64_t ring = topic.stream()->Size();
+  const std::uint64_t wal = topic.archiver().Count();
+  const std::uint64_t cold = topic.cold().ColdRowCount();
+  ASSERT_EQ(ring + wal + cold, DegradedTopic::kRows);
+
+  const std::string query =
+      "SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t";
+  const std::vector<double> want = {420.0, 87990.0, 0.0, 419.0};
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    const aqe::VertexProfile& vp = profile->vertices.at(0);
+    EXPECT_EQ(vp.cold_blocks_scanned, blocks);
+    EXPECT_EQ(vp.cold_blocks_summarized, pass == 0 ? 0u : blocks);
+    EXPECT_EQ(vp.rows_scanned, ring + wal + (pass == 0 ? cold : 0u));
+    EXPECT_EQ(vp.cold_rows, cold);
+    EXPECT_EQ(vp.rows_matched, DegradedTopic::kRows);
+    EXPECT_FALSE(vp.degraded);
+    auto result = topic.executor().Execute(query);
+    ASSERT_TRUE(result.ok());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_TRUE(SameBits(result->rows.at(0).values.at(c), want[c]))
+          << "col " << c << ": " << result->rows.at(0).values.at(c);
+    }
+  }
+
+  // Rows 40..410 (t = 1400..5100): block 0 is cut by the range and
+  // decoded; blocks 1-4 lie inside it and merge from their summaries.
+  // Scanned: block 0's 40 rows in range, the 4 WAL rows and 7 ring rows.
+  auto range = topic.executor().Explain(
+      "SELECT COUNT(*), SUM(metric) FROM t WHERE Timestamp BETWEEN 1400 AND "
+      "5100",
+      /*analyze=*/true);
+  ASSERT_TRUE(range.ok());
+  const aqe::VertexProfile& vp = range->vertices.at(0);
+  EXPECT_EQ(vp.cold_blocks_scanned, blocks);
+  EXPECT_EQ(vp.cold_blocks_summarized, blocks - 1);
+  EXPECT_EQ(vp.rows_scanned, 40u + wal + 7u);
+  EXPECT_EQ(vp.rows_matched, 371u);
+}
+
+// A summary keeps the scan's `latest`: the last row of a run of equal
+// timestamps, not the first, so a range that ends on a run at a block's
+// end answers the same from the summary as from the rows.
+TEST(ColdTierSummaries, LatestOfATimestampRunIsItsLastRow) {
+  ThreeTierTopic topic("coldtier_summary_latest", /*ring=*/4,
+                       /*records_per_segment=*/8);
+  ASSERT_TRUE(topic.ok());
+  // Ids 5, 6 and 7, the last rows of block 0, share timestamp 1070.
+  for (int i = 0; i < 24; ++i) {
+    topic.Append(i >= 5 && i <= 7 ? 1'070 : 1'000 + 10 * i, i);
+  }
+  topic.Compact();
+  ASSERT_GE(topic.cold().BlockCount(), 1u);
+  const std::string query =
+      "SELECT LAST(metric), COUNT(*) FROM t WHERE Timestamp BETWEEN 1000 AND "
+      "1070";
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized,
+              pass == 0 ? 0u : 1u);
+    auto result = topic.executor().Execute(query);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->rows.at(0).values.at(0), 7.0);
+    EXPECT_EQ(result->rows.at(0).values.at(1), 8.0);
+  }
+}
+
+// A block of only NaNs has no MIN or MAX, from its rows or its summary
+// (its zone map says +inf and -inf).
+TEST(ColdTierSummaries, AllNaNBlockHasNoMinOrMax) {
+  ThreeTierTopic topic("coldtier_summary_nan", /*ring=*/4,
+                       /*records_per_segment=*/8);
+  ASSERT_TRUE(topic.ok());
+  for (int i = 0; i < 24; ++i) topic.Append(1'000 + 10 * i, i < 8 ? kNan : i);
+  topic.Compact();
+  const std::string query =
+      "SELECT MIN(metric), MAX(metric), COUNT(*), SUM(metric) FROM t WHERE "
+      "Timestamp BETWEEN 1000 AND 1070";
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized,
+              pass == 0 ? 0u : 1u);
+    auto result = topic.executor().Execute(query);
+    ASSERT_TRUE(result.ok());
+    const std::vector<double>& cells = result->rows.at(0).values;
+    EXPECT_TRUE(std::isnan(cells.at(0))) << cells.at(0);
+    EXPECT_TRUE(std::isnan(cells.at(1))) << cells.at(1);
+    EXPECT_EQ(cells.at(2), 8.0);
+    EXPECT_TRUE(std::isnan(cells.at(3))) << cells.at(3);
+  }
+}
+
+// WHERE tests the sample's timestamp, while the tiers narrow by the entry
+// timestamp. A block whose entry timestamps lie in the range but whose
+// sample timestamps reach past it is decoded, never summarized.
+TEST(ColdTierSummaries, SampleTimestampsPastTheRangeDecodeTheBlock) {
+  ThreeTierTopic topic("coldtier_summary_sample_ts", /*ring=*/16,
+                       /*records_per_segment=*/80);
+  ASSERT_TRUE(topic.ok());
+  for (int i = 0; i < 420; ++i) topic.Append(1'000 + 10 * i, i, 5);
+  topic.Compact();
+  ASSERT_EQ(topic.cold().BlockCount(), 5u);
+  ASSERT_TRUE(topic.executor().Execute("SELECT COUNT(*) FROM t").ok());
+  // Block 1 holds entry timestamps 1800..2590 and sample timestamps
+  // 1805..2595: the range holds its entries but not its last sample.
+  const std::string query =
+      "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 1800 AND 2590";
+  auto profile = topic.executor().Explain(query, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized, 0u);
+  auto result = topic.executor().Execute(query);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->rows.at(0).values.at(0), 79.0);
+  // Widened to hold the samples too, the block answers from its summary.
+  auto wide = topic.executor().Explain(
+      "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 1800 AND 2595", true);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->vertices.at(0).cold_blocks_summarized, 1u);
+  EXPECT_EQ(wide->vertices.at(0).rows_matched, 80u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // (suite names carry "ColdTier" so the tsan name filter picks them up).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -18,9 +19,12 @@
 #include <unistd.h>
 
 #include "apollo/apollo_service.h"
+#include "aqe/executor.h"
+#include "coldtier/block_format.h"
 #include "coldtier/cold_tier.h"
 #include "common/rng.h"
 #include "pubsub/archiver.h"
+#include "pubsub/broker.h"
 #include "score/monitor_hook.h"
 
 namespace apollo {
@@ -505,6 +509,198 @@ TEST(ColdTierStress, CompactWhilePublishWhileQuery) {
   std::uint64_t missing = 0;
   for (bool p : present) missing += p ? 0 : 1;
   EXPECT_EQ(missing, 0u);
+  fs::remove_all(dir);
+}
+
+// COUNT, SUM, MIN and MAX over the rows with ids in [lo, hi], minus the
+// ids in [lost_lo, lost_hi] when `drop`, for a topic whose row i has value
+// i. An empty set has COUNT 0 and NaN cells.
+std::vector<double> IdRangeAggregates(std::uint64_t lo, std::uint64_t hi,
+                                      bool drop, std::uint64_t lost_lo,
+                                      std::uint64_t lost_hi) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double count = 0, sum = 0, min = nan, max = nan;
+  const auto add_run = [&](std::uint64_t a, std::uint64_t b) {  // [a, b]
+    if (a > b) return;
+    count += static_cast<double>(b - a + 1);
+    sum += (static_cast<double>(a) + static_cast<double>(b)) *
+           static_cast<double>(b - a + 1) / 2;
+    if (std::isnan(min)) min = static_cast<double>(a);
+    max = static_cast<double>(b);
+  };
+  if (lo > hi) return {0, nan, nan, nan};
+  if (!drop || lost_hi < lo || lost_lo > hi) {
+    add_run(lo, hi);
+  } else {
+    if (lost_lo > lo) add_run(lo, lost_lo - 1);
+    if (lost_hi < hi) add_run(lost_hi + 1, hi);
+  }
+  if (count == 0) return {0, nan, nan, nan};
+  return {count, sum, min, max};
+}
+
+bool SameCells(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] == b[i] || (std::isnan(a[i]) && std::isnan(b[i])))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// TSan leg for block summaries: unbounded and range aggregates merge
+// summaries while a publisher appends, CompactOnce publishes blocks, and
+// one block, corrupted as it lands, is quarantined by whichever scan reads
+// it first. Row i has value i, so COUNT/SUM/MIN/MAX pin down which rows an
+// answer holds. Every answer must be a consistent prefix of the appends —
+// the rows with id below some m between the appends done before the query
+// and those begun by its end — and no row may count twice. Only a
+// degraded answer may lack the quarantined block's rows.
+TEST(ColdTierStress, SummaryAggregatesWhileCompactingAndQuarantining) {
+  const std::string dir = FreshDir("coldtier_summary_stress");
+  const std::string base = dir + "/t.log";
+  constexpr std::uint64_t kRows = 2400;
+  constexpr std::uint64_t kCorruptSeq = 6;
+  constexpr TimeNs kStep = 10;
+  std::atomic<std::uint64_t> lost_lo{0}, lost_hi{0};
+  std::atomic<bool> corrupted{false};
+  coldtier::ColdTierConfig config;
+  config.crash_hook = [&](const char* point, std::uint64_t seq) {
+    if (std::string(point) != coldtier::kCrashPostRename ||
+        seq != kCorruptSeq) {
+      return;
+    }
+    char name[32];
+    std::snprintf(name, sizeof(name), ".%06llu.blk",
+                  static_cast<unsigned long long>(seq));
+    const std::string path = base + name;
+    std::vector<std::uint8_t> image(fs::file_size(path));
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(image.data(), 1, image.size(), f), image.size());
+    std::uint32_t rows = 0;
+    coldtier::ZoneMap zone;
+    ASSERT_TRUE(coldtier::DecodeZoneMap(image.data(), image.size(), &rows,
+                                        &zone));
+    lost_lo.store(zone.first_id, std::memory_order_relaxed);
+    lost_hi.store(zone.last_id, std::memory_order_relaxed);
+    corrupted.store(true, std::memory_order_release);
+    // A zone-map byte: the block's zone CRC no longer matches.
+    std::fseek(f, 20, SEEK_SET);
+    std::fputc(image[20] ^ 0xFF, f);
+    std::fclose(f);
+  };
+
+  Archiver<Sample> archiver(base, SmallSegments(16));
+  ColdTier cold(base, config);
+  ASSERT_TRUE(cold.Open().ok());
+  archiver.AttachColdReader(&cold);
+  Broker broker(RealClock::Instance());
+  auto created = broker.CreateTopic("t", kLocalNode, 32, &archiver);
+  ASSERT_TRUE(created.ok());
+  TelemetryStream* stream = *created;
+  aqe::Executor executor(broker);
+
+  std::atomic<std::uint64_t> begun{0}, done{0};
+  std::atomic<bool> finished{false};
+  std::thread publisher([&] {
+    for (std::uint64_t i = 0; i < kRows; ++i) {
+      const TimeNs ts = 1'000 + static_cast<TimeNs>(i) * kStep;
+      begun.store(i + 1, std::memory_order_release);
+      stream->Append(ts, Sample{ts, static_cast<double>(i),
+                                Provenance::kMeasured});
+      done.store(i + 1, std::memory_order_release);
+    }
+    finished.store(true, std::memory_order_release);
+  });
+  std::thread compactor([&] {
+    while (!finished.load(std::memory_order_acquire)) {
+      if (!cold.CompactOnce(archiver, 2).ok()) break;
+      std::this_thread::yield();
+    }
+  });
+
+  // Checks one answer over ids [lo, hi] against every prefix it may hold.
+  std::atomic<std::uint64_t> answers{0}, inconsistent{0};
+  const auto check = [&](const std::string& text, std::uint64_t lo,
+                         std::uint64_t hi) {
+    const std::uint64_t before = done.load(std::memory_order_acquire);
+    auto result = executor.Execute(text);
+    const std::uint64_t after = begun.load(std::memory_order_acquire);
+    if (!result.ok() || result->rows.size() != 1) {
+      inconsistent.fetch_add(1);
+      return;
+    }
+    const std::vector<double>& got = result->rows[0].values;
+    const bool may_drop =
+        result->degraded && corrupted.load(std::memory_order_acquire);
+    const std::uint64_t llo = lost_lo.load(std::memory_order_relaxed);
+    const std::uint64_t lhi = lost_hi.load(std::memory_order_relaxed);
+    bool consistent = false;
+    for (std::uint64_t m = before; m <= after && !consistent; ++m) {
+      const std::uint64_t top = std::min(hi, m == 0 ? 0 : m - 1);
+      const std::uint64_t bottom = m == 0 ? 1 : lo;  // m == 0: no rows
+      for (bool drop : {false, true}) {
+        if (drop && !may_drop) continue;
+        consistent = consistent ||
+                     SameCells(got, IdRangeAggregates(bottom, top, drop, llo,
+                                                      lhi));
+      }
+    }
+    answers.fetch_add(1);
+    if (!consistent) {
+      inconsistent.fetch_add(1);
+      ADD_FAILURE() << text << ": COUNT " << got[0] << " SUM " << got[1]
+                    << " MIN " << got[2] << " MAX " << got[3]
+                    << " degraded=" << result->degraded << " appends "
+                    << before << ".." << after;
+    }
+  };
+  std::thread unbounded([&] {
+    while (!finished.load(std::memory_order_acquire)) {
+      check("SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t",
+            0, kRows);
+    }
+  });
+  std::thread ranged([&] {
+    Rng rng(0x5A11u);
+    while (!finished.load(std::memory_order_acquire)) {
+      const std::uint64_t a = rng.NextBounded(kRows);
+      const std::uint64_t b = a + rng.NextBounded(kRows - a);
+      check("SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t "
+            "WHERE Timestamp BETWEEN " +
+                std::to_string(1'000 + static_cast<TimeNs>(a) * kStep) +
+                " AND " +
+                std::to_string(1'000 + static_cast<TimeNs>(b) * kStep),
+            a, b);
+    }
+  });
+  publisher.join();
+  compactor.join();
+  unbounded.join();
+  ranged.join();
+  EXPECT_EQ(inconsistent.load(), 0u) << "of " << answers.load();
+
+  // Settled: compact the rest, and read twice; the second read merges
+  // every live block from its summary, and the answer lacks exactly the
+  // quarantined block's rows, degraded.
+  ASSERT_TRUE(cold.CompactOnce(archiver).ok());
+  ASSERT_TRUE(corrupted.load());
+  const std::string all =
+      "SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t";
+  ASSERT_TRUE(executor.Execute(all).ok());
+  auto profile = executor.Explain(all, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized, cold.BlockCount());
+  EXPECT_TRUE(profile->degraded);
+  EXPECT_EQ(cold.quarantined_blocks(), 1u);
+  auto result = executor.Execute(all);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->degraded);
+  EXPECT_TRUE(SameCells(result->rows.at(0).values,
+                        IdRangeAggregates(0, kRows - 1, true, lost_lo.load(),
+                                          lost_hi.load())));
   fs::remove_all(dir);
 }
 
