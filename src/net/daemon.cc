@@ -441,12 +441,7 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
     return;
   }
   reply.result = std::move(*result);
-  if (!is_explain) {
-    if (last_good_.size() >= aqe::kLastGoodCacheEntries) last_good_.clear();
-    CachedAnswer& cached = last_good_[text];
-    cached.result = reply.result;
-    cached.at = now;
-  } else if (analyze) {
+  if (is_explain && analyze) {
     // EXPLAIN ANALYZE: append the tenant's admission accounting to the
     // plan rows, so overload behavior is inspectable per tenant.
     const cq::TenantAdmissionStats stats = admission_.Stats(tenant);
@@ -461,6 +456,14 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
     reply.result.rows.push_back(std::move(row));
   }
   SendMsg(conn, MsgType::kResult, frame.request_id, reply);
+  if (!is_explain) {
+    // The reply is encoded, so the answer moves into the cache instead of
+    // being copied there.
+    if (last_good_.size() >= aqe::kLastGoodCacheEntries) last_good_.clear();
+    CachedAnswer& cached = last_good_[text];
+    cached.result = std::move(reply.result);
+    cached.at = now;
+  }
 }
 
 void ApolloDaemon::HandleCQRegister(Connection& conn, const Frame& frame) {
