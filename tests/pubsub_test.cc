@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,66 @@ TEST(Stream, RangeByTimeEmptyWhenOutside) {
   stream.Append(Seconds(5), S(Seconds(5), 5));
   EXPECT_TRUE(stream.RangeByTime(Seconds(6), Seconds(9)).empty());
   EXPECT_TRUE(stream.RangeByTime(Seconds(0), Seconds(4)).empty());
+}
+
+// VisitColumns hands a range over in place and ends it where RangeByTime
+// does: at the first row past the range's end, even when a later row
+// falls inside the range again. An open range comes as one span per side
+// of the ring's wrap, a bounded one kSpanRows rows at a time, split at the
+// wrap too. A callback that returns false gets no further span.
+TEST(Stream, ColumnSpansEndWhereRangeByTimeDoes) {
+  constexpr std::size_t kSpanRows = TelemetryStream::kSpanRows;
+  constexpr TimeNs kOpen = std::numeric_limits<TimeNs>::max();
+  TelemetryStream stream(256);
+  // Ids [44, 300) stay in the 256-slot ring, which wraps after id 255;
+  // row 285 is stamped late.
+  for (TimeNs id = 0; id < 300; ++id) {
+    const TimeNs ts = id == 285 ? 1000 : id;
+    stream.Append(ts, S(ts, static_cast<double>(3 * id),
+                        id % 3 == 0 ? Provenance::kPredicted
+                                    : Provenance::kMeasured));
+  }
+  const auto visit = [&](TimeNs from, TimeNs to, std::size_t stop_after) {
+    std::vector<TelemetryStream::Entry> rows;
+    std::vector<std::size_t> sizes;
+    stream.VisitColumns(
+        from, to, [&](const TelemetryStream::ColumnSpan& span) {
+          for (std::size_t j = 0; j < span.size; ++j) {
+            rows.push_back({span.first_id + j, span.entry_ts[j],
+                            Sample{span.sample_ts[j], span.values[j],
+                                   span.provenance[j]}});
+          }
+          sizes.push_back(span.size);
+          return sizes.size() < stop_after;
+        });
+    return std::make_pair(rows, sizes);
+  };
+  const auto same = [](const std::vector<TelemetryStream::Entry>& got,
+                       const std::vector<TelemetryStream::Entry>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+      EXPECT_EQ(got[i].value.timestamp, want[i].value.timestamp);
+      EXPECT_EQ(got[i].value.value, want[i].value.value);
+      EXPECT_EQ(got[i].value.provenance, want[i].value.provenance);
+    }
+  };
+  // Ids 50..284: three whole spans, the rest of the lap, and the rows
+  // after the wrap up to the late one.
+  const auto [bounded, bounded_sizes] = visit(50, 290, SIZE_MAX);
+  ASSERT_EQ(bounded.size(), 235u);
+  EXPECT_EQ(bounded.back().id, 284u);
+  same(bounded, stream.RangeByTime(50, 290));
+  EXPECT_EQ(bounded_sizes, (std::vector<std::size_t>{kSpanRows, kSpanRows,
+                                                     kSpanRows, 14, 29}));
+  const auto [open, open_sizes] = visit(50, kOpen, SIZE_MAX);
+  ASSERT_EQ(open.size(), 250u);  // ids 50..299
+  same(open, stream.RangeByTime(50, kOpen));
+  EXPECT_EQ(open_sizes, (std::vector<std::size_t>{206, 44}));
+  const auto [first, first_sizes] = visit(50, 290, 1);
+  EXPECT_EQ(first_sizes, std::vector<std::size_t>{kSpanRows});
+  EXPECT_EQ(first.size(), kSpanRows);
 }
 
 TEST(Stream, LatestAtOrBefore) {
