@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -79,9 +80,11 @@ class ColumnBuffer {
                        span.provenance + span.size);
   }
   std::size_t size() const { return value_.size(); }
-  Columns View() const {
-    return Columns{sample_ts_.data(), value_.data(), provenance_.data(),
-                   value_.size()};
+  Columns View() const { return View(0, size()); }
+  // Rows [begin, end).
+  Columns View(std::size_t begin, std::size_t end) const {
+    return Columns{sample_ts_.data() + begin, value_.data() + begin,
+                   provenance_.data() + begin, end - begin};
   }
 
  private:
@@ -377,9 +380,9 @@ double IndexMax(Column column, const StreamAggregates& agg) {
   return 0.0;
 }
 
-// True when block summaries can stand for a branch's cold rows: its WHERE
-// tests only Timestamp, and every item is COUNT, SUM/AVG/MIN/MAX(metric),
-// MIN/MAX(Timestamp), LAST or a bare column.
+// True when tier summaries can stand for a branch's history rows: its
+// WHERE tests only Timestamp, and every item is COUNT,
+// SUM/AVG/MIN/MAX(metric), MIN/MAX(Timestamp), LAST or a bare column.
 bool SummariesAnswer(const Select& select) {
   for (const Condition& cond : select.where) {
     if (cond.column != Column::kTimestamp) return false;
@@ -841,14 +844,32 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       return row_ts < ts || (row_ts == ts && row_id < id);
     }
   };
+  // A tier summary stands for its rows only in an aggregate that summaries
+  // answer, when the scan would feed every one of them (none is older than
+  // the range or not older than the cap) and the WHERE matches every one.
+  const bool summaries = has_aggregate && SummariesAnswer(select);
+  const auto inside = [&](const TierSummary& summary, const Cap& cap) {
+    return summaries && summary.min_ts >= from_ts &&
+           cap.Keeps(summary.max_ts, summary.last_id) &&
+           filter.CoversTimestamps(summary.min_sample_ts,
+                                   summary.max_sample_ts);
+  };
 
   // Reused across calls on this thread: once grown to the largest ring
-  // copy and WAL read, a history query allocates no row buffer.
+  // copy and WAL read, a history query allocates no row buffer. A WAL
+  // segment whose summary stands for its verified prefix is a piece: the
+  // summary, fed after the WAL rows packed before it.
+  struct WalPiece {
+    std::size_t rows_before;
+    std::shared_ptr<const TierSummary> summary;
+  };
   thread_local ColumnBuffer ring_rows;
-  thread_local std::vector<Archiver<Sample>::Record> wal;
   thread_local ColumnBuffer wal_rows;
+  thread_local std::vector<WalPiece> wal_pieces;
   thread_local ColumnBuffer cold_rows;
   bool wal_failed = false;
+  std::uint64_t wal_count = 0;  // WAL rows fed, from records or summaries
+  WalVisitStats wal_stats;
   Cap cold_cap{to_ts, UINT64_MAX};
   if (history) {
     // WAL rows older than the in-memory ones; when the window had no
@@ -864,25 +885,47 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
           return true;
         });
     wal_rows.Clear();
+    wal_pieces.clear();
     // Cold rows are older than everything still in the WAL (compaction
     // drains oldest segments first), so capping the cold range below the
     // first WAL row kept keeps COUNT exact even when a concurrent
     // compaction moves rows between the two reads: any row both reads saw
-    // is not older than the first WAL row and gets excluded.
+    // is not older than the first WAL row and gets excluded. That row is
+    // a record's, or the first row of the first summary kept.
     cold_cap = wal_cap;
     if (archiver->Count() > 0 && from_ts <= wal_cap.ts) {
-      // An unreadable WAL leaves `wal` empty: the answer comes from the
+      // Keeps `rows` WAL rows, the first of them (ts, id).
+      const auto keep = [&](TimeNs ts, std::uint64_t id, std::uint64_t rows) {
+        if (wal_count == 0) cold_cap = Cap{ts, id};
+        wal_count += rows;
+      };
+      // Rows evicted from the ring after the copy are in the copy.
+      const auto wal_record = [&](const Archiver<Sample>::Record& rec) {
+        if (!wal_cap.Keeps(rec.timestamp, rec.id)) return;
+        keep(rec.timestamp, rec.id, 1);
+        wal_rows.Push(rec.payload);
+      };
+      const auto wal_prefix =
+          [&](const std::shared_ptr<const TierSummary>& summary) {
+            if (!inside(*summary, wal_cap)) return false;
+            keep(summary->first_ts, summary->first_id, summary->rows);
+            wal_pieces.push_back(WalPiece{wal_rows.size(), summary});
+            return true;
+          };
+      Archiver<Sample>::SummaryOffer offer;
+      if (summaries) offer = std::cref(wal_prefix);
+      // An unreadable WAL contributes nothing: the answer comes from the
       // other tiers and is marked degraded below.
-      wal.clear();
-      wal_failed = !archiver->ReadRange(from_ts, wal_cap.ts, wal).ok();
+      wal_failed = !archiver
+                        ->VisitRange(from_ts, wal_cap.ts, offer,
+                                     std::cref(wal_record), &wal_stats)
+                        .ok();
       if (wal_failed) {
         GlobalTelemetry().archive_read_errors.Inc();
-      }
-      // Rows evicted from the ring after the copy are in the copy.
-      for (const auto& rec : wal) {
-        if (!wal_cap.Keeps(rec.timestamp, rec.id)) continue;
-        if (wal_rows.size() == 0) cold_cap = Cap{rec.timestamp, rec.id};
-        wal_rows.Push(rec.payload);
+        wal_rows.Clear();
+        wal_pieces.clear();
+        wal_count = 0;
+        cold_cap = wal_cap;
       }
     }
     cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
@@ -890,12 +933,15 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
 
   // Feeds every row in range to `consume(const Columns&)`, which returns
   // false to stop (LIMIT without ORDER BY). The cold scan runs here, after
-  // the WAL read. `merge`, when set, is offered each cold block's summary
-  // (see ColdTier::VisitRange) and returns true when it merged it.
+  // the WAL read. `merge`, set for aggregates that summaries answer, takes
+  // each tier summary that stands for its rows, in scan order: the cold
+  // blocks' as the scan reaches them (see ColdTier::VisitRange), then the
+  // WAL pieces, each after the WAL rows packed before it.
   ColdScanStats cold_stats;
   std::uint64_t cold_count = 0;
   auto scan = [&](auto&& consume,
-                  const coldtier::ColdTier::SummaryVisitor& merge = nullptr) {
+                  const std::function<void(const TierSummary&)>& merge =
+                      nullptr) {
     if (vp != nullptr) vp->strategy = "scan";
     if (!history) {
       stream->VisitColumns(
@@ -925,22 +971,17 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
         cold_rows.Push(sample);
         if (cold_rows.size() == kBlock) flush();
       };
-      // A summary stands for its block only when the scan would feed every
-      // row of it: none is older than the range or not older than the cap.
-      // The rows packed before it are fed first, so the consumer sees rows
-      // and summaries in scan order.
-      const auto cold_block = [&](const coldtier::BlockSummary& summary) {
-        if (summary.min_ts < from_ts ||
-            !cold_cap.Keeps(summary.max_ts, summary.last_id)) {
-          return false;
-        }
+      // The rows packed before a summarized block are fed first, so the
+      // consumer sees rows and summaries in scan order.
+      const auto cold_block = [&](const TierSummary& summary) {
+        if (!inside(summary, cold_cap)) return false;
         flush();
-        if (!merge(summary)) return false;
+        merge(summary);
         cold_count += summary.rows;
         return true;
       };
       coldtier::ColdTier::SummaryVisitor offer;
-      if (merge) offer = std::cref(cold_block);
+      if (summaries) offer = std::cref(cold_block);
       // VisitRange degrades internally (quarantine/skip + stats) and visits
       // its whole range; rows after a stop are skipped, so the counts below
       // do not depend on LIMIT. std::cref keeps the visitors inside
@@ -949,7 +990,14 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
                              &cold_stats);
       flush();
     }
-    feed(wal_rows.View());
+    std::size_t fed = 0;
+    for (const WalPiece& piece : wal_pieces) {
+      feed(wal_rows.View(fed, piece.rows_before));
+      fed = piece.rows_before;
+      merge(*piece.summary);
+    }
+    wal_pieces.clear();  // lets go of the summaries
+    feed(wal_rows.View(fed, wal_rows.size()));
     feed(ring_rows.View());
     // An answer that skipped an unreadable tier must say so.
     if (wal_failed ||
@@ -957,9 +1005,12 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       is_degraded = true;
     }
     if (vp != nullptr) {
-      if (wal_rows.size() > 0) vp->strategy += "+archive";
+      if (wal_count > 0) vp->strategy += "+archive";
       if (cold_count > 0) vp->strategy += "+cold";
-      vp->archive_rows = wal_rows.size();
+      vp->archive_rows = wal_count;
+      vp->wal_segments_summarized = wal_stats.segments_summarized;
+      vp->wal_segments_pruned = wal_stats.segments_pruned;
+      vp->wal_records_read = wal_stats.records_read;
       vp->cold_rows = cold_count;
       vp->cold_blocks_scanned =
           cold_stats.blocks_scanned + cold_stats.blocks_summarized;
@@ -1038,14 +1089,10 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       }
       return true;
     };
-    // A block's summary merges when the WHERE matches every row of it.
-    const auto merge = [&](const coldtier::BlockSummary& summary) {
-      if (!filter.CoversTimestamps(summary.min_sample_ts,
-                                   summary.max_sample_ts)) {
-        return false;
-      }
+    // A tier summary that stands for its rows merges as they would.
+    const auto merge = [&](const TierSummary& summary) {
       matched += summary.rows;
-      keep_latest(summary.latest.value);
+      keep_latest(summary.latest);
       for (std::size_t i = 0; i < select.items.size(); ++i) {
         const SelectItem& item = select.items[i];
         switch (item.aggregate) {
@@ -1069,11 +1116,8 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
             break;
         }
       }
-      return true;
     };
-    coldtier::ColdTier::SummaryVisitor summaries;
-    if (SummariesAnswer(select)) summaries = std::cref(merge);
-    scan(consume, summaries);
+    scan(consume, std::cref(merge));
     if (vp != nullptr) vp->rows_matched = matched;
 
     ResultRow& out = new_row();

@@ -19,11 +19,12 @@
 // selects answer from the stream's O(1) rolling-aggregate index instead of
 // scanning the window.
 //
-// An aggregate over history merges each cold block's summary (row count,
-// exact sum, bounds, latest row) instead of decoding the block, when the
-// block lies wholly inside the branch's timestamp range and below the
-// warmer tiers; SUM is exact on every path, so the answer is the same bits
-// a decode of every block gives.
+// An aggregate over history merges tier summaries (row count, exact sum,
+// bounds, latest row): a cold block's instead of decoding the block, and a
+// WAL segment's verified prefix's instead of reading its records, when the
+// rows lie wholly inside the branch's timestamp range and below the warmer
+// tiers; SUM is exact on every path, so the answer is the same bits a read
+// of every row gives.
 //
 // A scanning branch pays per row only for what its answer returns. Its
 // WHERE clause is folded once into one closed interval per compared column

@@ -26,6 +26,12 @@ std::vector<std::string> QueryProfile::ToLines() const {
          << " rows_matched=" << v.rows_matched
          << " rows_returned=" << v.rows_returned;
       if (v.archive_rows > 0) os << " archive_rows=" << v.archive_rows;
+      if (v.wal_segments_summarized > 0 || v.wal_segments_pruned > 0 ||
+          v.wal_records_read > 0) {
+        os << " wal_segments_summarized=" << v.wal_segments_summarized
+           << " wal_segments_pruned=" << v.wal_segments_pruned
+           << " wal_records_read=" << v.wal_records_read;
+      }
       if (v.cold_rows > 0) os << " cold_rows=" << v.cold_rows;
       if (v.cold_blocks_scanned > 0 || v.cold_blocks_pruned > 0) {
         os << " cold_blocks_scanned=" << v.cold_blocks_scanned

@@ -21,7 +21,14 @@ struct VertexProfile {
   std::uint64_t rows_scanned = 0;   // window + archive entries visited
   std::uint64_t rows_matched = 0;   // entries passing WHERE
   std::uint64_t rows_returned = 0;  // rows emitted to the result set
-  std::uint64_t archive_rows = 0;   // archived entries merged into the scan
+  std::uint64_t archive_rows = 0;   // WAL rows merged into the scan
+  // WAL segments whose verified prefix was merged from its summary without
+  // a read, segments whose prefix the range missed, and the records read
+  // from disk (and checked) to answer. Summarized rows count in
+  // archive_rows and rows_matched, not in rows_scanned.
+  std::uint64_t wal_segments_summarized = 0;
+  std::uint64_t wal_segments_pruned = 0;
+  std::uint64_t wal_records_read = 0;
   std::uint64_t cold_rows = 0;      // cold-tier rows merged into the scan
   // Blocks whose rows entered the branch, decoded or summarized; of them,
   // the ones merged from their summary without a read. Summarized rows

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <system_error>
 
 #include <fcntl.h>
@@ -138,42 +137,6 @@ class MappedFile {
   std::size_t size_ = 0;
   std::vector<std::uint8_t> fallback_;
 };
-
-// The summary of a verified block (never empty: EncodeBlock refuses no
-// rows); see BlockSummary. DecodeBlock checked the zone map against the
-// rows bit for bit, so its bounds are the rows' bounds.
-BlockSummary Summarize(const DecodedBlock& block) {
-  const std::vector<BlockRow>& rows = block.rows;
-  BlockSummary summary;
-  summary.rows = rows.size();
-  summary.min_ts = block.zone.min_ts;
-  summary.max_ts = block.zone.max_ts;
-  summary.last_id = block.zone.last_id;
-  // The zone map orders values as MIN/MAX do, and gives a block of only
-  // NaNs min +inf and max -inf, where MIN/MAX have no value.
-  const bool ordered = !(block.zone.min_value() > block.zone.max_value());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  summary.min_value = ordered ? block.zone.min_value() : nan;
-  summary.max_value = ordered ? block.zone.max_value() : nan;
-  summary.min_sample_ts = summary.max_sample_ts = rows.front().sample_timestamp;
-  ExactSum sum;
-  const BlockRow* latest = &rows.front();
-  for (const BlockRow& row : rows) {
-    sum.Add(row.value);
-    summary.min_sample_ts = std::min(summary.min_sample_ts,
-                                     row.sample_timestamp);
-    summary.max_sample_ts = std::max(summary.max_sample_ts,
-                                     row.sample_timestamp);
-    if (row.sample_timestamp >= latest->sample_timestamp) latest = &row;
-  }
-  summary.sum = sum.Pack();
-  summary.latest.id = latest->id;
-  summary.latest.timestamp = latest->timestamp;
-  summary.latest.value.timestamp = latest->sample_timestamp;
-  summary.latest.value.value = latest->value;
-  summary.latest.value.provenance = static_cast<Provenance>(latest->provenance);
-  return summary;
-}
 
 }  // namespace
 
@@ -503,7 +466,7 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
       ++stats->blocks_pruned;
       continue;
     }
-    const BlockSummary* known =
+    const TierSummary* known =
         live.slot->summary.load(std::memory_order_acquire);
     if (known != nullptr && summary && summary(*known)) {
       ++stats->blocks_summarized;
@@ -533,8 +496,14 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
     if (known == nullptr) {
       // Verified: its rows become its summary, unless a concurrent read
       // got there first.
-      auto fresh = std::make_unique<BlockSummary>(Summarize(block));
-      const BlockSummary* expected = nullptr;
+      TierSummaryBuilder builder;
+      for (const BlockRow& row : block.rows) {
+        builder.Add(row.id, row.timestamp,
+                    Sample{row.sample_timestamp, row.value,
+                           static_cast<Provenance>(row.provenance)});
+      }
+      auto fresh = std::make_unique<TierSummary>(builder.Finish());
+      const TierSummary* expected = nullptr;
       if (live.slot->summary.compare_exchange_strong(
               expected, fresh.get(), std::memory_order_acq_rel,
               std::memory_order_acquire)) {

@@ -19,12 +19,13 @@
 // [from_ts, to_ts]. A block that fails its CRC/consistency checks is
 // quarantined (renamed `.corrupt`, dropped from the live set, counted) — a
 // corrupt block can cost rows, never invent them. The first read in this
-// process that decodes and verifies a block also builds its BlockSummary
-// (row count, exact value sum, value and timestamp bounds, latest row),
-// kept beside the block's manifest entry; compaction never builds one, and
-// neither does the manifest alone. An aggregate that can use the summary
-// merges it instead of reading the block again. Only the row buffer a
-// block decodes into is reused (one per thread), never decoded rows.
+// process that decodes and verifies a block also builds its TierSummary
+// (pubsub/tier_summary.h: row count, exact value sum, value and timestamp
+// bounds, latest row), kept beside the block's manifest entry; compaction
+// never builds one, and neither does the manifest alone. An aggregate that
+// can use the summary merges it instead of reading the block again. Only
+// the row buffer a block decodes into is reused (one per thread), never
+// decoded rows.
 //
 // Thread safety: VisitRange/ScanRange, IsCompacted, and the metadata
 // accessors are safe against a concurrent CompactOnce/Reconcile. Compaction itself is
@@ -42,12 +43,12 @@
 
 #include "coldtier/block_format.h"
 #include "coldtier/manifest.h"
-#include "common/exact_sum.h"
 #include "common/expected.h"
 #include "common/fault.h"
 #include "pubsub/archiver.h"
 #include "pubsub/stream.h"
 #include "pubsub/telemetry.h"
+#include "pubsub/tier_summary.h"
 
 namespace apollo {
 
@@ -79,24 +80,6 @@ struct ColdTierConfig {
   // Test-only crash-point instrumentation: called at each named point
   // with the WAL sequence being compacted. Production leaves this empty.
   std::function<void(const char* point, std::uint64_t wal_seq)> crash_hook;
-};
-
-// What one cold block holds, from the rows of the first read that decoded
-// and verified it in this process. Values follow common/exact_sum.h's
-// rules: `sum` is exact, and min/max skip NaN (NaN when every value is NaN)
-// and order -0.0 below +0.0. `latest` is the row the scan's `latest` rule
-// keeps: the last one with the greatest sample timestamp.
-struct BlockSummary {
-  std::uint64_t rows = 0;
-  ExactSum::Packed sum;
-  double min_value = 0.0;
-  double max_value = 0.0;
-  TimeNs min_ts = 0;  // entry timestamps, as the zone map has them
-  TimeNs max_ts = 0;
-  TimeNs min_sample_ts = 0;
-  TimeNs max_sample_ts = 0;
-  std::uint64_t last_id = 0;
-  StreamEntry<Sample> latest;
 };
 
 struct CompactResult {
@@ -131,7 +114,7 @@ class ColdTier {
 
   using RowVisitor = std::function<void(std::uint64_t id, TimeNs timestamp,
                                         const Sample& sample)>;
-  using SummaryVisitor = std::function<bool(const BlockSummary& summary)>;
+  using SummaryVisitor = std::function<bool(const TierSummary& summary)>;
 
   // Visits the cold rows with timestamp in [from_ts, to_ts] block by block,
   // oldest block first. A block the range reaches that already has a
@@ -196,7 +179,7 @@ class ColdTier {
   // Every copy of the entry list shares the block's slot, so a scan that
   // holds an old list sees the summary too.
   struct SummarySlot {
-    std::atomic<const BlockSummary*> summary{nullptr};
+    std::atomic<const TierSummary*> summary{nullptr};
     ~SummarySlot() { delete summary.load(std::memory_order_acquire); }
   };
   struct LiveBlock {

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <system_error>
 #include <thread>
 
@@ -29,32 +31,46 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status(ErrorCode::kIoError, what + ": " + path);
 }
 
-// Reads a whole segment file into `buf`. Segments are bounded by
-// WalConfig::segment_bytes, so a full read is cheap and gives the scanner
-// one contiguous image to validate. Plain read(2) into the caller's
-// buffer: nothing is allocated once `buf` has grown to a segment.
-Status ReadFile(const std::string& path, std::vector<std::uint8_t>& buf) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return IoError("archive segment open failed", path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return IoError("archive segment size failed", path);
+// A segment file opened by path for one read. Reads are plain pread(2)
+// into the caller's buffer, so nothing is allocated once the buffer has
+// grown to a segment (segments are bounded by WalConfig::segment_bytes).
+class SegmentFile {
+ public:
+  explicit SegmentFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~SegmentFile() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  buf.resize(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < buf.size()) {
-    const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  // The file's length in bytes, or -1 when it cannot be read.
+  off_t Size() const {
+    struct stat st;
+    return ::fstat(fd_, &st) == 0 ? st.st_size : -1;
   }
-  ::close(fd);
-  if (got != buf.size()) {
-    return IoError("archive segment read failed", path);
+
+  // Reads bytes [offset, offset + size) into `buf`, which keeps its
+  // capacity from read to read.
+  bool Read(std::uint64_t offset, std::size_t size,
+            std::vector<std::uint8_t>& buf) const {
+    buf.resize(size);
+    std::size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::pread(fd_, buf.data() + got, size - got,
+                                static_cast<off_t>(offset + got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
   }
-  return Status::Ok();
-}
+
+ private:
+  const int fd_;
+};
 
 }  // namespace
 
@@ -124,8 +140,12 @@ Status Archiver<Sample>::Open() {
   std::vector<std::uint8_t> buf;
   for (const auto& [seq, path] : found) {
     ++recovery_.segments_scanned;
-    Status status = ReadFile(path, buf);
-    if (!status.ok()) return status;
+    const SegmentFile file(path);
+    if (!file.ok()) return IoError("archive segment open failed", path);
+    const off_t size = file.Size();
+    if (size < 0 || !file.Read(0, static_cast<std::size_t>(size), buf)) {
+      return IoError("archive segment read failed", path);
+    }
     const wal::ScanResult scan = wal::ScanBuffer(buf.data(), buf.size());
     if (!scan.header_ok) {
       // Unreadable as a WAL segment at all: move it aside so it never
@@ -153,12 +173,12 @@ Status Archiver<Sample>::Open() {
     recovery_.records_recovered += scan.records;
     telemetry.archive_recovered_records.Inc(scan.records);
     segments_.push_back(
-        Segment{seq, path, scan.records, scan.valid_bytes});
+        Segment{seq, path, scan.records, scan.valid_bytes, nullptr});
     record_count_ += scan.records;
   }
 
   if (segments_.empty()) {
-    segments_.push_back(Segment{1, SegmentPathFor(1), 0, 0});
+    segments_.push_back(Segment{1, SegmentPathFor(1), 0, 0, nullptr});
     return OpenActive(/*fresh=*/true);
   }
   return OpenActive(/*fresh=*/false);
@@ -275,7 +295,8 @@ Status Archiver<Sample>::Rotate() {
   std::fclose(active_);
   active_ = nullptr;
   const std::uint64_t next_seq = segments_.back().seq + 1;
-  segments_.push_back(Segment{next_seq, SegmentPathFor(next_seq), 0, 0});
+  segments_.push_back(
+      Segment{next_seq, SegmentPathFor(next_seq), 0, 0, nullptr});
   status = OpenActive(/*fresh=*/true);
   if (!status.ok()) {
     // Re-open the previous segment so appends can continue there.
@@ -394,55 +415,115 @@ Status Archiver<Sample>::WriteChunk(const Record* records, std::size_t n) {
   return Status::Ok();
 }
 
-template <typename Fn>
-Status Archiver<Sample>::ScanTail(std::uint64_t n, Fn&& fn) {
+template <typename Visit>
+Status Archiver<Sample>::VisitSegments(std::size_t first, TimeNs from_ts,
+                                       TimeNs to_ts, const SummaryOffer& offer,
+                                       Visit&& visit, WalVisitStats& stats) {
   if (!open_status_.ok()) return open_status_;
+  TelemetryCounters& telemetry = GlobalTelemetry();
   if (active_ != nullptr && std::fflush(active_) != 0) {
-    GlobalTelemetry().archive_write_errors.Inc();
+    telemetry.archive_write_errors.Inc();
     return IoError("archive flush failed", segments_.back().path);
-  }
-  // Skip whole segments that lie entirely before the requested tail.
-  std::size_t first = segments_.size();
-  for (std::uint64_t kept = 0; first > 0 && kept < n;) {
-    --first;
-    kept += segments_[first].records;
   }
   // Every read on this thread reuses one segment buffer. It is per thread
   // rather than per archive, so its memory is bounded by the reading
-  // threads, not by the number of topics; `fn` must not start another
+  // threads, not by the number of topics; no callback may start another
   // archive read.
   thread_local std::vector<std::uint8_t> buf;
   for (std::size_t i = first; i < segments_.size(); ++i) {
-    Status status = ReadFile(segments_[i].path, buf);
-    if (!status.ok()) return status;
-    const wal::ScanResult scan = wal::ScanBuffer(
-        buf.data(), buf.size(),
-        [&fn](const std::uint8_t* payload, std::uint32_t len) {
-          if (len != kRecordBytes) return;  // not a record of this archive
-          Record rec;
-          std::memcpy(&rec, payload, sizeof(rec));
-          fn(rec);
-        });
-    if (scan.records != segments_[i].records) {
-      // The file changed underneath us (external tampering or bit rot
-      // since open). Surface it — the caller sees a short read otherwise.
+    Segment& seg = segments_[i];
+    const SegmentFile file(seg.path);
+    if (!file.ok()) return IoError("archive segment open failed", seg.path);
+    const off_t size = file.Size();
+    if (size < 0 || static_cast<std::uint64_t>(size) < seg.bytes) {
+      // The file lost bytes since they were counted (external tampering
+      // or bit rot): the records past its end are gone.
       return Status(ErrorCode::kIoError,
-                    "archive segment lost records on re-read: " +
-                        segments_[i].path);
+                    "archive segment lost records on re-read: " + seg.path);
+    }
+    const std::uint64_t verified =
+        seg.summary != nullptr ? seg.summary->rows : 0;
+    std::uint64_t from_record = 0;  // the first record read from disk
+    if (verified > 0) {
+      if (seg.summary->max_ts < from_ts || seg.summary->min_ts > to_ts) {
+        ++stats.segments_pruned;
+        telemetry.archive_segments_pruned.Inc();
+        from_record = verified;
+      } else if (offer && offer(seg.summary)) {
+        ++stats.segments_summarized;
+        telemetry.archive_segments_summarized.Inc();
+        from_record = verified;
+      }
+    }
+    if (from_record == seg.records) continue;
+    const std::uint64_t offset =
+        from_record == 0 ? 0 : wal::kHeaderSize + from_record * kFrameBytes;
+    if (!file.Read(offset, seg.bytes - offset, buf)) {
+      return IoError("archive segment read failed", seg.path);
+    }
+    std::size_t frames = 0;  // where the record frames start in `buf`
+    if (from_record == 0) {
+      std::uint32_t payload_size = 0;
+      if (!wal::DecodeHeader(buf.data(), buf.size(), &payload_size) ||
+          payload_size != kRecordBytes) {
+        return Status(ErrorCode::kIoError,
+                      "archive segment header unreadable on re-read: " +
+                          seg.path);
+      }
+      frames = wal::kHeaderSize;
+    }
+    // The records past the prefix extend its summary.
+    std::optional<TierSummaryBuilder> extended;
+    if (seg.records > verified) {
+      if (seg.summary != nullptr) {
+        extended.emplace(*seg.summary);
+      } else {
+        extended.emplace();
+      }
+    }
+    // `buf` holds exactly the frames of records [from_record, records).
+    const std::uint8_t* frame = buf.data() + frames;
+    for (std::uint64_t index = from_record; index < seg.records;
+         ++index, frame += kFrameBytes) {
+      if (wal::CheckFrame(frame, kFrameBytes, kRecordBytes) == 0) {
+        // A record changed on disk since it was written or last checked.
+        return Status(ErrorCode::kIoError,
+                      "archive segment lost records on re-read: " + seg.path);
+      }
+      ++stats.records_read;
+      Record rec;
+      std::memcpy(&rec, frame + wal::kFrameOverhead, sizeof(rec));
+      if (index >= verified) extended->Add(rec.id, rec.timestamp, rec.payload);
+      if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) visit(rec);
+    }
+    if (extended.has_value()) {
+      seg.summary = std::make_shared<const TierSummary>(extended->Finish());
     }
   }
   return Status::Ok();
 }
 
+Status Archiver<Sample>::VisitRange(TimeNs from_ts, TimeNs to_ts,
+                                    const SummaryOffer& offer,
+                                    const RecordVisitor& visit,
+                                    WalVisitStats* stats) {
+  WalVisitStats local;
+  std::lock_guard<std::mutex> lock(mu_);
+  return VisitSegments(0, from_ts, to_ts, offer, visit,
+                       stats != nullptr ? *stats : local);
+}
+
 Status Archiver<Sample>::ReadRange(TimeNs from_ts, TimeNs to_ts,
                                    std::vector<Record>& out) {
   out.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  Status status = ScanTail(UINT64_MAX, [&](const Record& rec) {
-    if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
-      out.push_back(rec);
-    }
-  });
+  WalVisitStats stats;
+  Status status;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    status = VisitSegments(
+        0, from_ts, to_ts, nullptr,
+        [&out](const Record& rec) { out.push_back(rec); }, stats);
+  }
   if (!status.ok()) out.clear();
   return status;
 }
@@ -458,11 +539,20 @@ Expected<std::vector<Archiver<Sample>::Record>> Archiver<Sample>::ReadRange(
 Expected<std::vector<Archiver<Sample>::Record>> Archiver<Sample>::TailRecords(
     std::uint64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Start at the first segment that holds one of the newest `n`.
+  std::size_t first = segments_.size();
+  for (std::uint64_t kept = 0; first > 0 && kept < n;) {
+    --first;
+    kept += segments_[first].records;
+  }
   std::vector<Record> out;
-  Status status =
-      ScanTail(n, [&out](const Record& rec) { out.push_back(rec); });
+  WalVisitStats stats;
+  Status status = VisitSegments(
+      first, std::numeric_limits<TimeNs>::min(),
+      std::numeric_limits<TimeNs>::max(), nullptr,
+      [&out](const Record& rec) { out.push_back(rec); }, stats);
   if (!status.ok()) return Error(status.code(), status.message());
-  // ScanTail skips whole leading segments; trim the in-segment overshoot.
+  // Whole leading segments were skipped; trim the in-segment overshoot.
   if (out.size() > n) out.erase(out.begin(), out.end() - n);
   return out;
 }

@@ -21,6 +21,17 @@
 // chunk's start offset, so retries can never duplicate or interleave a
 // record.
 //
+// Reads go segment by segment (VisitRange). Each segment keeps, in memory,
+// a TierSummary of its verified prefix: the records a read has already
+// checked against their CRCs. The first read that covers a record checks
+// it and folds it into the prefix; appends never touch a summary. A later
+// read skips a prefix whose entry-timestamp bounds miss its range, offers
+// the prefix's summary to the caller, and reads from disk (pread, from the
+// prefix's end unless the caller declined the summary) only the records it
+// must, checking each one it reads. Every read compares each segment's file
+// length with the records the archiver counts, and fails when the file is
+// shorter.
+//
 // Failed writes are never silent: every append surfaces a Status,
 // AppendBatch and AppendWithRetry add bounded exponential backoff, and
 // every outcome is counted per record both here and in the global
@@ -38,6 +49,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -46,6 +59,7 @@
 #include "common/expected.h"
 #include "common/fault.h"
 #include "pubsub/telemetry.h"
+#include "pubsub/tier_summary.h"
 #include "pubsub/wal_format.h"
 
 namespace apollo {
@@ -75,6 +89,14 @@ struct ArchiveRecoveryStats {
   std::uint64_t bytes_truncated = 0;      // torn/corrupt bytes cut from tails
   std::uint64_t corrupt_segments = 0;     // had any truncation or quarantine
   std::uint64_t quarantined_segments = 0; // renamed *.corrupt (bad header)
+};
+
+// What one VisitRange did with the live segments, surfaced through
+// EXPLAIN ANALYZE.
+struct WalVisitStats {
+  std::uint64_t segments_summarized = 0;  // prefix merged from its summary
+  std::uint64_t segments_pruned = 0;      // prefix skipped on its bounds
+  std::uint64_t records_read = 0;         // read from disk and checked
 };
 
 // Only Archiver<Sample> is defined (below): telemetry rows are the one
@@ -143,12 +165,30 @@ class Archiver<Sample> {
   Status AppendWithRetry(std::uint64_t id, TimeNs timestamp,
                          const Sample& payload);
 
-  // Reads every archived record with timestamp in [from_ts, to_ts], in
-  // append order, into `out` (cleared first, and left empty on error).
-  // Sequential scan over all live segments — archives are cold storage,
-  // latency is acceptable. Every record re-validates its checksum on the
-  // way back in. A caller that keeps `out` across reads allocates nothing
-  // once it has grown.
+  using SummaryOffer =
+      std::function<bool(const std::shared_ptr<const TierSummary>& prefix)>;
+  using RecordVisitor = std::function<void(const Record& record)>;
+
+  // Visits the archived records with timestamp in [from_ts, to_ts], segment
+  // by segment in append order. For each segment: fail (IoError) when its
+  // file is shorter than the records counted in it; skip its verified
+  // prefix when the prefix's entry-timestamp bounds miss the range
+  // (stats->segments_pruned); otherwise offer the prefix's summary to
+  // `offer` (when set), and if it returns true the summary stands for the
+  // prefix's records (stats->segments_summarized). Then read the records
+  // it must from disk, check each one's CRC, fold those past the prefix
+  // into it, and pass those in range to `visit`. A record that fails its
+  // check fails the read (IoError); records visited before it stay
+  // visited. Neither callback may start another archive read. The
+  // archiver lock is held throughout, so appends wait.
+  Status VisitRange(TimeNs from_ts, TimeNs to_ts, const SummaryOffer& offer,
+                    const RecordVisitor& visit,
+                    WalVisitStats* stats = nullptr);
+
+  // VisitRange with no offer: every archived record with timestamp in
+  // [from_ts, to_ts], in append order, into `out` (cleared first, and left
+  // empty on error). A caller that keeps `out` across reads allocates
+  // nothing once it has grown.
   Status ReadRange(TimeNs from_ts, TimeNs to_ts, std::vector<Record>& out);
 
   // Allocating convenience wrapper.
@@ -213,6 +253,10 @@ class Archiver<Sample> {
     std::string path;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
+    // The records [0, summary->rows) a read has checked; null before the
+    // first. Replaced, never changed, so a caller that holds it keeps a
+    // consistent summary.
+    std::shared_ptr<const TierSummary> summary;
   };
 
   // Scans existing segments (recovering valid prefixes, truncating torn
@@ -246,10 +290,12 @@ class Archiver<Sample> {
   // Truncates the active segment back to `offset` after a failed chunk.
   void RollbackActive(std::uint64_t offset);
   void RecordFailures(const Status& status, std::size_t records);
-  // Visits the records of the live segments in append order, starting at
-  // the first segment that holds one of the newest `n`. Caller holds mu_.
-  template <typename Fn>
-  Status ScanTail(std::uint64_t n, Fn&& fn);
+  // VisitRange over segments_[first, end), with `visit` a template
+  // parameter so ReadRange's per-record push inlines. Caller holds mu_.
+  template <typename Visit>
+  Status VisitSegments(std::size_t first, TimeNs from_ts, TimeNs to_ts,
+                       const SummaryOffer& offer, Visit&& visit,
+                       WalVisitStats& stats);
 
   const std::string path_;
   WalConfig config_;

@@ -46,6 +46,12 @@ TelemetryCounters::TelemetryCounters() {
   archive_read_errors =
       Reg("archive_read_errors", "apollo_archive_read_errors_total",
           "Archive scans that failed on the query path");
+  archive_segments_summarized = Reg(
+      "archive_segments_summarized", "apollo_archive_segments_summarized_total",
+      "WAL segment prefixes a read merged from their summary, unread");
+  archive_segments_pruned =
+      Reg("archive_segments_pruned", "apollo_archive_segments_pruned_total",
+          "WAL segment prefixes a read skipped on their timestamp bounds");
   archive_recovered_records =
       Reg("archive_recovered_records", "apollo_archive_recovered_records_total",
           "Valid records recovered by startup WAL scans");

@@ -74,6 +74,10 @@ struct TelemetryCounters {
   obs::Counter archive_fsync_failures;
   obs::Counter archive_rotations;
   obs::Counter archive_read_errors;  // query-path scans
+  // WAL segment prefixes that reads merged from their summary, or skipped
+  // on its timestamp bounds, without reading their records.
+  obs::Counter archive_segments_summarized;
+  obs::Counter archive_segments_pruned;
 
   // WAL recovery (startup scans of existing segments).
   obs::Counter archive_recovered_records;

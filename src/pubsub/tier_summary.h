@@ -1,0 +1,59 @@
+// TierSummary: what a run of history rows holds, so that an aggregate can
+// merge it instead of reading the rows again (small materialized
+// aggregates: G. Moerkotte, "Small Materialized Aggregates: A Light Weight
+// Index Structure for Data Warehousing", VLDB 1998). Both history tiers
+// keep them: a cold block has one (coldtier/cold_tier.h), and so does each
+// WAL segment's verified prefix (pubsub/archiver.h). Either is built only
+// by a read that has just checked those rows against their CRCs, never by
+// the write path, with the one TierSummaryBuilder below.
+//
+// Values follow common/exact_sum.h's rules: `sum` is exact, and min/max
+// skip NaN (NaN when every value is NaN) and order -0.0 below +0.0.
+// `latest` is the row the scan's `latest` rule keeps: the last one with
+// the greatest sample timestamp.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+
+#include "common/clock.h"
+#include "common/exact_sum.h"
+#include "pubsub/telemetry.h"
+
+namespace apollo {
+
+struct TierSummary {
+  std::uint64_t rows = 0;
+  ExactSum::Packed sum;
+  double min_value = std::numeric_limits<double>::quiet_NaN();
+  double max_value = std::numeric_limits<double>::quiet_NaN();
+  TimeNs min_ts = 0;  // entry timestamps: the bounds the tiers narrow by
+  TimeNs max_ts = 0;
+  TimeNs min_sample_ts = 0;
+  TimeNs max_sample_ts = 0;
+  // The first row in stored order: the executor's cold cap when this
+  // summary is the first WAL piece a query keeps.
+  TimeNs first_ts = 0;
+  std::uint64_t first_id = 0;
+  std::uint64_t last_id = 0;
+  Sample latest;
+};
+
+// Builds a TierSummary from rows added in stored order, or continues one
+// with the rows stored after it.
+class TierSummaryBuilder {
+ public:
+  TierSummaryBuilder() = default;
+  explicit TierSummaryBuilder(const TierSummary& prefix);
+
+  void Add(std::uint64_t id, TimeNs timestamp, const Sample& sample);
+  std::uint64_t rows() const { return summary_.rows; }
+  // The summary of every row added, the prefix's included; rows() > 0.
+  TierSummary Finish() const;
+
+ private:
+  TierSummary summary_;  // all but `sum`
+  ExactSum sum_;
+};
+
+}  // namespace apollo

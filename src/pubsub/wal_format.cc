@@ -90,6 +90,17 @@ std::size_t EncodeRecord(std::uint8_t* out, const void* payload,
   return kFrameOverhead + len;
 }
 
+std::size_t CheckFrame(const std::uint8_t* data, std::size_t size,
+                       std::uint32_t payload_size) {
+  if (size < kFrameOverhead) return 0;
+  const std::uint32_t len = GetU32(data);
+  if (len > kMaxRecordLen) return 0;
+  if (payload_size != 0 && len != payload_size) return 0;
+  if (size - kFrameOverhead < len) return 0;  // torn tail
+  if (GetU32(data + 4) != Crc32c(data + kFrameOverhead, len)) return 0;
+  return kFrameOverhead + len;
+}
+
 ScanResult ScanBuffer(
     const std::uint8_t* data, std::size_t size,
     const std::function<void(const std::uint8_t* payload,
@@ -102,16 +113,14 @@ ScanResult ScanBuffer(
   }
   result.header_ok = true;
   std::size_t pos = kHeaderSize;
-  while (size - pos >= kFrameOverhead) {
-    const std::uint32_t len = GetU32(data + pos);
-    if (len > kMaxRecordLen) break;
-    if (payload_size != 0 && len != payload_size) break;
-    if (size - pos - kFrameOverhead < len) break;  // torn tail
-    const std::uint8_t* payload = data + pos + kFrameOverhead;
-    if (GetU32(data + pos + 4) != Crc32c(payload, len)) break;
-    if (visit) visit(payload, len);
+  for (std::size_t frame;
+       (frame = CheckFrame(data + pos, size - pos, payload_size)) != 0;
+       pos += frame) {
+    if (visit) {
+      visit(data + pos + kFrameOverhead,
+            static_cast<std::uint32_t>(frame - kFrameOverhead));
+    }
     ++result.records;
-    pos += kFrameOverhead + len;
   }
   result.valid_bytes = pos;
   result.dropped_bytes = size - pos;

@@ -70,4 +70,12 @@ ScanResult ScanBuffer(
     const std::function<void(const std::uint8_t* payload,
                              std::uint32_t len)>& visit = nullptr);
 
+// Checks the record frame at the front of data[0, size) under the
+// scanner's rules, for a segment whose header carries `payload_size`.
+// Returns the frame's length in bytes, or 0 where the scanner stops. The
+// archiver's reads walk frames with it, since they may start past a
+// segment's header.
+std::size_t CheckFrame(const std::uint8_t* data, std::size_t size,
+                       std::uint32_t payload_size);
+
 }  // namespace apollo::wal

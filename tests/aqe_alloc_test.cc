@@ -1,9 +1,11 @@
 // Allocation gate for the query path. A counting global operator new (in
 // this binary only, so the other suites keep the normal allocator) prices
 // one Executor::Execute of each query shape the `query` workload issues,
+// and of a `monitor` dashboard aggregate over ring, WAL and cold blocks,
 // after two warm-up runs have cached its plan. A query may allocate one
 // block per returned row (its values) plus a fixed allowance, however many
-// rows it scans. Allocation counts repeat exactly on every host.
+// rows, WAL segments or cold blocks it reads. Allocation counts repeat
+// exactly on every host.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +17,9 @@
 #include <string>
 
 #include "aqe/executor.h"
+#include "coldtier/cold_tier.h"
 #include "pubsub/broker.h"
+#include "temp_wal.h"
 
 namespace {
 
@@ -133,6 +137,49 @@ TEST_F(AqeAlloc, LatestUnionAllocatesPerReturnedRow) {
   const Priced p = Price(executor_, query);
   EXPECT_EQ(p.rows, 16u);
   EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+}
+
+// A repeated history aggregate merges tier summaries where it can: the
+// cold blocks' and every WAL segment's. Neither a summary nor a buffer may
+// be copied or regrown per query, so the count does not grow with the
+// segments and blocks a topic holds.
+TEST_F(AqeAlloc, HistoryAggregateAllocatesNoRowOrSegment) {
+  struct Shape {
+    std::size_t rows;
+    std::size_t compacted_segments;
+  };
+  for (const Shape shape : {Shape{600, 10}, Shape{3000, 120}}) {
+    SCOPED_TRACE(std::to_string(shape.rows) + " rows");
+    constexpr std::size_t kRecords = 16;
+    WalConfig config;
+    config.segment_bytes =
+        wal::kHeaderSize +
+        kRecords * (wal::kFrameOverhead + sizeof(Archiver<Sample>::Record));
+    TempWal wal(config);
+    coldtier::ColdTier cold(wal.path());
+    ASSERT_TRUE(cold.Open().ok());
+    wal.AttachColdReader(&cold);
+    Broker broker(RealClock::Instance());
+    ASSERT_TRUE(broker.CreateTopic("hist", kLocalNode, 64, &wal).ok());
+    for (std::size_t i = 0; i < shape.rows; ++i) {
+      const TimeNs ts = 1'000 + static_cast<TimeNs>(i) * 10;
+      ASSERT_TRUE(broker
+                      .Publish("hist", kLocalNode, ts,
+                               Sample{ts, static_cast<double>(i % 97),
+                                      Provenance::kMeasured})
+                      .ok());
+    }
+    auto compacted = cold.CompactOnce(wal, shape.compacted_segments);
+    ASSERT_TRUE(compacted.ok());
+    ASSERT_EQ(cold.BlockCount(), shape.compacted_segments);
+    ASSERT_GE(wal.SealedSegments().size(), 10u);
+    Executor executor(broker);
+    const Priced p = Price(executor,
+                           "SELECT COUNT(*), SUM(metric), MIN(metric), "
+                           "MAX(metric), LAST(metric) FROM hist");
+    EXPECT_EQ(p.rows, 1u);
+    EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+  }
 }
 
 }  // namespace

@@ -725,5 +725,61 @@ TEST(ScanBatchModel, LatestKeepsScanOrderAcrossASummarizedBlock) {
   EXPECT_EQ(profile->vertices.at(0).rows_scanned, 6u);
 }
 
+// The same rule across the cold/WAL boundary: cold rows are fed before
+// every WAL piece. Block A (8 rows, ts 93..100) is decoded, being only
+// partly in range; the next segment (8 rows, all ts 100) stays in the WAL
+// and, once read, is merged from its summary, whose latest row is the
+// segment's last. A's last row ties it on the timestamp and loses: the
+// answer's metric is the segment's last row's.
+TEST(ScanBatchModel, LatestKeepsScanOrderFromAColdRowToAWalSummary) {
+  constexpr std::size_t kRecords = 8;
+  ScratchDir dir;
+  WalConfig config;
+  config.segment_bytes =
+      wal::kHeaderSize +
+      kRecords * (wal::kFrameOverhead + sizeof(Archiver<Sample>::Record));
+  Archiver<Sample> archiver(dir.dir + "/t.log", config);
+  ASSERT_TRUE(archiver.OpenStatus().ok());
+  coldtier::ColdTier cold(archiver.path());
+  ASSERT_TRUE(cold.Open().ok());
+  archiver.AttachColdReader(&cold);
+  Broker broker(RealClock::Instance());
+  ASSERT_TRUE(broker.CreateTopic("t", kLocalNode, 4, &archiver).ok());
+  double value = 0.0;
+  const auto publish = [&](TimeNs ts) {
+    value += 1.0;
+    ASSERT_TRUE(broker
+                    .Publish("t", kLocalNode, ts,
+                             Sample{ts, value, Provenance::kMeasured})
+                    .ok());
+  };
+  for (TimeNs ts = 93; ts <= 100; ++ts) publish(ts);  // block A: 1..8
+  for (int i = 0; i < 8; ++i) publish(100);           // segment: 9..16
+  for (TimeNs ts = 200; ts < 220; ++ts) publish(ts);  // WAL and ring
+  auto compacted = cold.CompactOnce(archiver, 1);
+  ASSERT_TRUE(compacted.ok());
+  ASSERT_EQ(cold.BlockCount(), 1u);
+
+  Executor executor(broker);
+  const std::string query =
+      "SELECT COUNT(*), metric FROM t WHERE Timestamp BETWEEN 95 AND 100";
+  // The first read decodes the block and reads the segment, building both
+  // summaries.
+  for (int run = 0; run < 2; ++run) {
+    auto rs = executor.Execute(query);
+    ASSERT_TRUE(rs.ok());
+    ASSERT_EQ(rs->NumRows(), 1u);
+    EXPECT_EQ(rs->rows[0].values[0], 14.0) << "run " << run;
+    EXPECT_EQ(rs->rows[0].values[1], 16.0) << "run " << run;
+  }
+  auto profile = executor.Explain(query, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  const VertexProfile& vp = profile->vertices.at(0);
+  EXPECT_EQ(vp.cold_blocks_summarized, 0u);
+  EXPECT_EQ(vp.wal_segments_summarized, 1u);
+  EXPECT_EQ(vp.rows_scanned, 6u);
+  EXPECT_EQ(vp.rows_matched, 14u);
+}
+
 }  // namespace
 }  // namespace apollo::aqe

@@ -271,17 +271,21 @@ class ClusterNetTest : public ::testing::Test {
     return node;
   }
 
-  // Spins until node 0 reports every member alive (bounded).
+  // Spins until every node reports every member alive (bounded). A node
+  // that still counts a peer dead places its replicas elsewhere, so a
+  // publish it routes then misses its quorum or a replica.
   void WaitForAllAlive() {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (std::chrono::steady_clock::now() < deadline) {
-      const ClusterMap map = nodes_[0]->daemon->cluster()->Snapshot();
       std::size_t alive = 0;
-      for (const Member& m : map.members) {
-        if (m.state == MemberState::kAlive) ++alive;
+      for (const auto& node : nodes_) {
+        const ClusterMap map = node->daemon->cluster()->Snapshot();
+        for (const Member& m : map.members) {
+          if (m.state == MemberState::kAlive) ++alive;
+        }
       }
-      if (alive == kNodes) return;
+      if (alive == kNodes * kNodes) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     FAIL() << "cluster never converged to all-alive";
@@ -297,15 +301,24 @@ class ClusterNetTest : public ::testing::Test {
   }
 
   // Full stream contents of `topic` on node `i` via the resync RPC.
-  std::vector<TelemetryStream::Entry> Entries(std::size_t i,
-                                              const std::string& topic) {
+  Expected<ResyncChunkMsg> Pull(std::size_t i, const std::string& topic) {
     ApolloClient client(ClientFor(i, "test-reader"));
     ResyncPullMsg pull;
     pull.topic = topic;
     pull.from_id = 0;
     pull.max_entries = 1u << 20;
-    auto chunk = client.ResyncPull(pull);
-    if (!chunk.ok()) return {};
+    return client.ResyncPull(pull);
+  }
+
+  // Pull's entries; a failed pull fails the test with its error.
+  std::vector<TelemetryStream::Entry> Entries(std::size_t i,
+                                              const std::string& topic) {
+    auto chunk = Pull(i, topic);
+    if (!chunk.ok()) {
+      ADD_FAILURE() << "ResyncPull(" << topic << ") on " << peers_[i].name
+                    << ": " << chunk.error().ToString();
+      return {};
+    }
     return chunk->entries;
   }
 
@@ -348,10 +361,10 @@ TEST_F(ClusterNetTest, ReplicatedPublishLandsOnQuorum) {
   const auto replicas = ring.ReplicasFor(topic, 2);
   std::size_t holders = 0;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    const auto entries = Entries(i, topic);
     const bool is_replica = std::count(replicas.begin(), replicas.end(),
                                        peers_[i].name) > 0;
     if (!is_replica) continue;
+    const auto entries = Entries(i, topic);
     ++holders;
     ASSERT_EQ(entries.size(), 32u) << peers_[i].name;
     for (std::size_t k = 0; k < entries.size(); ++k) {
@@ -478,9 +491,11 @@ TEST_F(ClusterNetTest, RestartedNodeResyncsFromPeers) {
   ASSERT_EQ(reference.size(), 24u);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  // Until the resync lands, the revived node may not hold the topic yet.
   std::vector<TelemetryStream::Entry> revived;
   while (std::chrono::steady_clock::now() < deadline) {
-    revived = Entries(primary, topic);
+    auto chunk = Pull(primary, topic);
+    if (chunk.ok()) revived = chunk->entries;
     if (revived.size() == reference.size()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

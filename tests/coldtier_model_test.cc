@@ -6,11 +6,12 @@
 // vector<(id, ts, value)> answers — the exact sum rounded once, MIN/MAX
 // with -0.0 below +0.0, and `latest` ties, bit for bit — while EXPLAIN
 // ANALYZE attributes every row to the tier that holds it and shows that
-// every cold block a qualifying aggregate may take from its summary was
-// taken from it. A sibling run feeds NaN, ±inf, subnormals, ±0.0 and
-// values that cancel. The degraded tests check that an answer which
-// skipped an unreadable tier, or misses rows a tier lost, says so. (Suite
-// names carry "ColdTier" so the tsan name filter picks them up.)
+// every cold block and WAL segment a qualifying aggregate may take from
+// its summary was taken from it. A sibling run feeds NaN, ±inf,
+// subnormals, ±0.0 and values that cancel. The degraded tests check that
+// an answer which skipped an unreadable tier, or misses rows a tier lost,
+// says so. (Suite names carry "ColdTier" so the tsan name filter picks
+// them up.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -359,6 +360,7 @@ double HostileValue(Rng& rng, double prev) {
 struct TierRows {
   std::vector<StreamEntry<Sample>> ring;
   std::vector<Archiver<Sample>::Record> wal;
+  std::vector<std::uint64_t> segment_records;  // per live WAL segment
   std::vector<std::uint64_t> cold_ids;
   std::vector<coldtier::ManifestEntry> blocks;
 };
@@ -367,6 +369,12 @@ TierRows ReadTiers(ThreeTierTopic& topic) {
   TierRows tiers;
   tiers.ring = topic.stream()->RangeByTime(kMinTs, kMaxTs);
   EXPECT_TRUE(topic.archiver().ReadRange(kMinTs, kMaxTs, tiers.wal).ok());
+  std::uint64_t sealed = 0;
+  for (const auto& segment : topic.archiver().SealedSegments()) {
+    tiers.segment_records.push_back(segment.records);
+    sealed += segment.records;
+  }
+  tiers.segment_records.push_back(tiers.wal.size() - sealed);
   EXPECT_TRUE(topic.cold()
                   .ScanRange(kMinTs, kMaxTs,
                              [&](std::uint64_t id, TimeNs, const Sample&) {
@@ -383,6 +391,7 @@ TierRows ReadTiers(ThreeTierTopic& topic) {
 // What the checked queries of one run exercised.
 struct Coverage {
   std::uint64_t blocks_summarized = 0;
+  std::uint64_t wal_segments_summarized = 0;
   // Aggregates whose exact SUM is finite and differs from a double sum of
   // the same rows in id order.
   std::uint64_t sums_a_double_sum_misses = 0;
@@ -490,6 +499,46 @@ void CheckQuery(ThreeTierTopic& topic, const TierRows& tiers,
   }
   EXPECT_EQ(vp.cold_blocks_summarized, summarized);
   coverage.blocks_summarized += vp.cold_blocks_summarized;
+
+  // ReadTiers has also read every WAL record, so each live segment's
+  // summary covers all of its records. The WAL read reaches from `from` to
+  // the first in-range ring row (or `to`), and skips a segment whose
+  // timestamps miss that range. A qualifying aggregate takes from its
+  // summary every other segment that lies wholly inside the range and
+  // below that ring row (timestamp, then id), and reads the rest.
+  TimeNs wal_to = q.to();
+  std::uint64_t wal_to_id = UINT64_MAX;
+  for (const auto& entry : tiers.ring) {
+    if (!in_range(entry.timestamp)) continue;
+    wal_to = entry.timestamp;
+    wal_to_id = entry.id;
+    break;
+  }
+  std::uint64_t segments_summarized = 0, segments_pruned = 0;
+  if (!tiers.wal.empty() && q.from() <= wal_to) {
+    std::size_t at = 0;
+    for (const std::uint64_t records : tiers.segment_records) {
+      if (records == 0) continue;
+      TimeNs min_ts = kMaxTs, max_ts = kMinTs;
+      for (std::size_t i = at; i < at + records; ++i) {
+        min_ts = std::min(min_ts, tiers.wal[i].timestamp);
+        max_ts = std::max(max_ts, tiers.wal[i].timestamp);
+      }
+      const std::uint64_t last_id = tiers.wal[at + records - 1].id;
+      at += records;
+      if (max_ts < q.from() || min_ts > wal_to) {
+        ++segments_pruned;
+        continue;
+      }
+      const bool below =
+          max_ts < wal_to || (max_ts == wal_to && last_id < wal_to_id);
+      segments_summarized += q.aggregate && !q.metric_above &&
+                             min_ts >= q.from() && max_ts <= q.to() && below;
+    }
+  }
+  EXPECT_EQ(vp.wal_segments_summarized, segments_summarized);
+  EXPECT_EQ(vp.wal_segments_pruned, segments_pruned);
+  coverage.wal_segments_summarized += vp.wal_segments_summarized;
 }
 
 void RunModel(std::uint64_t seed,
@@ -530,9 +579,10 @@ void RunModel(std::uint64_t seed,
     }
   }
   EXPECT_GT(topic.cold().BlockCount(), 0u);
-  // The run reached what it is for: blocks merged from their summaries,
-  // and sums that rounding in id order gets wrong.
+  // The run reached what it is for: blocks and WAL segments merged from
+  // their summaries, and sums that rounding in id order gets wrong.
   EXPECT_GT(coverage.blocks_summarized, 0u);
+  EXPECT_GT(coverage.wal_segments_summarized, 0u);
   EXPECT_GT(coverage.sums_a_double_sum_misses, 0u);
 }
 
@@ -644,6 +694,102 @@ TEST(ColdTierDegraded, UnreadableWalMarksAnswerDegraded) {
   EXPECT_TRUE(degraded) << "an answer missing the WAL is not degraded";
 }
 
+// A sealed segment cut short after a read summarized it: its file no
+// longer holds the records counted in it, so every later answer over the
+// history misses the WAL and says so, even one its summary could serve.
+TEST(ColdTierDegraded, ShortSealedSegmentMarksLaterAnswersDegraded) {
+  DegradedTopic topic;
+  ASSERT_TRUE(topic.ok());
+  bool degraded = true;
+  ASSERT_DOUBLE_EQ(topic.Count(&degraded),
+                   static_cast<double>(DegradedTopic::kRows));
+  ASSERT_FALSE(degraded);
+  const auto sealed = topic.archiver().SealedSegments();
+  ASSERT_EQ(sealed.size(), 5u);
+  fs::resize_file(sealed[2].path, fs::file_size(sealed[2].path) - 20);
+  for (const std::string query :
+       {"SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t WHERE metric >= 0"}) {
+    SCOPED_TRACE(query);
+    EXPECT_LT(topic.Count(&degraded, query),
+              static_cast<double>(DegradedTopic::kRows));
+    EXPECT_TRUE(degraded) << "an answer missing the WAL is not degraded";
+  }
+}
+
+// A segment file removed after a read summarized it, the active segment
+// or a sealed one: every read opens each segment by its path, so both
+// fail the WAL read and the answer says it is missing rows.
+TEST(ColdTierDegraded, RemovedSegmentFileMarksAnswerDegraded) {
+  for (const bool active : {true, false}) {
+    SCOPED_TRACE(active ? "active segment" : "sealed segment");
+    DegradedTopic topic;
+    ASSERT_TRUE(topic.ok());
+    bool degraded = true;
+    ASSERT_DOUBLE_EQ(topic.Count(&degraded),
+                     static_cast<double>(DegradedTopic::kRows));
+    ASSERT_FALSE(degraded);
+    fs::remove(active ? topic.archiver().ActiveSegmentPath()
+                      : topic.archiver().SealedSegments().at(2).path);
+    EXPECT_LT(topic.Count(&degraded),
+              static_cast<double>(DegradedTopic::kRows));
+    EXPECT_TRUE(degraded) << "an answer missing the WAL is not degraded";
+  }
+}
+
+// A byte flipped inside a summarized prefix. A qualifying aggregate keeps
+// answering from the summary without reading the record, as one does for
+// a summarized cold block; every read that reads the record again finds
+// the damage: ReadRange fails, a non-qualifying aggregate is degraded, and
+// a fresh archiver on the same files truncates the segment there.
+TEST(ColdTierDegraded, FlippedByteInASummarizedPrefixIsFoundByItsNextRead) {
+  DegradedTopic topic;
+  ASSERT_TRUE(topic.ok());
+  bool degraded = true;
+  ASSERT_DOUBLE_EQ(topic.Count(&degraded),
+                   static_cast<double>(DegradedTopic::kRows));
+  ASSERT_FALSE(degraded);
+  const auto sealed = topic.archiver().SealedSegments();
+  ASSERT_EQ(sealed.size(), 5u);
+  constexpr std::size_t kFrame =
+      wal::kFrameOverhead + sizeof(Archiver<Sample>::Record);
+  {
+    // The value of the segment's record 10.
+    std::FILE* f = std::fopen(sealed[2].path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long at = static_cast<long>(wal::kHeaderSize + 10 * kFrame +
+                                      wal::kFrameOverhead + 24);
+    std::fseek(f, at, SEEK_SET);
+    const int byte = std::fgetc(f);
+    std::fseek(f, at, SEEK_SET);
+    std::fputc(byte ^ 0x40, f);
+    std::fclose(f);
+  }
+
+  const std::string qualifying = "SELECT COUNT(*), SUM(metric) FROM t";
+  EXPECT_DOUBLE_EQ(topic.Count(&degraded, qualifying),
+                   static_cast<double>(DegradedTopic::kRows));
+  EXPECT_FALSE(degraded);
+  auto profile = topic.executor().Explain(qualifying, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->vertices.at(0).wal_segments_summarized, 6u);
+  EXPECT_EQ(profile->vertices.at(0).wal_records_read, 0u);
+
+  std::vector<Archiver<Sample>::Record> records;
+  EXPECT_EQ(topic.archiver().ReadRange(kMinTs, kMaxTs, records).code(),
+            ErrorCode::kIoError);
+  EXPECT_TRUE(records.empty());
+
+  EXPECT_LT(topic.Count(&degraded, "SELECT COUNT(*) FROM t WHERE metric >= 0"),
+            static_cast<double>(DegradedTopic::kRows));
+  EXPECT_TRUE(degraded);
+
+  Archiver<Sample> fresh(topic.archiver().path(), SegmentsOf(80));
+  ASSERT_TRUE(fresh.OpenStatus().ok());
+  EXPECT_EQ(fresh.RecoveryStats().corrupt_segments, 1u);
+  EXPECT_EQ(fresh.RecoveryStats().bytes_truncated, 70 * kFrame);
+  EXPECT_EQ(fresh.Count(), topic.archiver().Count() - 70);
+}
+
 // A quarantined block's rows stay missing after the scan that quarantined
 // it, so every later answer over the history says so too, for the life of
 // the cold tier.
@@ -741,9 +887,9 @@ TEST(ColdTierDegraded, DroppedArchiveWritesMarkAnswersDegraded) {
 
 // The summary path's counter gate, exact on every host and preset. On a
 // topic with B cold blocks the first history aggregate decodes all B (and
-// builds their summaries); the second merges all B from their summaries,
-// decodes none, and scans only the ring and WAL rows. A range decodes only
-// the blocks at its edges.
+// builds their summaries, and the WAL segment's); the second merges all B
+// and the segment from their summaries, decodes none, and scans only the
+// ring rows. A range decodes only the blocks at its edges.
 TEST(ColdTierSummaries, RepeatedAggregateDecodesNoBlock) {
   DegradedTopic topic;
   ASSERT_TRUE(topic.ok());
@@ -765,7 +911,8 @@ TEST(ColdTierSummaries, RepeatedAggregateDecodesNoBlock) {
     const aqe::VertexProfile& vp = profile->vertices.at(0);
     EXPECT_EQ(vp.cold_blocks_scanned, blocks);
     EXPECT_EQ(vp.cold_blocks_summarized, pass == 0 ? 0u : blocks);
-    EXPECT_EQ(vp.rows_scanned, ring + wal + (pass == 0 ? cold : 0u));
+    EXPECT_EQ(vp.wal_segments_summarized, pass == 0 ? 0u : 1u);
+    EXPECT_EQ(vp.rows_scanned, ring + (pass == 0 ? wal + cold : 0u));
     EXPECT_EQ(vp.cold_rows, cold);
     EXPECT_EQ(vp.rows_matched, DegradedTopic::kRows);
     EXPECT_FALSE(vp.degraded);
@@ -778,8 +925,9 @@ TEST(ColdTierSummaries, RepeatedAggregateDecodesNoBlock) {
   }
 
   // Rows 40..410 (t = 1400..5100): block 0 is cut by the range and
-  // decoded; blocks 1-4 lie inside it and merge from their summaries.
-  // Scanned: block 0's 40 rows in range, the 4 WAL rows and 7 ring rows.
+  // decoded; blocks 1-4 and the WAL segment (its 4 rows) lie inside it and
+  // merge from their summaries. Scanned: block 0's 40 rows in range and 7
+  // ring rows.
   auto range = topic.executor().Explain(
       "SELECT COUNT(*), SUM(metric) FROM t WHERE Timestamp BETWEEN 1400 AND "
       "5100",
@@ -788,8 +936,76 @@ TEST(ColdTierSummaries, RepeatedAggregateDecodesNoBlock) {
   const aqe::VertexProfile& vp = range->vertices.at(0);
   EXPECT_EQ(vp.cold_blocks_scanned, blocks);
   EXPECT_EQ(vp.cold_blocks_summarized, blocks - 1);
-  EXPECT_EQ(vp.rows_scanned, 40u + wal + 7u);
+  EXPECT_EQ(vp.wal_segments_summarized, 1u);
+  EXPECT_EQ(vp.rows_scanned, 40u + 7u);
   EXPECT_EQ(vp.rows_matched, 371u);
+}
+
+// The WAL half of the counter gate. On a topic with cold blocks, several
+// sealed WAL segments and an active one, the first history aggregate reads
+// every WAL record (and builds each segment's summary); the second reads
+// none, merges every live segment from its summary, and scans only the
+// ring rows. A range whose bounds miss a segment's prefix prunes it.
+TEST(ColdTierSummaries, RepeatedAggregateReadsNoWalRecord) {
+  ThreeTierTopic topic("coldtier_summary_wal", /*ring=*/16,
+                       /*records_per_segment=*/40);
+  ASSERT_TRUE(topic.ok());
+  for (int i = 0; i < 300; ++i) topic.Append(1'000 + 10 * i, i);
+  // Rows 0..119 to three blocks; 120..279 stay in four sealed segments,
+  // 280..283 in the active one, 284..299 in the ring.
+  auto compacted = topic.cold().CompactOnce(topic.archiver(), 3);
+  ASSERT_TRUE(compacted.ok());
+  ASSERT_EQ(topic.cold().BlockCount(), 3u);
+  ASSERT_EQ(topic.archiver().SealedSegments().size(), 4u);
+  ASSERT_EQ(topic.archiver().Count(), 164u);
+  ASSERT_EQ(topic.stream()->Size(), 16u);
+
+  const std::string query =
+      "SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t";
+  const std::vector<double> want = {300.0, 44850.0, 0.0, 299.0};
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    auto profile = topic.executor().Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    const aqe::VertexProfile& vp = profile->vertices.at(0);
+    EXPECT_EQ(vp.wal_records_read, pass == 0 ? 164u : 0u);
+    EXPECT_EQ(vp.wal_segments_summarized, pass == 0 ? 0u : 5u);
+    EXPECT_EQ(vp.wal_segments_pruned, 0u);
+    EXPECT_EQ(vp.cold_blocks_summarized, pass == 0 ? 0u : 3u);
+    EXPECT_EQ(vp.rows_scanned, pass == 0 ? 300u : 16u);
+    EXPECT_EQ(vp.archive_rows, 164u);
+    EXPECT_EQ(vp.rows_matched, 300u);
+    EXPECT_FALSE(vp.degraded);
+    if (pass == 1) {
+      EXPECT_NE(profile->ToText().find("wal_segments_summarized=5 "
+                                       "wal_segments_pruned=0 "
+                                       "wal_records_read=0"),
+                std::string::npos)
+          << profile->ToText();
+    }
+    auto result = topic.executor().Execute(query);
+    ASSERT_TRUE(result.ok());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_TRUE(SameBits(result->rows.at(0).values.at(c), want[c]))
+          << "col " << c << ": " << result->rows.at(0).values.at(c);
+    }
+  }
+
+  // Rows 0..129 (t = 1000..2290): the blocks merge from their summaries;
+  // the range cuts the first segment (rows 120..159), which is read for
+  // its 10 rows in range, and misses the other four, which are pruned.
+  auto range = topic.executor().Explain(
+      "SELECT COUNT(*), SUM(metric) FROM t WHERE Timestamp BETWEEN 1000 AND "
+      "2290",
+      /*analyze=*/true);
+  ASSERT_TRUE(range.ok());
+  const aqe::VertexProfile& vp = range->vertices.at(0);
+  EXPECT_EQ(vp.wal_segments_pruned, 4u);
+  EXPECT_EQ(vp.wal_segments_summarized, 0u);
+  EXPECT_EQ(vp.wal_records_read, 40u);
+  EXPECT_EQ(vp.cold_blocks_summarized, 3u);
+  EXPECT_EQ(vp.rows_scanned, 10u);
+  EXPECT_EQ(vp.rows_matched, 130u);
 }
 
 // A summary keeps the scan's `latest`: the last row of a run of equal

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "coldtier/block_format.h"
 #include "coldtier/cold_tier.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 #include "score/monitor_hook.h"
@@ -701,6 +703,137 @@ TEST(ColdTierStress, SummaryAggregatesWhileCompactingAndQuarantining) {
   EXPECT_TRUE(SameCells(result->rows.at(0).values,
                         IdRangeAggregates(0, kRows - 1, true, lost_lo.load(),
                                           lost_hi.load())));
+  fs::remove_all(dir);
+}
+
+// TSan leg for WAL segment summaries: aggregates race a publisher whose
+// appends rotate small segments, readers that extend the segments'
+// summaries (the aggregates themselves, and a ReadRange that offers no
+// summary), and a compactor whose CompactOnce drops segments
+// (DropSegmentsThrough) while queries still hold their summaries. Row i
+// has value i, so every answer must be a prefix of the appends: COUNT(*)
+// exact, no row lost or counted twice across the ring, WAL and cold caps.
+TEST(WalSummaryStress, AggregatesRaceAppendsRotationAndCompaction) {
+  const std::string dir = FreshDir("wal_summary_stress");
+  const std::string base = dir + "/t.log";
+  constexpr std::uint64_t kRows = 1600;
+  constexpr TimeNs kStep = 10;
+  Archiver<Sample> archiver(base, SmallSegments(16));
+  ColdTier cold(base);
+  ASSERT_TRUE(cold.Open().ok());
+  archiver.AttachColdReader(&cold);
+  Broker broker(RealClock::Instance());
+  auto created = broker.CreateTopic("t", kLocalNode, 32, &archiver);
+  ASSERT_TRUE(created.ok());
+  TelemetryStream* stream = *created;
+  aqe::Executor executor(broker);
+  const obs::Counter merged = GlobalTelemetry().archive_segments_summarized;
+  const std::uint64_t merged_before = merged.Value();
+
+  std::atomic<std::uint64_t> begun{0}, done{0};
+  std::atomic<bool> finished{false};
+  std::thread publisher([&] {
+    for (std::uint64_t i = 0; i < kRows; ++i) {
+      const TimeNs ts = 1'000 + static_cast<TimeNs>(i) * kStep;
+      begun.store(i + 1, std::memory_order_release);
+      stream->Append(ts, Sample{ts, static_cast<double>(i),
+                                Provenance::kMeasured});
+      done.store(i + 1, std::memory_order_release);
+    }
+    finished.store(true, std::memory_order_release);
+  });
+  std::thread compactor([&] {
+    while (!finished.load(std::memory_order_acquire)) {
+      if (!cold.CompactOnce(archiver, 1).ok()) break;
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<std::uint64_t> wal_reads{0}, bad_wal_reads{0};
+  std::thread wal_reader([&] {
+    std::vector<Archiver<Sample>::Record> records;
+    while (!finished.load(std::memory_order_acquire)) {
+      if (!archiver.ReadRange(0, INT64_MAX, records).ok()) {
+        bad_wal_reads.fetch_add(1);
+        continue;
+      }
+      wal_reads.fetch_add(1);
+      for (std::size_t i = 1; i < records.size(); ++i) {
+        if (records[i].id != records[i - 1].id + 1) bad_wal_reads.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  // Checks one answer over ids [lo, hi] against every prefix it may hold.
+  std::atomic<std::uint64_t> answers{0}, inconsistent{0};
+  const auto check = [&](const std::string& text, std::uint64_t lo,
+                         std::uint64_t hi) {
+    const std::uint64_t before = done.load(std::memory_order_acquire);
+    auto result = executor.Execute(text);
+    const std::uint64_t after = begun.load(std::memory_order_acquire);
+    if (!result.ok() || result->rows.size() != 1 || result->degraded) {
+      inconsistent.fetch_add(1);
+      ADD_FAILURE() << text << ": failed or degraded";
+      return;
+    }
+    const std::vector<double>& got = result->rows[0].values;
+    bool consistent = false;
+    for (std::uint64_t m = before; m <= after && !consistent; ++m) {
+      const std::uint64_t top = std::min(hi, m == 0 ? 0 : m - 1);
+      const std::uint64_t bottom = m == 0 ? 1 : lo;  // m == 0: no rows
+      consistent = SameCells(got, IdRangeAggregates(bottom, top, false, 0, 0));
+    }
+    answers.fetch_add(1);
+    if (!consistent) {
+      inconsistent.fetch_add(1);
+      ADD_FAILURE() << text << ": COUNT " << got[0] << " SUM " << got[1]
+                    << " MIN " << got[2] << " MAX " << got[3] << " appends "
+                    << before << ".." << after;
+    }
+  };
+  const std::string all =
+      "SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric) FROM t";
+  std::thread unbounded([&] {
+    while (!finished.load(std::memory_order_acquire)) check(all, 0, kRows);
+  });
+  std::thread ranged([&] {
+    Rng rng(0x5E9u);
+    while (!finished.load(std::memory_order_acquire)) {
+      const std::uint64_t a = rng.NextBounded(kRows);
+      const std::uint64_t b = a + rng.NextBounded(kRows - a);
+      check(all + " WHERE Timestamp BETWEEN " +
+                std::to_string(1'000 + static_cast<TimeNs>(a) * kStep) +
+                " AND " +
+                std::to_string(1'000 + static_cast<TimeNs>(b) * kStep),
+            a, b);
+    }
+  });
+  publisher.join();
+  compactor.join();
+  wal_reader.join();
+  unbounded.join();
+  ranged.join();
+  EXPECT_EQ(inconsistent.load(), 0u) << "of " << answers.load();
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_EQ(bad_wal_reads.load(), 0u) << "of " << wal_reads.load();
+  // The race reached what it is for: answers merged segment summaries.
+  EXPECT_GT(merged.Value(), merged_before);
+
+  // Settled: the second read merges every live segment from its summary
+  // and reads no record, and the answer holds every row once.
+  ASSERT_TRUE(executor.Execute(all).ok());
+  auto profile = executor.Explain(all, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  const aqe::VertexProfile& vp = profile->vertices.at(0);
+  EXPECT_EQ(vp.wal_segments_summarized,
+            archiver.SealedSegments().size() + 1);
+  EXPECT_EQ(vp.wal_records_read, 0u);
+  EXPECT_EQ(vp.rows_matched, kRows);
+  auto result = executor.Execute(all);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->degraded);
+  EXPECT_TRUE(SameCells(result->rows.at(0).values,
+                        IdRangeAggregates(0, kRows - 1, false, 0, 0)));
   fs::remove_all(dir);
 }
 
