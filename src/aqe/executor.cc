@@ -44,17 +44,17 @@ double CellOf(Column column, const Sample& sample) {
 }
 
 // Rows of one tier, in scan order, as columns: row i is the sample
-// (sample_ts[i], value[i], provenance[i]). The ring hands them out in place
+// (ts[i], value[i], provenance[i]). The ring hands them out in place
 // (TelemetryStream::VisitColumns); WAL records and cold rows are packed
 // into a ColumnBuffer. Every tier feeds the same consumers this way.
 struct Columns {
-  const TimeNs* sample_ts = nullptr;
+  const TimeNs* ts = nullptr;
   const double* value = nullptr;
   const Provenance* provenance = nullptr;
   std::size_t size = 0;
 
   Sample At(std::size_t i) const {
-    return Sample{sample_ts[i], value[i], provenance[i]};
+    return Sample{ts[i], value[i], provenance[i]};
   }
 };
 
@@ -63,18 +63,17 @@ struct Columns {
 class ColumnBuffer {
  public:
   void Clear() {
-    sample_ts_.clear();
+    ts_.clear();
     value_.clear();
     provenance_.clear();
   }
   void Push(const Sample& sample) {
-    sample_ts_.push_back(sample.timestamp);
+    ts_.push_back(sample.timestamp);
     value_.push_back(sample.value);
     provenance_.push_back(sample.provenance);
   }
   void Append(const TelemetryStream::ColumnSpan& span) {
-    sample_ts_.insert(sample_ts_.end(), span.sample_ts,
-                      span.sample_ts + span.size);
+    ts_.insert(ts_.end(), span.entry_ts, span.entry_ts + span.size);
     value_.insert(value_.end(), span.values, span.values + span.size);
     provenance_.insert(provenance_.end(), span.provenance,
                        span.provenance + span.size);
@@ -83,12 +82,12 @@ class ColumnBuffer {
   Columns View() const { return View(0, size()); }
   // Rows [begin, end).
   Columns View(std::size_t begin, std::size_t end) const {
-    return Columns{sample_ts_.data() + begin, value_.data() + begin,
+    return Columns{ts_.data() + begin, value_.data() + begin,
                    provenance_.data() + begin, end - begin};
   }
 
  private:
-  std::vector<TimeNs> sample_ts_;
+  std::vector<TimeNs> ts_;
   std::vector<double> value_;
   std::vector<Provenance> provenance_;
 };
@@ -111,7 +110,7 @@ std::uint64_t InInterval(Column column, const Columns& rows, std::size_t at,
   std::uint64_t mask = 0;
   switch (column) {
     case Column::kTimestamp: {
-      const TimeNs* ts = rows.sample_ts + at;
+      const TimeNs* ts = rows.ts + at;
       for (std::size_t i = 0; i < n; ++i) {
         mask |= in(static_cast<double>(ts[i])) << i;
       }
@@ -455,8 +454,7 @@ IndexShape ShapeOf(const Select& select) {
   return latest_only ? IndexShape::kLatest : IndexShape::kIndex;
 }
 
-bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
-                         const std::optional<StreamAggregates>& agg) {
+bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream) {
   switch (ShapeOf(select)) {
     case IndexShape::kNone:
       return false;
@@ -465,20 +463,11 @@ bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
     case IndexShape::kIndex:
       break;
   }
-  if (Archiver<Sample>* archiver = stream.archiver()) {
-    if (archiver->Count() > 0) return false;
-    coldtier::ColdTier* cold = archiver->cold_reader();
-    if (cold != nullptr && cold->ColdRowCount() > 0) return false;
-  }
-  if (!agg.has_value() || agg->timestamps_trusted) return true;
-  return std::none_of(select.items.begin(), select.items.end(),
-                      [](const SelectItem& item) {
-                        return item.column == Column::kTimestamp &&
-                               (item.aggregate == Aggregate::kSum ||
-                                item.aggregate == Aggregate::kAvg ||
-                                item.aggregate == Aggregate::kMin ||
-                                item.aggregate == Aggregate::kMax);
-                      });
+  Archiver<Sample>* archiver = stream.archiver();
+  if (archiver == nullptr) return true;
+  coldtier::ColdTier* cold = archiver->cold_reader();
+  return archiver->Count() == 0 &&
+         (cold == nullptr || cold->ColdRowCount() == 0);
 }
 
 bool HistoryIncomplete(const Select& select, const TelemetryStream& stream) {
@@ -798,7 +787,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   // below merges the history the index does not cover.
   if (shape == IndexShape::kIndex) {
     auto agg = stream->Aggregates();
-    if (IndexAnswersExactly(select, *stream, agg)) {
+    if (IndexAnswersExactly(select, *stream)) {
       ResultRow& row = new_row();
       for (const SelectItem& item : select.items) {
         row.values.push_back(IndexAggregateCell(item, agg));
@@ -851,8 +840,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   const auto inside = [&](const TierSummary& summary, const Cap& cap) {
     return summaries && summary.min_ts >= from_ts &&
            cap.Keeps(summary.max_ts, summary.last_id) &&
-           filter.CoversTimestamps(summary.min_sample_ts,
-                                   summary.max_sample_ts);
+           filter.CoversTimestamps(summary.min_ts, summary.max_ts);
   };
 
   // Reused across calls on this thread: once grown to the largest ring
@@ -903,7 +891,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       const auto wal_record = [&](const Archiver<Sample>::Record& rec) {
         if (!wal_cap.Keeps(rec.timestamp, rec.id)) return;
         keep(rec.timestamp, rec.id, 1);
-        wal_rows.Push(rec.payload);
+        wal_rows.Push(rec.payload);  // stamped with rec.timestamp
       };
       const auto wal_prefix =
           [&](const std::shared_ptr<const TierSummary>& summary) {
@@ -946,7 +934,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     if (!history) {
       stream->VisitColumns(
           from_ts, to_ts, [&](const TelemetryStream::ColumnSpan& span) {
-            return consume(Columns{span.sample_ts, span.values,
+            return consume(Columns{span.entry_ts, span.values,
                                    span.provenance, span.size});
           });
       return;
@@ -1110,8 +1098,8 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
               accs[i].Order(summary.min_value);
               accs[i].Order(summary.max_value);
             } else {
-              accs[i].Order(static_cast<double>(summary.min_sample_ts));
-              accs[i].Order(static_cast<double>(summary.max_sample_ts));
+              accs[i].Order(static_cast<double>(summary.min_ts));
+              accs[i].Order(static_cast<double>(summary.max_ts));
             }
             break;
         }

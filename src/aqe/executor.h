@@ -96,11 +96,8 @@ IndexShape ShapeOf(const Select& select);
 // of a scan, shared by the executor, EXPLAIN and the continuous-query
 // engine. kLatest branches always qualify and never look at history. A
 // kIndex branch qualifies only while no row of the topic has left the ring
-// for the WAL or the cold tier (the index covers the ring alone) and, when
-// it asks for timestamp stats, while the index's timestamps are trusted.
-// `agg` is the stream's Aggregates() snapshot.
-bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream,
-                         const std::optional<StreamAggregates>& agg);
+// for the WAL or the cold tier (the index covers the ring alone).
+bool IndexAnswersExactly(const Select& select, const TelemetryStream& stream);
 
 // True when a branch's answer misses rows the topic's history lost: the
 // topic's archiver dropped records after their retries

@@ -29,8 +29,8 @@
 //   timestamps  zigzag varint t0, zigzag varint first delta, then zigzag
 //               varint delta-of-deltas (wrapping two's-complement i64)
 //   sample ts   zigzag varint of (sample_timestamp - timestamp) per row —
-//               the sample's own clock normally equals the entry clock,
-//               so this column is one zero byte per row
+//               the compactor writes the copy equal, so this column is
+//               one zero byte per row
 //   values      Gorilla-style XOR: raw 64 bits for v0; then per value a
 //               '0' bit (same as previous) or '1' + ('0' reuse previous
 //               leading/length window | '1' + 5-bit leading-zero count +
@@ -65,9 +65,9 @@ inline constexpr std::uint32_t kMaxBlockRows = 1u << 24;
 inline constexpr std::uint32_t kMaxSectionLen = 1u << 28;
 
 // One archived row, as stored in the WAL and in a block. `timestamp` is
-// the stream-entry clock; `sample_timestamp` is the Sample's own clock
-// (almost always identical, preserved exactly so cold reads round-trip
-// the WAL record bit for bit).
+// the row's one time. `sample_timestamp` is the format's copy of it: the
+// compactor writes it equal, the codec round-trips it, and ColdTier's
+// reads ignore it.
 struct BlockRow {
   std::uint64_t id = 0;
   TimeNs timestamp = 0;

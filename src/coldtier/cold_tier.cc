@@ -296,8 +296,7 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
           Record rec;
           std::memcpy(&rec, payload, sizeof(rec));
           rows.push_back(BlockRow{
-              rec.id, rec.timestamp, rec.payload.timestamp,
-              rec.payload.value,
+              rec.id, rec.timestamp, rec.timestamp, rec.payload.value,
               static_cast<std::uint8_t>(rec.payload.provenance)});
         });
     if (!scan.header_ok) {
@@ -498,9 +497,8 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
       // got there first.
       TierSummaryBuilder builder;
       for (const BlockRow& row : block.rows) {
-        builder.Add(row.id, row.timestamp,
-                    Sample{row.sample_timestamp, row.value,
-                           static_cast<Provenance>(row.provenance)});
+        builder.Add(row.id, Sample{row.timestamp, row.value,
+                                   static_cast<Provenance>(row.provenance)});
       }
       auto fresh = std::make_unique<TierSummary>(builder.Finish());
       const TierSummary* expected = nullptr;
@@ -513,11 +511,9 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
     ++stats->blocks_scanned;
     for (const BlockRow& row : block.rows) {
       if (row.timestamp < from_ts || row.timestamp > to_ts) continue;
-      Sample sample;
-      sample.timestamp = row.sample_timestamp;
-      sample.value = row.value;
-      sample.provenance = static_cast<Provenance>(row.provenance);
-      visit(row.id, row.timestamp, sample);
+      visit(row.id, row.timestamp,
+            Sample{row.timestamp, row.value,
+                   static_cast<Provenance>(row.provenance)});
       ++stats->rows_visited;
     }
   }

@@ -274,11 +274,11 @@ aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
         row.values.push_back(aqe::IndexAggregateCell(item, agg));
       }
       // Same degradation surface the executor stamps per branch, plus the
-      // index's own limit: where a one-shot query would scan instead
-      // (history beyond the ring, untrusted timestamps), or the history
-      // lost rows, the index's answer is partial and says so.
+      // index's own limit: where a one-shot query would scan the history
+      // beyond the ring instead, or the history lost rows, the index's
+      // answer is partial and says so.
       row.degraded = stream->degraded() ||
-                     !aqe::IndexAnswersExactly(*branch.select, *stream, agg) ||
+                     !aqe::IndexAnswersExactly(*branch.select, *stream) ||
                      aqe::HistoryIncomplete(*branch.select, *stream);
       if (auto newest = stream->Latest(); newest.has_value()) {
         row.staleness_ns =

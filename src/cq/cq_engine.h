@@ -14,8 +14,8 @@
 // cells a one-shot query computes from the same index, without parsing,
 // planning, or scanning anything. Where the one-shot query would not trust
 // the index (aqe::IndexAnswersExactly: rows beyond the ring in the WAL or
-// cold tier, or untrusted timestamps behind timestamp stats) the push
-// carries the index's partial answer with degraded=true.
+// cold tier) the push carries the index's partial answer with
+// degraded=true.
 //
 // Delivery protocol (epoch, seq):
 //   - registration starts epoch 1; the initial snapshot is seq 1 and

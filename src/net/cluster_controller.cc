@@ -467,9 +467,9 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
       continue;
     }
 
-    // Self is the primary: decide per-entry kPublish faults HERE (one
-    // roll for the whole replica set), replicate survivors, then append
-    // locally once the quorum is in.
+    // Self is the primary: admit each entry HERE (Broker::Admit: the
+    // timestamp rule and one kPublish roll for the whole replica set),
+    // replicate survivors, then append locally once the quorum is in.
     auto stream = broker_.EnsureTopic(run.topic);
     if (!stream.ok()) {
       FailRun(ack, base, n, stream.error().code(), stream.error().message());
@@ -478,27 +478,22 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
     }
     std::vector<TelemetryStream::Entry> survivors;
     survivors.reserve(n);
-    FaultInjector* injector = broker_.fault_injector();
     for (std::size_t i = 0; i < n; ++i) {
-      if (injector != nullptr) {
-        if (auto action = injector->Evaluate(FaultSite::kPublish, run.topic)) {
-          if (action->fails()) {
-            telemetry.publish_drops.Inc();
-            ack.MarkFailed(static_cast<std::uint32_t>(base + i));
-            if (ack.first_error.empty()) {
-              ack.first_error_code = ErrorCode::kUnavailable;
-              ack.first_error = "injected fault: publish dropped";
-            }
-            continue;
-          }
-          broker_.clock().Charge(action->delay_ns);
-        }
+      Status verdict = broker_.Admit(run.topic, run.entries[i]);
+      if (verdict.ok()) {
+        survivors.push_back(run.entries[i]);
+        continue;
       }
-      survivors.push_back(run.entries[i]);
+      ack.MarkFailed(static_cast<std::uint32_t>(base + i));
+      if (ack.first_error.empty()) {
+        ack.first_error_code = verdict.code();
+        ack.first_error = verdict.message();
+      }
     }
     const std::uint64_t expected_base = (*stream)->NextId();
     std::uint32_t acks = 1;  // self applies below
     bool stale_primary = false;
+    FaultInjector* injector = broker_.fault_injector();
     for (std::size_t r = 1; r < replicas.size(); ++r) {
       const std::string& name = replicas[r]->name;
       if (injector != nullptr) {

@@ -493,7 +493,9 @@ Status Archiver<Sample>::VisitSegments(std::size_t first, TimeNs from_ts,
       ++stats.records_read;
       Record rec;
       std::memcpy(&rec, frame + wal::kFrameOverhead, sizeof(rec));
-      if (index >= verified) extended->Add(rec.id, rec.timestamp, rec.payload);
+      // A row has one time: the stored copy of it in the sample is ignored.
+      rec.payload.timestamp = rec.timestamp;
+      if (index >= verified) extended->Add(rec.id, rec.payload);
       if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) visit(rec);
     }
     if (extended.has_value()) {

@@ -25,7 +25,7 @@
 // a TierSummary of its verified prefix: the records a read has already
 // checked against their CRCs. The first read that covers a record checks
 // it and folds it into the prefix; appends never touch a summary. A later
-// read skips a prefix whose entry-timestamp bounds miss its range, offers
+// read skips a prefix whose timestamp bounds miss its range, offers
 // the prefix's summary to the caller, and reads from disk (pread, from the
 // prefix's end unless the caller declined the summary) only the records it
 // must, checking each one it reads. Every read compares each segment's file
@@ -43,6 +43,7 @@
 //
 // Record payload layout (binary, little-endian, fixed size):
 //   u64 id | i64 timestamp | Sample
+// The Sample's timestamp is a copy, written equal and ignored on read.
 #pragma once
 
 #include <atomic>
@@ -172,7 +173,7 @@ class Archiver<Sample> {
   // Visits the archived records with timestamp in [from_ts, to_ts], segment
   // by segment in append order. For each segment: fail (IoError) when its
   // file is shorter than the records counted in it; skip its verified
-  // prefix when the prefix's entry-timestamp bounds miss the range
+  // prefix when the prefix's timestamp bounds miss the range
   // (stats->segments_pruned); otherwise offer the prefix's summary to
   // `offer` (when set), and if it returns true the summary stands for the
   // prefix's records (stats->segments_summarized). Then read the records

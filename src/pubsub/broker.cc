@@ -6,6 +6,12 @@
 
 namespace apollo {
 
+namespace {
+bool TimestampsDiffer(const TelemetryStream::Entry& entry) {
+  return entry.value.timestamp != entry.timestamp;
+}
+}  // namespace
+
 Expected<TelemetryStream*> Broker::CreateTopic(const std::string& name,
                                                NodeId home_node,
                                                std::size_t capacity,
@@ -121,11 +127,8 @@ Expected<std::uint64_t> Broker::Publish(TopicHandle& handle, NodeId from_node,
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
   publishes_.Inc();
-  status = EvaluateFault(FaultSite::kPublish, handle.name_);
-  if (!status.ok()) {
-    GlobalTelemetry().publish_drops.Inc();
-    return Error(status.code(), status.message());
-  }
+  status = Admit(handle.name_, TelemetryStream::Entry{0, timestamp, sample});
+  if (!status.ok()) return Error(status.code(), status.message());
   ChargeLatency(from_node, handle.home_);
   auto id = handle.stream_->Append(timestamp, sample);
   NotifyPublish(handle.name_, 1);
@@ -143,24 +146,23 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
   ChargeLatency(from_node, handle.home_);
   BatchPublishResult result;
   if (n == 0) return result;
-  // Fast path: nothing armed — hand the whole run to the stream in one go.
-  if (fault_.load(std::memory_order_acquire) == nullptr) {
+  // Fast path: nothing armed or refused — the whole run goes in one go.
+  if (fault_.load(std::memory_order_acquire) == nullptr &&
+      std::none_of(entries, entries + n, TimestampsDiffer)) {
     result.last_entry_id = handle.stream_->AppendBatch(entries, n);
     result.accepted = n;
     NotifyPublish(handle.name_, n);
     return result;
   }
-  // Injector attached: evaluate kPublish per entry (exact chaos
-  // accounting), compacting survivors so they still append under one lock.
+  // Admit each entry; the survivors still append under one lock.
   std::vector<TelemetryStream::Entry> accepted;
   accepted.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Status verdict = EvaluateFault(FaultSite::kPublish, handle.name_);
+    Status verdict = Admit(handle.name_, entries[i]);
     if (verdict.ok()) {
       accepted.push_back(entries[i]);
       continue;
     }
-    GlobalTelemetry().publish_drops.Inc();
     if (result.first_error.empty()) {
       result.first_error_code = verdict.code();
       result.first_error = verdict.message();
@@ -177,6 +179,17 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
   }
   result.accepted = accepted.size();
   return result;
+}
+
+Status Broker::Admit(const std::string& topic,
+                     const TelemetryStream::Entry& entry) {
+  if (TimestampsDiffer(entry)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "sample timestamp differs from its entry timestamp");
+  }
+  Status status = EvaluateFault(FaultSite::kPublish, topic);
+  if (!status.ok()) GlobalTelemetry().publish_drops.Inc();
+  return status;
 }
 
 Expected<std::uint64_t> Broker::AppendReplicated(

@@ -148,7 +148,8 @@ class Broker {
   // --- string-keyed access (registry lookup per call) ---
 
   // Publishes to a topic from `from_node`, charging network latency when the
-  // topic lives on a different node. Returns the assigned entry id.
+  // topic lives on a different node. Returns the assigned entry id, or
+  // Admit's verdict.
   Expected<std::uint64_t> Publish(const std::string& topic, NodeId from_node,
                                   TimeNs timestamp, const Sample& sample);
 
@@ -170,7 +171,7 @@ class Broker {
   struct BatchPublishResult {
     std::uint64_t last_entry_id = 0;  // valid when accepted > 0
     std::size_t accepted = 0;
-    // First per-entry failure (injected drops), when accepted < n.
+    // First per-entry failure (Admit's verdict), when accepted < n.
     ErrorCode first_error_code = ErrorCode::kUnavailable;
     std::string first_error;
   };
@@ -178,17 +179,22 @@ class Broker {
   // Batched publish of `n` entries (id fields ignored) to one topic — the
   // wire ingest handoff. One handle refresh, one network-latency charge
   // (the run arrived as one wire message), and one stream-lock acquisition
-  // via Stream::AppendBatch instead of n. With a fault injector attached,
-  // FaultSite::kPublish is still evaluated per entry so chaos accounting
-  // stays exact: a failing entry sets bit (bitmap_base + i) in `error_bits`
-  // (when non-null; the caller sizes it) and is skipped while the rest of
-  // the run proceeds. An error return (unknown topic) means the whole run
-  // failed and no bits were set.
+  // via Stream::AppendBatch instead of n. Each entry gets Admit's verdict,
+  // so chaos accounting stays exact: a refused entry sets bit
+  // (bitmap_base + i) in `error_bits` (when non-null; the caller sizes it)
+  // and is skipped while the rest of the run proceeds. An error return
+  // (unknown topic) means the whole run failed and no bits were set.
   Expected<BatchPublishResult> PublishBatch(
       TopicHandle& handle, NodeId from_node,
       const TelemetryStream::Entry* entries, std::size_t n,
       std::vector<std::uint8_t>* error_bits = nullptr,
       std::size_t bitmap_base = 0);
+
+  // The verdict on a sample entering this node, asked by Publish,
+  // PublishBatch and the cluster primary's RouteBatch before it gets an id:
+  // kInvalidArgument when its timestamp differs from the entry's (a row has
+  // one time), else kPublish for `topic` (a drop counts in publish_drops).
+  Status Admit(const std::string& topic, const TelemetryStream::Entry& entry);
 
   // Replication apply: appends `n` entries exactly as decided by the
   // topic's primary — no fault evaluation, no latency charge, no retry.

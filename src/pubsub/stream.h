@@ -9,14 +9,14 @@
 //
 // Hot-path layout: the window is a power-of-two ring buffer indexed by
 // entry id (slot = id & mask), so id lookup is O(1) and eviction is a
-// pointer bump — no deque node churn. The ring is four columns (entry
-// timestamp, sample timestamp, value, provenance: 25 B a row), each id
-// implied by its slot, so a scan reads only the columns it tests
-// (VisitColumns); Entry values are assembled as rows are copied out. The
-// ring grows geometrically up to the capacity so small streams stay
-// small. Each stream also keeps a rolling aggregate index
-// (count/sum/min/max/latest, monotonic wedges for min/max) so
-// predicate-free aggregate queries answer in O(1).
+// pointer bump — no deque node churn. The ring is three columns
+// (timestamp, value, provenance: 17 B a row), each id implied by its
+// slot, so a scan reads only the columns it tests (VisitColumns); Entry
+// values are assembled as rows are copied out. The ring grows
+// geometrically up to the capacity so small streams stay small. Each
+// stream also keeps a rolling aggregate index (count/sum/min/max/latest,
+// monotonic wedges for min/max) so predicate-free aggregate queries answer
+// in O(1).
 //
 // One mutex guards the window. An append collects the rows it evicts and
 // hands them to Archiver::AppendBatch (one fflush per WAL chunk) before it
@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -69,12 +68,6 @@ struct StreamAggregates {
   TimeNs min_timestamp = 0;
   TimeNs max_timestamp = 0;
   std::uint64_t predicted = 0;  // entries with Provenance::kPredicted
-  // Timestamp stats index the payload timestamp via the window ends, which
-  // is only sound while every producer stamps Sample::timestamp equal to
-  // the entry timestamp (the SCoRe convention). Cleared — permanently —
-  // the first time a mismatched append is seen; readers then recompute
-  // timestamp aggregates by scanning.
-  bool timestamps_trusted = true;
   StreamEntry<Sample> latest{};
 };
 
@@ -86,15 +79,13 @@ class TelemetryStream {
   // The most rows one ColumnSpan of a bounded range holds (VisitColumns).
   static constexpr std::size_t kSpanRows = 64;
 
-  // Consecutive window rows as columns: row j has id first_id + j, entry
-  // timestamp entry_ts[j] and sample (sample_ts[j], values[j],
-  // provenance[j]). The pointers are valid only inside the VisitColumns
-  // callback that received the span.
+  // Consecutive window rows as columns: row j has id first_id + j and
+  // sample (entry_ts[j], values[j], provenance[j]). The pointers are valid
+  // only inside the VisitColumns callback that received the span.
   struct ColumnSpan {
     std::uint64_t first_id = 0;
     std::size_t size = 0;
     const TimeNs* entry_ts = nullptr;
-    const TimeNs* sample_ts = nullptr;
     const double* values = nullptr;
     const Provenance* provenance = nullptr;
   };
@@ -107,7 +98,6 @@ class TelemetryStream {
     const std::size_t slots =
         std::min<std::size_t>(RoundUpPow2(capacity_), 64);
     entry_ts_.resize(slots);
-    sample_ts_.resize(slots);
     values_.resize(slots);
     provenance_.resize(slots);
     mask_ = slots - 1;
@@ -124,7 +114,8 @@ class TelemetryStream {
   }
 
   // Appends `n` entries under one lock acquisition. Entry `id` fields in
-  // `entries` are ignored; ids are assigned contiguously and the id of the
+  // `entries` are ignored, and so are Sample timestamps (a row has one
+  // time, the entry's); ids are assigned contiguously and the id of the
   // last appended entry is returned (first is `returned - n + 1`). The
   // entries this evicts go to the archiver in one AppendBatch call before
   // the lock is released. Precondition: n > 0.
@@ -144,8 +135,7 @@ class TelemetryStream {
           Record& record = evicted_.emplace_back();
           std::memset(static_cast<void*>(&record), 0, sizeof(record));
           record.id = first_id_;
-          record.timestamp = entry_ts_[slot];
-          record.payload.timestamp = sample_ts_[slot];
+          record.timestamp = record.payload.timestamp = entry_ts_[slot];
           record.payload.value = values_[slot];
           record.payload.provenance = provenance_[slot];
         }
@@ -244,8 +234,8 @@ class TelemetryStream {
         while (size < rows && entry_ts_[slot + size] <= to_ts) ++size;
       }
       if (size > 0 &&
-          !fn(ColumnSpan{id, size, &entry_ts_[slot], &sample_ts_[slot],
-                         &values_[slot], &provenance_[slot]})) {
+          !fn(ColumnSpan{id, size, &entry_ts_[slot], &values_[slot],
+                         &provenance_[slot]})) {
         return;
       }
       if (size < rows) return;  // the first row past to_ts
@@ -273,13 +263,12 @@ class TelemetryStream {
     agg.pos_inf_values = pos_inf_values_;
     agg.neg_inf_values = neg_inf_values_;
     // NaN never enters a wedge: an all-NaN window has no min or max.
-    agg.min_value = min_wedge_.empty() ? kNan : min_wedge_.front().second;
-    agg.max_value = max_wedge_.empty() ? kNan : max_wedge_.front().second;
+    agg.min_value = min_wedge_.empty() ? kNan : ValueOf(min_wedge_.front());
+    agg.max_value = max_wedge_.empty() ? kNan : ValueOf(max_wedge_.front());
     agg.sum_timestamp = sum_ts_;
-    agg.min_timestamp = sample_ts_[first_id_ & mask_];
-    agg.max_timestamp = sample_ts_[(next_id_ - 1) & mask_];
+    agg.min_timestamp = entry_ts_[first_id_ & mask_];
+    agg.max_timestamp = entry_ts_[(next_id_ - 1) & mask_];
     agg.predicted = predicted_;
-    agg.timestamps_trusted = !ts_mismatch_;
     agg.latest = EntryAt(next_id_ - 1);
     return agg;
   }
@@ -372,7 +361,11 @@ class TelemetryStream {
   Entry EntryAt(std::uint64_t id) const {
     const std::size_t slot = static_cast<std::size_t>(id & mask_);
     return Entry{id, entry_ts_[slot],
-                 Sample{sample_ts_[slot], values_[slot], provenance_[slot]}};
+                 Sample{entry_ts_[slot], values_[slot], provenance_[slot]}};
+  }
+
+  double ValueOf(std::uint64_t id) const {
+    return values_[static_cast<std::size_t>(id & mask_)];
   }
 
   // Writes entry `id` into its slot and indexes it. Caller holds mu_ and
@@ -380,7 +373,6 @@ class TelemetryStream {
   void Store(std::uint64_t id, TimeNs timestamp, const Sample& sample) {
     const std::size_t slot = static_cast<std::size_t>(id & mask_);
     entry_ts_[slot] = timestamp;
-    sample_ts_[slot] = sample.timestamp;
     values_[slot] = sample.value;
     provenance_[slot] = sample.provenance;
     IndexAppend(id, timestamp, sample);
@@ -427,7 +419,6 @@ class TelemetryStream {
       column = std::move(bigger);
     };
     remap(entry_ts_);
-    remap(sample_ts_);
     remap(values_);
     remap(provenance_);
     mask_ = new_mask;
@@ -448,22 +439,21 @@ class TelemetryStream {
     } else {
       ++NonFiniteCount(v);
     }
-    sum_ts_ += static_cast<double>(sample.timestamp);
-    if (sample.timestamp != timestamp) ts_mismatch_ = true;
+    sum_ts_ += static_cast<double>(timestamp);
     if (sample.provenance == Provenance::kPredicted) ++predicted_;
     // MIN/MAX ignore NaN, as the scan does; a NaN in a wedge would never
     // be popped and would hide every later value. The wedges order -0.0
     // below +0.0 (OrdersBelow), as the scan does, so MIN/MAX do not depend
     // on which zero arrived first.
     if (std::isnan(v)) return;
-    while (!max_wedge_.empty() && !OrdersBelow(v, max_wedge_.back().second)) {
+    while (!max_wedge_.empty() && !OrdersBelow(v, ValueOf(max_wedge_.back()))) {
       max_wedge_.pop_back();
     }
-    max_wedge_.emplace_back(id, v);
-    while (!min_wedge_.empty() && !OrdersBelow(min_wedge_.back().second, v)) {
+    max_wedge_.push_back(id);
+    while (!min_wedge_.empty() && !OrdersBelow(ValueOf(min_wedge_.back()), v)) {
       min_wedge_.pop_back();
     }
-    min_wedge_.emplace_back(id, v);
+    min_wedge_.push_back(id);
   }
 
   // Takes entry `id`, still in its slot, out of the index.
@@ -475,15 +465,45 @@ class TelemetryStream {
     } else {
       --NonFiniteCount(v);
     }
-    sum_ts_ -= static_cast<double>(sample_ts_[slot]);
+    sum_ts_ -= static_cast<double>(entry_ts_[slot]);
     if (provenance_[slot] == Provenance::kPredicted) --predicted_;
-    if (!max_wedge_.empty() && max_wedge_.front().first == id) {
+    if (!max_wedge_.empty() && max_wedge_.front() == id) {
       max_wedge_.pop_front();
     }
-    if (!min_wedge_.empty() && min_wedge_.front().first == id) {
+    if (!min_wedge_.empty() && min_wedge_.front() == id) {
       min_wedge_.pop_front();
     }
   }
+
+  // A monotone wedge: ids of window rows, oldest first, whose values can
+  // still become the window's min (or max). A ring that doubles when full
+  // and never shrinks: a warm append allocates nothing (a deque would).
+  class Wedge {
+   public:
+    bool empty() const { return head_ == tail_; }
+    std::uint64_t front() const { return ids_[head_ & mask_]; }
+    std::uint64_t back() const { return ids_[(tail_ - 1) & mask_]; }
+    void pop_front() { ++head_; }
+    void pop_back() { --tail_; }
+    void push_back(std::uint64_t id) {
+      if (tail_ - head_ == ids_.size()) {
+        std::vector<std::uint64_t> bigger(
+            std::max<std::size_t>(8, 2 * ids_.size()));
+        for (std::uint64_t at = head_; at != tail_; ++at) {
+          bigger[at & (bigger.size() - 1)] = ids_[at & mask_];
+        }
+        ids_ = std::move(bigger);
+        mask_ = ids_.size() - 1;
+      }
+      ids_[tail_++ & mask_] = id;
+    }
+
+   private:
+    std::vector<std::uint64_t> ids_;
+    std::uint64_t mask_ = 0;
+    std::uint64_t head_ = 0;  // the live ids sit at positions [head_, tail_)
+    std::uint64_t tail_ = 0;
+  };
 
   const std::size_t capacity_;
   Archiver<Sample>* archiver_;
@@ -493,7 +513,6 @@ class TelemetryStream {
   // The ring's columns, indexed by id & mask_; live ids are [first_id_,
   // next_id_). Every column has the same power-of-two size.
   std::vector<TimeNs> entry_ts_;
-  std::vector<TimeNs> sample_ts_;
   std::vector<double> values_;
   std::vector<Provenance> provenance_;
   std::size_t mask_ = 0;
@@ -504,17 +523,16 @@ class TelemetryStream {
   std::uint64_t restore_limit_ = 0;
   std::vector<Record> evicted_;  // this append's evictions (see AppendBatch)
 
-  // Rolling aggregate index (guarded by mu_). Wedges
-  // hold (id, value) in monotone order so window min/max evict in O(1).
+  // Rolling aggregate index (guarded by mu_). The wedges hold ids whose
+  // values are in monotone order, so window min/max evict in O(1).
   double sum_value_ = 0.0;  // finite values only
   std::uint64_t nan_values_ = 0;
   std::uint64_t pos_inf_values_ = 0;
   std::uint64_t neg_inf_values_ = 0;
   double sum_ts_ = 0.0;
   std::uint64_t predicted_ = 0;
-  bool ts_mismatch_ = false;
-  std::deque<std::pair<std::uint64_t, double>> max_wedge_;
-  std::deque<std::pair<std::uint64_t, double>> min_wedge_;
+  Wedge max_wedge_;
+  Wedge min_wedge_;
 };
 
 }  // namespace apollo

@@ -11,22 +11,19 @@ TierSummaryBuilder::TierSummaryBuilder(const TierSummary& prefix) {
   sum_.Merge(prefix.sum);
 }
 
-void TierSummaryBuilder::Add(std::uint64_t id, TimeNs timestamp,
-                             const Sample& sample) {
+void TierSummaryBuilder::Add(std::uint64_t id, const Sample& sample) {
   TierSummary& s = summary_;
+  const TimeNs timestamp = sample.timestamp;
   if (s.rows == 0) {
     s.min_ts = s.max_ts = s.first_ts = timestamp;
-    s.min_sample_ts = s.max_sample_ts = sample.timestamp;
     s.first_id = id;
     s.latest = sample;
   }
   ++s.rows;
   s.min_ts = std::min(s.min_ts, timestamp);
   s.max_ts = std::max(s.max_ts, timestamp);
-  s.min_sample_ts = std::min(s.min_sample_ts, sample.timestamp);
-  s.max_sample_ts = std::max(s.max_sample_ts, sample.timestamp);
   s.last_id = id;
-  if (sample.timestamp >= s.latest.timestamp) s.latest = sample;
+  if (timestamp >= s.latest.timestamp) s.latest = sample;
   const double v = sample.value;
   sum_.Add(v);
   if (!std::isnan(v)) {

@@ -10,7 +10,7 @@
 // Values follow common/exact_sum.h's rules: `sum` is exact, and min/max
 // skip NaN (NaN when every value is NaN) and order -0.0 below +0.0.
 // `latest` is the row the scan's `latest` rule keeps: the last one with
-// the greatest sample timestamp.
+// the greatest timestamp.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +27,8 @@ struct TierSummary {
   ExactSum::Packed sum;
   double min_value = std::numeric_limits<double>::quiet_NaN();
   double max_value = std::numeric_limits<double>::quiet_NaN();
-  TimeNs min_ts = 0;  // entry timestamps: the bounds the tiers narrow by
+  TimeNs min_ts = 0;  // the bounds the tiers narrow by and WHERE tests
   TimeNs max_ts = 0;
-  TimeNs min_sample_ts = 0;
-  TimeNs max_sample_ts = 0;
   // The first row in stored order: the executor's cold cap when this
   // summary is the first WAL piece a query keeps.
   TimeNs first_ts = 0;
@@ -46,7 +44,7 @@ class TierSummaryBuilder {
   TierSummaryBuilder() = default;
   explicit TierSummaryBuilder(const TierSummary& prefix);
 
-  void Add(std::uint64_t id, TimeNs timestamp, const Sample& sample);
+  void Add(std::uint64_t id, const Sample& sample);
   std::uint64_t rows() const { return summary_.rows; }
   // The summary of every row added, the prefix's included; rows() > 0.
   TierSummary Finish() const;

@@ -1,11 +1,12 @@
-// Allocation gate for the query path. A counting global operator new (in
-// this binary only, so the other suites keep the normal allocator) prices
-// one Executor::Execute of each query shape the `query` workload issues,
-// and of a `monitor` dashboard aggregate over ring, WAL and cold blocks,
-// after two warm-up runs have cached its plan. A query may allocate one
-// block per returned row (its values) plus a fixed allowance, however many
-// rows, WAL segments or cold blocks it reads. Allocation counts repeat
-// exactly on every host.
+// Allocation gates for the query and publish paths. A counting global
+// operator new (in this binary only, so the other suites keep the normal
+// allocator) prices one Executor::Execute of each query shape the `query`
+// workload issues, and of a `monitor` dashboard aggregate over ring, WAL
+// and cold blocks, after two warm-up runs have cached its plan. A query
+// may allocate one block per returned row (its values) plus a fixed
+// allowance, however many rows, WAL segments or cold blocks it reads. It
+// also prices one warmed Broker::PublishBatch in `ingest`'s shape, which
+// may allocate nothing. Allocation counts repeat exactly on every host.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <new>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "aqe/executor.h"
 #include "coldtier/cold_tier.h"
@@ -179,6 +181,60 @@ TEST_F(AqeAlloc, HistoryAggregateAllocatesNoRowOrSegment) {
                            "MAX(metric), LAST(metric) FROM hist");
     EXPECT_EQ(p.rows, 1u);
     EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+  }
+}
+
+double Monotone(std::uint64_t seq) { return static_cast<double>(seq); }
+
+// perfbench's `ingest` values (its ValueOf, topic 0).
+double Hashed(std::uint64_t seq) {
+  return static_cast<double>((seq * 2654435761ull) % 100000);
+}
+
+double Constant(std::uint64_t) { return 42.0; }
+
+// One warmed PublishBatch in `ingest`'s shape: 512 samples into a full
+// 128-row ring, so every sample evicts a row to the WAL, whose segment does
+// not rotate during the measured batch. The ring's min/max wedges pop a
+// front per evicted row; for monotone values (one wedge holds the whole
+// window), `ingest`'s hashed values and constant ones alike, neither they
+// nor the WAL write may allocate once warm.
+TEST(PublishAlloc, WarmBatchIntoFullRingAllocatesNothing) {
+  constexpr std::size_t kRing = 128;
+  constexpr std::size_t kBatch = 512;
+  struct Values {
+    const char* name;
+    double (*of)(std::uint64_t seq);
+  };
+  const Values shapes[] = {
+      {"monotone", Monotone}, {"hashed", Hashed}, {"constant", Constant}};
+  for (const Values& values : shapes) {
+    SCOPED_TRACE(values.name);
+    TempWal wal;
+    Broker broker(RealClock::Instance());
+    ASSERT_TRUE(broker.CreateTopic("ingest", kLocalNode, kRing, &wal).ok());
+    auto handle = broker.Resolve("ingest");
+    ASSERT_TRUE(handle.ok());
+    std::vector<TelemetryStream::Entry> batch(kBatch);
+    std::uint64_t seq = 0;
+    const auto publish = [&] {
+      for (TelemetryStream::Entry& entry : batch) {
+        const TimeNs ts = 1'000 + static_cast<TimeNs>(seq) * 10;
+        entry.timestamp = ts;
+        entry.value = Sample{ts, values.of(seq++), Provenance::kMeasured};
+      }
+      g_allocs.store(0, std::memory_order_relaxed);
+      g_counting.store(true, std::memory_order_relaxed);
+      auto result =
+          broker.PublishBatch(*handle, kLocalNode, batch.data(), kBatch);
+      g_counting.store(false, std::memory_order_relaxed);
+      EXPECT_TRUE(result.ok() && result->accepted == kBatch);
+      return g_allocs.load(std::memory_order_relaxed);
+    };
+    for (int warm = 0; warm < 8; ++warm) publish();
+    EXPECT_EQ(publish(), 0u);
+    EXPECT_EQ(wal.Count(), 9 * kBatch - kRing);
+    EXPECT_EQ(wal.SegmentPaths().size(), 1u);  // no rotation
   }
 }
 

@@ -376,6 +376,60 @@ TEST_F(ClusterNetTest, ReplicatedPublishLandsOnQuorum) {
   EXPECT_EQ(holders, 2u);
 }
 
+// A sample whose own timestamp differs from its entry timestamp is refused
+// on the topic's primary before it is replicated, so both replicas hold
+// the same rows with the same ids: the accepted samples, in order.
+TEST_F(ClusterNetTest, MismatchedTimestampsAreRefusedOnThePrimary) {
+  const TimeNs base = RealClock::Instance().Now();
+  PublishBatchMsg msg;
+  for (const char* topic : {"one.cpu", "one.mem"}) {
+    PublishBatchMsg::Run& run = msg.runs.emplace_back();
+    run.topic = topic;
+    for (int i = 0; i < 4; ++i) {
+      const TimeNs ts = base + static_cast<TimeNs>(msg.SampleCount());
+      run.entries.push_back({0, ts, MakeSample(ts, static_cast<double>(i))});
+    }
+  }
+  msg.runs[0].entries[1].value.timestamp += 7;  // sample 1
+  msg.runs[1].entries[0].value.timestamp -= 1;  // sample 4
+  msg.runs[1].entries[3].value.timestamp = 0;   // sample 7
+  ClusterClient client(peers_);
+  auto ack = client.PublishBatch(msg);
+  ASSERT_TRUE(ack.ok()) << ack.error().ToString();
+  EXPECT_EQ(ack->count, 8u);
+  EXPECT_EQ(ack->error_count, 3u);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(ack->Failed(i), i == 1 || i == 4 || i == 7) << "sample " << i;
+  }
+  EXPECT_EQ(ack->first_error_code, ErrorCode::kInvalidArgument);
+
+  std::vector<std::string> names;
+  for (const ClusterPeer& p : peers_) names.push_back(p.name);
+  PlacementRing ring(names);
+  for (std::size_t r = 0; r < msg.runs.size(); ++r) {
+    const PublishBatchMsg::Run& run = msg.runs[r];
+    SCOPED_TRACE(run.topic);
+    std::vector<TelemetryStream::Entry> accepted;
+    for (const TelemetryStream::Entry& entry : run.entries) {
+      if (entry.value.timestamp == entry.timestamp) accepted.push_back(entry);
+    }
+    ASSERT_EQ(accepted.size(), r == 0 ? 3u : 2u);
+    for (const std::string& replica : ring.ReplicasFor(run.topic, 2)) {
+      std::size_t i = 0;
+      while (peers_[i].name != replica) ++i;
+      const auto entries = Entries(i, run.topic);
+      ASSERT_EQ(entries.size(), accepted.size()) << replica;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        EXPECT_EQ(entries[k].id, k) << replica;
+        EXPECT_EQ(entries[k].timestamp, accepted[k].timestamp) << replica;
+        EXPECT_EQ(entries[k].value.timestamp, accepted[k].timestamp)
+            << replica;
+        EXPECT_EQ(entries[k].value.value, accepted[k].value.value) << replica;
+      }
+    }
+  }
+}
+
 TEST_F(ClusterNetTest, NonPrimaryForwardsToPrimary) {
   const std::string topic = "fwd.mem";
   const std::size_t primary = PrimaryOf(topic);

@@ -167,11 +167,9 @@ class ThreeTierTopic {
 
   bool ok() const { return open_ && stream_ != nullptr; }
 
-  // The sample's own timestamp is `ts + sample_offset`; the model keeps
-  // the entry timestamp.
-  void Append(TimeNs ts, double value, TimeNs sample_offset = 0) {
-    const std::uint64_t id = stream_->Append(
-        ts, Sample{ts + sample_offset, value, Provenance::kMeasured});
+  void Append(TimeNs ts, double value) {
+    const std::uint64_t id =
+        stream_->Append(ts, Sample{ts, value, Provenance::kMeasured});
     model_.push_back(ModelRow{id, ts, value});
   }
 
@@ -1062,35 +1060,6 @@ TEST(ColdTierSummaries, AllNaNBlockHasNoMinOrMax) {
     EXPECT_EQ(cells.at(2), 8.0);
     EXPECT_TRUE(std::isnan(cells.at(3))) << cells.at(3);
   }
-}
-
-// WHERE tests the sample's timestamp, while the tiers narrow by the entry
-// timestamp. A block whose entry timestamps lie in the range but whose
-// sample timestamps reach past it is decoded, never summarized.
-TEST(ColdTierSummaries, SampleTimestampsPastTheRangeDecodeTheBlock) {
-  ThreeTierTopic topic("coldtier_summary_sample_ts", /*ring=*/16,
-                       /*records_per_segment=*/80);
-  ASSERT_TRUE(topic.ok());
-  for (int i = 0; i < 420; ++i) topic.Append(1'000 + 10 * i, i, 5);
-  topic.Compact();
-  ASSERT_EQ(topic.cold().BlockCount(), 5u);
-  ASSERT_TRUE(topic.executor().Execute("SELECT COUNT(*) FROM t").ok());
-  // Block 1 holds entry timestamps 1800..2590 and sample timestamps
-  // 1805..2595: the range holds its entries but not its last sample.
-  const std::string query =
-      "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 1800 AND 2590";
-  auto profile = topic.executor().Explain(query, /*analyze=*/true);
-  ASSERT_TRUE(profile.ok());
-  EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized, 0u);
-  auto result = topic.executor().Execute(query);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows.at(0).values.at(0), 79.0);
-  // Widened to hold the samples too, the block answers from its summary.
-  auto wide = topic.executor().Explain(
-      "SELECT COUNT(*) FROM t WHERE Timestamp BETWEEN 1800 AND 2595", true);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide->vertices.at(0).cold_blocks_summarized, 1u);
-  EXPECT_EQ(wide->vertices.at(0).rows_matched, 80u);
 }
 
 }  // namespace

@@ -456,8 +456,25 @@ TEST(ColdTierStress, CompactWhilePublishWhileQuery) {
     (void)cold.CompactOnce(archiver);  // drain the tail
   });
 
+  // The scanner and the reader start their next pass only once a row was
+  // acked since their last one, so neither holds a lock in a loop while
+  // the publisher and the compactor wait for it; false once the publisher
+  // is done and no row came after the last pass.
+  const auto wait_for_rows = [&](std::uint64_t& passed_at) {
+    for (;;) {
+      const std::uint64_t now = acked.load(std::memory_order_acquire);
+      if (now != passed_at) {
+        passed_at = now;
+        return true;
+      }
+      if (done.load(std::memory_order_acquire)) return false;
+      std::this_thread::yield();
+    }
+  };
+
   std::thread scanner([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    std::uint64_t scanned_at = 0;
+    while (wait_for_rows(scanned_at)) {
       ColdScanStats stats;
       std::uint64_t seen = 0;
       (void)cold.ScanRange(0, Seconds(static_cast<double>(kRows + 1)),
@@ -467,17 +484,16 @@ TEST(ColdTierStress, CompactWhilePublishWhileQuery) {
                            &stats);
       // A scan can race a commit, but can never see more than was acked.
       EXPECT_LE(seen, acked.load(std::memory_order_acquire));
-      std::this_thread::yield();
     }
   });
 
   std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    std::uint64_t read_at = 0;
+    while (wait_for_rows(read_at)) {
       auto rows = archiver.ReadRange(0, Seconds(static_cast<double>(kRows)));
       if (rows.ok()) {
         EXPECT_LE(rows->size(), acked.load(std::memory_order_acquire));
       }
-      std::this_thread::yield();
     }
   });
 

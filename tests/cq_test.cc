@@ -387,49 +387,6 @@ TEST_F(CQEngineTest, HistoryBeyondTheRingPushesDegraded) {
   }
 }
 
-TEST_F(CQEngineTest, UntrustedTimestampStatsPushDegraded) {
-  ASSERT_TRUE(broker_.CreateTopic("cq.ts", kLocalNode, 16).ok());
-  // Payload timestamps disagree with the entry timestamps 1, 2, 3, so the
-  // index's window-end timestamp stats are not the true MIN/MAX.
-  const TimeNs payload_ts[] = {50, 10, 30};
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(broker_
-                    .Publish("cq.ts", kLocalNode, i + 1,
-                             MakeSample(payload_ts[i], 1.0))
-                    .ok());
-  }
-  aqe::Executor executor(broker_);
-  auto one_shot =
-      executor.Execute("SELECT MIN(Timestamp), MAX(Timestamp) FROM cq.ts");
-  ASSERT_TRUE(one_shot.ok());
-  EXPECT_EQ(one_shot->rows[0].values, (std::vector<double>{10, 50}));
-
-  ASSERT_TRUE(engine_
-                  .Register(1, "default", "ts",
-                            "SUBSCRIBE SELECT MIN(Timestamp), "
-                            "MAX(Timestamp) FROM cq.ts",
-                            0, 0, clock_.Now())
-                  .ok());
-  ASSERT_TRUE(engine_
-                  .Register(1, "default", "count",
-                            "SUBSCRIBE SELECT COUNT(Metric) FROM cq.ts", 0,
-                            0, clock_.Now())
-                  .ok());
-  std::vector<std::pair<cq::CQInfo, cq::CQUpdate>> got;
-  PumpInto(&got);
-  ASSERT_EQ(got.size(), 2u);
-  for (const auto& [info, update] : got) {
-    if (info.name == "ts") {
-      EXPECT_EQ(update.result.rows[0].values, (std::vector<double>{50, 30}));
-      EXPECT_TRUE(update.result.degraded);
-    } else {
-      // No timestamp stats asked for: the index is exact.
-      EXPECT_EQ(update.result.rows[0].values, (std::vector<double>{3}));
-      EXPECT_FALSE(update.result.degraded);
-    }
-  }
-}
-
 // ---- loopback integration -------------------------------------------------
 
 // Broker + daemon on an ephemeral port with one seeded topic.

@@ -257,6 +257,44 @@ TEST_F(NetBatchLoopbackTest, UnknownTopicRunFailsOnlyItsSamples) {
   EXPECT_EQ((*broker_.GetTopic("b.mem"))->NextId(), 1u);
 }
 
+// A row has one time: a sample whose own timestamp differs from its entry
+// timestamp is refused with kInvalidArgument before it gets an id, and
+// only its bit is set. The rest land with contiguous ids and read back
+// with one timestamp.
+TEST_F(NetBatchLoopbackTest, MismatchedTimestampsAreRefusedPerSample) {
+  ApolloClient client(ClientFor("batcher"));
+  PublishBatchMsg msg = MakeBatch({{"b.cpu", 4}, {"b.mem", 3}});
+  msg.runs[0].entries[1].value.timestamp += 7;  // sample 1
+  msg.runs[1].entries[0].value.timestamp -= 1;  // sample 4
+  msg.runs[1].entries[2].value.timestamp = 0;   // sample 6
+  auto ack = client.PublishBatch(msg);
+  ASSERT_TRUE(ack.ok()) << ack.status().message();
+  EXPECT_EQ(ack->count, 7u);
+  EXPECT_EQ(ack->error_count, 3u);
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(ack->Failed(i), i == 1 || i == 4 || i == 6) << "sample " << i;
+  }
+  EXPECT_EQ(ack->first_error_code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ack->last_entry_id, 0u);  // b.mem's one accepted sample
+
+  const auto expect_window = [&](const std::string& topic,
+                                 const std::vector<TimeNs>& timestamps) {
+    SCOPED_TRACE(topic);
+    auto window = client.FetchWindow(topic, 0);
+    ASSERT_TRUE(window.ok()) << window.error().ToString();
+    ASSERT_EQ(window->entries.size(), timestamps.size());
+    for (std::size_t i = 0; i < timestamps.size(); ++i) {
+      const TelemetryStream::Entry& entry = window->entries[i];
+      EXPECT_EQ(entry.id, i);
+      EXPECT_EQ(entry.timestamp, timestamps[i]);
+      EXPECT_EQ(entry.value.timestamp, timestamps[i]);
+      EXPECT_EQ(entry.value.value, static_cast<double>(timestamps[i]));
+    }
+  };
+  expect_window("b.cpu", {0, 2, 3});
+  expect_window("b.mem", {5});
+}
+
 TEST_F(NetBatchLoopbackTest, BatchDecodeFaultRejectsWholeBatch) {
   FaultInjector injector;
   injector.Arm({.site = FaultSite::kBatchDecode,

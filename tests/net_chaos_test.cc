@@ -56,10 +56,9 @@ struct TestNode {
     ASSERT_TRUE(broker.CreateTopic(topic).ok());
     RealClock& clock = RealClock::Instance();
     for (int i = 0; i < entries; ++i) {
-      ASSERT_TRUE(broker
-                      .Publish(topic, kLocalNode, clock.Now(),
-                               MakeSample(clock.Now(), base_value + i))
-                      .ok());
+      const TimeNs now = clock.Now();
+      const Sample sample = MakeSample(now, base_value + i);
+      ASSERT_TRUE(broker.Publish(topic, kLocalNode, now, sample).ok());
     }
   }
 
@@ -134,8 +133,8 @@ TEST(NetChaos, RecvDropsAccountedExactly) {
   RealClock& clock = RealClock::Instance();
   int failed = 0;
   for (int i = 0; i < 6; ++i) {
-    auto id = client.Publish("chaos.recv", clock.Now(),
-                             MakeSample(clock.Now(), 9.0));
+    const TimeNs now = clock.Now();
+    auto id = client.Publish("chaos.recv", now, MakeSample(now, 9.0));
     if (!id.ok()) ++failed;
   }
   // Exactly max_fires requests were swallowed; the rest succeeded.
@@ -420,9 +419,8 @@ TEST(NetChaos, NetStressFourConcurrentClients) {
           ClientFor(port, ("stress-" + std::to_string(t)).c_str()));
       RealClock& clock = RealClock::Instance();
       for (int i = 0; i < kIterations; ++i) {
-        if (!client
-                 .Publish(topic, clock.Now(), MakeSample(clock.Now(), i))
-                 .ok()) {
+        const TimeNs now = clock.Now();
+        if (!client.Publish(topic, now, MakeSample(now, i)).ok()) {
           ++failures;
         }
         auto reply = client.Query(sql);

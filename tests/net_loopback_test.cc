@@ -205,8 +205,8 @@ TEST_F(NetLoopbackTest, PublishThenFetchWindowRoundtrip) {
   ApolloClient client(ClientFor("publish-test"));
   // An unknown topic fails that publish with the broker's own error and
   // leaves the connection up for the publishes that follow.
-  auto missing = client.Publish("net.missing", clock_.Now(),
-                                MakeSample(clock_.Now(), 1.0));
+  const TimeNs then = clock_.Now();
+  auto missing = client.Publish("net.missing", then, MakeSample(then, 1.0));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code(), ErrorCode::kNotFound);
   EXPECT_EQ(missing.error().message(),
@@ -214,8 +214,8 @@ TEST_F(NetLoopbackTest, PublishThenFetchWindowRoundtrip) {
   EXPECT_TRUE(client.connected());
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 5; ++i) {
-    auto id = client.Publish("net.ingest", clock_.Now(),
-                             MakeSample(clock_.Now(), 1.5 * i));
+    const TimeNs now = clock_.Now();
+    auto id = client.Publish("net.ingest", now, MakeSample(now, 1.5 * i));
     ASSERT_TRUE(id.ok()) << id.error().ToString();
     ids.push_back(*id);
   }
@@ -238,10 +238,8 @@ TEST_F(NetLoopbackTest, SubscribeDeliversSubsequentPublishes) {
   auto ack = client.Subscribe("net.live");
   ASSERT_TRUE(ack.ok()) << ack.error().ToString();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client
-                    .Publish("net.live", clock_.Now(),
-                             MakeSample(clock_.Now(), 7.0 + i))
-                    .ok());
+    const TimeNs now = clock_.Now();
+    ASSERT_TRUE(client.Publish("net.live", now, MakeSample(now, 7.0 + i)).ok());
   }
   std::vector<TelemetryStream::Entry> received;
   const TimeNs deadline = clock_.Now() + 5 * kNsPerSec;

@@ -127,7 +127,7 @@ TEST(Stream, ColumnSpansEndWhereRangeByTimeDoes) {
         from, to, [&](const TelemetryStream::ColumnSpan& span) {
           for (std::size_t j = 0; j < span.size; ++j) {
             rows.push_back({span.first_id + j, span.entry_ts[j],
-                            Sample{span.sample_ts[j], span.values[j],
+                            Sample{span.entry_ts[j], span.values[j],
                                    span.provenance[j]}});
           }
           sizes.push_back(span.size);
@@ -299,6 +299,24 @@ TEST(Broker, PublishFetchRoundTrip) {
   ASSERT_TRUE(entries.ok());
   ASSERT_EQ(entries->size(), 1u);
   EXPECT_EQ((*entries)[0].value.value, 3.5);
+}
+
+// A row has one time: a sample whose own timestamp differs from the entry
+// timestamp is refused before it gets an id.
+TEST(Broker, PublishRefusesDifferingTimestamps) {
+  Broker broker(RealClock::Instance());
+  auto stream = broker.CreateTopic("m");
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(broker.Publish("m", kLocalNode, 1, S(1, 1.0)).ok());
+  for (const TimeNs sample_ts : {TimeNs{0}, TimeNs{3}}) {
+    auto refused = broker.Publish("m", kLocalNode, 2, S(sample_ts, 2.0));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ((*stream)->NextId(), 1u);
+  }
+  auto id = broker.Publish("m", kLocalNode, 2, S(2, 2.0));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 1u);
 }
 
 TEST(Broker, LatestValue) {

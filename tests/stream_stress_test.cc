@@ -8,9 +8,7 @@
 //  - after all threads join, archive ∪ window contains every id exactly once;
 //  - the rolling aggregate index matches a brute-force rescan of the window.
 //
-// Values are integer-valued doubles so the rolling sums are exact, and every
-// Sample stamps its payload timestamp equal to the entry timestamp (the
-// SCoRe convention) so the index keeps `timestamps_trusted`.
+// Values are integer-valued doubles so the rolling sums are exact.
 
 #include <algorithm>
 #include <atomic>
@@ -130,7 +128,6 @@ TEST(StreamStress, ConcurrentAppendReadScanAndEvict) {
       ASSERT_LE(agg->count, kCapacity);
       ASSERT_LE(agg->min_value, agg->max_value);
       ASSERT_LE(agg->predicted, agg->count);
-      ASSERT_TRUE(agg->timestamps_trusted);
       ASSERT_GE(agg->sum_value,
                 agg->min_value * static_cast<double>(agg->count));
       ASSERT_LE(agg->sum_value,
@@ -201,7 +198,6 @@ TEST(StreamStress, AggregateIndexMatchesRescanThroughEviction) {
     ASSERT_EQ(agg->max_timestamp, expect.max_timestamp) << "step " << i;
     ASSERT_EQ(agg->predicted, expect.predicted) << "step " << i;
     ASSERT_EQ(agg->latest.id, expect.latest.id) << "step " << i;
-    ASSERT_TRUE(agg->timestamps_trusted);
   }
   ASSERT_EQ(archiver.Count(), 2000 - kCapacity);
 }
@@ -295,7 +291,10 @@ TEST(StreamStress, ConcurrentFlushEvictionsKeepArchiveOrdered) {
 // the ring), a bounded one in spans of at most kSpanRows rows; ids run on
 // contiguously across the spans of a scan, the window never moves back,
 // and rows come in append order: each appender's sequence numbers rise in
-// id order, and each row's columns hold the sample its appender wrote.
+// id order, and each row's columns hold the sample its appender wrote. The
+// reader scans again only once rows were appended since its last scan, or
+// once the appenders have finished, so it never holds the stream lock in a
+// loop while they wait for it.
 TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
   constexpr std::size_t kRounds = 12;
   constexpr std::size_t kAppenders = 3;
@@ -307,13 +306,23 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
     SCOPED_TRACE(testing::Message() << "round " << round);
     TelemetryStream stream(kWindow);
     std::atomic<bool> done{false};
+    std::atomic<bool> appended_all{false};
+    std::atomic<std::uint64_t> appended{0};
     std::atomic<std::uint64_t> scans{0};
     std::atomic<std::uint64_t> broken{0};  // scans that broke an invariant
 
     std::thread reader([&] {
       std::uint64_t oldest = 0;
+      std::uint64_t scanned_at = 0;  // `appended` when the last scan began
       bool to_end = false;
       while (!done.load(std::memory_order_acquire)) {
+        const std::uint64_t now = appended.load(std::memory_order_acquire);
+        if (now == scanned_at &&
+            !appended_all.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+          continue;
+        }
+        scanned_at = now;
         // Alternate an open end (no walk) with one at kTs (a walk).
         to_end = !to_end;
         const TimeNs to = to_end ? std::numeric_limits<TimeNs>::max() : kTs;
@@ -343,7 +352,7 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
                 if (!ok) return false;
                 ok &= seq > last_seq[appender];
                 last_seq[appender] = seq;
-                ok &= span.entry_ts[j] == kTs && span.sample_ts[j] == kTs;
+                ok &= span.entry_ts[j] == kTs;
                 ok &= span.provenance[j] == (seq % 7 == 0
                                                  ? Provenance::kPredicted
                                                  : Provenance::kMeasured);
@@ -358,17 +367,19 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
 
     std::vector<std::thread> appenders;
     for (std::size_t a = 0; a < kAppenders; ++a) {
-      appenders.emplace_back([&stream, a] {
+      appenders.emplace_back([&stream, &appended, a] {
         for (std::size_t i = 0; i < kPerAppender; ++i) {
           const Provenance prov =
               i % 7 == 0 ? Provenance::kPredicted : Provenance::kMeasured;
           stream.Append(
               kTs, Sample{kTs, static_cast<double>(a * kPerAppender + i),
                           prov});
+          appended.fetch_add(1, std::memory_order_release);
         }
       });
     }
     for (auto& th : appenders) th.join();
+    appended_all.store(true, std::memory_order_release);
     // Let the reader scan the full, wrapped window before it stops.
     const std::uint64_t settled = scans.load(std::memory_order_relaxed);
     while (scans.load(std::memory_order_relaxed) < settled + 2) {
@@ -403,18 +414,6 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
       EXPECT_EQ(next_id, stream.NextId());
     }
   }
-}
-
-// A payload timestamp that disagrees with the entry timestamp must trip the
-// sticky mismatch flag so readers stop trusting the timestamp stats.
-TEST(StreamStress, TimestampMismatchClearsTrustedFlag) {
-  TelemetryStream stream(128);
-  stream.Append(10, Sample{10, 1.0, Provenance::kMeasured});
-  ASSERT_TRUE(stream.Aggregates()->timestamps_trusted);
-  stream.Append(20, Sample{15, 2.0, Provenance::kMeasured});  // mismatch
-  EXPECT_FALSE(stream.Aggregates()->timestamps_trusted);
-  stream.Append(30, Sample{30, 3.0, Provenance::kMeasured});
-  EXPECT_FALSE(stream.Aggregates()->timestamps_trusted);  // sticky
 }
 
 }  // namespace
