@@ -26,7 +26,8 @@
 // (g) cold tier: sealed WAL segments compacted into columnar blocks
 //     (delta-of-delta timestamps, XOR'd values) — compression ratio vs the
 //     raw WAL bytes drained (must clear 3x) plus compaction and zone-map
-//     pruned cold-scan rates.
+//     pruned cold-scan rates. The scan is ColdTier::VisitRange handing
+//     each block's rows over as column spans, as the executor reads them.
 // (h) continuous-query fan-out: N subscriber connections each holding one
 //     registered CQ over a shared topic (the in-process mirror of
 //     tools/cq_loadgen) — aggregate push throughput and p99 push gap at
@@ -34,7 +35,10 @@
 //     query path (degraded cached answer for an over-quota tenant) vs the
 //     normally admitted path.
 //
-// Results are printed as tables and written to BENCH_hotpath.json.
+// Results are printed as tables and written to BENCH_hotpath.json, with
+// the host's fingerprint (hardware threads and CPU model):
+// tools/check_bench.py compares wall-clock numbers only between runs on
+// hosts with the same one.
 #include <sys/resource.h>
 #include <time.h>
 
@@ -42,6 +46,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -358,10 +363,10 @@ ColdPoint MeasureColdTier(std::uint64_t records) {
     cold.TsBounds(&min_ts, &max_ts);
     std::uint64_t rows_scanned = 0;
     Stopwatch scan_watch;
-    (void)cold.ScanRange(
-        min_ts, max_ts,
-        [&rows_scanned](std::uint64_t, TimeNs, const Sample&) {
-          ++rows_scanned;
+    (void)cold.VisitRange(
+        min_ts, TierCap::Through(max_ts), nullptr,
+        [&rows_scanned](const std::uint64_t*, const ColumnSpan& rows) {
+          rows_scanned += rows.size;
         },
         nullptr);
     point.scan_rows_per_sec =
@@ -369,6 +374,28 @@ ColdPoint MeasureColdTier(std::uint64_t records) {
   }
   fs::remove_all(dir);
   return point;
+}
+
+// The CPU model the kernel reports, with JSON's special characters
+// blanked; "unknown" when it reports none.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(" \t"));
+    for (char& c : model) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        c = ' ';
+      }
+    }
+    return model;
+  }
+  return "unknown";
 }
 
 // ---- network fabric (loopback daemon) ------------------------------------
@@ -862,7 +889,8 @@ int main(int argc, char** argv) {
               "cold tier: sealed WAL segments compacted into columnar "
               "blocks (delta-of-delta timestamps, XOR'd values, CRC-framed "
               "sections); ratio is raw WAL bytes drained over block bytes "
-              "written, scan is a full-range mmap'd block scan");
+              "written, scan is a full-range mmap'd block scan handing "
+              "out column spans");
   PrintRow({"records", "raw KB", "block KB", "ratio", "compact rows/s",
             "scan rows/s"});
   const ColdPoint cold = MeasureColdTier(g_cold_records);
@@ -913,6 +941,8 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"host_hw_threads\": %u,\n",
                  std::thread::hardware_concurrency());
+    std::fprintf(json, "  \"host_cpu_model\": \"%s\",\n",
+                 CpuModel().c_str());
     std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(json, "  \"publish_throughput\": [\n");
     for (std::size_t i = 0; i < publish_points.size(); ++i) {

@@ -32,18 +32,25 @@ void CheckBlockInvariants(const std::uint8_t* data, std::size_t size) {
   const bool zone_ok = DecodeZoneMap(data, size, &row_count, &zone);
 
   if (block_ok) {
+    const BlockColumns& rows = decoded.columns;
     // The standalone zone-map prefix decoder must agree with the full
     // decode on every accepted input.
     if (!zone_ok) __builtin_trap();
-    if (decoded.rows.size() != row_count) __builtin_trap();
+    if (rows.size() != row_count) __builtin_trap();
     if (!(decoded.zone == zone)) __builtin_trap();
-    if (decoded.rows.empty()) __builtin_trap();
+    if (rows.size() == 0) __builtin_trap();
 
-    // Ids strictly increasing; zone map conservative for every row.
-    for (std::size_t i = 0; i < decoded.rows.size(); ++i) {
-      const BlockRow& row = decoded.rows[i];
-      if (i > 0 && row.id <= decoded.rows[i - 1].id) __builtin_trap();
-      if (row.timestamp < zone.min_ts || row.timestamp > zone.max_ts) {
+    // Every column holds every row; ids strictly increasing; zone map
+    // conservative for every row.
+    const apollo::ColumnBuffer& samples = rows.samples;
+    if (samples.size() != row_count || samples.values.size() != row_count ||
+        samples.provenance.size() != row_count ||
+        rows.ts_offsets.size() != row_count) {
+      __builtin_trap();
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (i > 0 && rows.ids[i] <= rows.ids[i - 1]) __builtin_trap();
+      if (samples.ts[i] < zone.min_ts || samples.ts[i] > zone.max_ts) {
         __builtin_trap();
       }
     }
@@ -52,7 +59,7 @@ void CheckBlockInvariants(const std::uint8_t* data, std::size_t size) {
     // its rows. (Rules out decoder laxness: non-canonical varints, sloppy
     // bit padding, non-maximal RLE runs would all break this.)
     std::vector<std::uint8_t> reencoded;
-    if (!EncodeBlock(decoded.rows, reencoded)) __builtin_trap();
+    if (!EncodeBlock(rows, reencoded)) __builtin_trap();
     if (reencoded.size() != size) __builtin_trap();
     if (std::memcmp(reencoded.data(), data, size) != 0) __builtin_trap();
   }

@@ -43,55 +43,6 @@ double CellOf(Column column, const Sample& sample) {
   return 0.0;
 }
 
-// Rows of one tier, in scan order, as columns: row i is the sample
-// (ts[i], value[i], provenance[i]). The ring hands them out in place
-// (TelemetryStream::VisitColumns); WAL records and cold rows are packed
-// into a ColumnBuffer. Every tier feeds the same consumers this way.
-struct Columns {
-  const TimeNs* ts = nullptr;
-  const double* value = nullptr;
-  const Provenance* provenance = nullptr;
-  std::size_t size = 0;
-
-  Sample At(std::size_t i) const {
-    return Sample{ts[i], value[i], provenance[i]};
-  }
-};
-
-// Rows packed into columns. Kept thread-local by the executor, so once it
-// has grown to the largest read, packing a row allocates nothing.
-class ColumnBuffer {
- public:
-  void Clear() {
-    ts_.clear();
-    value_.clear();
-    provenance_.clear();
-  }
-  void Push(const Sample& sample) {
-    ts_.push_back(sample.timestamp);
-    value_.push_back(sample.value);
-    provenance_.push_back(sample.provenance);
-  }
-  void Append(const TelemetryStream::ColumnSpan& span) {
-    ts_.insert(ts_.end(), span.entry_ts, span.entry_ts + span.size);
-    value_.insert(value_.end(), span.values, span.values + span.size);
-    provenance_.insert(provenance_.end(), span.provenance,
-                       span.provenance + span.size);
-  }
-  std::size_t size() const { return value_.size(); }
-  Columns View() const { return View(0, size()); }
-  // Rows [begin, end).
-  Columns View(std::size_t begin, std::size_t end) const {
-    return Columns{ts_.data() + begin, value_.data() + begin,
-                   provenance_.data() + begin, end - begin};
-  }
-
- private:
-  std::vector<TimeNs> ts_;
-  std::vector<double> value_;
-  std::vector<Provenance> provenance_;
-};
-
 // Bits 0 to n - 1, for 0 < n <= kBlock.
 std::uint64_t LowBits(std::size_t n) {
   return n == kBlock ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
@@ -102,7 +53,7 @@ std::uint64_t LowBits(std::size_t n) {
 // column with no branch per row; the values column, which most WHERE
 // clauses and ORDER BY keys test, is compared two rows per SSE2 compare,
 // eight rows per step.
-std::uint64_t InInterval(Column column, const Columns& rows, std::size_t at,
+std::uint64_t InInterval(Column column, const ColumnSpan& rows, std::size_t at,
                          std::size_t n, double lo, double hi) {
   const auto in = [lo, hi](double v) {
     return static_cast<std::uint64_t>((v >= lo) & (v <= hi));
@@ -117,7 +68,7 @@ std::uint64_t InInterval(Column column, const Columns& rows, std::size_t at,
       break;
     }
     case Column::kMetric: {
-      const double* value = rows.value + at;
+      const double* value = rows.values + at;
       std::size_t i = 0;
 #if defined(__SSE2__)
       const __m128d vlo = _mm_set1_pd(lo);
@@ -237,7 +188,7 @@ class RowFilter {
 
   // Bit i set when row at + i of `rows` matches, for i < n <= kBlock: one
   // pass per compared column over its cells, no branch per row.
-  std::uint64_t Match(const Columns& rows, std::size_t at,
+  std::uint64_t Match(const ColumnSpan& rows, std::size_t at,
                       std::size_t n) const {
     if (none_) return 0;
     std::uint64_t mask = LowBits(n);
@@ -325,7 +276,7 @@ struct SortsBefore {
 // equals the cut sorts after the row holding it, so it never enters; a NaN
 // cut is beaten by every other key, and an infinite cut in its own
 // direction by none.
-std::uint64_t BeatsCut(Column key, const Columns& rows, std::size_t at,
+std::uint64_t BeatsCut(Column key, const ColumnSpan& rows, std::size_t at,
                        std::size_t n, double cut, bool descending) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   if (std::isnan(cut)) return InInterval(key, rows, at, n, -kInf, kInf);
@@ -808,36 +759,26 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
 
   // History: a topic with an archiver may hold rows in the WAL and in cold
   // blocks, so read the tiers warm to cold — ring, WAL, cold scan — each
-  // capped below the warmer tier's oldest row, then feed the rows oldest
-  // first: cold rows as the scan decodes them, the WAL's, the ring's.
-  // Whether a colder tier holds rows is asked only after the warmer one was
-  // read: a row leaves the ring only once the WAL counts it, and a segment
-  // leaves the WAL only once the cold tier holds its rows, so a row moving
-  // between tiers mid-query is never missed. Every tier reaches the
-  // consumers as Columns: the ring's spans in place when there is no
-  // archiver, and otherwise its rows copied out as columns before the WAL
-  // read; the WAL's records and the cold rows packed into columns.
+  // capped below the warmer tier's oldest row (a TierCap the tier applies
+  // as it reads), then feed the rows oldest first: cold spans as the scan
+  // decodes them, the WAL's, the ring's. Whether a colder tier holds rows
+  // is asked only after the warmer one was read: a row leaves the ring only
+  // once the WAL counts it, and a segment leaves the WAL only once the cold
+  // tier holds its rows, so a row moving between tiers mid-query is never
+  // missed. The ring's and cold blocks' spans reach the consumers in place,
+  // save that a topic with an archiver copies its ring rows out before the
+  // WAL read; the WAL's records are packed into columns.
   Archiver<Sample>* archiver = stream->archiver();
   coldtier::ColdTier* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
   const bool history = archiver != nullptr;
   bool cold_has_rows = false;
 
-  // The oldest row a warmer tier returned. A colder tier keeps a row only
-  // if it is older: an earlier timestamp, or the same timestamp and a
-  // lower id, since a run of equal timestamps can straddle a tier boundary.
-  struct Cap {
-    TimeNs ts;
-    std::uint64_t id;
-    bool Keeps(TimeNs row_ts, std::uint64_t row_id) const {
-      return row_ts < ts || (row_ts == ts && row_id < id);
-    }
-  };
   // A tier summary stands for its rows only in an aggregate that summaries
   // answer, when the scan would feed every one of them (none is older than
   // the range or not older than the cap) and the WHERE matches every one.
   const bool summaries = has_aggregate && SummariesAnswer(select);
-  const auto inside = [&](const TierSummary& summary, const Cap& cap) {
+  const auto inside = [&](const TierSummary& summary, const TierCap& cap) {
     return summaries && summary.min_ts >= from_ts &&
            cap.Keeps(summary.max_ts, summary.last_id) &&
            filter.CoversTimestamps(summary.min_ts, summary.max_ts);
@@ -854,25 +795,23 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   thread_local ColumnBuffer ring_rows;
   thread_local ColumnBuffer wal_rows;
   thread_local std::vector<WalPiece> wal_pieces;
-  thread_local ColumnBuffer cold_rows;
   bool wal_failed = false;
   std::uint64_t wal_count = 0;  // WAL rows fed, from records or summaries
   WalVisitStats wal_stats;
-  Cap cold_cap{to_ts, UINT64_MAX};
+  TierCap cold_cap = TierCap::Through(to_ts);
   if (history) {
-    // WAL rows older than the in-memory ones; when the window had no
+    // WAL rows older than the in-memory ones, so rows evicted after the
+    // ring copy are left out (the copy holds them); when the window had no
     // match at all, the whole range comes from the archive.
-    Cap wal_cap{to_ts, UINT64_MAX};
-    ring_rows.Clear();
+    TierCap wal_cap = TierCap::Through(to_ts);
+    ring_rows.Resize(0);
     stream->VisitColumns(
-        from_ts, to_ts, [&](const TelemetryStream::ColumnSpan& span) {
-          if (ring_rows.size() == 0) {
-            wal_cap = Cap{span.entry_ts[0], span.first_id};
-          }
+        from_ts, to_ts, [&](std::uint64_t first_id, const ColumnSpan& span) {
+          if (ring_rows.size() == 0) wal_cap = TierCap{span.ts[0], first_id};
           ring_rows.Append(span);
           return true;
         });
-    wal_rows.Clear();
+    wal_rows.Resize(0);
     wal_pieces.clear();
     // Cold rows are older than everything still in the WAL (compaction
     // drains oldest segments first), so capping the cold range below the
@@ -884,12 +823,10 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     if (archiver->Count() > 0 && from_ts <= wal_cap.ts) {
       // Keeps `rows` WAL rows, the first of them (ts, id).
       const auto keep = [&](TimeNs ts, std::uint64_t id, std::uint64_t rows) {
-        if (wal_count == 0) cold_cap = Cap{ts, id};
+        if (wal_count == 0) cold_cap = TierCap{ts, id};
         wal_count += rows;
       };
-      // Rows evicted from the ring after the copy are in the copy.
       const auto wal_record = [&](const Archiver<Sample>::Record& rec) {
-        if (!wal_cap.Keeps(rec.timestamp, rec.id)) return;
         keep(rec.timestamp, rec.id, 1);
         wal_rows.Push(rec.payload);  // stamped with rec.timestamp
       };
@@ -905,12 +842,12 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       // An unreadable WAL contributes nothing: the answer comes from the
       // other tiers and is marked degraded below.
       wal_failed = !archiver
-                        ->VisitRange(from_ts, wal_cap.ts, offer,
+                        ->VisitRange(from_ts, wal_cap, offer,
                                      std::cref(wal_record), &wal_stats)
                         .ok();
       if (wal_failed) {
         GlobalTelemetry().archive_read_errors.Inc();
-        wal_rows.Clear();
+        wal_rows.Resize(0);
         wal_pieces.clear();
         wal_count = 0;
         cold_cap = wal_cap;
@@ -919,7 +856,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     cold_has_rows = cold != nullptr && cold->ColdRowCount() > 0;
   }
 
-  // Feeds every row in range to `consume(const Columns&)`, which returns
+  // Feeds every row in range to `consume(const ColumnSpan&)`, which returns
   // false to stop (LIMIT without ORDER BY). The cold scan runs here, after
   // the WAL read. `merge`, set for aggregates that summaries answer, takes
   // each tier summary that stands for its rows, in scan order: the cold
@@ -932,38 +869,24 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
                       nullptr) {
     if (vp != nullptr) vp->strategy = "scan";
     if (!history) {
-      stream->VisitColumns(
-          from_ts, to_ts, [&](const TelemetryStream::ColumnSpan& span) {
-            return consume(Columns{span.entry_ts, span.values,
-                                   span.provenance, span.size});
-          });
+      stream->VisitColumns(from_ts, to_ts,
+                           [&](std::uint64_t, const ColumnSpan& span) {
+                             return consume(span);
+                           });
       return;
     }
     bool open = true;
-    const auto feed = [&](const Columns& rows) {
-      if (open && rows.size > 0) open = consume(rows);
+    const auto feed = [&](const ColumnSpan& rows) {
+      if (open) open = consume(rows);
     };
     if (cold_has_rows && from_ts <= cold_cap.ts) {
-      // The scan hands over cold rows one at a time; they are fed kBlock
-      // at a time.
-      cold_rows.Clear();
-      const auto flush = [&] {
-        feed(cold_rows.View());
-        cold_rows.Clear();
+      const auto cold_span = [&](const std::uint64_t*,
+                                 const ColumnSpan& rows) {
+        cold_count += rows.size;
+        feed(rows);
       };
-      const auto cold_row = [&](std::uint64_t id, TimeNs timestamp,
-                                const Sample& sample) {
-        if (!cold_cap.Keeps(timestamp, id)) return;
-        ++cold_count;
-        if (!open) return;
-        cold_rows.Push(sample);
-        if (cold_rows.size() == kBlock) flush();
-      };
-      // The rows packed before a summarized block are fed first, so the
-      // consumer sees rows and summaries in scan order.
       const auto cold_block = [&](const TierSummary& summary) {
         if (!inside(summary, cold_cap)) return false;
-        flush();
         merge(summary);
         cold_count += summary.rows;
         return true;
@@ -974,9 +897,8 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       // its whole range; rows after a stop are skipped, so the counts below
       // do not depend on LIMIT. std::cref keeps the visitors inside
       // std::function's small buffer.
-      (void)cold->VisitRange(from_ts, cold_cap.ts, offer, std::cref(cold_row),
+      (void)cold->VisitRange(from_ts, cold_cap, offer, std::cref(cold_span),
                              &cold_stats);
-      flush();
     }
     std::size_t fed = 0;
     for (const WalPiece& piece : wal_pieces) {
@@ -986,7 +908,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     }
     wal_pieces.clear();  // lets go of the summaries
     feed(wal_rows.View(fed, wal_rows.size()));
-    feed(ring_rows.View());
+    feed(ring_rows.View(0, ring_rows.size()));
     // An answer that skipped an unreadable tier must say so.
     if (wal_failed ||
         cold_stats.read_errors + cold_stats.blocks_quarantined > 0) {
@@ -1041,7 +963,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
       }
     };
 
-    const auto consume = [&](const Columns& batch) {
+    const auto consume = [&](const ColumnSpan& batch) {
       if (vp != nullptr) vp->rows_scanned += batch.size;
       for (std::size_t at = 0; at < batch.size; at += kBlock) {
         const std::uint64_t mask =
@@ -1154,7 +1076,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   // scan stops at the first match past LIMIT rows, which it counts as
   // scanned and matched.
   if (!select.order_by.has_value()) {
-    scan([&](const Columns& batch) {
+    scan([&](const ColumnSpan& batch) {
       for (std::size_t at = 0; at < batch.size; at += kBlock) {
         const std::size_t n = std::min(kBlock, batch.size - at);
         for (std::uint64_t mask = filter.Match(batch, at, n); mask != 0;
@@ -1185,7 +1107,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   std::vector<Candidate> top;
   if (limit <= stream->Capacity()) top.reserve(limit);
   std::uint64_t scanned = 0;  // rows fed before this batch: scan positions
-  scan([&](const Columns& batch) {
+  scan([&](const ColumnSpan& batch) {
     if (vp != nullptr) vp->rows_scanned += batch.size;
     for (std::size_t at = 0; at < batch.size; at += kBlock) {
       const std::size_t n = std::min(kBlock, batch.size - at);

@@ -30,15 +30,16 @@
 // WHERE clause is folded once into one closed interval per compared column
 // (plus the `!=` values), which tests each row exactly as the literal
 // comparisons would; the timestamp interval, saturated to int64, is the
-// range the ring, WAL and cold tier read. Every tier reaches the scan as
-// columns (the ring's spans in place, WAL and cold rows packed), and the
-// filter tests 64 rows at a time into a bitmask whose set bits alone the
-// consumers visit. ORDER BY ... LIMIT k keeps at most k candidates in a
-// heap during the scan, under one total order (NaN keys last in both
-// directions, ties in scan order, so the answer equals a stable sort of
-// the scan); between blocks its cut rises to the worst key it holds, and
-// ResultRows are built for the winners alone. Every branch appends its
-// rows to the caller's ResultSet in place.
+// range the ring, WAL and cold tier read, each below the warmer tiers'
+// oldest row (TierCap, applied by the tier as it reads). Every tier
+// reaches the scan as ColumnSpans (the ring's and cold blocks' in place,
+// WAL records packed), and the filter tests 64 rows at a time into a
+// bitmask whose set bits alone the consumers visit. ORDER BY ... LIMIT k
+// keeps at most k candidates in a heap during the scan, under one total
+// order (NaN keys last in both directions, ties in scan order, so the
+// answer equals a stable sort of the scan); between blocks its cut rises
+// to the worst key it holds, and ResultRows are built for the winners
+// alone. Every branch appends its rows to the caller's ResultSet in place.
 #pragma once
 
 #include <algorithm>

@@ -167,37 +167,36 @@ double BitsToDouble(std::uint64_t bits) {
 // consume it fully.
 // ---------------------------------------------------------------------------
 
-void EncodeIds(const std::vector<BlockRow>& rows,
+void EncodeIds(const std::vector<std::uint64_t>& ids,
                std::vector<std::uint8_t>& out) {
-  PutVarint(out, rows[0].id);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    PutVarint(out, rows[i].id - rows[i - 1].id);
+  PutVarint(out, ids[0]);
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    PutVarint(out, ids[i] - ids[i - 1]);
   }
 }
 
 bool DecodeIds(const std::uint8_t* data, std::size_t size,
-               std::vector<BlockRow>& rows) {
+               std::vector<std::uint64_t>& ids) {
   std::size_t pos = 0;
   std::uint64_t v = 0;
   if (!GetVarint(data, size, &pos, &v)) return false;
-  rows[0].id = v;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
+  ids[0] = v;
+  for (std::size_t i = 1; i < ids.size(); ++i) {
     if (!GetVarint(data, size, &pos, &v)) return false;
     if (v == 0) return false;  // ids must strictly increase
-    rows[i].id = rows[i - 1].id + v;
-    if (rows[i].id < rows[i - 1].id) return false;  // wrapped
+    ids[i] = ids[i - 1] + v;
+    if (ids[i] < ids[i - 1]) return false;  // wrapped
   }
   return pos == size;
 }
 
-void EncodeTimestamps(const std::vector<BlockRow>& rows,
+void EncodeTimestamps(const std::vector<TimeNs>& ts,
                       std::vector<std::uint8_t>& out) {
-  PutVarint(out, ZigZag(rows[0].timestamp));
+  PutVarint(out, ZigZag(ts[0]));
   std::uint64_t prev_delta = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const std::uint64_t delta =
-        static_cast<std::uint64_t>(rows[i].timestamp) -
-        static_cast<std::uint64_t>(rows[i - 1].timestamp);
+  for (std::size_t i = 1; i < ts.size(); ++i) {
+    const std::uint64_t delta = static_cast<std::uint64_t>(ts[i]) -
+                                static_cast<std::uint64_t>(ts[i - 1]);
     const std::uint64_t dod = delta - prev_delta;
     PutVarint(out, ZigZag(static_cast<std::int64_t>(dod)));
     prev_delta = delta;
@@ -205,55 +204,47 @@ void EncodeTimestamps(const std::vector<BlockRow>& rows,
 }
 
 bool DecodeTimestamps(const std::uint8_t* data, std::size_t size,
-                      std::vector<BlockRow>& rows) {
+                      std::vector<TimeNs>& ts) {
   std::size_t pos = 0;
   std::uint64_t v = 0;
   if (!GetVarint(data, size, &pos, &v)) return false;
-  rows[0].timestamp = UnZigZag(v);
+  ts[0] = UnZigZag(v);
   std::uint64_t prev_delta = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
+  for (std::size_t i = 1; i < ts.size(); ++i) {
     if (!GetVarint(data, size, &pos, &v)) return false;
     const std::uint64_t delta =
         prev_delta + static_cast<std::uint64_t>(UnZigZag(v));
-    rows[i].timestamp = static_cast<TimeNs>(
-        static_cast<std::uint64_t>(rows[i - 1].timestamp) + delta);
+    ts[i] = static_cast<TimeNs>(static_cast<std::uint64_t>(ts[i - 1]) + delta);
     prev_delta = delta;
   }
   return pos == size;
 }
 
-void EncodeSampleTsOffsets(const std::vector<BlockRow>& rows,
+void EncodeSampleTsOffsets(const std::vector<std::int64_t>& offsets,
                            std::vector<std::uint8_t>& out) {
-  for (const BlockRow& row : rows) {
-    const std::uint64_t offset =
-        static_cast<std::uint64_t>(row.sample_timestamp) -
-        static_cast<std::uint64_t>(row.timestamp);
-    PutVarint(out, ZigZag(static_cast<std::int64_t>(offset)));
-  }
+  for (const std::int64_t offset : offsets) PutVarint(out, ZigZag(offset));
 }
 
 bool DecodeSampleTsOffsets(const std::uint8_t* data, std::size_t size,
-                           std::vector<BlockRow>& rows) {
+                           std::vector<std::int64_t>& offsets) {
   std::size_t pos = 0;
   std::uint64_t v = 0;
-  for (BlockRow& row : rows) {
+  for (std::int64_t& offset : offsets) {
     if (!GetVarint(data, size, &pos, &v)) return false;
-    row.sample_timestamp = static_cast<TimeNs>(
-        static_cast<std::uint64_t>(row.timestamp) +
-        static_cast<std::uint64_t>(UnZigZag(v)));
+    offset = UnZigZag(v);
   }
   return pos == size;
 }
 
-void EncodeValues(const std::vector<BlockRow>& rows,
+void EncodeValues(const std::vector<double>& values,
                   std::vector<std::uint8_t>& out) {
   BitWriter writer(out);
-  std::uint64_t prev = DoubleBits(rows[0].value);
+  std::uint64_t prev = DoubleBits(values[0]);
   writer.Write(prev, 64);
   int prev_lead = -1;
   int prev_sig = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const std::uint64_t bits = DoubleBits(rows[i].value);
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    const std::uint64_t bits = DoubleBits(values[i]);
     const std::uint64_t x = bits ^ prev;
     prev = bits;
     if (x == 0) {
@@ -283,18 +274,18 @@ void EncodeValues(const std::vector<BlockRow>& rows,
 }
 
 bool DecodeValues(const std::uint8_t* data, std::size_t size,
-                  std::vector<BlockRow>& rows) {
+                  std::vector<double>& values) {
   BitReader reader(data, size);
   std::uint64_t prev = 0;
   if (!reader.Read(64, &prev)) return false;
-  rows[0].value = BitsToDouble(prev);
+  values[0] = BitsToDouble(prev);
   int prev_lead = -1;
   int prev_sig = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
+  for (std::size_t i = 1; i < values.size(); ++i) {
     std::uint64_t bit = 0;
     if (!reader.Read(1, &bit)) return false;
     if (bit == 0) {
-      rows[i].value = BitsToDouble(prev);
+      values[i] = BitsToDouble(prev);
       continue;
     }
     if (!reader.Read(1, &bit)) return false;
@@ -332,39 +323,39 @@ bool DecodeValues(const std::uint8_t* data, std::size_t size,
       prev_sig = sig;
     }
     prev ^= x;
-    rows[i].value = BitsToDouble(prev);
+    values[i] = BitsToDouble(prev);
   }
   return reader.AtCleanEnd();
 }
 
-void EncodeProvenance(const std::vector<BlockRow>& rows,
+void EncodeProvenance(const std::vector<Provenance>& provenance,
                       std::vector<std::uint8_t>& out) {
   std::size_t i = 0;
-  while (i < rows.size()) {
+  while (i < provenance.size()) {
     std::size_t run = 1;
-    while (i + run < rows.size() &&
-           rows[i + run].provenance == rows[i].provenance) {
+    while (i + run < provenance.size() &&
+           provenance[i + run] == provenance[i]) {
       ++run;
     }
     PutVarint(out, run);
-    out.push_back(rows[i].provenance);
+    out.push_back(static_cast<std::uint8_t>(provenance[i]));
     i += run;
   }
 }
 
 bool DecodeProvenance(const std::uint8_t* data, std::size_t size,
-                      std::vector<BlockRow>& rows) {
+                      std::vector<Provenance>& provenance) {
   std::size_t pos = 0;
   std::size_t row = 0;
-  while (row < rows.size()) {
+  while (row < provenance.size()) {
     std::uint64_t run = 0;
     if (!GetVarint(data, size, &pos, &run)) return false;
-    if (run == 0 || run > rows.size() - row) return false;
+    if (run == 0 || run > provenance.size() - row) return false;
     if (pos >= size) return false;
-    const std::uint8_t value = data[pos++];
+    const auto value = static_cast<Provenance>(data[pos++]);
     // Runs must be maximal or the encoding is not canonical.
-    if (row > 0 && rows[row - 1].provenance == value) return false;
-    for (std::uint64_t i = 0; i < run; ++i) rows[row++].provenance = value;
+    if (row > 0 && provenance[row - 1] == value) return false;
+    for (std::uint64_t i = 0; i < run; ++i) provenance[row++] = value;
   }
   return pos == size;
 }
@@ -405,11 +396,12 @@ bool ZoneMap::operator==(const ZoneMap& other) const {
          first_id == other.first_id && last_id == other.last_id;
 }
 
-ZoneMap ComputeZoneMap(const std::vector<BlockRow>& rows) {
+ZoneMap ComputeZoneMap(const BlockColumns& rows) {
   ZoneMap zone;
-  if (rows.empty()) return zone;
-  zone.min_ts = rows[0].timestamp;
-  zone.max_ts = rows[0].timestamp;
+  if (rows.size() == 0) return zone;
+  const std::vector<TimeNs>& ts = rows.samples.ts;
+  zone.min_ts = *std::min_element(ts.begin(), ts.end());
+  zone.max_ts = *std::max_element(ts.begin(), ts.end());
   double min_v = std::numeric_limits<double>::infinity();
   double max_v = -std::numeric_limits<double>::infinity();
   double sum = 0.0;
@@ -417,20 +409,18 @@ ZoneMap ComputeZoneMap(const std::vector<BlockRow>& rows) {
   // std::fmin/fmax may return either zero when the operands differ only in
   // sign (GCC's inlined builtin and libm differ), which would make the
   // bits, and so DecodeBlock's zone-map re-check, depend on the build.
-  for (const BlockRow& row : rows) {
-    if (row.timestamp < zone.min_ts) zone.min_ts = row.timestamp;
-    if (row.timestamp > zone.max_ts) zone.max_ts = row.timestamp;
-    if (!std::isnan(row.value)) {
-      if (OrdersBelow(row.value, min_v)) min_v = row.value;
-      if (OrdersBelow(max_v, row.value)) max_v = row.value;
+  for (const double value : rows.samples.values) {
+    if (!std::isnan(value)) {
+      if (OrdersBelow(value, min_v)) min_v = value;
+      if (OrdersBelow(max_v, value)) max_v = value;
     }
-    sum += row.value;
+    sum += value;
   }
   zone.min_value_bits = DoubleBits(min_v);
   zone.max_value_bits = DoubleBits(max_v);
   zone.sum_value_bits = DoubleBits(sum);
-  zone.first_id = rows.front().id;
-  zone.last_id = rows.back().id;
+  zone.first_id = rows.ids.front();
+  zone.last_id = rows.ids.back();
   return zone;
 }
 
@@ -480,18 +470,23 @@ ZoneMap GetZone(const std::uint8_t* p) {
   return zone;
 }
 
-bool EncodeBlock(const std::vector<BlockRow>& rows,
-                 std::vector<std::uint8_t>& out) {
+bool EncodeBlock(const BlockColumns& rows, std::vector<std::uint8_t>& out) {
   out.clear();
-  if (rows.empty() || rows.size() > kMaxBlockRows) return false;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].id <= rows[i - 1].id) return false;
+  const std::size_t n = rows.size();
+  const ColumnBuffer& samples = rows.samples;
+  if (n == 0 || n > kMaxBlockRows || samples.size() != n ||
+      samples.values.size() != n || samples.provenance.size() != n ||
+      rows.ts_offsets.size() != n) {
+    return false;
   }
-  out.reserve(kBlockHeaderSize + kZoneMapSize + rows.size() * 4);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (rows.ids[i] <= rows.ids[i - 1]) return false;
+  }
+  out.reserve(kBlockHeaderSize + kZoneMapSize + n * 4);
 
   PutU32(out, kBlockMagic);
   PutU32(out, kBlockVersion);
-  PutU32(out, static_cast<std::uint32_t>(rows.size()));
+  PutU32(out, static_cast<std::uint32_t>(n));
   PutU32(out, wal::Crc32c(out.data(), 12));
 
   const ZoneMap zone = ComputeZoneMap(rows);
@@ -500,19 +495,19 @@ bool EncodeBlock(const std::vector<BlockRow>& rows,
   PutU32(out, 0);  // pad the zone map region to 64 bytes
 
   std::vector<std::uint8_t> column;
-  EncodeIds(rows, column);
+  EncodeIds(rows.ids, column);
   PutSection(out, column);
   column.clear();
-  EncodeTimestamps(rows, column);
+  EncodeTimestamps(samples.ts, column);
   PutSection(out, column);
   column.clear();
-  EncodeSampleTsOffsets(rows, column);
+  EncodeSampleTsOffsets(rows.ts_offsets, column);
   PutSection(out, column);
   column.clear();
-  EncodeValues(rows, column);
+  EncodeValues(samples.values, column);
   PutSection(out, column);
   column.clear();
-  EncodeProvenance(rows, column);
+  EncodeProvenance(samples.provenance, column);
   PutSection(out, column);
   return true;
 }
@@ -540,30 +535,31 @@ bool DecodeBlock(const std::uint8_t* data, std::size_t size,
   std::uint32_t row_count = 0;
   if (!DecodeZoneMap(data, size, &row_count, &out->zone)) return false;
 
-  // Every column decoder writes its field of every row, so a reused
+  // Every column decoder writes each cell of its column, so a reused
   // buffer needs no clearing.
-  out->rows.resize(row_count);
+  BlockColumns& rows = out->columns;
+  rows.Resize(row_count);
   std::size_t pos = kBlockHeaderSize + kZoneMapSize;
   const std::uint8_t* payload = nullptr;
   std::size_t payload_size = 0;
   if (!GetSection(data, size, &pos, &payload, &payload_size) ||
-      !DecodeIds(payload, payload_size, out->rows)) {
+      !DecodeIds(payload, payload_size, rows.ids)) {
     return false;
   }
   if (!GetSection(data, size, &pos, &payload, &payload_size) ||
-      !DecodeTimestamps(payload, payload_size, out->rows)) {
+      !DecodeTimestamps(payload, payload_size, rows.samples.ts)) {
     return false;
   }
   if (!GetSection(data, size, &pos, &payload, &payload_size) ||
-      !DecodeSampleTsOffsets(payload, payload_size, out->rows)) {
+      !DecodeSampleTsOffsets(payload, payload_size, rows.ts_offsets)) {
     return false;
   }
   if (!GetSection(data, size, &pos, &payload, &payload_size) ||
-      !DecodeValues(payload, payload_size, out->rows)) {
+      !DecodeValues(payload, payload_size, rows.samples.values)) {
     return false;
   }
   if (!GetSection(data, size, &pos, &payload, &payload_size) ||
-      !DecodeProvenance(payload, payload_size, out->rows)) {
+      !DecodeProvenance(payload, payload_size, rows.samples.provenance)) {
     return false;
   }
   if (pos != size) return false;  // trailing bytes
@@ -571,7 +567,7 @@ bool DecodeBlock(const std::uint8_t* data, std::size_t size,
   // The stored zone map must be exactly what the rows produce; a mismatch
   // means corruption the CRCs happened to miss, so reject the block rather
   // than return questionable rows.
-  return ComputeZoneMap(out->rows) == out->zone;
+  return ComputeZoneMap(rows) == out->zone;
 }
 
 }  // namespace apollo::coldtier

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "pubsub/telemetry.h"
 
 namespace apollo::coldtier {
 
@@ -64,16 +65,27 @@ inline constexpr std::size_t kZoneMapSize = 64;  // 56 payload + u32 crc + pad
 inline constexpr std::uint32_t kMaxBlockRows = 1u << 24;
 inline constexpr std::uint32_t kMaxSectionLen = 1u << 28;
 
-// One archived row, as stored in the WAL and in a block. `timestamp` is
-// the row's one time. `sample_timestamp` is the format's copy of it: the
-// compactor writes it equal, the codec round-trips it, and ColdTier's
-// reads ignore it.
-struct BlockRow {
-  std::uint64_t id = 0;
-  TimeNs timestamp = 0;
-  TimeNs sample_timestamp = 0;
-  double value = 0.0;
-  std::uint8_t provenance = 0;
+// A block's rows as columns, one array per column section, for the codec,
+// the compactor and the scan alike: row i is id ids[i] with the i-th
+// sample of `samples`. ts_offsets[i] is the format's copy of its time, as
+// the difference from it: written 0, round-tripped, ignored by reads.
+struct BlockColumns {
+  std::vector<std::uint64_t> ids;
+  ColumnBuffer samples;
+  std::vector<std::int64_t> ts_offsets;
+
+  std::size_t size() const { return ids.size(); }
+  void Push(std::uint64_t id, const Sample& sample,
+            std::int64_t ts_offset = 0) {
+    ids.push_back(id);
+    samples.Push(sample);
+    ts_offsets.push_back(ts_offset);
+  }
+  void Resize(std::size_t n) {
+    ids.resize(n);
+    samples.Resize(n);
+    ts_offsets.resize(n);
+  }
 };
 
 // Per-block statistics used for scan pruning. min/max value ignore NaNs
@@ -96,24 +108,24 @@ struct ZoneMap {
 };
 
 // Recomputes the zone map over `rows` exactly the way EncodeBlock does.
-ZoneMap ComputeZoneMap(const std::vector<BlockRow>& rows);
+ZoneMap ComputeZoneMap(const BlockColumns& rows);
 
 // Encodes `rows` into a complete block image in `out` (cleared first).
 // Fails (returns false, `out` cleared) when rows is empty, exceeds
-// kMaxBlockRows, or ids are not strictly increasing.
-bool EncodeBlock(const std::vector<BlockRow>& rows,
-                 std::vector<std::uint8_t>& out);
+// kMaxBlockRows, its columns differ in length, or ids are not strictly
+// increasing.
+bool EncodeBlock(const BlockColumns& rows, std::vector<std::uint8_t>& out);
 
 struct DecodedBlock {
   ZoneMap zone;
-  std::vector<BlockRow> rows;
+  BlockColumns columns;
 };
 
 // Decodes a whole block image. Returns false on any malformation: bad
 // header/CRC, section overrun, trailing bytes, varint/bitstream overrun,
 // a non-canonical varint or Gorilla window, non-monotonic ids, RLE
 // mismatch, or a zone map that does not match the decoded rows. On false,
-// `out` contents are unspecified. `out->rows` keeps its capacity, so a
+// `out` contents are unspecified. `out->columns` keep their capacity, so a
 // caller decoding many blocks into one DecodedBlock allocates only when a
 // block is larger than any before it.
 bool DecodeBlock(const std::uint8_t* data, std::size_t size,

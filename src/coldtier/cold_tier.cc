@@ -262,6 +262,7 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
     if (config_.crash_hook) config_.crash_hook(point, seq);
   };
   using Record = Archiver<Sample>::Record;
+  BlockColumns rows;  // each segment's, reusing the last one's arrays
 
   for (const auto& seg : archiver.SealedSegments()) {
     if (result.segments_compacted >= max_segments) break;
@@ -287,28 +288,27 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
       return Error(ErrorCode::kIoError,
                    "compact: segment read failed: " + seg.path);
     }
-    std::vector<BlockRow> rows;
-    rows.reserve(seg.records);
+    rows.Resize(0);
     const wal::ScanResult scan = wal::ScanBuffer(
         raw.data(), raw.size(),
         [&rows](const std::uint8_t* payload, std::uint32_t len) {
           if (len != sizeof(Record)) return;
           Record rec;
           std::memcpy(&rec, payload, sizeof(rec));
-          rows.push_back(BlockRow{
-              rec.id, rec.timestamp, rec.timestamp, rec.payload.value,
-              static_cast<std::uint8_t>(rec.payload.provenance)});
+          rows.Push(rec.id, Sample{rec.timestamp, rec.payload.value,
+                                   rec.payload.provenance});
         });
-    if (!scan.header_ok) {
-      // The segment rotted since the archiver opened it. Stop here — the
-      // archiver's own recovery owns quarantine decisions; compacting
+    if (!scan.clean || rows.size() != seg.records) {
+      // The segment rotted since the archiver opened it. Stop here and
+      // keep it — the archiver's own recovery owns quarantine decisions,
+      // dropping it would lose its rows without a trace, and compacting
       // past a hole would reorder history.
       Counters().compact_failures.Inc();
       return Error(ErrorCode::kParseError,
                    "compact: segment unreadable: " + seg.path);
     }
-    if (rows.empty()) {
-      // A fully-torn sealed segment holds nothing worth a block; drop it.
+    if (rows.size() == 0) {
+      // An empty sealed segment holds nothing worth a block; drop it.
       archiver.DropSegmentsThrough(seg.seq);
       ++result.segments_compacted;
       continue;
@@ -438,9 +438,9 @@ void ColdTier::QuarantineBlock(const ManifestEntry& entry) {
   fs::rename(path, path + ".corrupt", ec);
 }
 
-Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
+Status ColdTier::VisitRange(TimeNs from_ts, TierCap cap,
                             const SummaryVisitor& summary,
-                            const RowVisitor& visit, ColdScanStats* stats) {
+                            const SpanVisitor& visit, ColdScanStats* stats) {
   TRACE_SPAN("coldtier.scan", base_path_);
   ColdScanStats local;
   if (stats == nullptr) stats = &local;
@@ -451,9 +451,9 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = entries_;
   }
-  // Every block of every scan on this thread decodes into the same row
-  // buffer, and its path into the same string: once they have grown to the
-  // largest block, a scan allocates nothing.
+  // Every block of every scan on this thread decodes into the same
+  // columns, and its path into the same string: once they have grown to
+  // the largest block, a scan allocates nothing.
   thread_local DecodedBlock block;
   thread_local std::string path;
   ColdCounters& counters = Counters();
@@ -461,7 +461,7 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
   for (const LiveBlock& live : *snapshot) {
     const ManifestEntry& entry = live.entry;
     ++stats->blocks_total;
-    if (entry.zone.max_ts < from_ts || entry.zone.min_ts > to_ts) {
+    if (entry.zone.max_ts < from_ts || entry.zone.min_ts > cap.ts) {
       ++stats->blocks_pruned;
       continue;
     }
@@ -483,23 +483,22 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
       counters.read_errors.Inc();
       continue;
     }
+    const BlockColumns& rows = block.columns;
     if (!DecodeBlock(file.data(), file.size(), &block) ||
-        block.rows.size() != entry.row_count ||
-        !(block.zone == entry.zone)) {
+        rows.size() != entry.row_count || !(block.zone == entry.zone)) {
       // Corrupt, or a different block than the manifest committed: either
       // way its rows cannot be trusted. Quarantine and keep scanning.
       QuarantineBlock(entry);
       ++stats->blocks_quarantined;
       continue;
     }
+    const std::size_t n = rows.size();
     if (known == nullptr) {
       // Verified: its rows become its summary, unless a concurrent read
       // got there first.
+      const ColumnSpan all = rows.samples.View(0, n);
       TierSummaryBuilder builder;
-      for (const BlockRow& row : block.rows) {
-        builder.Add(row.id, Sample{row.timestamp, row.value,
-                                   static_cast<Provenance>(row.provenance)});
-      }
+      for (std::size_t i = 0; i < n; ++i) builder.Add(rows.ids[i], all.At(i));
       auto fresh = std::make_unique<TierSummary>(builder.Finish());
       const TierSummary* expected = nullptr;
       if (live.slot->summary.compare_exchange_strong(
@@ -509,12 +508,17 @@ Status ColdTier::VisitRange(TimeNs from_ts, TimeNs to_ts,
       }
     }
     ++stats->blocks_scanned;
-    for (const BlockRow& row : block.rows) {
-      if (row.timestamp < from_ts || row.timestamp > to_ts) continue;
-      visit(row.id, row.timestamp,
-            Sample{row.timestamp, row.value,
-                   static_cast<Provenance>(row.provenance)});
-      ++stats->rows_visited;
+    // The kept rows, one span per run of them.
+    const TimeNs* ts = rows.samples.ts.data();
+    const auto kept = [&](std::size_t i) {
+      return ts[i] >= from_ts && cap.Keeps(ts[i], rows.ids[i]);
+    };
+    for (std::size_t i = 0, end = 0; i < n; i = end) {
+      while (i < n && !kept(i)) ++i;
+      for (end = i; end < n && kept(end);) ++end;
+      if (end == i) continue;
+      visit(&rows.ids[i], rows.samples.View(i, end));
+      stats->rows_visited += end - i;
     }
   }
   counters.blocks_scanned.Inc(stats->blocks_scanned - before.blocks_scanned);

@@ -3,7 +3,8 @@
 // One ColdTier sits beside one Archiver<Sample> (same base path). The
 // compactor drains sealed segments oldest-first, one block per segment:
 //
-//   1. read the sealed segment, decode its records
+//   1. read the sealed segment, decode its records (a segment not read
+//      whole fails the pass and stays: its loss is the WAL read's to report)
 //   2. write `<base>.<seq>.blk.tmp`, fsync, rename to `<base>.<seq>.blk`
 //   3. rewrite `<base>.manifest` atomically with the new entry
 //   4. delete the WAL segment
@@ -15,8 +16,9 @@
 // readable from exactly one tier.
 //
 // Reads are mmap'd: VisitRange prunes blocks on the manifest's zone maps
-// (no file IO for a pruned block), decodes survivors, and emits rows in
-// [from_ts, to_ts]. A block that fails its CRC/consistency checks is
+// (no file IO for a pruned block), decodes survivors into per-thread
+// column arrays (BlockColumns), and hands the rows it keeps out of them in
+// place, as ColumnSpans. A block that fails its CRC/consistency checks is
 // quarantined (renamed `.corrupt`, dropped from the live set, counted) — a
 // corrupt block can cost rows, never invent them. The first read in this
 // process that decodes and verifies a block also builds its TierSummary
@@ -24,7 +26,7 @@
 // bounds, latest row), kept beside the block's manifest entry; compaction
 // never builds one, and neither does the manifest alone. An aggregate that
 // can use the summary merges it instead of reading the block again. Only
-// the row buffer a block decodes into is reused (one per thread), never
+// the columns a block decodes into are reused (one set per thread), never
 // decoded rows.
 //
 // Thread safety: VisitRange/ScanRange, IsCompacted, and the metadata
@@ -46,7 +48,6 @@
 #include "common/expected.h"
 #include "common/fault.h"
 #include "pubsub/archiver.h"
-#include "pubsub/stream.h"
 #include "pubsub/telemetry.h"
 #include "pubsub/tier_summary.h"
 
@@ -58,7 +59,7 @@ struct ColdScanStats {
   std::uint64_t blocks_pruned = 0;   // skipped via zone map
   std::uint64_t blocks_scanned = 0;  // decoded and row-filtered
   std::uint64_t blocks_summarized = 0;  // answered by their summary, unread
-  std::uint64_t rows_visited = 0;    // rows emitted to the visitor
+  std::uint64_t rows_visited = 0;    // rows handed to the visitor
   std::uint64_t blocks_quarantined = 0;  // failed decode, renamed .corrupt
   std::uint64_t read_errors = 0;     // unreadable/injected-fault blocks
 };
@@ -112,29 +113,37 @@ class ColdTier {
   Expected<CompactResult> CompactOnce(Archiver<Sample>& archiver,
                                       std::size_t max_segments = SIZE_MAX);
 
+  using SummaryVisitor = std::function<bool(const TierSummary& summary)>;
+  // A run of one block's kept rows: ids[i] is the id of rows.At(i).
+  using SpanVisitor =
+      std::function<void(const std::uint64_t* ids, const ColumnSpan& rows)>;
   using RowVisitor = std::function<void(std::uint64_t id, TimeNs timestamp,
                                         const Sample& sample)>;
-  using SummaryVisitor = std::function<bool(const TierSummary& summary)>;
 
-  // Visits the cold rows with timestamp in [from_ts, to_ts] block by block,
-  // oldest block first. A block the range reaches that already has a
-  // summary is first offered to `summary` (when set): if it returns true,
-  // the summary stands for the block's rows, the block is not read and no
-  // kBlockRead fault is evaluated for it (stats->blocks_summarized). Every
-  // other such block is read, verified and decoded, and its rows in range
-  // go to `visit` in stored order. Unreadable or corrupt blocks are skipped
-  // and counted in `stats`, never fatal. Neither visitor may start another
-  // scan on the same thread (blocks decode into a reused per-thread
-  // buffer). Cold rows are strictly older than every WAL row (compaction
-  // drains the oldest sealed segments first), so the executor extends a
-  // range read past the oldest WAL segment with this scan.
-  Status VisitRange(TimeNs from_ts, TimeNs to_ts,
-                    const SummaryVisitor& summary, const RowVisitor& visit,
+  // Visits the cold rows at or after from_ts that `cap` keeps, oldest block
+  // first, pruning blocks on [from_ts, cap.ts]. A block the range reaches
+  // that has a summary is first offered to `summary` (when set): if it
+  // returns true, the summary stands for the block's rows, the block is
+  // not read and no kBlockRead fault is evaluated for it
+  // (stats->blocks_summarized). Every other such block is read, verified
+  // and decoded, and its kept rows go to `visit` in stored order as spans
+  // into the decoded columns, one per run of kept rows (a block whose
+  // timestamps go backwards may hold several). Unreadable or corrupt
+  // blocks are skipped and counted in `stats`, never fatal. Neither
+  // visitor may start another scan on the same thread (blocks decode into
+  // reused per-thread columns). Cold rows are older than every WAL row
+  // (compaction drains the oldest sealed segments first).
+  Status VisitRange(TimeNs from_ts, TierCap cap,
+                    const SummaryVisitor& summary, const SpanVisitor& visit,
                     ColdScanStats* stats);
-  // VisitRange without summaries: decodes every block the range reaches.
+  // VisitRange over [from_ts, to_ts] without summaries, row by row. Kept
+  // only because perfbench calls it.
   Status ScanRange(TimeNs from_ts, TimeNs to_ts, const RowVisitor& visit,
                    ColdScanStats* stats) {
-    return VisitRange(from_ts, to_ts, nullptr, visit, stats);
+    const auto rows = [&visit](const std::uint64_t* ids, const ColumnSpan& s) {
+      for (std::size_t i = 0; i < s.size; ++i) visit(ids[i], s.ts[i], s.At(i));
+    };
+    return VisitRange(from_ts, TierCap::Through(to_ts), nullptr, rows, stats);
   }
   // Total rows committed to the cold tier (from the manifest; no file IO).
   std::uint64_t ColdRowCount() const {

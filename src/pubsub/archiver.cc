@@ -505,14 +505,18 @@ Status Archiver<Sample>::VisitSegments(std::size_t first, TimeNs from_ts,
   return Status::Ok();
 }
 
-Status Archiver<Sample>::VisitRange(TimeNs from_ts, TimeNs to_ts,
+Status Archiver<Sample>::VisitRange(TimeNs from_ts, TierCap cap,
                                     const SummaryOffer& offer,
                                     const RecordVisitor& visit,
                                     WalVisitStats* stats) {
   WalVisitStats local;
   std::lock_guard<std::mutex> lock(mu_);
-  return VisitSegments(0, from_ts, to_ts, offer, visit,
-                       stats != nullptr ? *stats : local);
+  return VisitSegments(
+      0, from_ts, cap.ts, offer,
+      [&cap, &visit](const Record& rec) {
+        if (cap.Keeps(rec.timestamp, rec.id)) visit(rec);
+      },
+      stats != nullptr ? *stats : local);
 }
 
 Status Archiver<Sample>::ReadRange(TimeNs from_ts, TimeNs to_ts,

@@ -170,19 +170,19 @@ class Archiver<Sample> {
       std::function<bool(const std::shared_ptr<const TierSummary>& prefix)>;
   using RecordVisitor = std::function<void(const Record& record)>;
 
-  // Visits the archived records with timestamp in [from_ts, to_ts], segment
-  // by segment in append order. For each segment: fail (IoError) when its
-  // file is shorter than the records counted in it; skip its verified
-  // prefix when the prefix's timestamp bounds miss the range
-  // (stats->segments_pruned); otherwise offer the prefix's summary to
-  // `offer` (when set), and if it returns true the summary stands for the
-  // prefix's records (stats->segments_summarized). Then read the records
-  // it must from disk, check each one's CRC, fold those past the prefix
-  // into it, and pass those in range to `visit`. A record that fails its
-  // check fails the read (IoError); records visited before it stay
-  // visited. Neither callback may start another archive read. The
-  // archiver lock is held throughout, so appends wait.
-  Status VisitRange(TimeNs from_ts, TimeNs to_ts, const SummaryOffer& offer,
+  // Visits the archived records with timestamp at or after from_ts that
+  // `cap` keeps, segment by segment in append order. For each segment: fail
+  // (IoError) when its file is shorter than the records counted in it;
+  // skip its verified prefix when the prefix's timestamp bounds miss
+  // [from_ts, cap.ts] (stats->segments_pruned); otherwise offer the
+  // prefix's summary to `offer` (when set), and if it returns true the
+  // summary stands for the prefix's records (stats->segments_summarized).
+  // Then read the records it must from disk, check each one's CRC, fold
+  // those past the prefix into it, and pass those kept to `visit`. A
+  // record that fails its check fails the read (IoError); records visited
+  // before it stay visited. Neither callback may start another archive
+  // read. The archiver lock is held throughout, so appends wait.
+  Status VisitRange(TimeNs from_ts, TierCap cap, const SummaryOffer& offer,
                     const RecordVisitor& visit,
                     WalVisitStats* stats = nullptr);
 
@@ -291,8 +291,8 @@ class Archiver<Sample> {
   // Truncates the active segment back to `offset` after a failed chunk.
   void RollbackActive(std::uint64_t offset);
   void RecordFailures(const Status& status, std::size_t records);
-  // VisitRange over segments_[first, end), with `visit` a template
-  // parameter so ReadRange's per-record push inlines. Caller holds mu_.
+  // VisitRange over segments_[first, end) and [from_ts, to_ts], with `visit`
+  // a template parameter so ReadRange's push inlines. Caller holds mu_.
   template <typename Visit>
   Status VisitSegments(std::size_t first, TimeNs from_ts, TimeNs to_ts,
                        const SummaryOffer& offer, Visit&& visit,

@@ -79,17 +79,6 @@ class TelemetryStream {
   // The most rows one ColumnSpan of a bounded range holds (VisitColumns).
   static constexpr std::size_t kSpanRows = 64;
 
-  // Consecutive window rows as columns: row j has id first_id + j and
-  // sample (entry_ts[j], values[j], provenance[j]). The pointers are valid
-  // only inside the VisitColumns callback that received the span.
-  struct ColumnSpan {
-    std::uint64_t first_id = 0;
-    std::size_t size = 0;
-    const TimeNs* entry_ts = nullptr;
-    const double* values = nullptr;
-    const Provenance* provenance = nullptr;
-  };
-
   // `capacity` bounds the in-memory window; `archiver` (optional, not owned)
   // receives evicted entries.
   explicit TelemetryStream(std::size_t capacity = 4096,
@@ -214,10 +203,10 @@ class TelemetryStream {
   // open range (to_ts the largest TimeNs) comes as one span, or two where
   // it wraps. A bounded one comes kSpanRows rows at a time, each span
   // ending early at the first row past to_ts, so its end is found as the
-  // rows are handed over and a stop walks no further. `fn(const
-  // ColumnSpan&)` returns false to skip the rest. Runs under the stream
-  // lock: keep `fn` cheap and re-entrancy-free (no calls back into this
-  // stream).
+  // rows are handed over and a stop walks no further. `fn(std::uint64_t
+  // first_id, const ColumnSpan& rows)`, where row j has id first_id + j,
+  // returns false to skip the rest. Runs under the stream lock: keep `fn`
+  // cheap and re-entrancy-free (no calls back into this stream).
   template <typename Fn>
   void VisitColumns(TimeNs from_ts, TimeNs to_ts, Fn&& fn) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -234,8 +223,8 @@ class TelemetryStream {
         while (size < rows && entry_ts_[slot + size] <= to_ts) ++size;
       }
       if (size > 0 &&
-          !fn(ColumnSpan{id, size, &entry_ts_[slot], &values_[slot],
-                         &provenance_[slot]})) {
+          !fn(id, ColumnSpan{&entry_ts_[slot], &values_[slot],
+                             &provenance_[slot], size})) {
         return;
       }
       if (size < rows) return;  // the first row past to_ts

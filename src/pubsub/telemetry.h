@@ -6,6 +6,7 @@
 // Archiver can persist it as a fixed binary record.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -33,6 +34,51 @@ struct Sample {
 };
 
 static_assert(std::is_trivially_copyable_v<Sample>);
+
+// Consecutive rows of one tier as columns, the batch every tier hands a
+// scan: row i is the sample (ts[i], values[i], provenance[i]). Valid only
+// inside the callback that received it.
+struct ColumnSpan {
+  const TimeNs* ts = nullptr;
+  const double* values = nullptr;
+  const Provenance* provenance = nullptr;
+  std::size_t size = 0;
+
+  Sample At(std::size_t i) const {
+    return Sample{ts[i], values[i], provenance[i]};
+  }
+};
+
+// Rows packed into columns and handed out as ColumnSpans. A buffer kept
+// across reads allocates only when a read is larger than any before it.
+struct ColumnBuffer {
+  std::vector<TimeNs> ts;
+  std::vector<double> values;
+  std::vector<Provenance> provenance;
+
+  std::size_t size() const { return ts.size(); }
+  void Resize(std::size_t n) {
+    ts.resize(n);
+    values.resize(n);
+    provenance.resize(n);
+  }
+  void Push(const Sample& sample) {
+    ts.push_back(sample.timestamp);
+    values.push_back(sample.value);
+    provenance.push_back(sample.provenance);
+  }
+  void Append(const ColumnSpan& rows) {
+    ts.insert(ts.end(), rows.ts, rows.ts + rows.size);
+    values.insert(values.end(), rows.values, rows.values + rows.size);
+    provenance.insert(provenance.end(), rows.provenance,
+                      rows.provenance + rows.size);
+  }
+  // Rows [begin, end), valid until the buffer next changes.
+  ColumnSpan View(std::size_t begin, std::size_t end) const {
+    return ColumnSpan{ts.data() + begin, values.data() + begin,
+                      provenance.data() + begin, end - begin};
+  }
+};
 
 // Fabric self-telemetry: how the monitoring plane itself is doing. A thin
 // façade over the process-wide obs::MetricsRegistry — every field is a

@@ -37,6 +37,22 @@ struct TierSummary {
   Sample latest;
 };
 
+// A history tier keeps a row only if it is older than (ts, id): an earlier
+// timestamp, or the same one and a lower id, since a run of equal
+// timestamps can straddle a tier boundary. Tiers prune on `ts` alone.
+struct TierCap {
+  TimeNs ts = 0;
+  std::uint64_t id = 0;
+
+  // Every row stamped at or before `to_ts` whose id is below UINT64_MAX.
+  static TierCap Through(TimeNs to_ts) {
+    return TierCap{to_ts, std::numeric_limits<std::uint64_t>::max()};
+  }
+  bool Keeps(TimeNs row_ts, std::uint64_t row_id) const {
+    return row_ts < ts || (row_ts == ts && row_id < id);
+  }
+};
+
 // Builds a TierSummary from rows added in stored order, or continues one
 // with the rows stored after it.
 class TierSummaryBuilder {

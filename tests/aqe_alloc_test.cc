@@ -184,6 +184,54 @@ TEST_F(AqeAlloc, HistoryAggregateAllocatesNoRowOrSegment) {
   }
 }
 
+// A `monitor` history range: a topic with a 512-row ring over 64 KiB WAL
+// segments (1365 rows, so one cold block each), and a WHERE timestamp
+// BETWEEN that cuts two blocks, so no summary stands for them and both
+// decode on every run. The decoded columns are reused per thread, so
+// neither a block nor a row allocates, for an aggregate and for rows.
+TEST_F(AqeAlloc, HistoryRangeDecodingBlocksAllocatesPerReturnedRow) {
+  WalConfig config;
+  config.segment_bytes = 64 << 10;
+  TempWal wal(config);
+  coldtier::ColdTier cold(wal.path());
+  ASSERT_TRUE(cold.Open().ok());
+  wal.AttachColdReader(&cold);
+  Broker broker(RealClock::Instance());
+  ASSERT_TRUE(broker.CreateTopic("hist", kLocalNode, 512, &wal).ok());
+  const auto ts_of = [](std::size_t seq) {
+    return 1'000'000'000 + static_cast<TimeNs>(seq) * 1000;
+  };
+  for (std::size_t i = 0; i < 8000; ++i) {
+    ASSERT_TRUE(broker
+                    .Publish("hist", kLocalNode, ts_of(i),
+                             Sample{ts_of(i), static_cast<double>(i),
+                                    Provenance::kMeasured})
+                    .ok());
+  }
+  ASSERT_TRUE(cold.CompactOnce(wal).ok());
+  ASSERT_GE(cold.BlockCount(), 2u);
+  Executor executor(broker);
+  // Rows 1200..1499: the end of the first block and the start of the next.
+  const std::string between = " FROM hist WHERE timestamp BETWEEN " +
+                              std::to_string(ts_of(1200)) + " AND " +
+                              std::to_string(ts_of(1499));
+  const std::pair<std::string, std::size_t> queries[] = {
+      {"SELECT COUNT(*), SUM(metric), MIN(metric), MAX(metric)" + between, 1},
+      {"SELECT timestamp, metric" + between, 300},
+  };
+  for (const auto& [query, rows] : queries) {
+    SCOPED_TRACE(query);
+    auto profile = executor.Explain(query, /*analyze=*/true);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_EQ(profile->vertices.at(0).cold_blocks_scanned, 2u);
+    EXPECT_EQ(profile->vertices.at(0).cold_blocks_summarized, 0u);
+    EXPECT_EQ(profile->vertices.at(0).cold_rows, 300u);
+    const Priced p = Price(executor, query);
+    EXPECT_EQ(p.rows, rows);
+    EXPECT_LE(p.allocs, p.rows + kFixedAllowance);
+  }
+}
+
 double Monotone(std::uint64_t seq) { return static_cast<double>(seq); }
 
 // perfbench's `ingest` values (its ValueOf, topic 0).

@@ -29,39 +29,38 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<BlockRow> MakeRows(std::size_t n, std::uint64_t seed) {
+BlockColumns MakeRows(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<BlockRow> rows;
-  rows.reserve(n);
+  BlockColumns rows;
   std::uint64_t id = 1 + rng.NextBounded(100);
   TimeNs ts = static_cast<TimeNs>(rng.NextBounded(1u << 20));
   for (std::size_t i = 0; i < n; ++i) {
-    BlockRow row;
-    row.id = id;
-    row.timestamp = ts;
-    row.sample_timestamp =
-        rng.Bernoulli(0.1) ? ts - static_cast<TimeNs>(rng.NextBounded(1000))
-                           : ts;
-    row.value = rng.Uniform(-1e6, 1e6);
-    row.provenance = rng.Bernoulli(0.2) ? 1 : 0;
-    rows.push_back(row);
+    const std::int64_t ts_offset =
+        rng.Bernoulli(0.1) ? -static_cast<std::int64_t>(rng.NextBounded(1000))
+                           : 0;
+    const double value = rng.Uniform(-1e6, 1e6);
+    const Provenance provenance =
+        rng.Bernoulli(0.2) ? Provenance::kPredicted : Provenance::kMeasured;
+    rows.Push(id, Sample{ts, value, provenance}, ts_offset);
     id += 1 + rng.NextBounded(3);
     ts += static_cast<TimeNs>(rng.NextBounded(5000));
   }
   return rows;
 }
 
-bool SameRows(const std::vector<BlockRow>& a, const std::vector<BlockRow>& b) {
+bool SameRows(const BlockColumns& a, const BlockColumns& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].timestamp != b[i].timestamp ||
-        a[i].sample_timestamp != b[i].sample_timestamp ||
-        a[i].provenance != b[i].provenance) {
+    const ColumnBuffer& sa = a.samples;
+    const ColumnBuffer& sb = b.samples;
+    if (a.ids[i] != b.ids[i] || sa.ts[i] != sb.ts[i] ||
+        a.ts_offsets[i] != b.ts_offsets[i] ||
+        sa.provenance[i] != sb.provenance[i]) {
       return false;
     }
     std::uint64_t bits_a = 0, bits_b = 0;
-    std::memcpy(&bits_a, &a[i].value, sizeof(bits_a));
-    std::memcpy(&bits_b, &b[i].value, sizeof(bits_b));
+    std::memcpy(&bits_a, &sa.values[i], sizeof(bits_a));
+    std::memcpy(&bits_b, &sb.values[i], sizeof(bits_b));
     if (bits_a != bits_b) return false;
   }
   return true;
@@ -74,30 +73,23 @@ double FromBits(std::uint64_t bits) {
 }
 
 // Consecutive ids and timestamps carrying `values` in order.
-std::vector<BlockRow> RowsWithValues(const std::vector<double>& values) {
-  std::vector<BlockRow> rows;
+BlockColumns RowsWithValues(const std::vector<double>& values) {
+  BlockColumns rows;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    BlockRow row;
-    row.id = 10 + i;
-    row.timestamp = 5000 + static_cast<TimeNs>(i) * 1000;
-    row.sample_timestamp = row.timestamp;
-    row.value = values[i];
-    rows.push_back(row);
+    const TimeNs ts = 5000 + static_cast<TimeNs>(i) * 1000;
+    rows.Push(10 + i, Sample{ts, values[i], Provenance::kMeasured});
   }
   return rows;
 }
 
 // What a perfbench `monitor` block holds: one WAL segment's 1365 rows of
 // one topic, ids and timestamps at a fixed cadence, values counting up.
-std::vector<BlockRow> MonitorShapedRows() {
-  std::vector<BlockRow> rows;
+BlockColumns MonitorShapedRows() {
+  BlockColumns rows;
   for (std::uint64_t seq = 1365; seq < 2 * 1365; ++seq) {
-    BlockRow row;
-    row.id = seq;
-    row.timestamp = 3'000'000'000'000 + static_cast<TimeNs>(seq) * 1000 + 7;
-    row.sample_timestamp = row.timestamp;
-    row.value = static_cast<double>(seq);
-    rows.push_back(row);
+    const TimeNs ts = 3'000'000'000'000 + static_cast<TimeNs>(seq) * 1000 + 7;
+    rows.Push(seq,
+              Sample{ts, static_cast<double>(seq), Provenance::kMeasured});
   }
   return rows;
 }
@@ -105,7 +97,7 @@ std::vector<BlockRow> MonitorShapedRows() {
 // Value patterns that stress the buffered bit reader: full 64-bit XOR
 // windows, leading-zero counts above the 5-bit field's 31, runs of equal
 // values, NaN payloads, infinities, signed zero and denormals.
-std::vector<std::vector<BlockRow>> ValuePatternBlocks() {
+std::vector<BlockColumns> ValuePatternBlocks() {
   const double denorm_min = FromBits(1);
   const double denorm_max = FromBits(0x000FFFFFFFFFFFFFull);
   const double inf = std::numeric_limits<double>::infinity();
@@ -132,14 +124,14 @@ std::vector<std::vector<BlockRow>> ValuePatternBlocks() {
                       FromBits(0xFFF8000000000000ull), inf, -inf, -0.0, 0.0,
                       denorm_min, denorm_max, -denorm_min, 3.0, inf, inf,
                       FromBits(0x7FF8DEADBEEF0001ull)});
-  std::vector<std::vector<BlockRow>> blocks;
+  std::vector<BlockColumns> blocks;
   for (const auto& values : patterns) blocks.push_back(RowsWithValues(values));
   blocks.push_back(MonitorShapedRows());
   return blocks;
 }
 
 TEST(ColdTierFormat, BlockRoundTrip) {
-  std::vector<std::vector<BlockRow>> blocks = ValuePatternBlocks();
+  std::vector<BlockColumns> blocks = ValuePatternBlocks();
   for (std::size_t n : {1u, 2u, 7u, 100u, 1000u}) {
     blocks.push_back(MakeRows(n, 0xB10C0000u + n));
   }
@@ -147,12 +139,12 @@ TEST(ColdTierFormat, BlockRoundTrip) {
   // after a larger one must come back without any of its rows.
   DecodedBlock decoded;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const std::vector<BlockRow>& rows = blocks[b];
+    const BlockColumns& rows = blocks[b];
     std::vector<std::uint8_t> image;
     ASSERT_TRUE(EncodeBlock(rows, image));
     ASSERT_TRUE(DecodeBlock(image.data(), image.size(), &decoded))
         << "block " << b;
-    EXPECT_TRUE(SameRows(rows, decoded.rows)) << "block " << b;
+    EXPECT_TRUE(SameRows(rows, decoded.columns)) << "block " << b;
     EXPECT_EQ(decoded.zone, ComputeZoneMap(rows));
   }
 }
@@ -237,11 +229,11 @@ struct NonCanonical {
 };
 
 NonCanonical NonMinimalVarintImage() {
-  const std::vector<BlockRow> rows = RowsWithValues({1.0, 2.0, 3.0});
+  const BlockColumns rows = RowsWithValues({1.0, 2.0, 3.0});
   NonCanonical out;
   EXPECT_TRUE(EncodeBlock(rows, out.canonical));
   std::vector<std::uint8_t> ids = Sections(out.canonical).at(kIdsSection);
-  EXPECT_EQ(ids.at(0), rows[0].id);  // first id fits one byte
+  EXPECT_EQ(ids.at(0), rows.ids[0]);  // first id fits one byte
   ids[0] |= 0x80;
   ids.insert(ids.begin() + 1, 0x00);
   out.image = WithSection(out.canonical, kIdsSection, ids);
@@ -251,7 +243,7 @@ NonCanonical NonMinimalVarintImage() {
 NonCanonical TrailingZeroWindowImage() {
   // 1.0 ^ 1.5 = 0x0008000000000000: lead 12, one significant bit, so a
   // two-bit window would end in a zero.
-  const std::vector<BlockRow> rows = RowsWithValues({1.0, 1.5});
+  const BlockColumns rows = RowsWithValues({1.0, 1.5});
   NonCanonical out;
   EXPECT_TRUE(EncodeBlock(rows, out.canonical));
   const std::uint64_t x = BitsOf(1.0) ^ BitsOf(1.5);
@@ -268,7 +260,7 @@ NonCanonical TrailingZeroWindowImage() {
 NonCanonical NeedlessWindowImage() {
   // 1.0 -> 1.75 opens window (lead 12, sig 2); 1.75 -> 1.5 flips one bit
   // inside it, so the encoder reuses that window.
-  const std::vector<BlockRow> rows = RowsWithValues({1.0, 1.75, 1.5});
+  const BlockColumns rows = RowsWithValues({1.0, 1.75, 1.5});
   NonCanonical out;
   EXPECT_TRUE(EncodeBlock(rows, out.canonical));
   const std::uint64_t x1 = BitsOf(1.0) ^ BitsOf(1.75);
@@ -305,7 +297,7 @@ TEST(ColdTierFormat, NonCanonicalImagesRejected) {
 
 TEST(ColdTierFormat, EmptyBlockRejected) {
   std::vector<std::uint8_t> image;
-  EXPECT_FALSE(EncodeBlock({}, image));
+  EXPECT_FALSE(EncodeBlock(BlockColumns{}, image));
   DecodedBlock decoded;
   EXPECT_FALSE(DecodeBlock(nullptr, 0, &decoded));
 }
@@ -314,7 +306,7 @@ TEST(ColdTierFormat, EmptyBlockRejected) {
 // every one. Each byte is covered by a checksum or an explicit structural
 // check (the zone pad must be zero), so damage is always detectable.
 TEST(ColdTierFormat, BlockByteFlipSweep) {
-  const std::vector<BlockRow> rows = MakeRows(64, 0xF11Fu);
+  const BlockColumns rows = MakeRows(64, 0xF11Fu);
   std::vector<std::uint8_t> image;
   ASSERT_TRUE(EncodeBlock(rows, image));
 
@@ -329,7 +321,7 @@ TEST(ColdTierFormat, BlockByteFlipSweep) {
 
 // Single-bit flips across randomized positions, mirroring the WAL sweep.
 TEST(ColdTierFormat, BlockBitFlipSweep) {
-  const std::vector<BlockRow> rows = MakeRows(48, 0xB17Bu);
+  const BlockColumns rows = MakeRows(48, 0xB17Bu);
   std::vector<std::uint8_t> image;
   ASSERT_TRUE(EncodeBlock(rows, image));
   Rng rng(0x5EEDB17u);
@@ -346,7 +338,7 @@ TEST(ColdTierFormat, BlockBitFlipSweep) {
 // Every strict prefix of a block image must be rejected: the format has
 // no optional tail, so truncation is always detectable.
 TEST(ColdTierFormat, BlockTruncationSweep) {
-  const std::vector<BlockRow> rows = MakeRows(32, 0x7817u);
+  const BlockColumns rows = MakeRows(32, 0x7817u);
   std::vector<std::uint8_t> image;
   ASSERT_TRUE(EncodeBlock(rows, image));
   for (std::size_t len = 0; len < image.size(); ++len) {
@@ -364,7 +356,7 @@ TEST(ColdTierFormat, BlockTruncationSweep) {
 // The 80-byte prefix (header + zone region) can be decoded standalone for
 // pruning; its verdict must agree with the full decoder.
 TEST(ColdTierFormat, ZoneMapPrefixAgreesWithFullDecode) {
-  const std::vector<BlockRow> rows = MakeRows(16, 0x20E7u);
+  const BlockColumns rows = MakeRows(16, 0x20E7u);
   std::vector<std::uint8_t> image;
   ASSERT_TRUE(EncodeBlock(rows, image));
   std::uint32_t row_count = 0;

@@ -788,6 +788,61 @@ TEST(ColdTierDegraded, FlippedByteInASummarizedPrefixIsFoundByItsNextRead) {
   EXPECT_EQ(fresh.Count(), topic.archiver().Count() - 70);
 }
 
+// A sealed segment damaged on disk before compaction reaches it: a
+// flipped payload byte, a torn last record, or everything after its
+// header cut away. Compaction must not turn what the WAL read reports as
+// missing into a silent loss: it writes no block, keeps the segment and
+// fails, so the answer stays what it was, degraded.
+TEST(ColdTierDegraded, DamagedSealedSegmentIsNotCompacted) {
+  constexpr std::size_t kFrame =
+      wal::kFrameOverhead + sizeof(Archiver<Sample>::Record);
+  enum class Damage { kFlippedPayloadByte, kTornLastRecord, kHeaderOnly };
+  for (const Damage damage : {Damage::kFlippedPayloadByte,
+                              Damage::kTornLastRecord, Damage::kHeaderOnly}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    DegradedTopic topic;
+    ASSERT_TRUE(topic.ok());
+    const auto sealed = topic.archiver().SealedSegments();
+    ASSERT_EQ(sealed.size(), 5u);
+    const std::string victim = sealed[0].path;
+    switch (damage) {
+      case Damage::kFlippedPayloadByte: {
+        // The value of the segment's record 5.
+        std::FILE* f = std::fopen(victim.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const long at = static_cast<long>(wal::kHeaderSize + 5 * kFrame +
+                                          wal::kFrameOverhead + 24);
+        std::fseek(f, at, SEEK_SET);
+        const int byte = std::fgetc(f);
+        std::fseek(f, at, SEEK_SET);
+        std::fputc(byte ^ 0x40, f);
+        std::fclose(f);
+        break;
+      }
+      case Damage::kTornLastRecord:
+        fs::resize_file(victim, fs::file_size(victim) - kFrame / 2);
+        break;
+      case Damage::kHeaderOnly:
+        fs::resize_file(victim, wal::kHeaderSize);
+        break;
+    }
+    bool degraded = false;
+    const std::string query =
+        "SELECT COUNT(*) FROM t WHERE timestamp BETWEEN 0 AND 100000";
+    const double before = topic.Count(&degraded, query);
+    EXPECT_LT(before, static_cast<double>(DegradedTopic::kRows));
+    ASSERT_TRUE(degraded);
+
+    EXPECT_FALSE(topic.cold().CompactOnce(topic.archiver()).ok());
+    EXPECT_EQ(topic.cold().BlockCount(), 0u);
+    EXPECT_EQ(topic.cold().ColdRowCount(), 0u);
+    EXPECT_EQ(topic.archiver().SealedSegments().size(), 5u);
+    EXPECT_TRUE(fs::exists(victim));
+    EXPECT_EQ(topic.Count(&degraded, query), before);
+    EXPECT_TRUE(degraded) << "compaction lost rows without a trace";
+  }
+}
+
 // A quarantined block's rows stay missing after the scan that quarantined
 // it, so every later answer over the history says so too, for the life of
 // the cold tier.

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -150,6 +151,137 @@ TEST(ColdTierCompaction, ZoneMapsPruneDisjointRanges) {
   EXPECT_EQ(rows, 0u);
   EXPECT_EQ(none.blocks_scanned, 0u);
   EXPECT_EQ(none.blocks_pruned, 8u);
+  fs::remove_all(dir);
+}
+
+// A block's rows need not be in time order: the wire accepts a timestamp
+// below the topic's last one. For every range start and cap that splits
+// such a block, VisitRange hands over exactly the rows a per-row filter
+// keeps (timestamp at or after the start, older than the cap), in stored
+// order, as one span per maximal run of kept rows; ScanRange agrees row
+// for row.
+TEST(ColdTierSpans, BackwardsTimestampsComeAsRunsOfKeptRows) {
+  const std::string dir = FreshDir("coldtier_backwards");
+  const std::string base = dir + "/metric.log";
+  constexpr std::size_t kRows = 48;
+  Archiver<Sample> archiver(base, SmallSegments(kRows));
+  ASSERT_TRUE(archiver.OpenStatus().ok());
+  struct Row {
+    std::uint64_t id;
+    Sample sample;
+  };
+  std::vector<Row> rows;
+  Rng rng(0xBAC6u);
+  std::uint64_t id = 7;
+  TimeNs ts = Seconds(100);
+  std::size_t backwards = 0, equal = 0;
+  // One more row than a segment holds, so the first segment is sealed.
+  for (std::size_t i = 0; i <= kRows; ++i) {
+    const auto prov = i % 5 == 0 ? Provenance::kPredicted
+                                 : Provenance::kMeasured;
+    const Sample sample{ts, static_cast<double>(i) * 0.5 - 3.0, prov};
+    ASSERT_TRUE(archiver.Append(id, ts, sample).ok());
+    rows.push_back(Row{id, sample});
+    id += 1 + rng.NextBounded(3);
+    const TimeNs step =
+        rng.Bernoulli(0.25)
+            ? 0
+            : Seconds(static_cast<double>(rng.NextBounded(9)) - 3.0);
+    backwards += step < 0;
+    equal += step == 0;
+    ts += step;
+  }
+  rows.pop_back();  // the active segment's
+  ASSERT_GT(backwards, 5u);
+  ASSERT_GT(equal, 3u);
+
+  ColdTier cold(base);
+  ASSERT_TRUE(cold.Open().ok());
+  auto compacted = cold.CompactOnce(archiver);
+  ASSERT_TRUE(compacted.ok()) << compacted.error().message();
+  ASSERT_EQ(compacted->rows_compacted, kRows);
+  ASSERT_EQ(cold.BlockCount(), 1u);
+
+  const auto same = [](const Sample& a, const Sample& b) {
+    return a.timestamp == b.timestamp && a.provenance == b.provenance &&
+           std::memcmp(&a.value, &b.value, sizeof(a.value)) == 0;
+  };
+  const auto check = [&](TimeNs from, TierCap cap) {
+    SCOPED_TRACE("from " + std::to_string(from) + " cap (" +
+                 std::to_string(cap.ts) + ", " + std::to_string(cap.id) +
+                 ")");
+    std::vector<std::size_t> want;  // positions in the block
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const TimeNs row_ts = rows[i].sample.timestamp;
+      if (row_ts < from || !cap.Keeps(row_ts, rows[i].id)) continue;
+      if (want.empty() || want.back() + 1 != i) ++runs;
+      want.push_back(i);
+    }
+    std::size_t got = 0;
+    std::size_t spans = 0;
+    ColdScanStats stats;
+    ASSERT_TRUE(cold.VisitRange(
+                        from, cap, nullptr,
+                        [&](const std::uint64_t* ids, const ColumnSpan& span) {
+                          ++spans;
+                          EXPECT_GT(span.size, 0u);
+                          for (std::size_t j = 0; j < span.size; ++j, ++got) {
+                            ASSERT_LT(got, want.size());
+                            const Row& row = rows[want[got]];
+                            EXPECT_EQ(ids[j], row.id);
+                            EXPECT_TRUE(same(span.At(j), row.sample));
+                          }
+                        },
+                        &stats)
+                    .ok());
+    EXPECT_EQ(got, want.size());
+    EXPECT_EQ(spans, runs);
+    EXPECT_EQ(stats.rows_visited, want.size());
+  };
+  // Range starts at, between and beyond the block's timestamps; caps at
+  // every row (cutting each run of equal timestamps by id), and at and
+  // past every timestamp.
+  std::vector<TimeNs> starts = {Seconds(-1000)};
+  for (const Row& row : rows) {
+    starts.push_back(row.sample.timestamp);
+    starts.push_back(row.sample.timestamp + 1);
+  }
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  for (const TimeNs from : starts) {
+    for (const Row& row : rows) {
+      check(from, TierCap{row.sample.timestamp, row.id});
+      check(from, TierCap::Through(row.sample.timestamp));
+    }
+    check(from, TierCap{Seconds(1000), 0});
+    if (HasFatalFailure()) return;
+  }
+
+  // ScanRange reads [from, to] row by row: the same rows, in block order.
+  for (const TimeNs from : starts) {
+    for (const TimeNs to : starts) {
+      std::vector<std::size_t> want;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const TimeNs row_ts = rows[i].sample.timestamp;
+        if (row_ts >= from && row_ts <= to) want.push_back(i);
+      }
+      std::size_t got = 0;
+      ASSERT_TRUE(cold.ScanRange(
+                          from, to,
+                          [&](std::uint64_t row_id, TimeNs row_ts,
+                              const Sample& sample) {
+                            ASSERT_LT(got, want.size());
+                            const Row& row = rows[want[got++]];
+                            EXPECT_EQ(row_id, row.id);
+                            EXPECT_EQ(row_ts, row.sample.timestamp);
+                            EXPECT_TRUE(same(sample, row.sample));
+                          },
+                          nullptr)
+                      .ok());
+      EXPECT_EQ(got, want.size()) << "[" << from << ", " << to << "]";
+    }
+  }
   fs::remove_all(dir);
 }
 

@@ -282,55 +282,53 @@ std::uint64_t Bits(double value) {
 // One random series from a named family. Ids are always strictly
 // increasing with random gaps; timestamps are non-decreasing-ish but may
 // jitter backwards (the codec must not assume monotonic time).
-std::vector<coldtier::BlockRow> RandomSeries(Rng& rng, int family,
-                                             std::size_t n) {
-  std::vector<coldtier::BlockRow> rows;
-  rows.reserve(n);
+coldtier::BlockColumns RandomSeries(Rng& rng, int family, std::size_t n) {
+  coldtier::BlockColumns rows;
   std::uint64_t id = 1 + rng.NextBounded(1000);
   TimeNs ts = static_cast<TimeNs>(rng.NextBounded(1u << 30));
   double walk = rng.Uniform(-100, 100);
   const double constant = rng.Uniform(-1e9, 1e9);
   for (std::size_t i = 0; i < n; ++i) {
-    coldtier::BlockRow row;
-    row.id = id;
+    const std::uint64_t row_id = id;
     id += 1 + rng.NextBounded(7);
+    double value = 0.0;
     switch (family) {
       case 0:  // constant value, fixed cadence — the best case
         ts += 1000000;
-        row.value = constant;
+        value = constant;
         break;
       case 1:  // monotonic ramp, fixed cadence
         ts += 1000000;
-        row.value = static_cast<double>(i) * 0.1;
+        value = static_cast<double>(i) * 0.1;
         break;
       case 2:  // adversarial jitter: random timestamps, random values
         ts += static_cast<TimeNs>(rng.UniformInt(-5000, 500000));
-        row.value = rng.Uniform(-1e12, 1e12);
+        value = rng.Uniform(-1e12, 1e12);
         break;
       case 3:  // special values: NaN payloads, infinities, denormals
         ts += static_cast<TimeNs>(rng.NextBounded(1u << 20));
         switch (rng.NextBounded(5)) {
-          case 0: row.value = std::nan("0x5ca1e"); break;
-          case 1: row.value = std::numeric_limits<double>::infinity(); break;
-          case 2: row.value = -std::numeric_limits<double>::infinity(); break;
-          case 3: row.value = std::numeric_limits<double>::denorm_min(); break;
-          default: row.value = -0.0; break;
+          case 0: value = std::nan("0x5ca1e"); break;
+          case 1: value = std::numeric_limits<double>::infinity(); break;
+          case 2: value = -std::numeric_limits<double>::infinity(); break;
+          case 3: value = std::numeric_limits<double>::denorm_min(); break;
+          default: value = -0.0; break;
         }
         break;
       default:  // random walk with occasional large jumps
         ts += static_cast<TimeNs>(rng.NextBounded(1u << 22));
         walk += rng.Bernoulli(0.05) ? rng.Uniform(-1e9, 1e9)
                                     : rng.Gaussian(0, 1);
-        row.value = walk;
+        value = walk;
         break;
     }
-    row.timestamp = ts;
-    row.sample_timestamp =
+    const std::int64_t ts_offset =
         rng.Bernoulli(0.05)
-            ? ts - static_cast<TimeNs>(rng.NextBounded(1u << 16))
-            : ts;
-    row.provenance = rng.Bernoulli(0.3) ? 1 : 0;
-    rows.push_back(row);
+            ? -static_cast<std::int64_t>(rng.NextBounded(1u << 16))
+            : 0;
+    const Provenance provenance =
+        rng.Bernoulli(0.3) ? Provenance::kPredicted : Provenance::kMeasured;
+    rows.Push(row_id, Sample{ts, value, provenance}, ts_offset);
   }
   return rows;
 }
@@ -348,15 +346,16 @@ TEST(ColdBlockProperty, RandomStreamsRoundTripBitExactly) {
     coldtier::DecodedBlock decoded;
     ASSERT_TRUE(coldtier::DecodeBlock(image.data(), image.size(), &decoded))
         << "family " << family << " n=" << n;
-    ASSERT_EQ(decoded.rows.size(), rows.size());
+    const coldtier::BlockColumns& got = decoded.columns;
+    ASSERT_EQ(got.size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(decoded.rows[i].id, rows[i].id);
-      EXPECT_EQ(decoded.rows[i].timestamp, rows[i].timestamp);
-      EXPECT_EQ(decoded.rows[i].sample_timestamp, rows[i].sample_timestamp);
+      EXPECT_EQ(got.ids[i], rows.ids[i]);
+      EXPECT_EQ(got.samples.ts[i], rows.samples.ts[i]);
+      EXPECT_EQ(got.ts_offsets[i], rows.ts_offsets[i]);
       // Bit-pattern equality: NaN payloads and -0.0 must survive intact.
-      EXPECT_EQ(Bits(decoded.rows[i].value), Bits(rows[i].value))
+      EXPECT_EQ(Bits(got.samples.values[i]), Bits(rows.samples.values[i]))
           << "family " << family << " row " << i;
-      EXPECT_EQ(decoded.rows[i].provenance, rows[i].provenance);
+      EXPECT_EQ(got.samples.provenance[i], rows.samples.provenance[i]);
     }
   }
 }
@@ -368,11 +367,12 @@ TEST(ColdBlockProperty, ZoneMapsAreAlwaysConservative) {
     const std::size_t n = 1 + rng.NextBounded(200);
     const auto rows = RandomSeries(rng, static_cast<int>(family), n);
     const coldtier::ZoneMap zone = coldtier::ComputeZoneMap(rows);
-    EXPECT_EQ(zone.first_id, rows.front().id);
-    EXPECT_EQ(zone.last_id, rows.back().id);
-    for (const coldtier::BlockRow& row : rows) {
+    EXPECT_EQ(zone.first_id, rows.ids.front());
+    EXPECT_EQ(zone.last_id, rows.ids.back());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       // Every row's timestamp inside the zone bounds: a pruned block can
       // never have held a row the query wanted.
+      const Sample row = rows.samples.View(0, rows.size()).At(i);
       EXPECT_GE(row.timestamp, zone.min_ts);
       EXPECT_LE(row.timestamp, zone.max_ts);
       if (!std::isnan(row.value)) {

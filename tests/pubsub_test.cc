@@ -124,11 +124,9 @@ TEST(Stream, ColumnSpansEndWhereRangeByTimeDoes) {
     std::vector<TelemetryStream::Entry> rows;
     std::vector<std::size_t> sizes;
     stream.VisitColumns(
-        from, to, [&](const TelemetryStream::ColumnSpan& span) {
+        from, to, [&](std::uint64_t first_id, const ColumnSpan& span) {
           for (std::size_t j = 0; j < span.size; ++j) {
-            rows.push_back({span.first_id + j, span.entry_ts[j],
-                            Sample{span.entry_ts[j], span.values[j],
-                                   span.provenance[j]}});
+            rows.push_back({first_id + j, span.ts[j], span.At(j)});
           }
           sizes.push_back(span.size);
           return sizes.size() < stop_after;

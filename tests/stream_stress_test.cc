@@ -333,14 +333,13 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
         std::int64_t last_seq[kAppenders];
         std::fill(std::begin(last_seq), std::end(last_seq), -1);
         stream.VisitColumns(
-            kTs, to, [&](const TelemetryStream::ColumnSpan& span) {
+            kTs, to, [&](std::uint64_t first_id, const ColumnSpan& span) {
               ok &= span.size > 0 && (to_end || span.size <= kSpanRows);
-              ok &= spans == 0 ? span.first_id >= oldest
-                               : span.first_id == next_id;
-              if (spans == 0) oldest = span.first_id;
+              ok &= spans == 0 ? first_id >= oldest : first_id == next_id;
+              if (spans == 0) oldest = first_id;
               ++spans;
               rows += span.size;
-              next_id = span.first_id + span.size;
+              next_id = first_id + span.size;
               for (std::size_t j = 0; j < span.size; ++j) {
                 const double value = span.values[j];
                 const auto code = static_cast<std::size_t>(value);
@@ -352,7 +351,7 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
                 if (!ok) return false;
                 ok &= seq > last_seq[appender];
                 last_seq[appender] = seq;
-                ok &= span.entry_ts[j] == kTs;
+                ok &= span.ts[j] == kTs;
                 ok &= span.provenance[j] == (seq % 7 == 0
                                                  ? Provenance::kPredicted
                                                  : Provenance::kMeasured);
@@ -403,9 +402,9 @@ TEST(StreamStress, ColumnScanWhileAppendersWrapAndGrow) {
       std::size_t spans = 0;
       std::uint64_t next_id = first;
       stream.VisitColumns(
-          kTs, to, [&](const TelemetryStream::ColumnSpan& span) {
+          kTs, to, [&](std::uint64_t first_id, const ColumnSpan& span) {
             ++spans;
-            EXPECT_EQ(span.first_id, next_id);
+            EXPECT_EQ(first_id, next_id);
             next_id += span.size;
             return true;
           });

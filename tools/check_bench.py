@@ -14,6 +14,13 @@ host_hw_threads, ...) are ignored. A metric regresses when it moves in
 the bad direction by more than the lane's tolerance (default +/-25%).
 Improvements never fail the gate.
 
+Wall-clock numbers are compared only between runs whose host
+fingerprints (host_hw_threads and host_cpu_model) match; a run or
+baseline that records no CPU model matches nothing. Across fingerprints
+such a row is printed as "not comparable", with both fingerprints, and
+never fails the gate. Ratios taken within one run and deterministic
+values (HOST_INDEPENDENT) are gated on every host.
+
 Prints a diff table to stdout, appends the same table as Markdown to
 $GITHUB_STEP_SUMMARY when set, optionally writes it to --diff-out for
 upload as a CI artifact, and exits 1 on any regression (2 on bad input).
@@ -45,6 +52,13 @@ IGNORED_KEYS = {
     "host_hw_threads", "quick", "producers", "clients", "window", "batch",
     "events", "records", "fsync_policy",
 }
+# Key-name suffixes of rows that do not depend on the host: ratios of two
+# numbers from the same run, and values the workload determines.
+HOST_INDEPENDENT = (
+    "speedup_vs_batch1",
+    "compression_ratio",
+    "overhead_pct",
+)
 
 # Lanes where the default tolerance is too tight for a noisy shared
 # runner. Latency percentiles and loopback TCP lanes jitter far more than
@@ -83,6 +97,27 @@ def direction_for(key):
     return None
 
 
+def host_independent(key):
+    return any(key.endswith(suffix) for suffix in HOST_INDEPENDENT)
+
+
+def fingerprint(doc):
+    """(hardware threads, CPU model) of the host a run came from."""
+    return (doc.get("host_hw_threads"), doc.get("host_cpu_model"))
+
+
+def fingerprint_text(fp):
+    threads, model = fp
+    return "%s hw threads, %s" % (
+        "?" if threads is None else threads,
+        "CPU model not recorded" if model is None else model)
+
+
+def same_host(baseline, current):
+    base_fp = fingerprint(baseline)
+    return None not in base_fp and base_fp == fingerprint(current)
+
+
 def row_label(item):
     """Discriminator for a list entry, e.g. 'batch=256' or 'producers=4'."""
     for k in ("producers", "clients", "window", "batch", "fsync_policy"):
@@ -113,6 +148,7 @@ def flatten(doc):
 
 
 def compare(baseline, current, default_tol, lane_tols):
+    comparable_host = same_host(baseline, current)
     base = {path: (lane, key, v) for lane, path, key, v in flatten(baseline)}
     cur = {path: (lane, key, v) for lane, path, key, v in flatten(current)}
     rows = []          # (path, base, cur, delta_pct, tol_pct, verdict)
@@ -141,6 +177,10 @@ def compare(baseline, current, default_tol, lane_tols):
             delta = 0.0 if cval == 0.0 else float("inf")
         else:
             delta = (cval - bval) / abs(bval)
+        if not comparable_host and not host_independent(key):
+            rows.append((path, bval, cval, delta * 100.0, None,
+                         "not comparable"))
+            continue
         # Regression = moved in the bad direction past tolerance.
         bad = delta < -tol if dirn == "up" else delta > tol
         verdict = "REGRESSED" if bad else "ok"
@@ -163,22 +203,29 @@ def fmt(v):
     return "%.3g" % v
 
 
-def render_text(rows):
-    lines = ["%-52s %14s %14s %9s %6s %10s" % (
+def host_lines(baseline, current):
+    return ["baseline host: %s" % fingerprint_text(fingerprint(baseline)),
+            "current host:  %s" % fingerprint_text(fingerprint(current))]
+
+
+def render_text(rows, hosts):
+    lines = hosts + ["%-52s %14s %14s %9s %6s %14s" % (
         "metric", "baseline", "current", "delta", "tol", "verdict")]
     for path, b, c, d, t, verdict in rows:
-        lines.append("%-52s %14s %14s %9s %6s %10s" % (
+        lines.append("%-52s %14s %14s %9s %6s %14s" % (
             path, fmt(b), fmt(c),
             "-" if d is None else "%+.1f%%" % d,
             "-" if t is None else "%.0f%%" % t, verdict))
     return "\n".join(lines)
 
 
-def render_markdown(rows, regressed):
+def render_markdown(rows, regressed, hosts):
     out = ["## Bench regression gate: %s" %
-           ("FAIL" if regressed else "PASS"), "",
-           "| metric | baseline | current | delta | tol | verdict |",
-           "|---|---:|---:|---:|---:|---|"]
+           ("FAIL" if regressed else "PASS"), ""]
+    out += ["- %s" % line for line in hosts]
+    out += ["",
+            "| metric | baseline | current | delta | tol | verdict |",
+            "|---|---:|---:|---:|---:|---|"]
     for path, b, c, d, t, verdict in rows:
         mark = "**%s**" % verdict if verdict == "REGRESSED" else verdict
         out.append("| `%s` | %s | %s | %s | %s | %s |" % (
@@ -224,8 +271,9 @@ def main():
         print("check_bench: no comparable metrics found", file=sys.stderr)
         return 2
 
-    print(render_text(rows))
-    md = render_markdown(rows, bool(regressions))
+    hosts = host_lines(baseline, current)
+    print(render_text(rows, hosts))
+    md = render_markdown(rows, bool(regressions), hosts)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:
         with open(summary, "a") as f:
@@ -239,7 +287,12 @@ def main():
         for path in regressions:
             print("  " + path)
         return 1
-    print("\ncheck_bench: all lanes within tolerance")
+    skipped = sum(1 for row in rows if row[5] == "not comparable")
+    if skipped:
+        print("\ncheck_bench: all comparable lanes within tolerance; %d "
+              "wall-clock row(s) not comparable across hosts" % skipped)
+    else:
+        print("\ncheck_bench: all lanes within tolerance")
     return 0
 
 
