@@ -299,13 +299,18 @@ Expected<CompactResult> ColdTier::CompactOnce(Archiver<Sample>& archiver,
                                    rec.payload.provenance});
         });
     if (!scan.clean || rows.size() != seg.records) {
-      // The segment rotted since the archiver opened it. Stop here and
-      // keep it — the archiver's own recovery owns quarantine decisions,
-      // dropping it would lose its rows without a trace, and compacting
-      // past a hole would reorder history.
-      Counters().compact_failures.Inc();
-      return Error(ErrorCode::kParseError,
-                   "compact: segment unreadable: " + seg.path);
+      // The segment was damaged on disk since the archiver opened it. The
+      // archiver applies its open's rule: it cuts the segment to its valid
+      // prefix (or quarantines it) and counts the records lost, so every
+      // later answer over the history says it misses rows. What survived
+      // is the prefix decoded above; it is compacted like any segment.
+      auto kept = archiver.RecoverSealedSegment(seg.seq);
+      if (!kept.ok() || *kept > rows.size()) {
+        Counters().compact_failures.Inc();
+        return Error(ErrorCode::kParseError,
+                     "compact: segment unreadable: " + seg.path);
+      }
+      rows.Resize(*kept);
     }
     if (rows.size() == 0) {
       // An empty sealed segment holds nothing worth a block; drop it.

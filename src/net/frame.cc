@@ -1,7 +1,5 @@
 #include "net/frame.h"
 
-#include <cstring>
-
 #include "pubsub/wal_format.h"
 
 namespace apollo::net {
@@ -162,76 +160,9 @@ bool FrameParser::Next(Frame& frame) {
   return true;
 }
 
-void WireWriter::U16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v));
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::U32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void WireWriter::F64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
 void WireWriter::Str(const std::string& s) {
   U32(static_cast<std::uint32_t>(s.size()));
   out_.insert(out_.end(), s.begin(), s.end());
-}
-
-bool WireReader::Need(std::size_t n) {
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t WireReader::U8() {
-  if (!Need(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t WireReader::U16() {
-  if (!Need(2)) return 0;
-  const std::uint16_t v = GetU16(data_ + pos_);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::U32() {
-  if (!Need(4)) return 0;
-  const std::uint32_t v = GetU32(data_ + pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::U64() {
-  if (!Need(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = v << 8 | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::F64() {
-  const std::uint64_t bits = U64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 std::string WireReader::Str() {

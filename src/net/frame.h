@@ -21,8 +21,10 @@
 // versions, oversized lengths, and CRC mismatches.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -129,25 +131,50 @@ class FrameParser {
 
 // --- payload (de)serialization primitives ---
 
-// Little-endian appenders; strings are u32-length-prefixed.
+// `v` with its bytes in wire (little-endian) order, or back: a no-op on a
+// little-endian host.
+template <typename U>
+constexpr U WireOrder(U v) {
+  if constexpr (std::endian::native == std::endian::little || sizeof(U) == 1) {
+    return v;
+  } else if constexpr (sizeof(U) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(U) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+// Little-endian appenders; strings are u32-length-prefixed. Each
+// fixed-width field is copied in whole, inline.
 class WireWriter {
  public:
   explicit WireWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void U8(std::uint8_t v) { out_.push_back(v); }
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v);
+  void U16(std::uint16_t v) { Put(v); }
+  void U32(std::uint32_t v) { Put(v); }
+  void U64(std::uint64_t v) { Put(v); }
+  void I64(std::int64_t v) { Put(static_cast<std::uint64_t>(v)); }
+  void F64(double v) { Put(std::bit_cast<std::uint64_t>(v)); }
   void Str(const std::string& s);
 
  private:
+  template <typename U>
+  void Put(U v) {
+    v = WireOrder(v);
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(v));
+    std::memcpy(out_.data() + at, &v, sizeof(v));
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
 // Bounds-checked reader: any out-of-range read latches ok()=false and
 // yields zero values, so decoders can parse straight-line and check once.
+// Each fixed-width field is copied out whole, inline.
 class WireReader {
  public:
   WireReader(const std::uint8_t* data, std::size_t size)
@@ -155,12 +182,12 @@ class WireReader {
   explicit WireReader(const std::vector<std::uint8_t>& payload)
       : WireReader(payload.data(), payload.size()) {}
 
-  std::uint8_t U8();
-  std::uint16_t U16();
-  std::uint32_t U32();
-  std::uint64_t U64();
+  std::uint8_t U8() { return Get<std::uint8_t>(); }
+  std::uint16_t U16() { return Get<std::uint16_t>(); }
+  std::uint32_t U32() { return Get<std::uint32_t>(); }
+  std::uint64_t U64() { return Get<std::uint64_t>(); }
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64();
+  double F64() { return std::bit_cast<double>(U64()); }
   std::string Str();
 
   bool ok() const { return ok_; }
@@ -169,7 +196,22 @@ class WireReader {
   bool AtEnd() const { return pos_ == size_; }
 
  private:
-  bool Need(std::size_t n);
+  bool Need(std::size_t n) {
+    if (!ok_ || size_ - pos_ < n) {
+      ok_ = false;
+      return false;
+    }
+    return true;
+  }
+
+  template <typename U>
+  U Get() {
+    if (!Need(sizeof(U))) return 0;
+    U v;
+    std::memcpy(&v, data_ + pos_, sizeof(v));
+    pos_ += sizeof(v);
+    return WireOrder(v);
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;

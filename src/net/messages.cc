@@ -8,6 +8,10 @@ namespace {
 // overhead keeps a full 4096-entry window comfortably inside one frame.
 constexpr std::uint64_t kMaxWireEntries = 256 * 1024;
 
+// One kPublishBatch sample: i64 timestamp, i64 sample timestamp, f64
+// value, u8 provenance.
+constexpr std::size_t kBatchSampleBytes = 25;
+
 void EncodeEntries(WireWriter& w,
                    const std::vector<TelemetryStream::Entry>& entries) {
   w.U32(static_cast<std::uint32_t>(entries.size()));
@@ -132,6 +136,12 @@ std::size_t PublishBatchMsg::SampleCount() const {
 }
 
 void PublishBatchMsg::Encode(Payload& out) const {
+  // The exact size first, so the payload grows once.
+  std::size_t bytes = 4;  // u32 run count
+  for (const Run& run : runs) {  // u32 length, topic, u32 count, samples
+    bytes += 8 + run.topic.size() + kBatchSampleBytes * run.entries.size();
+  }
+  out.reserve(out.size() + bytes);
   WireWriter w(out);
   w.U32(static_cast<std::uint32_t>(runs.size()));
   for (const Run& run : runs) {

@@ -1,5 +1,6 @@
 #include "pubsub/archiver.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -7,11 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <system_error>
 #include <thread>
 
@@ -72,6 +75,20 @@ class SegmentFile {
   const int fd_;
 };
 
+// Writes all of data[0, size) at `offset`, resuming after a short write.
+bool WriteAllAt(int fd, const std::uint8_t* data, std::size_t size,
+                std::uint64_t offset) {
+  while (size > 0) {
+    const ssize_t n = ::pwrite(fd, data, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
 }  // namespace
 
 Archiver<Sample>::Archiver(std::string path, WalConfig config)
@@ -89,10 +106,7 @@ Archiver<Sample>::Archiver(std::string path, WalConfig config)
 }
 
 Archiver<Sample>::~Archiver() {
-  if (active_ != nullptr) {
-    std::fflush(active_);
-    std::fclose(active_);
-  }
+  if (active_fd_ >= 0) ::close(active_fd_);
 }
 
 void Archiver<Sample>::set_fault_label(std::string label) {
@@ -109,69 +123,49 @@ std::string Archiver<Sample>::SegmentPathFor(std::uint64_t seq) const {
 
 Status Archiver<Sample>::Open() {
   TRACE_SPAN("archiver.recover", path_);
-  // Discover existing segments of this base path.
+  // Discover existing segments of this base path: `<name>.<seq>.wal`. The
+  // directory is listed with readdir(3): every archiver in a directory
+  // lists it on open, so N topics read it N times, and a path object per
+  // entry made that listing most of a 256-topic set-up.
   const fs::path base(path_);
   const std::string prefix = base.filename().string() + ".";
-  std::error_code ec;
   const fs::path dir =
       base.has_parent_path() ? base.parent_path() : fs::path(".");
   std::vector<std::pair<std::uint64_t, std::string>> found;
-  if (fs::exists(dir, ec)) {
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
+  if (DIR* listing = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(listing)) {
+      const std::string_view name(entry->d_name);
       if (name.size() <= prefix.size() + 4) continue;
-      if (name.compare(0, prefix.size(), prefix) != 0) continue;
-      if (name.compare(name.size() - 4, 4, kSegmentSuffix) != 0) continue;
-      const std::string seq_str =
-          name.substr(prefix.size(), name.size() - prefix.size() - 4);
-      if (seq_str.empty() ||
-          seq_str.find_first_not_of("0123456789") != std::string::npos) {
+      if (!name.starts_with(prefix) || !name.ends_with(kSegmentSuffix)) {
         continue;
       }
-      found.emplace_back(std::strtoull(seq_str.c_str(), nullptr, 10),
-                         entry.path().string());
+      const std::string seq(
+          name.substr(prefix.size(), name.size() - prefix.size() - 4));
+      if (seq.find_first_not_of("0123456789") != std::string::npos) continue;
+      found.emplace_back(std::strtoull(seq.c_str(), nullptr, 10),
+                         (dir / name).string());
     }
+    ::closedir(listing);
   }
   std::sort(found.begin(), found.end());
 
   // Recover each segment: keep the valid prefix, truncate torn/corrupt
   // tails in place, quarantine segments whose header does not parse.
-  TelemetryCounters& telemetry = GlobalTelemetry();
-  std::vector<std::uint8_t> buf;
   for (const auto& [seq, path] : found) {
     ++recovery_.segments_scanned;
-    const SegmentFile file(path);
-    if (!file.ok()) return IoError("archive segment open failed", path);
-    const off_t size = file.Size();
-    if (size < 0 || !file.Read(0, static_cast<std::size_t>(size), buf)) {
-      return IoError("archive segment read failed", path);
-    }
-    const wal::ScanResult scan = wal::ScanBuffer(buf.data(), buf.size());
-    if (!scan.header_ok) {
-      // Unreadable as a WAL segment at all: move it aside so it never
-      // poisons reads, but keep the bytes for forensics.
-      std::error_code rename_ec;
-      fs::rename(path, path + kQuarantineSuffix, rename_ec);
-      if (rename_ec) return IoError("archive quarantine failed", path);
+    wal::ScanResult scan;
+    Status status = RecoverFile(path, UINT64_MAX, scan);
+    if (!status.ok()) return status;
+    if (!scan.header_ok || scan.dropped_bytes > 0) {
       ++recovery_.corrupt_segments;
+    }
+    recovery_.bytes_truncated += scan.dropped_bytes;
+    if (!scan.header_ok) {
       ++recovery_.quarantined_segments;
-      recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.Inc();
-      telemetry.archive_quarantined_segments.Inc();
-      telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
       continue;
     }
-    if (scan.dropped_bytes > 0) {
-      std::error_code resize_ec;
-      fs::resize_file(path, scan.valid_bytes, resize_ec);
-      if (resize_ec) return IoError("archive truncate failed", path);
-      ++recovery_.corrupt_segments;
-      recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.Inc();
-      telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
-    }
     recovery_.records_recovered += scan.records;
-    telemetry.archive_recovered_records.Inc(scan.records);
+    GlobalTelemetry().archive_recovered_records.Inc(scan.records);
     segments_.push_back(
         Segment{seq, path, scan.records, scan.valid_bytes, nullptr});
     record_count_ += scan.records;
@@ -184,22 +178,68 @@ Status Archiver<Sample>::Open() {
   return OpenActive(/*fresh=*/false);
 }
 
+Status Archiver<Sample>::RecoverFile(const std::string& path,
+                                     std::uint64_t max_records,
+                                     wal::ScanResult& scan) {
+  const SegmentFile file(path);
+  if (!file.ok()) return IoError("archive segment open failed", path);
+  std::vector<std::uint8_t> buf;
+  const off_t size = file.Size();
+  if (size < 0 || !file.Read(0, static_cast<std::size_t>(size), buf)) {
+    return IoError("archive segment read failed", path);
+  }
+  std::uint64_t kept = 0;
+  std::uint64_t kept_bytes = wal::kHeaderSize;
+  scan = wal::ScanBuffer(
+      buf.data(), buf.size(),
+      [&](const std::uint8_t* payload, std::uint32_t len) {
+        if (kept == max_records) return;
+        ++kept;
+        kept_bytes = static_cast<std::uint64_t>(payload - buf.data()) + len;
+      });
+  if (scan.records > kept) {  // valid records past the ones counted
+    scan.records = kept;
+    scan.valid_bytes = kept_bytes;
+    scan.dropped_bytes = buf.size() - kept_bytes;
+    scan.clean = false;
+  }
+  TelemetryCounters& telemetry = GlobalTelemetry();
+  if (!scan.header_ok) {
+    // Unreadable as a WAL segment at all: move it aside so it never
+    // poisons reads, but keep the bytes for forensics.
+    std::error_code ec;
+    fs::rename(path, path + kQuarantineSuffix, ec);
+    if (ec) return IoError("archive quarantine failed", path);
+    telemetry.archive_corrupt_segments.Inc();
+    telemetry.archive_quarantined_segments.Inc();
+    telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
+  } else if (scan.dropped_bytes > 0) {
+    std::error_code ec;
+    fs::resize_file(path, scan.valid_bytes, ec);
+    if (ec) return IoError("archive truncate failed", path);
+    telemetry.archive_corrupt_segments.Inc();
+    telemetry.archive_truncated_bytes.Inc(scan.dropped_bytes);
+  }
+  return Status::Ok();
+}
+
 Status Archiver<Sample>::OpenActive(bool fresh) {
   Segment& seg = segments_.back();
-  // "ab" keeps every existing byte and positions at the (possibly just
-  // truncated) end.
-  active_ = std::fopen(seg.path.c_str(), fresh ? "wb" : "ab");
-  if (active_ == nullptr) {
+  // Not O_APPEND: every write is a pwrite(2) at the segment's counted end,
+  // which an existing segment's recovery has just cut the file to.
+  active_fd_ = ::open(seg.path.c_str(),
+                      O_WRONLY | O_CREAT | O_CLOEXEC | (fresh ? O_TRUNC : 0),
+                      0666);
+  if (active_fd_ < 0) {
     return IoError("archive segment open failed", seg.path);
   }
   if (fresh) {
     std::uint8_t header[wal::kHeaderSize];
     wal::EncodeHeader(header, kRecordBytes);
-    if (std::fwrite(header, sizeof(header), 1, active_) != 1 ||
-        std::fflush(active_) != 0) {
+    if (!WriteAllAt(active_fd_, header, sizeof(header), 0)) {
       GlobalTelemetry().archive_write_errors.Inc();
-      std::fclose(active_);
-      active_ = nullptr;
+      ::close(active_fd_);
+      active_fd_ = -1;
       return IoError("archive header write failed", seg.path);
     }
     seg.bytes = wal::kHeaderSize;
@@ -292,8 +332,8 @@ Status Archiver<Sample>::Rotate() {
   TRACE_SPAN("archiver.rotate", path_);
   Status status = SyncActive();  // rotation is a durability barrier
   if (!status.ok()) return status;
-  std::fclose(active_);
-  active_ = nullptr;
+  ::close(active_fd_);
+  active_fd_ = -1;
   const std::uint64_t next_seq = segments_.back().seq + 1;
   segments_.push_back(
       Segment{next_seq, SegmentPathFor(next_seq), 0, 0, nullptr});
@@ -322,7 +362,7 @@ Status Archiver<Sample>::SyncActive() {
   static obs::Histogram fsync_hist = obs::MetricsRegistry::Global().GetHistogram(
       "apollo_archive_fsync_duration_ns", "Archive segment fsync latency");
   const TimeNs fsync_start = RealClock::Instance().Now();
-  if (std::fflush(active_) != 0 || ::fsync(::fileno(active_)) != 0) {
+  if (::fsync(active_fd_) != 0) {
     GlobalTelemetry().archive_fsync_failures.Inc();
     GlobalTelemetry().archive_write_errors.Inc();
     return IoError("archive fsync failed", segments_.back().path);
@@ -336,12 +376,9 @@ Status Archiver<Sample>::SyncActive() {
 
 void Archiver<Sample>::RollbackActive(std::uint64_t offset) {
   // Cut the segment back to its pre-chunk length so the failed append
-  // leaves no torn frame behind and a retry cannot duplicate bytes.
-  std::clearerr(active_);
-  std::fflush(active_);
-  if (::ftruncate(::fileno(active_), static_cast<off_t>(offset)) == 0) {
-    std::fseek(active_, static_cast<long>(offset), SEEK_SET);
-  }
+  // leaves no torn frame behind and a retry cannot duplicate bytes (the
+  // retry writes at the same counted offset).
+  (void)::ftruncate(active_fd_, static_cast<off_t>(offset));
 }
 
 bool Archiver<Sample>::RotationDue() const {
@@ -369,24 +406,33 @@ std::size_t Archiver<Sample>::ChunkRoom() const {
 }
 
 Status Archiver<Sample>::WriteChunk(const Record* records, std::size_t n) {
-  if (active_ == nullptr) return IoError("archive not open", path_);
+  if (active_fd_ < 0) return IoError("archive not open", path_);
   if (RotationDue()) {
     Status status = Rotate();
     if (!status.ok()) return status;
   }
   Segment& seg = segments_.back();
   const std::uint64_t offset = seg.bytes;
-  // Frames go into the FILE's own buffer; the one fflush per chunk pushes
-  // them into the OS, so only a real machine failure (not process death)
-  // can lose an acknowledged append. The fsync policy below controls
-  // power-loss durability.
-  std::uint8_t frame[kFrameBytes];
+  // The chunk's frames are encoded into this thread's buffer and handed to
+  // the OS with one pwrite(2) per buffer's worth, so only a real machine
+  // failure (not process death) can lose an acknowledged append. The
+  // fsync policy below controls power-loss durability. The buffer is per
+  // thread rather than per archive, so its memory is bounded by the
+  // writing threads, not by the number of topics.
+  thread_local std::vector<std::uint8_t> buf;
+  if (buf.empty()) buf.resize(kWriteBufferFrames * kFrameBytes);
   bool written = true;
-  for (std::size_t i = 0; i < n && written; ++i) {
-    wal::EncodeRecord(frame, &records[i], kRecordBytes);
-    written = std::fwrite(frame, sizeof(frame), 1, active_) == 1;
+  for (std::size_t i = 0; i < n && written;) {
+    const std::size_t frames = std::min(n - i, kWriteBufferFrames);
+    for (std::size_t f = 0; f < frames; ++f) {
+      wal::EncodeRecord(buf.data() + f * kFrameBytes, &records[i + f],
+                        kRecordBytes);
+    }
+    written = WriteAllAt(active_fd_, buf.data(), frames * kFrameBytes,
+                         offset + i * kFrameBytes);
+    i += frames;
   }
-  if (!written || std::fflush(active_) != 0) {
+  if (!written) {
     GlobalTelemetry().archive_write_errors.Inc();
     RollbackActive(offset);
     return IoError("archive write failed", seg.path);
@@ -421,10 +467,6 @@ Status Archiver<Sample>::VisitSegments(std::size_t first, TimeNs from_ts,
                                        Visit&& visit, WalVisitStats& stats) {
   if (!open_status_.ok()) return open_status_;
   TelemetryCounters& telemetry = GlobalTelemetry();
-  if (active_ != nullptr && std::fflush(active_) != 0) {
-    telemetry.archive_write_errors.Inc();
-    return IoError("archive flush failed", segments_.back().path);
-  }
   // Every read on this thread reuses one segment buffer. It is per thread
   // rather than per archive, so its memory is bounded by the reading
   // threads, not by the number of topics; no callback may start another
@@ -610,6 +652,43 @@ Archiver<Sample>::SealedSegments() const {
                                    segments_[i].records});
   }
   return sealed;
+}
+
+Expected<std::uint64_t> Archiver<Sample>::RecoverSealedSegment(
+    std::uint64_t seq) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t i = 0;
+  while (i + 1 < segments_.size() && segments_[i].seq != seq) ++i;
+  if (i + 1 >= segments_.size()) {
+    return Error(ErrorCode::kNotFound,
+                 "no sealed archive segment " + std::to_string(seq) + ": " +
+                     path_);
+  }
+  Segment& seg = segments_[i];
+  const std::string path = seg.path;
+  wal::ScanResult scan;
+  if (Status status = RecoverFile(path, seg.records, scan); !status.ok()) {
+    return Error(status.code(), status.message());
+  }
+  const std::uint64_t kept = scan.header_ok ? scan.records : 0;
+  const std::uint64_t lost = seg.records - kept;
+  record_count_ -= lost;
+  if (!scan.header_ok) {
+    segments_.erase(segments_.begin() + static_cast<std::ptrdiff_t>(i));
+  } else {
+    seg.records = kept;
+    seg.bytes = scan.valid_bytes;
+    if (seg.summary != nullptr && seg.summary->rows > kept) {
+      seg.summary = nullptr;
+    }
+  }
+  if (lost > 0) {
+    failures_.fetch_add(lost, std::memory_order_acq_rel);
+    last_error_ = Status(ErrorCode::kIoError,
+                         "archive segment lost " + std::to_string(lost) +
+                             " records on disk: " + path);
+  }
+  return kept;
 }
 
 std::uint64_t Archiver<Sample>::DropSegmentsThrough(

@@ -15,11 +15,14 @@
 // archive is append-safe: segments are scanned, a torn/corrupt tail is
 // truncated to the last valid record, and unreadable segments are
 // quarantined (renamed `.corrupt`) — every recovered and dropped byte is
-// counted. Records are written in chunks — the run of records up to the
-// next rotation or kEveryN fsync point — with one fflush per chunk. Chunks
-// are atomic: a failed write, flush, or fsync rolls the segment back to the
-// chunk's start offset, so retries can never duplicate or interleave a
-// record.
+// counted. The active segment is a plain file descriptor. Records are
+// written in chunks — the run of records up to the next rotation or kEveryN
+// fsync point — encoded into one bounded per-thread buffer and written with
+// pwrite(2) at the counted offset: one call for a chunk that fits the
+// buffer (kWriteBufferFrames records). Chunks are atomic: a failed write or
+// fsync cuts the segment back (ftruncate) to the chunk's start offset, so
+// retries can never duplicate or interleave a record. A written chunk is in
+// the OS's page cache, so every read sees it without a flush.
 //
 // Reads go segment by segment (VisitRange). Each segment keeps, in memory,
 // a TierSummary of its verified prefix: the records a read has already
@@ -30,7 +33,8 @@
 // prefix's end unless the caller declined the summary) only the records it
 // must, checking each one it reads. Every read compares each segment's file
 // length with the records the archiver counts, and fails when the file is
-// shorter.
+// shorter. A sealed segment damaged on disk after the open is cut under the
+// open's rule by RecoverSealedSegment, which the compactor calls.
 //
 // Failed writes are never silent: every append surfaces a Status,
 // AppendBatch and AppendWithRetry add bounded exponential backoff, and
@@ -48,7 +52,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -153,7 +156,7 @@ class Archiver<Sample> {
   }
 
   // Appends `n` records in order with the archiver's retry policy, paying
-  // one flush per chunk. Each record gets the policy's attempts: a failed
+  // one write per chunk. Each record gets the policy's attempts: a failed
   // chunk is rolled back and retried whole after a backoff (a real sleep,
   // taken under the evicting stream's lock); a record whose kArchiveWrite
   // check fires is retried on its own. Records still failing are dropped
@@ -203,7 +206,8 @@ class Archiver<Sample> {
   // lifetime's appends, minus the segments compaction has dropped.
   std::uint64_t Count() const;
 
-  // Records that stayed failed after their attempts, and the most recent
+  // Records that stayed failed after their attempts or were lost from a
+  // damaged sealed segment (RecoverSealedSegment), and the most recent
   // error.
   std::uint64_t Failures() const {
     return failures_.load(std::memory_order_acquire);
@@ -212,7 +216,7 @@ class Archiver<Sample> {
 
   // Fsyncs actually issued on the active segment.
   std::uint64_t Fsyncs() const;
-  // Chunk flushes issued on the active segment: one per chunk appended.
+  // Chunk writes issued on the active segment: one per chunk appended.
   std::uint64_t Flushes() const;
 
   // What the append-safe open found.
@@ -221,6 +225,16 @@ class Archiver<Sample> {
   std::vector<std::string> SegmentPaths() const;
   std::string ActiveSegmentPath() const;
   std::vector<SealedSegment> SealedSegments() const;
+
+  // Applies the open's recovery rule to the sealed segment `seq`, for one
+  // damaged on disk since: re-reads it, cuts it to its valid prefix (at
+  // most the records counted in it), or quarantines it (renamed
+  // `.corrupt`, dropped from the archive) when its header does not parse.
+  // The records it lost are counted in Failures(), so every later answer
+  // over the history says it is missing rows, and a summary covering any
+  // of them is dropped. Returns the records kept (0 once quarantined);
+  // NotFound when `seq` is not a sealed segment.
+  Expected<std::uint64_t> RecoverSealedSegment(std::uint64_t seq);
 
   // Deletes every sealed segment with seq <= `through_seq` (the active
   // segment is never dropped). Used after those segments' rows are
@@ -248,6 +262,10 @@ class Archiver<Sample> {
   static constexpr std::uint32_t kRecordBytes = sizeof(Record);
   static constexpr std::size_t kFrameBytes =
       wal::kFrameOverhead + kRecordBytes;
+  // Frames in a writing thread's buffer (64 KiB): a chunk that fits is one
+  // pwrite(2). The buffer does not grow with the chunk, the topic count or
+  // segment_bytes; a longer chunk takes one write per buffer.
+  static constexpr std::size_t kWriteBufferFrames = (64u << 10) / kFrameBytes;
 
   struct Segment {
     std::uint64_t seq = 0;
@@ -264,6 +282,13 @@ class Archiver<Sample> {
   // tails, quarantining unreadable segments) and opens the newest for
   // append. Creates the first segment when none exist.
   Status Open();
+  // The recovery rule for one segment file, shared by Open and
+  // RecoverSealedSegment: scans it whole, keeps at most `max_records`
+  // valid records (cutting the file after them), or quarantines it when
+  // its header does not parse (`scan.header_ok` false), counting each in
+  // the telemetry. On success `scan` says what it found.
+  Status RecoverFile(const std::string& path, std::uint64_t max_records,
+                     wal::ScanResult& scan);
   std::string SegmentPathFor(std::uint64_t seq) const;
   Status OpenActive(bool fresh);
 
@@ -279,10 +304,11 @@ class Archiver<Sample> {
   // kEveryN, fsynced. At least 1. Caller holds mu_.
   std::size_t ChunkRoom() const;
   // Writes `n` records (1 <= n <= ChunkRoom()) as one chunk: rotates
-  // first if the active segment is full, writes each frame into the stdio
-  // buffer, issues one fflush, and fsyncs after it when the policy is due.
-  // Atomic: on any write/flush/fsync failure the segment is rolled back to
-  // the chunk's start. Caller holds mu_.
+  // first if the active segment is full, encodes the frames into the
+  // thread's write buffer, writes them with pwrite(2) at the segment's
+  // counted end (one call per kWriteBufferFrames records), and fsyncs
+  // after it when the policy is due. Atomic: on any write/fsync failure
+  // the segment is cut back to the chunk's start. Caller holds mu_.
   Status WriteChunk(const Record* records, std::size_t n);
   // True when the next record would overflow the non-empty active segment.
   bool RotationDue() const;
@@ -309,7 +335,7 @@ class Archiver<Sample> {
   mutable std::mutex mu_;  // guards everything below
   std::string label_;
   std::vector<Segment> segments_;  // seq-ascending; back() is active
-  std::FILE* active_ = nullptr;
+  int active_fd_ = -1;  // the active segment, opened for pwrite(2)
   std::uint64_t record_count_ = 0;  // live records across segments
   std::uint64_t appends_since_sync_ = 0;
   std::uint64_t fsyncs_ = 0;

@@ -19,7 +19,7 @@
 // in O(1).
 //
 // One mutex guards the window. An append collects the rows it evicts and
-// hands them to Archiver::AppendBatch (one fflush per WAL chunk) before it
+// hands them to Archiver::AppendBatch (one pwrite per WAL chunk) before it
 // releases that mutex, so a row leaves the ring only once the archive holds
 // it (or has counted it in Archiver::Failures()). The cost: a reader of the
 // same stream on another thread waits while that write runs, fsync

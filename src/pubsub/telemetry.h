@@ -113,7 +113,7 @@ struct TelemetryCounters {
   obs::Counter archive_writes;
   obs::Counter archive_retries;
   obs::Counter archive_write_failures;  // retries exhausted
-  // Every failed fwrite/fflush/fsync attempt (before any retry), so a
+  // Every failed pwrite/fsync attempt (before any retry), so a
   // struggling disk is visible even while retries are still absorbing it.
   obs::Counter archive_write_errors;
   obs::Counter archive_fsyncs;

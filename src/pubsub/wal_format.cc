@@ -3,6 +3,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace apollo::wal {
 
 namespace {
@@ -44,9 +48,47 @@ std::uint32_t GetU32(const std::uint8_t* in) {
          (static_cast<std::uint32_t>(in[3]) << 24);
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected CRC32C, eight
+// bytes an instruction; only called once HasSse42() said the CPU has it.
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
+    const std::uint8_t* bytes, std::size_t len, std::uint32_t seed) {
+  std::uint64_t crc = ~seed;
+  for (; len >= 8; bytes += 8, len -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; len > 0; ++bytes, --len) crc32 = _mm_crc32_u8(crc32, *bytes);
+  return ~crc32;
+}
+
+// Probed once, on first use. A function-local static with its own
+// __builtin_cpu_init(), so a CRC taken during static initialisation
+// (before the runtime's CPU probe has run) still sees the right answer.
+bool HasSse42() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+#endif
+
 }  // namespace
 
 std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t seed) {
+#if defined(__x86_64__)
+  if (HasSse42()) {
+    return Crc32cSse42(static_cast<const std::uint8_t*>(data), len, seed);
+  }
+#endif
+  return Crc32cPortable(data, len, seed);
+}
+
+std::uint32_t Crc32cPortable(const void* data, std::size_t len,
+                             std::uint32_t seed) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   const auto& t = kCrcTables;
   std::uint32_t crc = ~seed;

@@ -37,9 +37,15 @@ inline constexpr std::size_t kFrameOverhead = 8;  // u32 length + u32 crc
 // corrupt length fields before they can drive a huge read.
 inline constexpr std::uint32_t kMaxRecordLen = 1u << 20;
 
-// CRC32C (Castagnoli). `seed` chains partial computations.
+// CRC32C (Castagnoli). `seed` chains partial computations. Uses the
+// SSE4.2 crc32 instruction when the CPU has it, else Crc32cPortable.
 std::uint32_t Crc32c(const void* data, std::size_t len,
                      std::uint32_t seed = 0);
+
+// The slicing-by-8 table walk: the same function on every CPU. Crc32c
+// runs it wherever SSE4.2 is missing; tests run it everywhere.
+std::uint32_t Crc32cPortable(const void* data, std::size_t len,
+                             std::uint32_t seed = 0);
 
 // Writes a 16-byte segment header into `out` (at least kHeaderSize bytes).
 void EncodeHeader(std::uint8_t* out, std::uint32_t payload_size);

@@ -6,7 +6,9 @@
 // may allocate one block per returned row (its values) plus a fixed
 // allowance, however many rows, WAL segments or cold blocks it reads. It
 // also prices one warmed Broker::PublishBatch in `ingest`'s shape, which
-// may allocate nothing. Allocation counts repeat exactly on every host.
+// may allocate nothing and write its WAL chunk once, and the encode of
+// one `ingest` kPublishBatch payload, which allocates once. Allocation
+// counts repeat exactly on every host.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 
 #include "aqe/executor.h"
 #include "coldtier/cold_tier.h"
+#include "net/messages.h"
 #include "pubsub/broker.h"
 #include "temp_wal.h"
 
@@ -246,7 +249,9 @@ double Constant(std::uint64_t) { return 42.0; }
 // not rotate during the measured batch. The ring's min/max wedges pop a
 // front per evicted row; for monotone values (one wedge holds the whole
 // window), `ingest`'s hashed values and constant ones alike, neither they
-// nor the WAL write may allocate once warm.
+// nor the WAL write (into the writing thread's buffer, made by its first
+// chunk) may allocate once warm, and the 512 evicted rows are one chunk
+// write.
 TEST(PublishAlloc, WarmBatchIntoFullRingAllocatesNothing) {
   constexpr std::size_t kRing = 128;
   constexpr std::size_t kBatch = 512;
@@ -280,7 +285,9 @@ TEST(PublishAlloc, WarmBatchIntoFullRingAllocatesNothing) {
       return g_allocs.load(std::memory_order_relaxed);
     };
     for (int warm = 0; warm < 8; ++warm) publish();
+    const std::uint64_t flushes = wal.Flushes();
     EXPECT_EQ(publish(), 0u);
+    EXPECT_EQ(wal.Flushes(), flushes + 1);
     EXPECT_EQ(wal.Count(), 9 * kBatch - kRing);
     EXPECT_EQ(wal.SegmentPaths().size(), 1u);  // no rotation
   }
@@ -288,3 +295,40 @@ TEST(PublishAlloc, WarmBatchIntoFullRingAllocatesNothing) {
 
 }  // namespace
 }  // namespace apollo::aqe
+
+namespace apollo::net {
+namespace {
+
+// The encode of one `ingest` kPublishBatch payload, 8 runs of 512 samples:
+// it sizes the payload once, so an empty payload grows by one allocation.
+TEST(WireAlloc, PublishBatchEncodeAllocatesOnce) {
+  PublishBatchMsg msg;
+  for (int r = 0; r < 8; ++r) {
+    PublishBatchMsg::Run run;
+    run.topic = "ing.t00" + std::to_string(r);
+    for (int i = 0; i < 512; ++i) {
+      TelemetryStream::Entry entry;
+      entry.timestamp = 1'000'000 + r * 7 + i * 1000;
+      entry.value = Sample{entry.timestamp, static_cast<double>(i),
+                           Provenance::kMeasured};
+      run.entries.push_back(entry);
+    }
+    msg.runs.push_back(std::move(run));
+  }
+  ASSERT_EQ(msg.SampleCount(), 4096u);
+  Payload payload;
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  msg.Encode(payload);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 1u);
+  // u32 run count; per run a u32 length, an 8-byte topic and a u32 count;
+  // 25 bytes a sample.
+  EXPECT_EQ(payload.size(), 4 + 8 * (4 + 8 + 4) + 4096 * 25u);
+  PublishBatchMsg decoded;
+  ASSERT_TRUE(PublishBatchMsg::Decode(payload, decoded));
+  EXPECT_EQ(decoded.SampleCount(), 4096u);
+}
+
+}  // namespace
+}  // namespace apollo::net

@@ -789,41 +789,58 @@ TEST(ColdTierDegraded, FlippedByteInASummarizedPrefixIsFoundByItsNextRead) {
 }
 
 // A sealed segment damaged on disk before compaction reaches it: a
-// flipped payload byte, a torn last record, or everything after its
-// header cut away. Compaction must not turn what the WAL read reports as
-// missing into a silent loss: it writes no block, keeps the segment and
-// fails, so the answer stays what it was, degraded.
-TEST(ColdTierDegraded, DamagedSealedSegmentIsNotCompacted) {
+// flipped payload byte, a torn last record, everything after its header
+// cut away, or a damaged header. The next pass does what the archiver's
+// open would: it cuts the segment to its valid prefix (the records before
+// the damage) or quarantines it, counts the records lost in Failures(),
+// and compacts the prefix and every later segment. Every later answer
+// counts the surviving rows and says it misses some.
+TEST(ColdTierDegraded, DamagedSealedSegmentIsCutToItsValidPrefix) {
   constexpr std::size_t kFrame =
       wal::kFrameOverhead + sizeof(Archiver<Sample>::Record);
-  enum class Damage { kFlippedPayloadByte, kTornLastRecord, kHeaderOnly };
-  for (const Damage damage : {Damage::kFlippedPayloadByte,
-                              Damage::kTornLastRecord, Damage::kHeaderOnly}) {
-    SCOPED_TRACE(static_cast<int>(damage));
+  enum class Damage {
+    kFlippedPayloadByte,
+    kTornLastRecord,
+    kHeaderOnly,
+    kBadHeader
+  };
+  struct Case {
+    Damage damage;
+    std::uint64_t kept;  // of the victim's 80 records
+  };
+  for (const Case c : {Case{Damage::kFlippedPayloadByte, 5},
+                       Case{Damage::kTornLastRecord, 79},
+                       Case{Damage::kHeaderOnly, 0},
+                       Case{Damage::kBadHeader, 0}}) {
+    SCOPED_TRACE(static_cast<int>(c.damage));
     DegradedTopic topic;
     ASSERT_TRUE(topic.ok());
     const auto sealed = topic.archiver().SealedSegments();
     ASSERT_EQ(sealed.size(), 5u);
-    const std::string victim = sealed[0].path;
-    switch (damage) {
-      case Damage::kFlippedPayloadByte: {
+    const std::string victim = sealed[1].path;
+    const auto flip = [&victim](long at) {
+      std::FILE* f = std::fopen(victim.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, at, SEEK_SET);
+      const int byte = std::fgetc(f);
+      std::fseek(f, at, SEEK_SET);
+      std::fputc(byte ^ 0x40, f);
+      std::fclose(f);
+    };
+    switch (c.damage) {
+      case Damage::kFlippedPayloadByte:
         // The value of the segment's record 5.
-        std::FILE* f = std::fopen(victim.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        const long at = static_cast<long>(wal::kHeaderSize + 5 * kFrame +
-                                          wal::kFrameOverhead + 24);
-        std::fseek(f, at, SEEK_SET);
-        const int byte = std::fgetc(f);
-        std::fseek(f, at, SEEK_SET);
-        std::fputc(byte ^ 0x40, f);
-        std::fclose(f);
+        flip(static_cast<long>(wal::kHeaderSize + 5 * kFrame +
+                               wal::kFrameOverhead + 24));
         break;
-      }
       case Damage::kTornLastRecord:
         fs::resize_file(victim, fs::file_size(victim) - kFrame / 2);
         break;
       case Damage::kHeaderOnly:
         fs::resize_file(victim, wal::kHeaderSize);
+        break;
+      case Damage::kBadHeader:
+        flip(8);  // the payload size, under the header's CRC
         break;
     }
     bool degraded = false;
@@ -832,15 +849,73 @@ TEST(ColdTierDegraded, DamagedSealedSegmentIsNotCompacted) {
     const double before = topic.Count(&degraded, query);
     EXPECT_LT(before, static_cast<double>(DegradedTopic::kRows));
     ASSERT_TRUE(degraded);
+    ASSERT_EQ(topic.archiver().Failures(), 0u);
 
-    EXPECT_FALSE(topic.cold().CompactOnce(topic.archiver()).ok());
-    EXPECT_EQ(topic.cold().BlockCount(), 0u);
-    EXPECT_EQ(topic.cold().ColdRowCount(), 0u);
-    EXPECT_EQ(topic.archiver().SealedSegments().size(), 5u);
-    EXPECT_TRUE(fs::exists(victim));
-    EXPECT_EQ(topic.Count(&degraded, query), before);
-    EXPECT_TRUE(degraded) << "compaction lost rows without a trace";
+    auto compacted = topic.cold().CompactOnce(topic.archiver());
+    ASSERT_TRUE(compacted.ok()) << compacted.error().ToString();
+    const std::uint64_t lost = 80 - c.kept;
+    EXPECT_EQ(compacted->segments_compacted, 5u);
+    EXPECT_EQ(compacted->blocks_written, c.kept > 0 ? 5u : 4u);
+    EXPECT_EQ(compacted->rows_compacted, 400 - lost);
+    EXPECT_EQ(topic.cold().ColdRowCount(), 400 - lost);
+    EXPECT_TRUE(topic.archiver().SealedSegments().empty());
+    EXPECT_EQ(topic.archiver().Failures(), lost);
+    EXPECT_EQ(fs::exists(victim + ".corrupt"),
+              c.damage == Damage::kBadHeader);
+    const double surviving =
+        static_cast<double>(DegradedTopic::kRows - lost);
+    for (const std::string& q :
+         {query, std::string("SELECT COUNT(*) FROM t"),
+          std::string("SELECT COUNT(*) FROM t WHERE metric >= 0")}) {
+      SCOPED_TRACE(q);
+      EXPECT_DOUBLE_EQ(topic.Count(&degraded, q), surviving);
+      EXPECT_TRUE(degraded) << "compaction lost rows without a trace";
+    }
+    // The next pass has nothing left to compact and fails nothing.
+    compacted = topic.cold().CompactOnce(topic.archiver());
+    ASSERT_TRUE(compacted.ok());
+    EXPECT_EQ(compacted->segments_compacted, 0u);
   }
+}
+
+// A sealed segment whose records a read has already summarized, then
+// damaged: cutting it drops the summary, which counted records it no
+// longer holds, so even an aggregate the summary could serve counts only
+// the records left and says rows are missing.
+TEST(ColdTierDegraded, RecoveredSealedSegmentDropsItsSummary) {
+  DegradedTopic topic;
+  ASSERT_TRUE(topic.ok());
+  const std::string qualifying = "SELECT COUNT(*), SUM(metric) FROM t";
+  bool degraded = true;
+  ASSERT_DOUBLE_EQ(topic.Count(&degraded, qualifying),
+                   static_cast<double>(DegradedTopic::kRows));
+  ASSERT_FALSE(degraded);
+  const auto sealed = topic.archiver().SealedSegments();
+  ASSERT_EQ(sealed.size(), 5u);
+  constexpr std::size_t kFrame =
+      wal::kFrameOverhead + sizeof(Archiver<Sample>::Record);
+  fs::resize_file(sealed[2].path, wal::kHeaderSize + 30 * kFrame + 3);
+
+  // The active segment is not sealed.
+  auto active = topic.archiver().RecoverSealedSegment(sealed[4].seq + 1);
+  ASSERT_FALSE(active.ok());
+  EXPECT_EQ(active.error().code(), ErrorCode::kNotFound);
+  auto kept = topic.archiver().RecoverSealedSegment(sealed[2].seq);
+  ASSERT_TRUE(kept.ok()) << kept.error().ToString();
+  EXPECT_EQ(*kept, 30u);
+  EXPECT_EQ(fs::file_size(sealed[2].path), wal::kHeaderSize + 30 * kFrame);
+  EXPECT_EQ(topic.archiver().Failures(), 50u);
+  EXPECT_EQ(topic.archiver().SealedSegments().at(2).records, 30u);
+
+  EXPECT_DOUBLE_EQ(topic.Count(&degraded, qualifying),
+                   static_cast<double>(DegradedTopic::kRows - 50));
+  EXPECT_TRUE(degraded);
+  auto profile = topic.executor().Explain(qualifying, /*analyze=*/true);
+  ASSERT_TRUE(profile.ok());
+  // Every segment's summary stands again, the cut one rebuilt from the
+  // 30 records its re-read checked.
+  EXPECT_EQ(profile->vertices.at(0).wal_segments_summarized, 6u);
+  EXPECT_EQ(profile->vertices.at(0).wal_records_read, 0u);
 }
 
 // A quarantined block's rows stay missing after the scan that quarantined

@@ -3,7 +3,9 @@
 // a valid byte stream must be rejected, and a byte stream never resyncs).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -282,6 +284,148 @@ TEST(NetMessages, DecodeRejectsTruncation) {
   payload.pop_back();
   SubscribeMsg decoded;
   EXPECT_FALSE(SubscribeMsg::Decode(payload, decoded));
+}
+
+// Frames pinned byte for byte, as the byte-at-a-time writer encoded them:
+// a roundtrip cannot catch a change that the encoder and the decoder make
+// the same way, so each frame is compared with the bytes a peer built
+// before any such change would send.
+PublishBatchMsg GoldenBatch() {
+  PublishBatchMsg msg;
+  PublishBatchMsg::Run a;
+  a.topic = "cpu.load";
+  for (int i = 0; i < 2; ++i) {
+    TelemetryStream::Entry entry;
+    entry.timestamp = 1'700'000'000'123'456'789LL + i;
+    entry.value = Sample{entry.timestamp, i == 0 ? 0.5 : -1234.0625,
+                         i == 0 ? Provenance::kMeasured
+                                : Provenance::kPredicted};
+    a.entries.push_back(entry);
+  }
+  PublishBatchMsg::Run b;
+  b.topic = "n";
+  TelemetryStream::Entry entry;
+  entry.timestamp = -2;
+  entry.value = Sample{-2, 1e300, Provenance::kMeasured};
+  b.entries.push_back(entry);
+  msg.runs = {a, b};
+  return msg;
+}
+
+ResultMsg GoldenResult() {
+  ResultMsg msg;
+  msg.result.columns = {"COUNT(*)", "AVG(metric)"};
+  aqe::ResultRow first;
+  first.source = "t0";
+  first.values = {3.0, 2.5};
+  first.staleness_ns = 1'000'000;
+  aqe::ResultRow second;
+  second.source = "t1";
+  second.values = {-0.0};
+  second.degraded = true;
+  second.staleness_ns = std::numeric_limits<std::int64_t>::max();
+  msg.result.rows = {first, second};
+  msg.result.degraded = true;
+  msg.result.max_staleness_ns = std::numeric_limits<std::int64_t>::max();
+  msg.served_tables = {"t0", "t1"};
+  return msg;
+}
+
+// kPublishBatch, request 0x01020304, kFlagForwarded.
+const std::vector<std::uint8_t> kGoldenBatchFrame = Bytes({
+    0x41, 0x50, 0x4C, 0x4F, 0x01, 0x13, 0x02, 0x00, 0x68, 0x00, 0x00, 0x00,
+    0x04, 0x03, 0x02, 0x01, 0xB7, 0xEE, 0xD9, 0x3E, 0x02, 0x00, 0x00, 0x00,
+    0x08, 0x00, 0x00, 0x00, 0x63, 0x70, 0x75, 0x2E, 0x6C, 0x6F, 0x61, 0x64,
+    0x02, 0x00, 0x00, 0x00, 0x15, 0xCD, 0x85, 0x3D, 0xFE, 0x9C, 0x97, 0x17,
+    0x15, 0xCD, 0x85, 0x3D, 0xFE, 0x9C, 0x97, 0x17, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xE0, 0x3F, 0x00, 0x16, 0xCD, 0x85, 0x3D, 0xFE, 0x9C, 0x97,
+    0x17, 0x16, 0xCD, 0x85, 0x3D, 0xFE, 0x9C, 0x97, 0x17, 0x00, 0x00, 0x00,
+    0x00, 0x40, 0x48, 0x93, 0xC0, 0x01, 0x01, 0x00, 0x00, 0x00, 0x6E, 0x01,
+    0x00, 0x00, 0x00, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x9C, 0x75, 0x00, 0x88, 0x3C,
+    0xE4, 0x37, 0x7E, 0x00,
+});
+
+// kResult, request 77.
+const std::vector<std::uint8_t> kGoldenResultFrame = Bytes({
+    0x41, 0x50, 0x4C, 0x4F, 0x01, 0x0D, 0x00, 0x00, 0x7A, 0x00, 0x00, 0x00,
+    0x4D, 0x00, 0x00, 0x00, 0xC9, 0xD9, 0x35, 0x0F, 0x01, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00,
+    0x00, 0x43, 0x4F, 0x55, 0x4E, 0x54, 0x28, 0x2A, 0x29, 0x0B, 0x00, 0x00,
+    0x00, 0x41, 0x56, 0x47, 0x28, 0x6D, 0x65, 0x74, 0x72, 0x69, 0x63, 0x29,
+    0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x74, 0x30, 0x00, 0x40,
+    0x42, 0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x04, 0x40, 0x02, 0x00, 0x00, 0x00, 0x74, 0x31, 0x01, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x00, 0x00, 0x74, 0x30, 0x02, 0x00, 0x00, 0x00, 0x74, 0x31,
+});
+
+TEST(NetMessages, GoldenFramesKeepTheirBytes) {
+  Payload payload;
+  GoldenBatch().Encode(payload);
+  std::vector<std::uint8_t> wire;
+  EncodeFrame(wire, MsgType::kPublishBatch, 0x01020304u, payload,
+              kFlagForwarded);
+  EXPECT_EQ(wire, kGoldenBatchFrame);
+
+  payload.clear();
+  GoldenResult().Encode(payload);
+  wire.clear();
+  EncodeFrame(wire, MsgType::kResult, 77u, payload);
+  EXPECT_EQ(wire, kGoldenResultFrame);
+}
+
+TEST(NetMessages, GoldenFramesDecodeToTheirMessages) {
+  FrameParser parser;
+  ASSERT_TRUE(
+      parser.Feed(kGoldenBatchFrame.data(), kGoldenBatchFrame.size()));
+  ASSERT_TRUE(
+      parser.Feed(kGoldenResultFrame.data(), kGoldenResultFrame.size()));
+  Frame frame;
+  ASSERT_TRUE(parser.Next(frame));
+  EXPECT_EQ(frame.type, MsgType::kPublishBatch);
+  EXPECT_EQ(frame.request_id, 0x01020304u);
+  EXPECT_EQ(frame.flags, kFlagForwarded);
+  PublishBatchMsg batch;
+  ASSERT_TRUE(PublishBatchMsg::Decode(frame.payload, batch));
+  const PublishBatchMsg want = GoldenBatch();
+  ASSERT_EQ(batch.runs.size(), want.runs.size());
+  for (std::size_t r = 0; r < want.runs.size(); ++r) {
+    EXPECT_EQ(batch.runs[r].topic, want.runs[r].topic);
+    ASSERT_EQ(batch.runs[r].entries.size(), want.runs[r].entries.size());
+    for (std::size_t i = 0; i < want.runs[r].entries.size(); ++i) {
+      const auto& got = batch.runs[r].entries[i];
+      const auto& expect = want.runs[r].entries[i];
+      EXPECT_EQ(got.timestamp, expect.timestamp);
+      EXPECT_EQ(got.value.timestamp, expect.value.timestamp);
+      EXPECT_EQ(got.value.value, expect.value.value);
+      EXPECT_EQ(got.value.provenance, expect.value.provenance);
+    }
+  }
+
+  ASSERT_TRUE(parser.Next(frame));
+  EXPECT_EQ(frame.type, MsgType::kResult);
+  EXPECT_EQ(frame.request_id, 77u);
+  ResultMsg result;
+  ASSERT_TRUE(ResultMsg::Decode(frame.payload, result));
+  const ResultMsg expect = GoldenResult();
+  EXPECT_EQ(result.result.columns, expect.result.columns);
+  ASSERT_EQ(result.result.rows.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(result.result.rows[i].source, expect.result.rows[i].source);
+    EXPECT_EQ(result.result.rows[i].values, expect.result.rows[i].values);
+    EXPECT_EQ(result.result.rows[i].degraded,
+              expect.result.rows[i].degraded);
+    EXPECT_EQ(result.result.rows[i].staleness_ns,
+              expect.result.rows[i].staleness_ns);
+  }
+  EXPECT_TRUE(std::signbit(result.result.rows[1].values[0]));
+  EXPECT_TRUE(result.result.degraded);
+  EXPECT_EQ(result.result.max_staleness_ns, expect.result.max_staleness_ns);
+  EXPECT_EQ(result.served_tables, expect.served_tables);
+  EXPECT_FALSE(parser.Next(frame));
 }
 
 TEST(NetMessages, ErrorRoundtripPreservesCode) {

@@ -349,9 +349,10 @@ TEST(ArchiveChunks, BatchedFlushWritesSameBytesUnderEveryN) {
   EXPECT_EQ(flushes, 8u);
 }
 
-// Host-independent cost guard: flushes (write(2) bursts) per archived
-// record. Ingest-shaped runs evict about 512 rows per batch; single-sample
-// publishes evict one row at a time and gain nothing from batching.
+// Host-independent cost guard: chunk writes per archived record, each one
+// pwrite(2) of the chunk's frames. Ingest-shaped runs evict about 512 rows
+// per batch; single-sample publishes evict one row at a time and gain
+// nothing from batching.
 TEST(ArchiveChunks, EvictionFlushPaysOneFlushPerChunk) {
   constexpr std::size_t kRing = 128;
   constexpr std::size_t kRun = 512;

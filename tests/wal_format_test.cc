@@ -42,25 +42,38 @@ TEST(Crc32c, SeedChainsPartialComputations) {
 
 TEST(Crc32c, EmptyInputIsZero) { EXPECT_EQ(Crc32c("", 0), 0u); }
 
+// Both CRC32C paths: Crc32c (the SSE4.2 instruction where the CPU has
+// it) and the portable table walk it falls back to, so a host that
+// selects one path still tests the other.
+struct CrcPath {
+  const char* name;
+  std::uint32_t (*crc)(const void* data, std::size_t len, std::uint32_t seed);
+};
+constexpr CrcPath kCrcPaths[] = {{"Crc32c", Crc32c},
+                                 {"Crc32cPortable", Crc32cPortable}};
+
 // RFC 3720 §B.4 CRC32C examples (32-byte inputs).
 TEST(Crc32c, Rfc3720Vectors) {
-  std::uint8_t buf[32];
-  std::memset(buf, 0x00, sizeof(buf));
-  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x8A9136AAu);
-  std::memset(buf, 0xFF, sizeof(buf));
-  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x62A8AB43u);
-  for (std::size_t i = 0; i < sizeof(buf); ++i) {
-    buf[i] = static_cast<std::uint8_t>(i);
+  for (const CrcPath& path : kCrcPaths) {
+    SCOPED_TRACE(path.name);
+    std::uint8_t buf[32];
+    std::memset(buf, 0x00, sizeof(buf));
+    EXPECT_EQ(path.crc(buf, sizeof(buf), 0), 0x8A9136AAu);
+    std::memset(buf, 0xFF, sizeof(buf));
+    EXPECT_EQ(path.crc(buf, sizeof(buf), 0), 0x62A8AB43u);
+    for (std::size_t i = 0; i < sizeof(buf); ++i) {
+      buf[i] = static_cast<std::uint8_t>(i);
+    }
+    EXPECT_EQ(path.crc(buf, sizeof(buf), 0), 0x46DD794Eu);
+    for (std::size_t i = 0; i < sizeof(buf); ++i) {
+      buf[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    EXPECT_EQ(path.crc(buf, sizeof(buf), 0), 0x113FDB5Cu);
   }
-  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x46DD794Eu);
-  for (std::size_t i = 0; i < sizeof(buf); ++i) {
-    buf[i] = static_cast<std::uint8_t>(31 - i);
-  }
-  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x113FDB5Cu);
 }
 
-// Bit-at-a-time CRC32C straight from the polynomial: the reference the
-// table-driven code must match bit for bit.
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// paths must match bit for bit.
 std::uint32_t ReferenceCrc32c(const std::uint8_t* data, std::size_t len,
                               std::uint32_t seed) {
   std::uint32_t crc = ~seed;
@@ -80,12 +93,16 @@ TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<std::uint8_t>(x >> 24);
   }
-  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      for (std::size_t len = 0; len <= 300; ++len) {
-        const std::uint8_t* data = buf.data() + offset;
-        ASSERT_EQ(Crc32c(data, len, seed), ReferenceCrc32c(data, len, seed))
-            << "seed=" << seed << " offset=" << offset << " len=" << len;
+  for (const CrcPath& path : kCrcPaths) {
+    for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+          const std::uint8_t* data = buf.data() + offset;
+          ASSERT_EQ(path.crc(data, len, seed),
+                    ReferenceCrc32c(data, len, seed))
+              << path.name << " seed=" << seed << " offset=" << offset
+              << " len=" << len;
+        }
       }
     }
   }
