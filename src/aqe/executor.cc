@@ -759,15 +759,16 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
 
   // History: a topic with an archiver may hold rows in the WAL and in cold
   // blocks, so read the tiers warm to cold — ring, WAL, cold scan — each
-  // capped below the warmer tier's oldest row (a TierCap the tier applies
-  // as it reads), then feed the rows oldest first: cold spans as the scan
-  // decodes them, the WAL's, the ring's. Whether a colder tier holds rows
-  // is asked only after the warmer one was read: a row leaves the ring only
-  // once the WAL counts it, and a segment leaves the WAL only once the cold
-  // tier holds its rows, so a row moving between tiers mid-query is never
-  // missed. The ring's and cold blocks' spans reach the consumers in place,
-  // save that a topic with an archiver copies its ring rows out before the
-  // WAL read; the WAL's records are packed into columns.
+  // keeping only the ids below the warmer tier's first row (a TierCap the
+  // tier applies as it reads), then feed the rows oldest first: cold spans
+  // as the scan decodes them, the WAL's, the ring's. Whether a colder tier
+  // holds rows is asked only after the warmer one was read: a row leaves
+  // the ring only once the WAL counts it, and a segment leaves the WAL only
+  // once the cold tier holds its rows, so a row moving between tiers
+  // mid-query is never missed. The ring's and cold blocks' spans reach the
+  // consumers in place, save that a topic with an archiver copies its ring
+  // rows out before the WAL read; the WAL's records are packed into
+  // columns.
   Archiver<Sample>* archiver = stream->archiver();
   coldtier::ColdTier* cold =
       archiver != nullptr ? archiver->cold_reader() : nullptr;
@@ -775,8 +776,8 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   bool cold_has_rows = false;
 
   // A tier summary stands for its rows only in an aggregate that summaries
-  // answer, when the scan would feed every one of them (none is older than
-  // the range or not older than the cap) and the WHERE matches every one.
+  // answer, when the scan would feed every one of them (each is in range
+  // and kept by the cap) and the WHERE matches every one.
   const bool summaries = has_aggregate && SummariesAnswer(select);
   const auto inside = [&](const TierSummary& summary, const TierCap& cap) {
     return summaries && summary.min_ts >= from_ts &&
@@ -800,40 +801,40 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
   WalVisitStats wal_stats;
   TierCap cold_cap = TierCap::Through(to_ts);
   if (history) {
-    // WAL rows older than the in-memory ones, so rows evicted after the
-    // ring copy are left out (the copy holds them); when the window had no
-    // match at all, the whole range comes from the archive.
+    // WAL rows with ids below the first in-memory one, so rows evicted
+    // after the ring copy are left out (the copy holds them); when the
+    // window had no match at all, the whole range comes from the archive.
     TierCap wal_cap = TierCap::Through(to_ts);
     ring_rows.Resize(0);
     stream->VisitColumns(
         from_ts, to_ts, [&](std::uint64_t first_id, const ColumnSpan& span) {
-          if (ring_rows.size() == 0) wal_cap = TierCap{span.ts[0], first_id};
+          if (ring_rows.size() == 0) wal_cap.below_id = first_id;
           ring_rows.Append(span);
           return true;
         });
     wal_rows.Resize(0);
     wal_pieces.clear();
-    // Cold rows are older than everything still in the WAL (compaction
-    // drains oldest segments first), so capping the cold range below the
-    // first WAL row kept keeps COUNT exact even when a concurrent
+    // Cold rows have lower ids than everything still in the WAL
+    // (compaction drains oldest segments first), so capping the cold range
+    // below the first WAL row kept keeps COUNT exact even when a concurrent
     // compaction moves rows between the two reads: any row both reads saw
-    // is not older than the first WAL row and gets excluded. That row is
-    // a record's, or the first row of the first summary kept.
+    // has an id at or past the first WAL row's and gets excluded. That row
+    // is a record's, or the first row of the first summary kept.
     cold_cap = wal_cap;
-    if (archiver->Count() > 0 && from_ts <= wal_cap.ts) {
-      // Keeps `rows` WAL rows, the first of them (ts, id).
-      const auto keep = [&](TimeNs ts, std::uint64_t id, std::uint64_t rows) {
-        if (wal_count == 0) cold_cap = TierCap{ts, id};
+    if (archiver->Count() > 0 && from_ts <= to_ts) {
+      // Keeps `rows` WAL rows, the first of them `id`.
+      const auto keep = [&](std::uint64_t id, std::uint64_t rows) {
+        if (wal_count == 0) cold_cap.below_id = id;
         wal_count += rows;
       };
       const auto wal_record = [&](const Archiver<Sample>::Record& rec) {
-        keep(rec.timestamp, rec.id, 1);
+        keep(rec.id, 1);
         wal_rows.Push(rec.payload);  // stamped with rec.timestamp
       };
       const auto wal_prefix =
           [&](const std::shared_ptr<const TierSummary>& summary) {
             if (!inside(*summary, wal_cap)) return false;
-            keep(summary->first_ts, summary->first_id, summary->rows);
+            keep(summary->first_id, summary->rows);
             wal_pieces.push_back(WalPiece{wal_rows.size(), summary});
             return true;
           };
@@ -879,7 +880,7 @@ Status Executor::ExecuteSelect(const Select& select, TopicHandle handle,
     const auto feed = [&](const ColumnSpan& rows) {
       if (open) open = consume(rows);
     };
-    if (cold_has_rows && from_ts <= cold_cap.ts) {
+    if (cold_has_rows && from_ts <= to_ts) {
       const auto cold_span = [&](const std::uint64_t*,
                                  const ColumnSpan& rows) {
         cold_count += rows.size;

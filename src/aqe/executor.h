@@ -30,8 +30,9 @@
 // WHERE clause is folded once into one closed interval per compared column
 // (plus the `!=` values), which tests each row exactly as the literal
 // comparisons would; the timestamp interval, saturated to int64, is the
-// range the ring, WAL and cold tier read, each below the warmer tiers'
-// oldest row (TierCap, applied by the tier as it reads). Every tier
+// range the ring, WAL and cold tier read, each keeping only the ids below
+// the warmer tier's first row (TierCap, applied by the tier as it reads).
+// Every tier
 // reaches the scan as ColumnSpans (the ring's and cold blocks' in place,
 // WAL records packed), and the filter tests 64 rows at a time into a
 // bitmask whose set bits alone the consumers visit. ORDER BY ... LIMIT k

@@ -466,7 +466,7 @@ Status ColdTier::VisitRange(TimeNs from_ts, TierCap cap,
   for (const LiveBlock& live : *snapshot) {
     const ManifestEntry& entry = live.entry;
     ++stats->blocks_total;
-    if (entry.zone.max_ts < from_ts || entry.zone.min_ts > cap.ts) {
+    if (entry.zone.max_ts < from_ts || entry.zone.min_ts > cap.to_ts) {
       ++stats->blocks_pruned;
       continue;
     }

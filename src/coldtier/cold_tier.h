@@ -120,8 +120,9 @@ class ColdTier {
   using RowVisitor = std::function<void(std::uint64_t id, TimeNs timestamp,
                                         const Sample& sample)>;
 
-  // Visits the cold rows at or after from_ts that `cap` keeps, oldest block
-  // first, pruning blocks on [from_ts, cap.ts]. A block the range reaches
+  // Visits the cold rows at or after from_ts that `cap` keeps (stamped at or
+  // before cap.to_ts, id below cap.below_id), oldest block first, pruning
+  // blocks on [from_ts, cap.to_ts]. A block the range reaches
   // that has a summary is first offered to `summary` (when set): if it
   // returns true, the summary stands for the block's rows, the block is
   // not read and no kBlockRead fault is evaluated for it
@@ -131,8 +132,8 @@ class ColdTier {
   // timestamps go backwards may hold several). Unreadable or corrupt
   // blocks are skipped and counted in `stats`, never fatal. Neither
   // visitor may start another scan on the same thread (blocks decode into
-  // reused per-thread columns). Cold rows are older than every WAL row
-  // (compaction drains the oldest sealed segments first).
+  // reused per-thread columns). Cold rows have lower ids than every WAL
+  // row (compaction drains the oldest sealed segments first).
   Status VisitRange(TimeNs from_ts, TierCap cap,
                     const SummaryVisitor& summary, const SpanVisitor& visit,
                     ColdScanStats* stats);

@@ -233,11 +233,6 @@ void CQEngine::OnPublish(const std::string& topic, std::size_t n) {
   it->second->dirty.store(true, std::memory_order_release);
 }
 
-void CQEngine::MarkAllDirty() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, record] : records_) record.dirty = true;
-}
-
 aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
   (void)now;
   aqe::ResultSet result;

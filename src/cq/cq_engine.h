@@ -144,10 +144,6 @@ class CQEngine : public PublishObserver {
   // Continuous queries currently attached to `conn_id`.
   std::size_t OwnedCount(std::uint64_t conn_id) const;
 
-  // Forces every registered CQ dirty (used after topology changes and by
-  // tests; a normal publish dirties only its own topic's queries).
-  void MarkAllDirty();
-
  private:
   struct Branch {
     std::string topic;

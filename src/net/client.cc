@@ -35,6 +35,12 @@ Error RejectionError(const PublishBatchAckMsg& ack) {
                                          : ack.first_error);
 }
 
+// The payload of a request or reply that carries none.
+struct NoPayload {
+  void Encode(Payload&) const {}
+  static bool Decode(const Payload& in, NoPayload&) { return in.empty(); }
+};
+
 }  // namespace
 
 ApolloClient::ApolloClient(ClientConfig config)
@@ -141,23 +147,14 @@ Status ApolloClient::ConnectOnce() {
   HelloMsg hello;
   hello.client_name = config_.client_name;
   hello.tenant = config_.tenant;
-  Payload payload;
-  hello.Encode(payload);
-  auto reply = Roundtrip(MsgType::kHello, payload, MsgType::kHelloAck);
-  if (!reply.ok()) {
-    Close();
-    return reply.status();
-  }
-  HelloAckMsg ack;
-  if (!HelloAckMsg::Decode(reply->payload, ack)) {
-    return FailClose(ErrorCode::kParseError, "bad hello ack");
-  }
-  if (ack.protocol_version != kProtocolVersion) {
+  auto ack = Call<HelloAckMsg>(MsgType::kHello, hello, MsgType::kHelloAck);
+  if (!ack.ok()) return FailClose(ack.error().code(), ack.error().message());
+  if (ack->protocol_version != kProtocolVersion) {
     return FailClose(ErrorCode::kFailedPrecondition,
                      "server speaks protocol version " +
-                         std::to_string(ack.protocol_version));
+                         std::to_string(ack->protocol_version));
   }
-  server_name_ = ack.server_name;
+  server_name_ = ack->server_name;
   return Status::Ok();
 }
 
@@ -380,9 +377,24 @@ Expected<Frame> ApolloClient::Roundtrip(MsgType type, const Payload& payload,
   return reply;
 }
 
+template <typename Reply, typename Request>
+Expected<Reply> ApolloClient::Call(MsgType type, const Request& request,
+                                   MsgType expect, std::uint16_t flags) {
+  Payload payload;
+  request.Encode(payload);
+  auto frame = Roundtrip(type, payload, expect, flags);
+  if (!frame.ok()) return frame.error();
+  Reply reply;
+  if (!Reply::Decode(frame->payload, reply)) {
+    return Error(ErrorCode::kParseError,
+                 std::string("bad ") + MsgTypeName(expect));
+  }
+  return reply;
+}
+
 Status ApolloClient::Ping() {
-  auto reply = Roundtrip(MsgType::kPing, {}, MsgType::kPong);
-  return reply.status();
+  return Call<NoPayload>(MsgType::kPing, NoPayload{}, MsgType::kPong)
+      .status();
 }
 
 Expected<std::uint64_t> ApolloClient::Publish(const std::string& topic,
@@ -471,21 +483,14 @@ Status ApolloClient::FlushChunk() {
 
 Expected<PublishBatchAckMsg> ApolloClient::PublishBatch(
     const PublishBatchMsg& msg, std::uint16_t flags) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kPublishBatch, payload,
-                         MsgType::kPublishBatchAck, flags);
-  if (!reply.ok()) return reply.error();
-  PublishBatchAckMsg ack;
-  if (!PublishBatchAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad batch ack");
-  }
+  auto ack = Call<PublishBatchAckMsg>(MsgType::kPublishBatch, msg,
+                                      MsgType::kPublishBatchAck, flags);
   // An ack must cover exactly the samples sent: the ones past a short
   // ack's count would be neither acked nor reported failed.
   const std::size_t sent = msg.SampleCount();
-  if (ack.count != sent) {
+  if (ack.ok() && ack->count != sent) {
     return Error(ErrorCode::kParseError,
-                 "batch ack covers " + std::to_string(ack.count) + " of " +
+                 "batch ack covers " + std::to_string(ack->count) + " of " +
                      std::to_string(sent) + " samples");
   }
   return ack;
@@ -496,14 +501,10 @@ Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,
   SubscribeMsg msg;
   msg.topic = topic;
   msg.cursor = cursor;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kSubscribe, payload, MsgType::kSubscribeAck);
-  if (!reply.ok()) return reply.error();
-  SubscribeAckMsg ack;
-  if (!SubscribeAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad subscribe ack");
-  }
+  auto reply =
+      Call<SubscribeAckMsg>(MsgType::kSubscribe, msg, MsgType::kSubscribeAck);
+  if (!reply.ok()) return reply;
+  const SubscribeAckMsg& ack = *reply;
   // Track the session for reconnect replay. A replayed subscribe (same
   // topic) refreshes its session in place instead of adding another.
   SubSession* session = nullptr;
@@ -529,7 +530,7 @@ Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,
           std::max(session->cursor, deliver.entries.back().id + 1);
     }
   }
-  return ack;
+  return reply;
 }
 
 Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
@@ -540,15 +541,10 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
   msg.sql = sql;
   msg.resume_epoch = resume_epoch;
   msg.resume_seq = resume_seq;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kCQRegister, payload, MsgType::kCQRegisterAck);
-  if (!reply.ok()) return reply.error();
-  CQRegisterAckMsg ack;
-  if (!CQRegisterAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad cq register ack");
-  }
+  auto reply = Call<CQRegisterAckMsg>(MsgType::kCQRegister, msg,
+                                      MsgType::kCQRegisterAck);
+  if (!reply.ok()) return reply;
+  const CQRegisterAckMsg& ack = *reply;
   CQSession* session = nullptr;
   for (CQSession& s : cq_sessions_) {
     if (s.name == name) {
@@ -571,7 +567,7 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
       session->seq = std::max(session->seq, update.seq);
     }
   }
-  return ack;
+  return reply;
 }
 
 Expected<CQRegisterAckMsg> ApolloClient::CQRegister(const std::string& name,
@@ -591,9 +587,8 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegister(const std::string& name,
 Status ApolloClient::CQCancel(std::uint64_t cq_id) {
   CQCancelMsg msg;
   msg.cq_id = cq_id;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kCQCancel, payload, MsgType::kCQCancelAck);
+  auto reply =
+      Call<CQCancelAckMsg>(MsgType::kCQCancel, msg, MsgType::kCQCancelAck);
   if (!reply.ok()) return reply.status();
   for (auto it = cq_sessions_.begin(); it != cq_sessions_.end(); ++it) {
     if (it->cq_id == cq_id) {
@@ -648,100 +643,44 @@ Expected<WindowMsg> ApolloClient::FetchWindow(const std::string& topic,
   msg.topic = topic;
   msg.cursor = cursor;
   msg.max_entries = max_entries;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kFetchWindow, payload, MsgType::kWindow);
-  if (!reply.ok()) return reply.error();
-  WindowMsg window;
-  if (!WindowMsg::Decode(reply->payload, window)) {
-    return Error(ErrorCode::kParseError, "bad window");
-  }
-  return window;
+  return Call<WindowMsg>(MsgType::kFetchWindow, msg, MsgType::kWindow);
 }
 
 Expected<ResultMsg> ApolloClient::Query(const std::string& sql, bool partial) {
   QueryMsg msg;
   msg.sql = sql;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kQuery, payload, MsgType::kResult,
+  return Call<ResultMsg>(MsgType::kQuery, msg, MsgType::kResult,
                          partial ? kFlagPartial : 0);
-  if (!reply.ok()) return reply.error();
-  ResultMsg result;
-  if (!ResultMsg::Decode(reply->payload, result)) {
-    return Error(ErrorCode::kParseError, "bad result");
-  }
-  return result;
 }
 
 Expected<std::vector<TopicInfo>> ApolloClient::ListTopics() {
-  auto reply = Roundtrip(MsgType::kListTopics, {}, MsgType::kTopicList);
-  if (!reply.ok()) return reply.error();
-  TopicListMsg msg;
-  if (!TopicListMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad topic list");
-  }
-  return msg.topics;
+  auto msg = Call<TopicListMsg>(MsgType::kListTopics, NoPayload{},
+                                MsgType::kTopicList);
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->topics);
 }
 
 Expected<std::string> ApolloClient::FetchMetricsText() {
-  auto reply = Roundtrip(MsgType::kMetrics, {}, MsgType::kMetricsText);
-  if (!reply.ok()) return reply.error();
-  MetricsTextMsg msg;
-  if (!MetricsTextMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad metrics text");
-  }
-  return msg.text;
+  auto msg = Call<MetricsTextMsg>(MsgType::kMetrics, NoPayload{},
+                                  MsgType::kMetricsText);
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->text);
 }
 
 Expected<HeartbeatMsg> ApolloClient::Heartbeat(const HeartbeatMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kHeartbeat, payload, MsgType::kHeartbeatAck);
-  if (!reply.ok()) return reply.error();
-  HeartbeatMsg ack;
-  if (!HeartbeatMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad heartbeat ack");
-  }
-  return ack;
+  return Call<HeartbeatMsg>(MsgType::kHeartbeat, msg, MsgType::kHeartbeatAck);
 }
 
 Expected<ReplicateAckMsg> ApolloClient::Replicate(const ReplicateMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kReplicate, payload, MsgType::kReplicateAck);
-  if (!reply.ok()) return reply.error();
-  ReplicateAckMsg ack;
-  if (!ReplicateAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad replicate ack");
-  }
-  return ack;
-}
-
-Expected<ResyncChunkMsg> ApolloClient::ResyncPull(const ResyncPullMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kResyncPull, payload, MsgType::kResyncChunk);
-  if (!reply.ok()) return reply.error();
-  ResyncChunkMsg chunk;
-  if (!ResyncChunkMsg::Decode(reply->payload, chunk)) {
-    return Error(ErrorCode::kParseError, "bad resync chunk");
-  }
-  return chunk;
+  return Call<ReplicateAckMsg>(MsgType::kReplicate, msg,
+                               MsgType::kReplicateAck);
 }
 
 Expected<cluster::ClusterMap> ApolloClient::FetchClusterMap() {
-  auto reply =
-      Roundtrip(MsgType::kGetClusterMap, {}, MsgType::kClusterMap);
-  if (!reply.ok()) return reply.error();
-  ClusterMapMsg msg;
-  if (!ClusterMapMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad cluster map");
-  }
-  return msg.map;
+  auto msg = Call<ClusterMapMsg>(MsgType::kGetClusterMap, NoPayload{},
+                                 MsgType::kClusterMap);
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->map);
 }
 
 std::optional<cluster::ClusterMap> ApolloClient::TakeClusterMapPush() {

@@ -134,6 +134,9 @@ class ApolloClient {
   // Reads the socket until at least one CQ update is buffered or
   // `timeout` elapses.
   bool WaitForCQUpdates(TimeNs timeout);
+  // One page of `topic` from `cursor` on: at most `max_entries` entries,
+  // and at most what one reply frame carries under the daemon's outbound
+  // bound. Read on from next_cursor until a page comes back empty.
   Expected<WindowMsg> FetchWindow(const std::string& topic,
                                   std::uint64_t cursor,
                                   std::uint64_t max_entries = UINT64_MAX);
@@ -148,7 +151,6 @@ class ApolloClient {
 
   Expected<HeartbeatMsg> Heartbeat(const HeartbeatMsg& msg);
   Expected<ReplicateAckMsg> Replicate(const ReplicateMsg& msg);
-  Expected<ResyncChunkMsg> ResyncPull(const ResyncPullMsg& msg);
   Expected<cluster::ClusterMap> FetchClusterMap();
 
   // Freshest kClusterMap push received so far (request_id 0 frames are
@@ -202,6 +204,11 @@ class ApolloClient {
   // id, surfacing kError replies. `expect` is the success frame type.
   Expected<Frame> Roundtrip(MsgType type, const Payload& payload,
                             MsgType expect, std::uint16_t flags = 0);
+  // Every request: encodes `request`, makes the round trip and decodes
+  // the `expect` reply; one that does not decode is kParseError.
+  template <typename Reply, typename Request>
+  Expected<Reply> Call(MsgType type, const Request& request, MsgType expect,
+                       std::uint16_t flags = 0);
   // Reads frames until one with `request_id` arrives or `deadline` (abs
   // clock time) passes. request_id 0 returns on the first buffered
   // delivery instead. Buffers kDeliver frames either way.

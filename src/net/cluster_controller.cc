@@ -13,8 +13,8 @@ namespace apollo::net {
 
 namespace {
 
-// Entries per kResyncPull chunk.
-constexpr std::uint32_t kResyncChunk = 2048;
+// Entries per catch-up page.
+constexpr std::uint64_t kCatchUpPage = 2048;
 
 // Generations must order a node's incarnations across restarts, so they
 // come from the wall clock, not the process-relative monotonic clock.
@@ -248,19 +248,15 @@ bool ClusterController::ResyncTopicFrom(Peer& source,
   auto& telemetry = GlobalTelemetry();
   auto stream = broker_.EnsureTopic(topic);
   if (!stream.ok()) return false;
-  // Bounded only as a runaway guard: each pull advances NextId or exits.
+  // Bounded only as a runaway guard: each full page advances NextId.
   for (int round = 0; round < 1 << 20; ++round) {
     const std::uint64_t from = (*stream)->NextId();
-    ResyncPullMsg pull;
-    pull.topic = topic;
-    pull.from_id = from;
-    pull.max_entries = kResyncChunk;
-    auto chunk = source.probe->ResyncPull(pull);
-    if (!chunk.ok()) return false;
-    if (chunk->entries.empty()) return true;  // at the source's high water
-    const std::uint64_t first = chunk->entries.front().id;
-    if (first > from) {
-      // The source evicted entries below `first`. An empty local stream
+    auto page = source.probe->FetchWindow(topic, from, kCatchUpPage);
+    if (!page.ok()) return false;
+    const std::vector<TelemetryStream::Entry>& entries = page->entries;
+    if (entries.empty()) return true;  // at the source's NextId
+    if (entries.front().id > from) {
+      // The source evicted entries below the page. An empty local stream
       // restores directly at the source's floor; non-empty local history
       // with a gap to the replica's floor is a stale island — replica
       // truth wins, so recreate and restore.
@@ -269,23 +265,20 @@ bool ClusterController::ResyncTopicFrom(Peer& source,
         stream = broker_.EnsureTopic(topic);
         if (!stream.ok()) return false;
       }
-      Status status = broker_.RestoreTopicFromPeer(topic, chunk->entries);
-      if (!status.ok()) return false;
+      if (!broker_.RestoreTopicFromPeer(topic, entries).ok()) return false;
     } else {
-      // first == from (Read clamps cursors upward, never below the
-      // request); kept defensive against an overlapping prefix anyway.
-      const std::size_t skip = static_cast<std::size_t>(from - first);
-      if (skip < chunk->entries.size()) {
-        auto handle = broker_.Resolve(topic);
-        if (!handle.ok()) return false;
-        auto applied = broker_.AppendReplicated(
-            *handle, chunk->entries.data() + skip,
-            chunk->entries.size() - skip);
-        if (!applied.ok()) return false;
+      // A window read starts at its cursor or past it, never below, so
+      // the page goes on where the stream ends.
+      auto handle = broker_.Resolve(topic);
+      if (!handle.ok()) return false;
+      if (!broker_.AppendReplicated(*handle, entries.data(), entries.size())
+               .ok()) {
+        return false;
       }
     }
-    telemetry.cluster_resync_entries.Inc(chunk->entries.size());
-    if ((*stream)->NextId() >= chunk->high_water) return true;
+    telemetry.cluster_resync_entries.Inc(entries.size());
+    // A short page reached the source's NextId.
+    if (entries.size() < kCatchUpPage) return true;
   }
   return false;
 }
@@ -349,7 +342,7 @@ void ClusterController::HandleReplicate(const ReplicateMsg& msg,
   const std::uint64_t next = (*stream)->NextId();
   if (next < msg.expected_base) {
     // We missed earlier entries (likely while restarting): refuse and
-    // self-schedule a WAL-tail catch-up rather than appending a hole.
+    // self-schedule a catch-up rather than appending a hole.
     ack.verdict = ReplicateAckMsg::Verdict::kBehind;
     ack.next_id = next;
     resync_needed_.store(true, std::memory_order_release);
@@ -378,20 +371,6 @@ void ClusterController::HandleReplicate(const ReplicateMsg& msg,
   }
   ack.verdict = ReplicateAckMsg::Verdict::kApplied;
   ack.next_id = (*stream)->NextId();
-}
-
-Status ClusterController::HandleResyncPull(const ResyncPullMsg& msg,
-                                           ResyncChunkMsg& chunk) {
-  auto stream = broker_.GetTopic(msg.topic);
-  if (!stream.ok()) {
-    return Status(stream.error().code(), stream.error().message());
-  }
-  std::uint64_t cursor = msg.from_id;
-  (*stream)->Read(cursor, chunk.entries, msg.max_entries);
-  chunk.first_id = chunk.entries.empty() ? msg.from_id
-                                         : chunk.entries.front().id;
-  chunk.high_water = (*stream)->NextId();
-  return Status::Ok();
 }
 
 void ClusterController::FailRun(PublishBatchAckMsg& ack, std::size_t base,

@@ -6,11 +6,14 @@
 //
 //   probe thread (owned here)    loop thread (the daemon's EventLoop)
 //   -------------------------    ----------------------------------
-//   heartbeat round every        HandleHeartbeat / HandleReplicate /
-//   heartbeat_interval;          HandleResyncPull for inbound peer
-//   suspect/dead Tick();         frames; RouteBatch for client
-//   WAL-tail resync when         publishes (replicate to secondaries
-//   (re)joining                  or forward to the primary)
+//   heartbeat round every        HandleHeartbeat / HandleReplicate
+//   heartbeat_interval;          for inbound peer frames; RouteBatch
+//   suspect/dead Tick();         for client publishes (replicate to
+//   resync when (re)joining      secondaries or forward to the primary)
+//
+// A (re)joining node catches up as one more cursor reader: it pages
+// through each placed topic with kFetchWindow from its own NextId, 2,048
+// entries a page, until a page comes back short.
 //
 // Each thread talks to a peer through its OWN client (`probe` vs `route`),
 // so the single-threaded ApolloClient contract holds without a lock that
@@ -112,7 +115,6 @@ class ClusterController {
 
   void HandleHeartbeat(const HeartbeatMsg& msg, HeartbeatMsg& ack);
   void HandleReplicate(const ReplicateMsg& msg, ReplicateAckMsg& ack);
-  Status HandleResyncPull(const ResyncPullMsg& msg, ResyncChunkMsg& chunk);
 
   // Routes every run of `msg` (replicate-and-append when self is the
   // primary, forward otherwise) and fills `ack` with the per-sample
@@ -131,12 +133,13 @@ class ClusterController {
   void ProbeLoop();
   // One heartbeat round over every peer; feeds the membership table.
   void ProbeRound(TimeNs now);
-  // Catch-up: pulls WAL tails for every topic placed on self from peer
-  // replicas. Returns true when every placed topic reached its source's
-  // high water (self may then serve as kAlive).
+  // Catch-up: reads every topic placed on self from peer replicas.
+  // Returns true when every placed topic reached its source's NextId
+  // (self may then serve as kAlive).
   bool DoResync();
-  // Pulls `topic` from `source` until its high water; applies chunks
-  // preserving ids. Returns false on any transport/apply error.
+  // Pages through `topic` on `source` from the local NextId until a page
+  // comes back short, applying each page with its ids. Returns false on
+  // any transport/apply error.
   bool ResyncTopicFrom(Peer& source, const std::string& topic);
   // Pushes the current map through `push_` when the version moved.
   void MaybePushMap();

@@ -23,6 +23,21 @@ constexpr std::size_t kDeliveryBatch = 512;
 // (kResourceExhausted) instead of served degraded.
 constexpr TimeNs kShedAnswerMaxAge = 60 * kNsPerSec;
 
+// The largest payload one frame can carry to a peer: it fits the outbound
+// bound on an empty buffer, and the peer's parser takes nothing longer
+// than kMaxFrameLen.
+std::size_t MaxPayload(const ServerConfig& server) {
+  const std::size_t bound = server.max_outbound_bytes;
+  return std::min<std::size_t>(bound > kHeaderSize ? bound - kHeaderSize : 0,
+                               kMaxFrameLen);
+}
+
+// Requests that only a clustered daemon serves.
+bool ClusterOnly(MsgType type) {
+  return type == MsgType::kHeartbeat || type == MsgType::kGetClusterMap ||
+         type == MsgType::kReplicate;
+}
+
 }  // namespace
 
 ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
@@ -30,6 +45,8 @@ ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
     : broker_(broker),
       executor_(executor),
       config_(std::move(config)),
+      max_payload_(MaxPayload(config_.server)),
+      window_cap_(WindowEntriesFit(max_payload_)),
       loop_(RealClock::Instance()),
       server_(loop_, config_.server, *this),
       cq_engine_(broker, config_.cq),
@@ -132,6 +149,11 @@ void ApolloDaemon::Stop() {
 
 void ApolloDaemon::OnFrame(Connection& conn, const Frame& frame) {
   conns_.insert(conn.id());
+  if (controller_ == nullptr && ClusterOnly(frame.type)) {
+    SendError(conn, frame.request_id,
+              {ErrorCode::kFailedPrecondition, "daemon is not clustered"});
+    return;
+  }
   switch (frame.type) {
     case MsgType::kHello:
       HandleHello(conn, frame);
@@ -172,13 +194,11 @@ void ApolloDaemon::OnFrame(Connection& conn, const Frame& frame) {
     case MsgType::kReplicate:
       HandleReplicate(conn, frame);
       return;
-    case MsgType::kResyncPull:
-      HandleResyncPull(conn, frame);
-      return;
     default:
-      SendError(conn, frame.request_id, ErrorCode::kInvalidArgument,
-                std::string("unexpected message type: ") +
-                    MsgTypeName(frame.type));
+      SendError(conn, frame.request_id,
+                {ErrorCode::kInvalidArgument,
+                 std::string("unexpected message type: ") +
+                     MsgTypeName(frame.type)});
   }
 }
 
@@ -193,15 +213,15 @@ void ApolloDaemon::OnClose(Connection& conn) {
 
 void ApolloDaemon::HandleHello(Connection& conn, const Frame& frame) {
   HelloMsg hello;
-  if (!HelloMsg::Decode(frame.payload, hello)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad hello");
+  if (!DecodeRequest(conn, frame, hello)) {
     conn.Close();
     return;
   }
   if (hello.protocol_version != kProtocolVersion) {
-    SendError(conn, frame.request_id, ErrorCode::kFailedPrecondition,
-              "unsupported protocol version " +
-                  std::to_string(hello.protocol_version));
+    SendError(conn, frame.request_id,
+              {ErrorCode::kFailedPrecondition,
+               "unsupported protocol version " +
+                   std::to_string(hello.protocol_version)});
     conn.Close();
     return;
   }
@@ -229,9 +249,8 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
   TRACE_SPAN("net.publish_batch");
   auto& telemetry = GlobalTelemetry();
   PublishBatchMsg msg;
-  if (!PublishBatchMsg::Decode(frame.payload, msg)) {
+  if (!DecodeRequest(conn, frame, msg)) {
     telemetry.net_batch_decode_errors.Inc();
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad batch");
     return;
   }
   // kBatchDecode: a firing fault rejects the whole (well-formed) batch as
@@ -242,8 +261,8 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
             injector->Evaluate(FaultSite::kBatchDecode, msg.runs[0].topic)) {
       if (action->fails()) {
         telemetry.net_batch_decode_errors.Inc();
-        SendError(conn, frame.request_id, ErrorCode::kUnavailable,
-                  "batch decode fault injected");
+        SendError(conn, frame.request_id,
+                  {ErrorCode::kUnavailable, "batch decode fault injected"});
         return;
       }
       broker_.clock().Charge(action->delay_ns);
@@ -327,14 +346,10 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
 
 void ApolloDaemon::HandleSubscribe(Connection& conn, const Frame& frame) {
   SubscribeMsg msg;
-  if (!SubscribeMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad subscribe");
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   auto stream = broker_.GetTopic(msg.topic);
   if (!stream.ok()) {
-    SendError(conn, frame.request_id, stream.error().code(),
-              stream.error().message());
+    SendError(conn, frame.request_id, stream.error());
     return;
   }
   Subscription sub;
@@ -349,22 +364,23 @@ void ApolloDaemon::HandleSubscribe(Connection& conn, const Frame& frame) {
   SendMsg(conn, MsgType::kSubscribeAck, frame.request_id, ack);
 }
 
+Expected<std::vector<TelemetryStream::Entry>> ApolloDaemon::ReadWindow(
+    const std::string& topic, std::uint64_t& cursor,
+    std::uint64_t max_entries) {
+  return broker_.Fetch(topic, config_.node, cursor,
+                       std::min<std::uint64_t>(max_entries, window_cap_));
+}
+
 void ApolloDaemon::HandleFetchWindow(Connection& conn, const Frame& frame) {
   FetchWindowMsg msg;
-  if (!FetchWindowMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad fetch");
-    return;
-  }
-  std::uint64_t cursor = msg.cursor;
-  auto entries = broker_.Fetch(msg.topic, config_.node, cursor,
-                               msg.max_entries);
-  if (!entries.ok()) {
-    SendError(conn, frame.request_id, entries.error().code(),
-              entries.error().message());
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   WindowMsg window;
-  window.next_cursor = cursor;
+  window.next_cursor = msg.cursor;
+  auto entries = ReadWindow(msg.topic, window.next_cursor, msg.max_entries);
+  if (!entries.ok()) {
+    SendError(conn, frame.request_id, entries.error());
+    return;
+  }
   window.entries = std::move(*entries);
   SendMsg(conn, MsgType::kWindow, frame.request_id, window);
 }
@@ -372,10 +388,7 @@ void ApolloDaemon::HandleFetchWindow(Connection& conn, const Frame& frame) {
 void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
   TRACE_SPAN("net.query");
   QueryMsg msg;
-  if (!QueryMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad query");
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   ResultMsg reply;
   std::string text = msg.sql;
   if (frame.flags & kFlagPartial) {
@@ -386,8 +399,7 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
         aqe::Executor::StripExplainPrefix(text, bare, analyze);
     auto parsed = aqe::Parse(std::string(bare));
     if (!parsed.ok()) {
-      SendError(conn, frame.request_id, parsed.error().code(),
-                parsed.error().message());
+      SendError(conn, frame.request_id, parsed.error());
       return;
     }
     aqe::Query kept = aqe::FilterQuery(
@@ -421,9 +433,10 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
     auto cached = last_good_.find(text);
     if (cached == last_good_.end() ||
         now - cached->second.at > kShedAnswerMaxAge) {
-      SendError(conn, frame.request_id, ErrorCode::kResourceExhausted,
-                "tenant '" + tenant +
-                    "' over query quota and no cached answer to degrade to");
+      SendError(conn, frame.request_id,
+                {ErrorCode::kResourceExhausted,
+                 "tenant '" + tenant +
+                     "' over query quota and no cached answer to degrade to"});
       return;
     }
     reply.result = cached->second.result;
@@ -436,8 +449,7 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
   }
   auto result = executor_.Execute(text);
   if (!result.ok()) {
-    SendError(conn, frame.request_id, result.error().code(),
-              result.error().message());
+    SendError(conn, frame.request_id, result.error());
     return;
   }
   reply.result = std::move(*result);
@@ -468,17 +480,12 @@ void ApolloDaemon::HandleQuery(Connection& conn, const Frame& frame) {
 
 void ApolloDaemon::HandleCQRegister(Connection& conn, const Frame& frame) {
   CQRegisterMsg msg;
-  if (!CQRegisterMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError,
-              "bad cq register");
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   auto reg = cq_engine_.Register(conn.id(), TenantOf(conn), msg.name, msg.sql,
                                  msg.resume_epoch, msg.resume_seq,
                                  RealClock::Instance().Now());
   if (!reg.ok()) {
-    SendError(conn, frame.request_id, reg.error().code(),
-              reg.error().message());
+    SendError(conn, frame.request_id, reg.error());
     return;
   }
   RefreshIdleExempt(conn);
@@ -491,13 +498,10 @@ void ApolloDaemon::HandleCQRegister(Connection& conn, const Frame& frame) {
 
 void ApolloDaemon::HandleCQCancel(Connection& conn, const Frame& frame) {
   CQCancelMsg msg;
-  if (!CQCancelMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad cq cancel");
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   Status status = cq_engine_.Cancel(msg.cq_id, conn.id());
   if (!status.ok()) {
-    SendError(conn, frame.request_id, status.code(), status.message());
+    SendError(conn, frame.request_id, status);
     return;
   }
   RefreshIdleExempt(conn);
@@ -519,68 +523,25 @@ void ApolloDaemon::HandleMetrics(Connection& conn, const Frame& frame) {
 }
 
 void ApolloDaemon::HandleHeartbeat(Connection& conn, const Frame& frame) {
-  if (controller_ == nullptr) {
-    SendError(conn, frame.request_id, ErrorCode::kFailedPrecondition,
-              "daemon is not clustered");
-    return;
-  }
   HeartbeatMsg msg;
-  if (!HeartbeatMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError, "bad heartbeat");
-    return;
-  }
+  if (!DecodeRequest(conn, frame, msg)) return;
   HeartbeatMsg ack;
   controller_->HandleHeartbeat(msg, ack);
   SendMsg(conn, MsgType::kHeartbeatAck, frame.request_id, ack);
 }
 
 void ApolloDaemon::HandleGetClusterMap(Connection& conn, const Frame& frame) {
-  if (controller_ == nullptr) {
-    SendError(conn, frame.request_id, ErrorCode::kFailedPrecondition,
-              "daemon is not clustered");
-    return;
-  }
   ClusterMapMsg msg;
   msg.map = controller_->Snapshot();
   SendMsg(conn, MsgType::kClusterMap, frame.request_id, msg);
 }
 
 void ApolloDaemon::HandleReplicate(Connection& conn, const Frame& frame) {
-  if (controller_ == nullptr) {
-    SendError(conn, frame.request_id, ErrorCode::kFailedPrecondition,
-              "daemon is not clustered");
-    return;
-  }
   ReplicateMsg msg;
+  if (!DecodeRequest(conn, frame, msg)) return;
   ReplicateAckMsg ack;
-  if (!ReplicateMsg::Decode(frame.payload, msg)) {
-    ack.verdict = ReplicateAckMsg::Verdict::kRefused;
-    SendMsg(conn, MsgType::kReplicateAck, frame.request_id, ack);
-    return;
-  }
   controller_->HandleReplicate(msg, ack);
   SendMsg(conn, MsgType::kReplicateAck, frame.request_id, ack);
-}
-
-void ApolloDaemon::HandleResyncPull(Connection& conn, const Frame& frame) {
-  if (controller_ == nullptr) {
-    SendError(conn, frame.request_id, ErrorCode::kFailedPrecondition,
-              "daemon is not clustered");
-    return;
-  }
-  ResyncPullMsg msg;
-  if (!ResyncPullMsg::Decode(frame.payload, msg)) {
-    SendError(conn, frame.request_id, ErrorCode::kParseError,
-              "bad resync pull");
-    return;
-  }
-  ResyncChunkMsg chunk;
-  Status status = controller_->HandleResyncPull(msg, chunk);
-  if (!status.ok()) {
-    SendError(conn, frame.request_id, status.code(), status.message());
-    return;
-  }
-  SendMsg(conn, MsgType::kResyncChunk, frame.request_id, chunk);
 }
 
 void ApolloDaemon::BroadcastMap(const cluster::ClusterMap& map) {
@@ -606,8 +567,7 @@ void ApolloDaemon::PumpSubscriptions() {
     conn->Cork();
     for (Subscription& sub : subs) {
       std::uint64_t cursor = sub.cursor;
-      auto entries = broker_.Fetch(sub.topic, config_.node, cursor,
-                                   kDeliveryBatch);
+      auto entries = ReadWindow(sub.topic, cursor, kDeliveryBatch);
       if (!entries.ok() || entries->empty()) continue;
       DeliverMsg deliver;
       deliver.subscription_id = sub.id;
@@ -644,11 +604,21 @@ void ApolloDaemon::PumpCQ() {
       });
 }
 
+template <typename Msg>
+bool ApolloDaemon::DecodeRequest(Connection& conn, const Frame& frame,
+                                 Msg& msg) {
+  if (Msg::Decode(frame.payload, msg)) return true;
+  SendError(conn, frame.request_id,
+            {ErrorCode::kParseError,
+             std::string("bad ") + MsgTypeName(frame.type)});
+  return false;
+}
+
 void ApolloDaemon::SendError(Connection& conn, std::uint32_t request_id,
-                             ErrorCode code, const std::string& message) {
+                             const Status& error) {
   ErrorMsg msg;
-  msg.code = code;
-  msg.message = message;
+  msg.code = error.code();
+  msg.message = error.message();
   SendMsg(conn, MsgType::kError, request_id, msg);
 }
 
@@ -658,6 +628,16 @@ bool ApolloDaemon::SendMsg(Connection& conn, MsgType type,
                            bool droppable) {
   Payload payload;
   msg.Encode(payload);
+  if (payload.size() > max_payload_ && !droppable && type != MsgType::kError) {
+    // No frame this long can ever leave: fail the request, keep the
+    // connection.
+    SendError(conn, request_id,
+              {ErrorCode::kOutOfRange,
+               std::string(MsgTypeName(type)) + " reply of " +
+                   std::to_string(payload.size()) + " bytes exceeds the " +
+                   std::to_string(max_payload_) + "-byte frame bound"});
+    return false;
+  }
   return conn.SendFrame(type, request_id, payload, /*flags=*/0, droppable);
 }
 

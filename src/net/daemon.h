@@ -8,7 +8,9 @@
 //                    error bitmap so partial injected loss is observable.
 //                    The only ingest message: a single publish arrives as
 //                    a batch of one
-//   kFetchWindow  -> Broker::Fetch (cursor window reads)
+//   kFetchWindow  -> Broker::Fetch (cursor window reads), a page at most
+//                    as long as one reply frame carries under
+//                    max_outbound_bytes; the caller pages on next_cursor
 //   kSubscribe    -> pushed kDeliver frames from a periodic pump timer;
 //                    backpressured deliveries do not advance the cursor,
 //                    so a slow subscriber loses nothing while the entries
@@ -19,6 +21,11 @@
 //                    ResultMsg::served_tables (scatter-gather).
 //   kListTopics   -> Broker::ListTopics
 //   kMetrics      -> MetricsRegistry::Global().RenderPrometheus() scrape
+//
+// A reply too long for any frame to carry (over max_outbound_bytes or
+// kMaxFrameLen) is answered with kError{kOutOfRange} on the same
+// connection. kHeartbeat, kGetClusterMap and kReplicate are refused with
+// kFailedPrecondition unless cluster mode is on.
 #pragma once
 
 #include <condition_variable>
@@ -107,7 +114,6 @@ class ApolloDaemon final : public FrameHandler {
   void HandleHeartbeat(Connection& conn, const Frame& frame);
   void HandleGetClusterMap(Connection& conn, const Frame& frame);
   void HandleReplicate(Connection& conn, const Frame& frame);
-  void HandleResyncPull(Connection& conn, const Frame& frame);
 
   // Loop thread: sends the map to every tracked connection as a
   // droppable request_id-0 kClusterMap frame.
@@ -127,14 +133,24 @@ class ApolloDaemon final : public FrameHandler {
 
   void PumpSubscriptions();
   void PumpCQ();
+  // The one window read, for kFetchWindow and the subscription pump: up
+  // to `max_entries` entries from `cursor` on (advanced past the last
+  // one), and never more than window_cap_.
+  Expected<std::vector<TelemetryStream::Entry>> ReadWindow(
+      const std::string& topic, std::uint64_t& cursor,
+      std::uint64_t max_entries);
   // Tenant bound to a connection at hello time ("default" before/without
   // one).
   const std::string& TenantOf(const Connection& conn) const;
   // Recomputes the idle-reaper exemption: a connection stays exempt
   // while it holds any push subscription or continuous query.
   void RefreshIdleExempt(Connection& conn);
-  void SendError(Connection& conn, std::uint32_t request_id, ErrorCode code,
-                 const std::string& message);
+  // Decodes the request in `frame` into `msg`, or refuses it with
+  // kParseError and returns false.
+  template <typename Msg>
+  bool DecodeRequest(Connection& conn, const Frame& frame, Msg& msg);
+  void SendError(Connection& conn, std::uint32_t request_id,
+                 const Status& error);
   template <typename Msg>
   bool SendMsg(Connection& conn, MsgType type, std::uint32_t request_id,
                const Msg& msg, bool droppable = false);
@@ -142,6 +158,10 @@ class ApolloDaemon final : public FrameHandler {
   Broker& broker_;
   aqe::Executor& executor_;
   DaemonConfig config_;
+  // The longest payload one frame carries under config_.server, and the
+  // entries a window page holds in it.
+  const std::size_t max_payload_;
+  const std::size_t window_cap_;
   EventLoop loop_;
   Server server_;
   std::thread thread_;

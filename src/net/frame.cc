@@ -54,10 +54,6 @@ const char* MsgTypeName(MsgType type) {
       return "replicate";
     case MsgType::kReplicateAck:
       return "replicate_ack";
-    case MsgType::kResyncPull:
-      return "resync_pull";
-    case MsgType::kResyncChunk:
-      return "resync_chunk";
     case MsgType::kCQRegister:
       return "cq_register";
     case MsgType::kCQRegisterAck:

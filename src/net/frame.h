@@ -43,8 +43,8 @@ enum class MsgType : std::uint8_t {
   kHelloAck,     // server -> client
   kPing,         // either direction; resets the idle timer
   kPong,
-  // 5, 6, 21 and 22 belong to removed message types and must never be
-  // reused: every remaining type keeps its wire byte, so a peer built
+  // 5, 6, 21, 22, 29 and 30 belong to removed message types and must never
+  // be reused: every remaining type keeps its wire byte, so a peer built
   // before the removal still dispatches each frame to the right handler.
   kSubscribe = 7,  // client -> server: start pushed deliveries for a topic
   kSubscribeAck,
@@ -69,9 +69,7 @@ enum class MsgType : std::uint8_t {
                      // (request_id 0)
   kReplicate,        // primary -> secondary: mirror a publish run
   kReplicateAck,     // secondary -> primary: applied, or lag/ahead verdict
-  kResyncPull,       // joining node -> peer: WAL-tail catch-up request
-  kResyncChunk,      // peer -> joining node: entries [from_id, high_water)
-  kCQRegister,       // client -> server: register a continuous query
+  kCQRegister = 31,  // client -> server: register a continuous query
   kCQRegisterAck,    // server -> client: cq id + current epoch/seq
   kCQCancel,         // client -> server: cancel a continuous query
   kCQCancelAck,      // server -> client

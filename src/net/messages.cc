@@ -4,9 +4,12 @@ namespace apollo::net {
 
 namespace {
 
-// Entry lists are capped well under kMaxFrameLen: 28 bytes each + frame
-// overhead keeps a full 4096-entry window comfortably inside one frame.
+// Entry lists are capped just above what fits in kMaxFrameLen.
 constexpr std::uint64_t kMaxWireEntries = 256 * 1024;
+
+// One listed entry: u64 id, i64 timestamp, i64 sample timestamp, f64
+// value, u8 provenance.
+constexpr std::size_t kWireEntryBytes = 33;
 
 // One kPublishBatch sample: i64 timestamp, i64 sample timestamp, f64
 // value, u8 provenance.
@@ -287,6 +290,12 @@ bool WindowMsg::Decode(const Payload& in, WindowMsg& msg) {
   return Finish(r);
 }
 
+std::size_t WindowEntriesFit(std::size_t payload_bytes) {
+  constexpr std::size_t kFixed = 12;  // u64 next_cursor, u32 count
+  return payload_bytes < kFixed ? 0
+                                : (payload_bytes - kFixed) / kWireEntryBytes;
+}
+
 void QueryMsg::Encode(Payload& out) const {
   WireWriter w(out);
   w.Str(sql);
@@ -436,36 +445,6 @@ bool ReplicateAckMsg::Decode(const Payload& in, ReplicateAckMsg& msg) {
   if (verdict > static_cast<std::uint8_t>(Verdict::kRefused)) return false;
   msg.verdict = static_cast<Verdict>(verdict);
   msg.next_id = r.U64();
-  return Finish(r);
-}
-
-void ResyncPullMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.Str(topic);
-  w.U64(from_id);
-  w.U32(max_entries);
-}
-
-bool ResyncPullMsg::Decode(const Payload& in, ResyncPullMsg& msg) {
-  WireReader r(in);
-  msg.topic = r.Str();
-  msg.from_id = r.U64();
-  msg.max_entries = r.U32();
-  return Finish(r);
-}
-
-void ResyncChunkMsg::Encode(Payload& out) const {
-  WireWriter w(out);
-  w.U64(high_water);
-  w.U64(first_id);
-  EncodeEntries(w, entries);
-}
-
-bool ResyncChunkMsg::Decode(const Payload& in, ResyncChunkMsg& msg) {
-  WireReader r(in);
-  msg.high_water = r.U64();
-  msg.first_id = r.U64();
-  if (!DecodeEntries(r, msg.entries)) return false;
   return Finish(r);
 }
 

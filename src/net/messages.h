@@ -139,6 +139,9 @@ struct WindowMsg {
   static bool Decode(const Payload& in, WindowMsg& msg);
 };
 
+// The most entries a WindowMsg encodes in at most `payload_bytes` bytes.
+std::size_t WindowEntriesFit(std::size_t payload_bytes);
+
 struct QueryMsg {
   std::string sql;
 
@@ -170,7 +173,7 @@ struct MetricsTextMsg {
   static bool Decode(const Payload& in, MetricsTextMsg& msg);
 };
 
-// --- cluster fabric messages (heartbeat, map, replicate, resync) ---
+// --- cluster fabric messages (heartbeat, map, replicate) ---
 
 // Membership probe (kHeartbeat) and its reply (kHeartbeatAck): the same
 // fields and bytes both ways. The probe carries the sender's identity so
@@ -221,35 +224,13 @@ struct ReplicateAckMsg {
     kAhead = 2,    // replica's NextId > expected_base: the PRIMARY is the
                    // stale one (it just rejoined); it must abort the
                    // append and resync before serving writes
-    kRefused = 3,  // not clustered / decode failure
+    kRefused = 3,  // the replica could not apply the entries
   };
   Verdict verdict = Verdict::kRefused;
   std::uint64_t next_id = 0;  // replica's NextId after handling
 
   void Encode(Payload& out) const;
   static bool Decode(const Payload& in, ReplicateAckMsg& msg);
-};
-
-// WAL-tail catch-up: the joining node asks a peer replica for a topic's
-// entries from its own NextId forward, looping until it reaches the
-// peer's high water mark.
-struct ResyncPullMsg {
-  std::string topic;
-  std::uint64_t from_id = 0;
-  std::uint32_t max_entries = 4096;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ResyncPullMsg& msg);
-};
-
-struct ResyncChunkMsg {
-  std::uint64_t high_water = 0;  // peer's NextId at reply time
-  std::uint64_t first_id = 0;    // id of entries[0] (eviction may have
-                                 // advanced past the requested from_id)
-  std::vector<TelemetryStream::Entry> entries;  // ids preserved
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ResyncChunkMsg& msg);
 };
 
 // --- continuous-query messages (see src/cq) ---

@@ -306,9 +306,4 @@ std::vector<NodeOutcome> RemoteQueryEngine::LastOutcomes() const {
   return last_outcomes_;
 }
 
-std::optional<cluster::ClusterMap> RemoteQueryEngine::LastMap() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_;
-}
-
 }  // namespace apollo::net

@@ -85,9 +85,6 @@ class RemoteQueryEngine {
   // kConnDrop on the client side).
   void AttachFaultInjector(FaultInjector* injector) { fault_ = injector; }
 
-  // Cluster map in use (cluster mode; nullopt before the first refresh).
-  std::optional<cluster::ClusterMap> LastMap() const;
-
  private:
   struct CachedResult {
     aqe::ResultSet result;

@@ -83,8 +83,6 @@ class Connection {
   void Close();
   bool closing() const { return closing_; }
 
-  std::size_t OutboundBytes() const { return out_bytes_; }
-
   // Cork/uncork: while corked, SendFrame only queues — the flush (one
   // writev over every queued frame) happens at Uncork. The daemon corks
   // around multi-frame work (subscription pumps, batch acks) so a burst

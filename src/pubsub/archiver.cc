@@ -554,7 +554,7 @@ Status Archiver<Sample>::VisitRange(TimeNs from_ts, TierCap cap,
   WalVisitStats local;
   std::lock_guard<std::mutex> lock(mu_);
   return VisitSegments(
-      0, from_ts, cap.ts, offer,
+      0, from_ts, cap.to_ts, offer,
       [&cap, &visit](const Record& rec) {
         if (cap.Keeps(rec.timestamp, rec.id)) visit(rec);
       },

@@ -174,10 +174,11 @@ class Archiver<Sample> {
   using RecordVisitor = std::function<void(const Record& record)>;
 
   // Visits the archived records with timestamp at or after from_ts that
-  // `cap` keeps, segment by segment in append order. For each segment: fail
-  // (IoError) when its file is shorter than the records counted in it;
-  // skip its verified prefix when the prefix's timestamp bounds miss
-  // [from_ts, cap.ts] (stats->segments_pruned); otherwise offer the
+  // `cap` keeps (stamped at or before cap.to_ts, id below cap.below_id),
+  // segment by segment in append order. For each segment: fail (IoError)
+  // when its file is shorter than the records counted in it; skip its
+  // verified prefix when the prefix's timestamp bounds miss
+  // [from_ts, cap.to_ts] (stats->segments_pruned); otherwise offer the
   // prefix's summary to `offer` (when set), and if it returns true the
   // summary stands for the prefix's records (stats->segments_summarized).
   // Then read the records it must from disk, check each one's CRC, fold

@@ -15,7 +15,7 @@ void TierSummaryBuilder::Add(std::uint64_t id, const Sample& sample) {
   TierSummary& s = summary_;
   const TimeNs timestamp = sample.timestamp;
   if (s.rows == 0) {
-    s.min_ts = s.max_ts = s.first_ts = timestamp;
+    s.min_ts = s.max_ts = timestamp;
     s.first_id = id;
     s.latest = sample;
   }

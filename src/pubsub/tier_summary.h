@@ -29,27 +29,28 @@ struct TierSummary {
   double max_value = std::numeric_limits<double>::quiet_NaN();
   TimeNs min_ts = 0;  // the bounds the tiers narrow by and WHERE tests
   TimeNs max_ts = 0;
-  // The first row in stored order: the executor's cold cap when this
-  // summary is the first WAL piece a query keeps.
-  TimeNs first_ts = 0;
+  // The first row in stored order (the executor's cold cap when this
+  // summary is the first WAL piece a query keeps) and the last.
   std::uint64_t first_id = 0;
   std::uint64_t last_id = 0;
   Sample latest;
 };
 
-// A history tier keeps a row only if it is older than (ts, id): an earlier
-// timestamp, or the same one and a lower id, since a run of equal
-// timestamps can straddle a tier boundary. Tiers prune on `ts` alone.
+// A history tier keeps a row stamped at or before `to_ts` whose id is below
+// `below_id`, the id of the warmer tier's first row. A row keeps its id
+// through eviction, compaction, Recover() and resync, so the id alone
+// tells a row the warmer tier holds, whatever order the timestamps came
+// in. Tiers prune on [from_ts, to_ts].
 struct TierCap {
-  TimeNs ts = 0;
-  std::uint64_t id = 0;
+  TimeNs to_ts = 0;
+  std::uint64_t below_id = 0;
 
   // Every row stamped at or before `to_ts` whose id is below UINT64_MAX.
   static TierCap Through(TimeNs to_ts) {
     return TierCap{to_ts, std::numeric_limits<std::uint64_t>::max()};
   }
   bool Keeps(TimeNs row_ts, std::uint64_t row_id) const {
-    return row_ts < ts || (row_ts == ts && row_id < id);
+    return row_ts <= to_ts && row_id < below_id;
   }
 };
 

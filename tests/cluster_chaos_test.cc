@@ -3,14 +3,14 @@
 // quorum 2. A publish storm runs while one node takes SIGKILL; the
 // contract under test is the acked-write guarantee — every publish the
 // cluster ACKNOWLEDGED is still present, byte-for-byte, on the survivors
-// and queryable — plus catch-up: the revived node resyncs the WAL tail
-// and serves identical streams again.
+// and queryable — plus catch-up: the revived node reads back what it
+// missed and serves identical streams again.
 //
 // Accounting is exact: each ack's (id, timestamp, value) tuple is
-// recorded at publish time and checked against the survivors' streams via
-// the resync RPC. Publishes that FAILED during the failover window are
-// allowed to be absent (at-least-once, not exactly-once); acked ones are
-// not.
+// recorded at publish time and checked against the survivors' streams,
+// read through paged kFetchWindow calls. Publishes that FAILED during the
+// failover window are allowed to be absent (at-least-once, not
+// exactly-once); acked ones are not.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -160,17 +160,20 @@ class ClusterChaosTest : public ::testing::Test {
     return config;
   }
 
-  // Full stream of `topic` on node `i`; empty when unreachable/unknown.
+  // Full stream of `topic` on node `i`, paged through kFetchWindow; empty
+  // when unreachable/unknown.
   std::vector<TelemetryStream::Entry> Entries(std::size_t i,
                                               const std::string& topic) {
     ApolloClient client(ClientFor(i));
-    ResyncPullMsg pull;
-    pull.topic = topic;
-    pull.from_id = 0;
-    pull.max_entries = 1u << 20;
-    auto chunk = client.ResyncPull(pull);
-    if (!chunk.ok()) return {};
-    return chunk->entries;
+    std::vector<TelemetryStream::Entry> entries;
+    for (std::uint64_t cursor = 0;;) {
+      auto page = client.FetchWindow(topic, cursor);
+      if (!page.ok()) return {};
+      if (page->entries.empty()) return entries;
+      entries.insert(entries.end(), page->entries.begin(),
+                     page->entries.end());
+      cursor = page->next_cursor;
+    }
   }
 
   std::size_t IndexOf(const std::string& name) {
@@ -295,7 +298,7 @@ TEST_F(ClusterChaosTest, SigkillLosesNoAcknowledgedSample) {
               10000);
   }
 
-  // Revive the victim: it must rejoin, pull the WAL tail it missed, and
+  // Revive the victim: it must rejoin, read back what it missed, and
   // serve streams byte-identical to the survivors'.
   procs_[victim] = SpawnApollod(members_, peers_[victim].name);
   ASSERT_TRUE(WaitForAliveCount(kNodes)) << "revived node never rejoined";

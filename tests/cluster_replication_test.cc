@@ -1,6 +1,6 @@
 // Replicated-cluster suite: placement ring properties, membership state
 // machine, and in-process 3-node daemon integration — replication quorum,
-// forward-to-primary, publish failover, WAL-tail resync, replica-routed
+// forward-to-primary, publish failover, paged resync, replica-routed
 // queries, and the all-nodes-unreachable degraded path. Every daemon binds
 // an ephemeral port picked up front (cluster configs need the full member
 // list before any daemon starts).
@@ -28,6 +28,7 @@
 #include "net/daemon.h"
 #include "net/remote_query.h"
 #include "pubsub/broker.h"
+#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 namespace {
@@ -300,14 +301,19 @@ class ClusterNetTest : public ::testing::Test {
     return config;
   }
 
-  // Full stream contents of `topic` on node `i` via the resync RPC.
-  Expected<ResyncChunkMsg> Pull(std::size_t i, const std::string& topic) {
+  // Full stream contents of `topic` on node `i`, paged through
+  // kFetchWindow from cursor 0 to the first empty page.
+  Expected<WindowMsg> Pull(std::size_t i, const std::string& topic) {
     ApolloClient client(ClientFor(i, "test-reader"));
-    ResyncPullMsg pull;
-    pull.topic = topic;
-    pull.from_id = 0;
-    pull.max_entries = 1u << 20;
-    return client.ResyncPull(pull);
+    WindowMsg all;
+    while (true) {
+      auto page = client.FetchWindow(topic, all.next_cursor);
+      if (!page.ok()) return page.error();
+      if (page->entries.empty()) return all;
+      all.entries.insert(all.entries.end(), page->entries.begin(),
+                         page->entries.end());
+      all.next_cursor = page->next_cursor;
+    }
   }
 
   // Pull's entries; a failed pull fails the test with its error.
@@ -315,7 +321,7 @@ class ClusterNetTest : public ::testing::Test {
                                               const std::string& topic) {
     auto chunk = Pull(i, topic);
     if (!chunk.ok()) {
-      ADD_FAILURE() << "ResyncPull(" << topic << ") on " << peers_[i].name
+      ADD_FAILURE() << "FetchWindow(" << topic << ") on " << peers_[i].name
                     << ": " << chunk.error().ToString();
       return {};
     }
@@ -559,6 +565,80 @@ TEST_F(ClusterNetTest, RestartedNodeResyncsFromPeers) {
     EXPECT_EQ(revived[k].timestamp, reference[k].timestamp);
     EXPECT_DOUBLE_EQ(revived[k].value.value, reference[k].value.value);
   }
+}
+
+// A catch-up that needs several pages and crosses the source's eviction:
+// while the topic's primary is down, more samples are published than the
+// 4,096-row ring holds, so the revived node's resync starts at the
+// source's first id, takes 2,048-entry pages and ends on a short page.
+TEST_F(ClusterNetTest, ResyncPagesAcrossTheSourcesEviction) {
+  const std::string topic = "resync.pages";
+  ClusterClient client(peers_);
+  const TimeNs base = RealClock::Instance().Now();
+  const std::size_t primary = PrimaryOf(topic);
+  ASSERT_TRUE(client.Publish(topic, base, MakeSample(base, 0.0)).ok());
+
+  nodes_[primary]->daemon->Stop();
+  nodes_[primary]->daemon.reset();
+  nodes_[primary]->executor.reset();
+  nodes_[primary]->broker.reset();
+
+  // 6,000 samples in batches of 500; a batch the cluster NACKs while it
+  // notices the death is sent again.
+  constexpr int kBatch = 500;
+  constexpr int kBatches = 12;
+  const auto deadline0 =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (int b = 0; b < kBatches;) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline0)
+        << "failover publishes never drained";
+    PublishBatchMsg msg;
+    PublishBatchMsg::Run& run = msg.runs.emplace_back();
+    run.topic = topic;
+    for (int i = 0; i < kBatch; ++i) {
+      const TimeNs ts = base + 1 + b * kBatch + i;
+      run.entries.push_back({0, ts, MakeSample(ts, static_cast<double>(ts))});
+    }
+    auto ack = client.PublishBatch(msg);
+    if (ack.ok() && ack->error_count == 0) {
+      ++b;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+
+  std::vector<std::string> names;
+  for (const ClusterPeer& p : peers_) names.push_back(p.name);
+  const std::string second = PlacementRing(names).ReplicasFor(topic, 2)[1];
+  std::size_t witness = (primary + 1) % kNodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    if (peers_[i].name == second) witness = i;
+  }
+  const auto reference = Entries(witness, topic);
+  ASSERT_EQ(reference.size(), 4096u);
+  ASSERT_GT(reference.front().id, 0u) << "the source never evicted";
+
+  const std::uint64_t resynced_before =
+      GlobalTelemetry().cluster_resync_entries.Value();
+  nodes_[primary] = MakeNode(primary);
+  ASSERT_TRUE(nodes_[primary]->daemon->Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  std::vector<TelemetryStream::Entry> revived;
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto pulled = Pull(primary, topic);
+    if (pulled.ok()) revived = pulled->entries;
+    if (revived.size() == reference.size()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_EQ(revived.size(), reference.size()) << "resync never completed";
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    ASSERT_EQ(revived[k].id, reference[k].id) << k;
+    EXPECT_EQ(revived[k].timestamp, reference[k].timestamp) << k;
+    EXPECT_EQ(revived[k].value.value, reference[k].value.value) << k;
+  }
+  EXPECT_GE(GlobalTelemetry().cluster_resync_entries.Value() - resynced_before,
+            reference.size());
 }
 
 TEST_F(ClusterNetTest, ClusterQueryRoutesAndSurvivesNodeDeath) {

@@ -23,6 +23,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -1189,6 +1190,59 @@ TEST(ColdTierSummaries, AllNaNBlockHasNoMinOrMax) {
     EXPECT_TRUE(std::isnan(cells.at(1))) << cells.at(1);
     EXPECT_EQ(cells.at(2), 8.0);
     EXPECT_TRUE(std::isnan(cells.at(3))) << cells.at(3);
+  }
+}
+
+// History rows may be stamped later than the ring's: the wire accepts a
+// timestamp below a topic's last one. A WAL or cold row counts when its id
+// is below the warmer tier's first row, whatever its timestamp, so every
+// row counts once, over ring + WAL and over ring + WAL + cold, however the
+// range cuts it, aggregated from rows and again from summaries.
+TEST(ColdTierCaps, HistoryStampedAfterTheRingCountsOnce) {
+  const std::vector<TimeNs> later_history = {100, 200, 300, 400, 500,
+                                             50,  60,  70,  80};
+  for (const bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "ring + WAL + cold" : "ring + WAL");
+    // A 4-row ring and two records a segment: stamps 100..300 (ids 0-2) in
+    // the WAL, or 100..500 (ids 0-4) in two cold blocks and the WAL.
+    ThreeTierTopic topic(cold ? "coldtier_caps_cold" : "coldtier_caps_wal",
+                         /*ring=*/4, /*records_per_segment=*/2);
+    ASSERT_TRUE(topic.ok());
+    for (std::size_t i = 0; i < later_history.size(); ++i) {
+      if (!cold && (i == 3 || i == 4)) continue;
+      topic.Append(later_history[i], static_cast<double>(i));
+    }
+    if (cold) {
+      topic.Compact();
+      ASSERT_EQ(topic.cold().ColdRowCount(), 4u);
+    }
+    for (const auto& [lo, hi] : std::vector<std::pair<TimeNs, TimeNs>>{
+             {kMinTs, kMaxTs}, {0, 1000}, {65, 1000}, {60, 250}, {300, 400}}) {
+      double count = 0;
+      double sum = 0;
+      for (const ModelRow& row : topic.model()) {
+        if (row.ts < lo || row.ts > hi) continue;
+        ++count;
+        sum += row.value;
+      }
+      const std::string query =
+          "SELECT COUNT(*), SUM(metric) FROM t" +
+          (lo == kMinTs ? std::string()
+                        : " WHERE Timestamp BETWEEN " + std::to_string(lo) +
+                              " AND " + std::to_string(hi));
+      for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(query + " pass " + std::to_string(pass));
+        auto profile = topic.executor().Explain(query, /*analyze=*/true);
+        ASSERT_TRUE(profile.ok()) << profile.error().ToString();
+        EXPECT_EQ(profile->vertices.at(0).rows_matched,
+                  static_cast<std::uint64_t>(count));
+        auto result = topic.executor().Execute(query);
+        ASSERT_TRUE(result.ok()) << result.error().ToString();
+        EXPECT_FALSE(result->degraded);
+        EXPECT_EQ(result->rows.at(0).values.at(0), count);
+        EXPECT_EQ(result->rows.at(0).values.at(1), sum);
+      }
+    }
   }
 }
 

@@ -157,7 +157,7 @@ TEST(ColdTierCompaction, ZoneMapsPruneDisjointRanges) {
 // A block's rows need not be in time order: the wire accepts a timestamp
 // below the topic's last one. For every range start and cap that splits
 // such a block, VisitRange hands over exactly the rows a per-row filter
-// keeps (timestamp at or after the start, older than the cap), in stored
+// keeps (timestamp at or after the start, kept by the cap), in stored
 // order, as one span per maximal run of kept rows; ScanRange agrees row
 // for row.
 TEST(ColdTierSpans, BackwardsTimestampsComeAsRunsOfKeptRows) {
@@ -208,8 +208,8 @@ TEST(ColdTierSpans, BackwardsTimestampsComeAsRunsOfKeptRows) {
   };
   const auto check = [&](TimeNs from, TierCap cap) {
     SCOPED_TRACE("from " + std::to_string(from) + " cap (" +
-                 std::to_string(cap.ts) + ", " + std::to_string(cap.id) +
-                 ")");
+                 std::to_string(cap.to_ts) + ", " +
+                 std::to_string(cap.below_id) + ")");
     std::vector<std::size_t> want;  // positions in the block
     std::size_t runs = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -239,9 +239,8 @@ TEST(ColdTierSpans, BackwardsTimestampsComeAsRunsOfKeptRows) {
     EXPECT_EQ(spans, runs);
     EXPECT_EQ(stats.rows_visited, want.size());
   };
-  // Range starts at, between and beyond the block's timestamps; caps at
-  // every row (cutting each run of equal timestamps by id), and at and
-  // past every timestamp.
+  // Range starts at, between and beyond the block's timestamps; caps below
+  // every row's id, through every timestamp, and both at once.
   std::vector<TimeNs> starts = {Seconds(-1000)};
   for (const Row& row : rows) {
     starts.push_back(row.sample.timestamp);
@@ -251,8 +250,9 @@ TEST(ColdTierSpans, BackwardsTimestampsComeAsRunsOfKeptRows) {
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
   for (const TimeNs from : starts) {
     for (const Row& row : rows) {
-      check(from, TierCap{row.sample.timestamp, row.id});
+      check(from, TierCap{Seconds(1000), row.id});
       check(from, TierCap::Through(row.sample.timestamp));
+      check(from, TierCap{row.sample.timestamp, row.id});
     }
     check(from, TierCap{Seconds(1000), 0});
     if (HasFatalFailure()) return;

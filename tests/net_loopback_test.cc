@@ -17,6 +17,7 @@
 
 #include "aqe/executor.h"
 #include "common/clock.h"
+#include "common/fault.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "pubsub/broker.h"
@@ -232,6 +233,72 @@ TEST_F(NetLoopbackTest, PublishThenFetchWindowRoundtrip) {
   EXPECT_TRUE(rest->entries.empty());
 }
 
+// A ring whose whole window is longer than one frame carries under the
+// default 4 MiB outbound bound (150,000 rows of 33 wire bytes each).
+class NetBigRingTest : public NetLoopbackTest {
+ protected:
+  static constexpr std::size_t kRows = 150'000;
+
+  void SetUp() override {
+    auto stream = broker_.CreateTopic("big", kLocalNode, kRows);
+    ASSERT_TRUE(stream.ok());
+    std::vector<TelemetryStream::Entry> entries(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const auto ts = static_cast<TimeNs>(i);
+      entries[i] = {0, ts, MakeSample(ts, static_cast<double>(i))};
+    }
+    (*stream)->AppendBatch(entries.data(), entries.size());
+    NetLoopbackTest::SetUp();
+  }
+};
+
+// A window read returns at most what one reply frame carries, so paging on
+// next_cursor from 0 returns every id in order and the connection stays.
+TEST_F(NetBigRingTest, FetchWindowPagesPastTheOutboundBound) {
+  const std::uint64_t failures = GlobalTelemetry().net_send_failures.Value();
+  ApolloClient client(ClientFor("pager"));
+  std::uint64_t next_id = 0;
+  std::size_t pages = 0;
+  for (std::uint64_t cursor = 0;;) {
+    auto page = client.FetchWindow("big", cursor);
+    ASSERT_TRUE(page.ok()) << page.error().ToString();
+    if (page->entries.empty()) break;
+    ++pages;
+    for (const TelemetryStream::Entry& entry : page->entries) {
+      ASSERT_EQ(entry.id, next_id);
+      ASSERT_EQ(entry.value.value, static_cast<double>(next_id));
+      ++next_id;
+    }
+    ASSERT_EQ(page->next_cursor, next_id);
+    cursor = page->next_cursor;
+  }
+  EXPECT_EQ(next_id, kRows);
+  EXPECT_GT(pages, 1u);
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(GlobalTelemetry().net_send_failures.Value(), failures);
+}
+
+// An answer no frame can carry fails its request with kOutOfRange, which
+// is not retryable, and the connection keeps serving.
+TEST_F(NetBigRingTest, OversizedAnswerFailsTheRequestNotTheConnection) {
+  const std::uint64_t failures = GlobalTelemetry().net_send_failures.Value();
+  ApolloClient client(ClientFor("big-query"));
+  auto all = client.Query("SELECT Timestamp, Metric FROM big WHERE "
+                          "Timestamp >= 0");
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.error().code(), ErrorCode::kOutOfRange)
+      << all.error().ToString();
+  EXPECT_FALSE(RetryableError(all.error().code()));
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(GlobalTelemetry().net_send_failures.Value(), failures);
+  // What fits is still answered, on the same connection.
+  auto part = client.Query("SELECT Timestamp, Metric FROM big WHERE "
+                           "Timestamp >= 0 LIMIT 100000");
+  ASSERT_TRUE(part.ok()) << part.error().ToString();
+  EXPECT_EQ(part->result.rows.size(), 100'000u);
+  EXPECT_TRUE(client.connected());
+}
+
 TEST_F(NetLoopbackTest, SubscribeDeliversSubsequentPublishes) {
   ASSERT_TRUE(broker_.CreateTopic("net.live").ok());
   ApolloClient client(ClientFor("subscribe-test"));
@@ -356,8 +423,9 @@ TEST_F(NetLoopbackTest, MalformedFrameCountsProtocolError) {
 }
 
 // Retired message types stay retired: the single-sample publish (type
-// byte 5) an older client may still send gets the daemon's "unexpected
-// message type" error, and the same connection keeps working.
+// byte 5) and the resync pull (type byte 29) an older peer may still send
+// get the daemon's "unexpected message type" error, and the same
+// connection keeps working.
 TEST_F(NetLoopbackTest, RetiredPublishTypeIsRejectedAndConnectionSurvives) {
   // Removing message types renumbered nothing that survives.
   EXPECT_EQ(static_cast<int>(MsgType::kPublishBatch), 19);
@@ -408,6 +476,21 @@ TEST_F(NetLoopbackTest, RetiredPublishTypeIsRejectedAndConnectionSurvives) {
   EXPECT_EQ(frame.type, MsgType::kError);
   EXPECT_EQ(frame.request_id, 2u);
   ErrorMsg error;
+  ASSERT_TRUE(ErrorMsg::Decode(frame.payload, error));
+  EXPECT_EQ(error.code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(error.message.find("unexpected message type"), std::string::npos)
+      << error.message;
+
+  // The retired resync pull: topic, from id, u32 max entries.
+  payload.clear();
+  WireWriter old_pull(payload);
+  old_pull.Str("alpha.cpu");
+  old_pull.U64(0);
+  old_pull.U32(4096);
+  ASSERT_TRUE(send_frame(static_cast<MsgType>(29), 4, payload));
+  ASSERT_TRUE(next_frame(frame));
+  EXPECT_EQ(frame.type, MsgType::kError);
+  EXPECT_EQ(frame.request_id, 4u);
   ASSERT_TRUE(ErrorMsg::Decode(frame.payload, error));
   EXPECT_EQ(error.code, ErrorCode::kInvalidArgument);
   EXPECT_NE(error.message.find("unexpected message type"), std::string::npos)
